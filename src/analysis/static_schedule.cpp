@@ -431,4 +431,24 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
   return sched;
 }
 
+CompiledSchedule build_two_phase_schedule(
+    const SystemModel& model, const StaticScheduleOptions& options) {
+  TMSIM_CHECK_MSG(model.finalized(), "model must be finalized");
+  const std::vector<char>* include = options.include_blocks;
+  TMSIM_CHECK_MSG(include == nullptr || include->size() == model.num_blocks(),
+                  "include_blocks filter does not match the model");
+  CompiledSchedule sched;
+  sched.scc_of_link.assign(model.num_links(), 0);
+  for (const CompiledOpKind kind :
+       {CompiledOpKind::kDrive, CompiledOpKind::kEval}) {
+    for (BlockId b = 0; b < model.num_blocks(); ++b) {
+      if (include == nullptr || (*include)[b]) {
+        sched.ops.push_back({kind, b, 0});
+      }
+    }
+  }
+  sched.num_blocks = sched.num_evals = sched.num_drives = sched.ops.size() / 2;
+  return sched;
+}
+
 }  // namespace tmsim::analysis

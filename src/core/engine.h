@@ -1,12 +1,14 @@
 // Engine: the contract every host-side simulation engine fulfils.
 //
-// The paper's engine is the sequential time-multiplexed simulator of §4
-// (SequentialSimulator). The sharded bulk-synchronous engine
-// (ShardedSimulator) recovers the parallelism §4 traded away while
-// keeping the same observable semantics. Everything above the engines —
-// the NoC facade, the FPGA design model, the differential test harness —
-// talks to this interface, so swapping engines can never change what a
-// workload observes, only how fast it runs.
+// The paper's engine is the sequential time-multiplexed simulator of §4.
+// It is implemented once, as ShardedSimulator: N shards evaluated in
+// bulk-synchronous supersteps, of which one shard on the calling thread
+// (SequentialSimulator) is the paper's method. Everything above the
+// engine — the NoC facade, the FPGA design model, the differential test
+// harness — talks to this interface, and DirectNocSimulation is the
+// independent reference it is proved against, so the shard count and
+// the schedule can never change what a workload observes, only how fast
+// it runs.
 //
 // Shared vocabulary (§4): a *system cycle* is one clock cycle of the
 // simulated parallel design; a *delta cycle* is one block evaluation and
@@ -24,6 +26,22 @@
 
 namespace tmsim::core {
 
+/// Which delta-cycle schedule the engine runs. Together with
+/// SchedulerKind it resolves once, at engine construction, either to an
+/// op program (analysis/static_schedule.h) the engine replays every
+/// system cycle, or to the §4.2 round-robin/worklist pickup.
+///
+///  - kStatic (§4.1, Fig. 3): only for models whose internal boundaries
+///    are all registered (checked at construction). The compiled program
+///    of such a model evaluates every block once in ascending ids.
+///  - kDynamic (§4.2, Fig. 5): the paper's method for combinational
+///    boundaries; SchedulerKind picks how non-stable blocks are found.
+///  - kTwoPhaseOracle: an ablation, not in the paper — the op program
+///    "drive every block, then evaluate every block" (2 × num_blocks delta
+///    cycles). Correct only for designs whose outputs depend on
+///    registered state alone, such as the case-study router.
+///
+/// kStatic and kTwoPhaseOracle ignore SchedulerKind.
 enum class SchedulePolicy : std::uint8_t {
   kStatic = 0,
   kDynamic = 1,
@@ -48,8 +66,9 @@ enum class SchedulePolicy : std::uint8_t {
 ///  - kCompiled: static. A build-time analysis pass
 ///    (src/analysis/static_schedule.h) condenses the combinational link
 ///    graph's strongly-connected components, topologically orders the
-///    condensation, and emits a fixed op list executed verbatim every
-///    system cycle — no HBR bookkeeping, no unstable bitmap, no
+///    condensation, and emits an op program executed verbatim every
+///    system cycle by the same interpreter that runs kStatic and
+///    kTwoPhaseOracle — no HBR bookkeeping, no unstable bitmap, no
 ///    worklist for acyclic regions; true combinational cycles settle in
 ///    a scoped worklist confined to their SCC under the usual
 ///    convergence budget. Bit-identical to the dynamic schedulers by
@@ -190,12 +209,12 @@ class SimObserver {
 /// Deliberately excluded from the checkpoint digest: it is not
 /// architectural state.
 ///
-/// The encoding is engine-agnostic: one cursor per shard (sequential
-/// engines have one "shard") and the quiescence flags in model block
+/// The encoding is shard-count-agnostic: one cursor per shard (the
+/// sequential engine has one) and the quiescence flags in model block
 /// order. A restore into an engine whose shape does not match — or from
 /// a default-constructed (empty) snapshot — canonicalizes instead:
-/// cursors back to their seeded initial offsets, flags cleared. The
-/// compiled scheduler has no entry here at all: a static schedule
+/// cursors back to their seeded initial offsets, flags cleared. An op
+/// program (static, two-phase, compiled) has no entry here at all: it
 /// carries zero dynamic scheduling state, which is what makes its
 /// preemption trivially invisible.
 struct SchedulerCheckpoint {
@@ -329,8 +348,8 @@ void reset_engine(Engine& eng);
 /// reject exactly the same misuses to stay substitutable).
 void check_external_input(const SystemModel& model, LinkId link);
 
-/// Degenerate-topology gate for the worklist scheduler, applied by both
-/// engines at construction and re-checked (per shard) after
+/// Degenerate-topology gate for the worklist scheduler, applied by the
+/// engine at construction and re-checked (per shard) after
 /// partitioning. Rejects, with a structured error instead of a hang at
 /// the delta budget:
 ///  - combinational self-loop links (a block reading its own
@@ -341,7 +360,9 @@ void check_external_input(const SystemModel& model, LinkId link);
 ///    worklist would silently drop it (check_external_input catches the
 ///    drive; this catches the model).
 /// No-op for kRoundRobin (the dense sweep tolerates both shapes, at
-/// delta-budget cost).
+/// delta-budget cost) and for kCompiled (a self-loop becomes a scoped
+/// settle region, and a program evaluates every block whether or not a
+/// stimulus arrived).
 void check_scheduler_topology(const SystemModel& model, SchedulerKind kind);
 
 /// Initial round-robin cursor of a dynamic schedule for `schedule_seed`.

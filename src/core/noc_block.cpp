@@ -183,11 +183,6 @@ namespace {
 
 std::unique_ptr<Engine> make_engine(const SystemModel& model,
                                     const EngineOptions& opts) {
-  if (opts.num_shards <= 1) {
-    return std::make_unique<SequentialSimulator>(
-        model, opts.policy, /*max_evals_per_block=*/64, opts.seed,
-        opts.scheduler);
-  }
   ShardedConfig cfg;
   cfg.num_shards = opts.num_shards;
   cfg.partition = opts.partition;

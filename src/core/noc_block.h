@@ -1,7 +1,7 @@
 // RouterBlock: the case-study router packaged as a SimBlock, and
 // SeqNocSimulation: the whole NoC wired into a SystemModel and executed by
-// the SequentialSimulator — i.e. the paper's FPGA simulator architecture
-// expressed over the core engine.
+// the core engine (one shard by default: the paper's sequential method) —
+// i.e. the paper's FPGA simulator architecture expressed over the engine.
 //
 // Port convention of RouterBlock:
 //   inputs  0..4 — forward link arriving at input port p (21 bits)
@@ -94,9 +94,9 @@ struct NocModel {
 /// `net` must outlive the returned model (RouterBlocks keep a pointer).
 NocModel build_noc_model(const noc::NetworkConfig& net);
 
-/// Engine selection for the NoC facade. num_shards == 1 runs the
-/// sequential engine (the paper's method); > 1 runs the sharded
-/// bulk-synchronous engine over the same model — bit-identical results,
+/// Engine selection for the NoC facade. num_shards == 1 is the
+/// sequential engine (the paper's method, on the calling thread); > 1
+/// splits the same model over worker threads — bit-identical results,
 /// enforced by tests/integration/sharded_equivalence_test.cpp.
 struct EngineOptions {
   SchedulePolicy policy = SchedulePolicy::kDynamic;

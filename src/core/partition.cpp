@@ -123,17 +123,19 @@ Partition partition_blocks(const SystemModel& model, std::size_t num_shards,
                   "more shards than blocks (empty shards are useless)");
 
   Partition p;
-  p.shard_of.assign(n, 0);
-  switch (policy) {
-    case PartitionPolicy::kRoundRobin:
-      fill_round_robin(p, n, num_shards);
-      break;
-    case PartitionPolicy::kContiguous:
-      fill_contiguous(p, n, num_shards);
-      break;
-    case PartitionPolicy::kMinCutGreedy:
-      fill_min_cut_greedy(model, p, n, num_shards);
-      break;
+  p.shard_of.assign(n, 0);  // already the one-shard partition
+  if (num_shards > 1) {
+    switch (policy) {
+      case PartitionPolicy::kRoundRobin:
+        fill_round_robin(p, n, num_shards);
+        break;
+      case PartitionPolicy::kContiguous:
+        fill_contiguous(p, n, num_shards);
+        break;
+      case PartitionPolicy::kMinCutGreedy:
+        fill_min_cut_greedy(model, p, n, num_shards);
+        break;
+    }
   }
 
   p.shards.assign(num_shards, {});

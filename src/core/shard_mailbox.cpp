@@ -13,6 +13,9 @@ ShardBarrier::ShardBarrier(std::size_t participants)
 
 std::uint64_t ShardBarrier::sync(std::uint64_t contribution,
                                  std::uint64_t* spins) {
+  if (participants_ == 1) {
+    return contribution;  // the one-shard engine: nobody to wait for
+  }
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   sum_.fetch_add(contribution, std::memory_order_acq_rel);
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants_) {

@@ -36,6 +36,11 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
                     "use kDynamic for combinational boundaries");
   }
   check_scheduler_topology(model, cfg_.scheduler);
+  // Static, two-phase and compiled run an op program; only the dynamic
+  // policy's round-robin and worklist pickups do not.
+  const bool programmed = cfg_.schedule != SchedulePolicy::kDynamic ||
+                          cfg_.scheduler == SchedulerKind::kCompiled;
+  worklist_ = !programmed && cfg_.scheduler == SchedulerKind::kWorklist;
 
   const std::size_t n = model.num_blocks();
   cfg_.num_shards = std::min(cfg_.num_shards, n);
@@ -56,35 +61,24 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
   // shard's HBR bit.
   slot_of_link_.assign(model.num_links(), kNoSlot);
   link_home_.assign(model.num_links(), 0);
-  link_shards_.assign(model.num_links(), {});
   std::vector<std::size_t> slot_widths;
   std::vector<std::vector<char>> materialize(
       k, std::vector<char>(model.num_links(), 0));
   for (LinkId l = 0; l < model.num_links(); ++l) {
     const LinkInfo& info = model.link(l);
-    std::vector<std::size_t>& owners = link_shards_[l];
-    auto add_shard = [&owners](std::size_t s) {
-      if (std::find(owners.begin(), owners.end(), s) == owners.end()) {
-        owners.push_back(s);
-      }
-    };
-    std::size_t writer_shard = kNoSlot;
-    if (info.writer) {
-      writer_shard = part_.shard_of[info.writer->block];
-      add_shard(writer_shard);
-    }
+    // Home: the writer's shard, else the first reader's (an external
+    // input), else shard 0 (an orphan link with no writer and no reader).
+    const std::size_t home =
+        info.writer ? part_.shard_of[info.writer->block]
+        : info.readers.empty() ? 0
+                               : part_.shard_of[info.readers.front().block];
+    link_home_[l] = home;
+    materialize[home][l] = 1;
     bool crosses = false;
     for (const Endpoint& r : info.readers) {
       const std::size_t rs = part_.shard_of[r.block];
-      add_shard(rs);
-      crosses = crosses || (writer_shard != kNoSlot && rs != writer_shard);
-    }
-    if (owners.empty()) {
-      add_shard(0);  // orphan link (no writer, no readers): park in shard 0
-    }
-    link_home_[l] = owners.front();
-    for (const std::size_t s : owners) {
-      materialize[s][l] = 1;
+      materialize[rs][l] = 1;
+      crosses = crosses || (info.writer && rs != home);
     }
     if (crosses) {
       slot_of_link_[l] = slot_widths.size();
@@ -110,14 +104,13 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       sh->state.load_old(i, model.block(blocks[i]).logic->reset_state());
     }
-    if (cfg_.scheduler == SchedulerKind::kWorklist) {
+    if (worklist_) {
       sh->worklist.reserve(blocks.size());
       sh->state_fixed.assign(blocks.size(), 0);
       sh->pending_input.assign(blocks.size(), 0);
-      // Same skippability rule as the sequential engine: every link the
-      // block touches must be combinational (registered banks would rot
-      // behind the pointer flip, and registered inputs change without a
-      // change event).
+      // A block is skippable only when every link it touches is
+      // combinational: registered banks would rot behind the pointer
+      // flip, and registered inputs change without a change event.
       sh->skippable.assign(blocks.size(), 1);
       for (std::size_t i = 0; i < blocks.size(); ++i) {
         const BlockInstance& blk = model.block(blocks[i]);
@@ -134,27 +127,34 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
       }
     }
     if (!blocks.empty()) {
-      // Per-shard cursor rotation, domain-separated by shard index so
-      // the shards do not all start at congruent positions.
-      sh->rr_next = schedule_rr_offset(
-          cfg_.schedule_seed == 1 ? 1 : cfg_.schedule_seed + 0x9e37u * (s + 1),
-          blocks.size());
+      // Shard 0 starts where the sequential §4.2 schedule starts for this
+      // seed; the others are domain-separated by shard index so the
+      // shards do not all start at congruent positions.
+      const std::uint64_t seed =
+          s == 0 || cfg_.schedule_seed == 1
+              ? cfg_.schedule_seed
+              : cfg_.schedule_seed + 0x9e37u * (s + 1);
+      sh->rr_next = schedule_rr_offset(seed, blocks.size());
       sh->rr_init = sh->rr_next;
     }
-    if (cfg_.scheduler == SchedulerKind::kCompiled &&
-        cfg_.schedule == SchedulePolicy::kDynamic) {
-      // Per-shard static schedule over the link graph restricted to this
+    if (programmed) {
+      // Per-shard op program over the link graph restricted to this
       // shard's membership. Cut links have one endpoint elsewhere, so
       // they drop out of the tracked set and the emitted order treats
-      // them as registered edges; the superstep loop in cycle_compiled
-      // reconciles them through the mailbox.
+      // them as registered edges; the superstep loop in run_cycle
+      // reconciles them through the mailbox. A registered-only model
+      // (the static policy's precondition) compiles to every block once
+      // in ascending ids — the §4.1 Fig. 3 schedule.
       std::vector<char> member(n, 0);
       for (const BlockId b : blocks) {
         member[b] = 1;
       }
       analysis::StaticScheduleOptions opt;
       opt.include_blocks = &member;
-      sh->compiled.emplace(analysis::build_compiled_schedule(model, opt));
+      sh->program.emplace(
+          cfg_.schedule == SchedulePolicy::kTwoPhaseOracle
+              ? analysis::build_two_phase_schedule(model, opt)
+              : analysis::build_compiled_schedule(model, opt));
     }
     shards_.push_back(std::move(sh));
   }
@@ -176,7 +176,7 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
       subscribed[rs] = 1;
       shards_[rs]->incoming.push_back(InSlot{l, slot, 0, info.kind});
     }
-    if (cfg_.scheduler == SchedulerKind::kWorklist &&
+    if (worklist_ &&
         std::none_of(subscribed.begin(), subscribed.end(),
                      [](char c) { return c != 0; })) {
       // A mailbox slot with no subscribing shard means the link's reader
@@ -225,12 +225,15 @@ void ShardedSimulator::set_external_input(LinkId link, const BitVector& value) {
   check_external_input(model_, link);
   // Workers are parked at the command barrier between steps, so writing
   // every replica directly is race-free; the barrier's release/acquire
-  // pair publishes the values to them.
+  // pair publishes the values to them. An external input has no writer,
+  // so its replicas live in its readers' shards (rewriting a replica two
+  // readers share is idempotent).
   bool changed = false;
-  for (const std::size_t s : link_shards_[link]) {
-    changed = shards_[s]->links.write(link, value) || changed;
+  for (const Endpoint& reader : model_.link(link).readers) {
+    changed = shards_[part_.shard_of[reader.block]]->links.write(link, value) ||
+              changed;
   }
-  if (changed && cfg_.scheduler == SchedulerKind::kWorklist) {
+  if (changed && worklist_) {
     // Wake the quiescence fast path: the readers have fresh input, so
     // the next cycle's seeding must not skip them.
     for (const Endpoint& reader : model_.link(link).readers) {
@@ -254,7 +257,7 @@ void ShardedSimulator::load_block_state(BlockId block, const BitVector& value) {
   TMSIM_CHECK_MSG(block < model_.num_blocks(), "block index out of range");
   Shard& sh = *shards_[part_.shard_of[block]];
   sh.state.load_old(local_of_[block], value);
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
+  if (worklist_) {
     // The committed state changed behind the block's back: any cached
     // fixed-point claim is stale, so force a re-evaluation next cycle.
     sh.state_fixed[local_of_[block]] = 0;
@@ -264,9 +267,11 @@ void ShardedSimulator::load_block_state(BlockId block, const BitVector& value) {
 void ShardedSimulator::load_link_value(LinkId link, const BitVector& value) {
   TMSIM_CHECK_MSG(link < model_.num_links(), "link index out of range");
   // Workers are parked at the command barrier, so writing the
-  // authoritative copy and every reader replica directly is race-free.
-  for (const std::size_t s : link_shards_[link]) {
-    shards_[s]->links.write(link, value);
+  // authoritative copy and every reader replica directly is race-free
+  // (and idempotent where they share a shard).
+  shards_[link_home_[link]]->links.write(link, value);
+  for (const Endpoint& reader : model_.link(link).readers) {
+    shards_[part_.shard_of[reader.block]]->links.write(link, value);
   }
   const std::size_t slot = slot_of_link_[link];
   if (slot != kNoSlot) {
@@ -281,14 +286,14 @@ void ShardedSimulator::load_link_value(LinkId link, const BitVector& value) {
 
 SchedulerCheckpoint ShardedSimulator::scheduler_checkpoint() const {
   SchedulerCheckpoint s;
-  if (cfg_.scheduler == SchedulerKind::kCompiled) {
-    return s;  // the compiled schedule carries no dynamic state
+  if (shards_[0]->program) {
+    return s;  // an op program carries no dynamic scheduling state
   }
   s.rr_cursors.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& sh : shards_) {
     s.rr_cursors.push_back(sh->rr_next);
   }
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
+  if (worklist_) {
     // Scatter the per-shard quiescence flags back to model block order so
     // the snapshot is partition-independent.
     s.state_fixed.assign(model_.num_blocks(), 0);
@@ -320,7 +325,7 @@ void ShardedSimulator::restore_scheduler_state(
     sh.rr_next = (cursors_ok && ln > 0 && sched.rr_cursors[si] < ln)
                      ? sched.rr_cursors[si]
                      : sh.rr_init;
-    if (cfg_.scheduler == SchedulerKind::kWorklist) {
+    if (worklist_) {
       for (std::size_t i = 0; i < ln; ++i) {
         sh.state_fixed[i] = flags_ok ? sched.state_fixed[sh.blocks[i]] : 0;
         sh.pending_input[i] = flags_ok ? sched.pending_input[sh.blocks[i]] : 0;
@@ -359,14 +364,13 @@ StepStats ShardedSimulator::step() {
     r.oscillating_blocks.erase(
         std::unique(r.oscillating_blocks.begin(), r.oscillating_blocks.end()),
         r.oscillating_blocks.end());
-    // Merge the per-shard changed-link histories the way the sequential
-    // engine's single history reads: newest first. True global ordering
-    // is gone (the shards ran concurrently), so interleave round-robin
-    // by recency depth — every shard's most recent change outranks any
-    // shard's second-most-recent — which is deterministic for a given
-    // partition. Dedup (a cut link can appear in both the writer's and a
-    // reader's history) and cap at the same bound the sequential report
-    // carries.
+    // Merge the per-shard changed-link histories the way a one-shard
+    // history reads: newest first. True global ordering is gone (the
+    // shards ran concurrently), so interleave round-robin by recency
+    // depth — every shard's most recent change outranks any shard's
+    // second-most-recent — which is deterministic for a given partition.
+    // Dedup (a cut link can appear in both the writer's and a reader's
+    // history) and cap at the one-shard history's bound.
     for (std::size_t depth = 0;; ++depth) {
       bool any = false;
       for (const std::unique_ptr<Shard>& sh : shards_) {
@@ -437,65 +441,44 @@ void ShardedSimulator::run_cycle(std::size_t s) {
   sh.recent_changed_count = 0;
   std::fill(sh.evaluated.begin(), sh.evaluated.end(), 0);
   sh.first_evals = 0;
-  if (observer_) {
+  if (observer_ && shards_.size() > 1) {
     sh.mark_ns = steady_ns();
   }
-  switch (cfg_.schedule) {
-    case SchedulePolicy::kStatic:
-      cycle_static(sh);
-      break;
-    case SchedulePolicy::kDynamic:
-      cycle_dynamic(sh);
-      break;
-    case SchedulePolicy::kTwoPhaseOracle:
-      cycle_two_phase(sh);
-      break;
-  }
-  if (!sh.cycle_failed) {
-    // End of system cycle, shard-locally: pointer-flip the state banks
-    // and registered link banks (§4.1). On a failed cycle the engine is
-    // left un-flipped, matching the sequential engine's throw path.
-    sh.state.swap_banks();
-    sh.links.swap_registered_banks();
-  } else {
-    fill_report(sh);
-  }
-  barrier_->sync(0);  // cycle complete; the coordinator aggregates next
-}
-
-void ShardedSimulator::cycle_static(Shard& sh) {
-  guarded(sh, [&] {
-    std::fill(sh.unstable.begin(), sh.unstable.end(), 0);
-    sh.unstable_count = 0;
-    evaluate_all_local(sh);
-  });
-  exchange_round(sh);
-}
-
-void ShardedSimulator::cycle_dynamic(Shard& sh) {
-  if (cfg_.scheduler == SchedulerKind::kCompiled) {
-    cycle_compiled(sh);
-    return;
-  }
-  const bool worklist = cfg_.scheduler == SchedulerKind::kWorklist;
-  if (worklist) {
-    guarded(sh, [&] { seed_worklist_cycle(sh); });
-  } else {
+  if (!sh.program) {
+    // "Every system cycle is started by resetting all status bits to
+    //  zero. [...] it is guaranteed that all routers are evaluated at
+    //  least once" — under the worklist, every block that lacks a
+    //  quiescence proof.
     guarded(sh, [&] {
       sh.links.reset_all_hbr();
-      std::fill(sh.unstable.begin(), sh.unstable.end(), 1);
-      sh.unstable_count = sh.blocks.size();
+      if (worklist_) {
+        seed_worklist_cycle(sh);
+      } else {
+        std::fill(sh.unstable.begin(), sh.unstable.end(), 1);
+        sh.unstable_count = sh.blocks.size();
+      }
     });
   }
-  // Belt-and-braces superstep cap: the per-shard evaluation budget in
-  // settle_local() already guarantees termination (an oscillation keeps
-  // at least one shard evaluating every round), this bounds rounds too.
+  // Belt-and-braces superstep cap: the per-shard evaluation budgets
+  // already guarantee termination (an oscillation keeps at least one
+  // shard evaluating every round), this bounds rounds too.
   const std::size_t superstep_cap =
       cfg_.max_evals_per_block * model_.num_blocks();
-  while (true) {
+  do {
     guarded(sh, [&] {
-      if (worklist) {
-        settle_local_worklist(sh);
+      if (sh.program) {
+        // An op program replays in full against the latest replica
+        // values — no HBR bits, no per-block destabilization across the
+        // cut. Phase B's deliveries mark readers unstable purely so
+        // barrier 2 can agree on "someone received a changed cut value";
+        // the next replay clears the marks and re-runs everything.
+        // Cross-shard combinational chains converge in one extra
+        // superstep per cut depth (a block-Jacobi sweep toward the same
+        // fixed point the one-shard schedule reaches); a genuinely
+        // oscillating cross-shard loop ping-pongs to the superstep cap.
+        std::fill(sh.unstable.begin(), sh.unstable.end(), 0);
+        sh.unstable_count = 0;
+        run_program(sh);
       } else {
         settle_local(sh);
       }
@@ -503,11 +486,17 @@ void ShardedSimulator::cycle_dynamic(Shard& sh) {
     if (sh.supersteps >= superstep_cap) {
       sh.diverged = true;
     }
-    const bool more = exchange_round(sh);
-    if (sh.cycle_failed || !more) {
-      return;
-    }
+  } while (exchange_round(sh));
+  if (!sh.cycle_failed) {
+    // End of system cycle, shard-locally: pointer-flip the state banks
+    // and registered link banks (§4.1). A failed cycle leaves the banks
+    // un-flipped, holding the unsettled values the report describes.
+    sh.state.swap_banks();
+    sh.links.swap_registered_banks();
+  } else {
+    fill_report(sh);
   }
+  barrier_->sync(0);  // cycle complete; the coordinator aggregates next
 }
 
 void ShardedSimulator::seed_worklist_cycle(Shard& sh) {
@@ -520,7 +509,8 @@ void ShardedSimulator::seed_worklist_cycle(Shard& sh) {
   // any input changes (destabilize_local pushes it), so the fixed point
   // reached is the same one the dense sweep reaches — the quiescence
   // fast path only elides evaluations whose outputs are already final.
-  sh.links.reset_all_hbr();
+  // Everything else is pushed in block order, which makes the first
+  // sweep identical to the round-robin sweep at the canonical cursor.
   sh.worklist.clear();
   sh.wl_head = 0;
   sh.unstable_count = 0;
@@ -541,80 +531,66 @@ void ShardedSimulator::seed_worklist_cycle(Shard& sh) {
       static_cast<std::uint64_t>(sh.worklist.size()));
 }
 
-void ShardedSimulator::settle_local_worklist(Shard& sh) {
-  // Phase A under kWorklist: drain the FIFO instead of scanning the
-  // unstable bitmap. The invariant "flag set <=> on the unconsumed part
-  // of the FIFO" is maintained by seed_worklist_cycle and
-  // destabilize_local, so pickup is O(1) with no dense scan. The
-  // sequential engine's self-loop recheck is omitted: combinational
-  // self-loops are rejected at construction (check_scheduler_topology).
-  const DeltaCycle budget = cfg_.max_evals_per_block * sh.blocks.size();
-  while (sh.wl_head < sh.worklist.size()) {
-    const std::size_t i = sh.worklist[sh.wl_head++];
+void ShardedSimulator::settle_local(Shard& sh) {
+  // Phase A of the §4.2 pickup: evaluate non-stable blocks until this
+  // shard is locally stable. The round-robin cursor scans the unstable
+  // bitmap; the worklist pops its FIFO, whose unconsumed part holds
+  // exactly the flagged blocks (seed_worklist_cycle and
+  // destabilize_local keep that invariant), so its pickup is O(1). Both
+  // searches are bounded: unstable_count > 0 with nothing left to find
+  // is a bookkeeping desync, and the cycle fails structurally instead of
+  // spinning forever.
+  const std::size_t ln = sh.blocks.size();
+  const DeltaCycle budget = cfg_.max_evals_per_block * ln;
+  while (sh.unstable_count > 0) {
+    std::size_t i = 0;
+    if (worklist_) {
+      if (sh.wl_head == sh.worklist.size()) {
+        sh.diverged = true;
+        return;
+      }
+      i = sh.worklist[sh.wl_head++];
+    } else {
+      // "A simple round-robin scheduler will decide which non-stable
+      //  router has to be evaluated."
+      std::size_t scanned = 0;
+      while (sh.unstable[sh.rr_next] == 0) {
+        sh.rr_next = (sh.rr_next + 1) % ln;
+        if (++scanned > ln) {
+          sh.diverged = true;
+          return;
+        }
+      }
+      i = sh.rr_next;
+      sh.rr_next = (sh.rr_next + 1) % ln;
+    }
     sh.unstable[i] = 0;
     --sh.unstable_count;
-    evaluate_block(sh, i);
+
+    evaluate_block(sh, i, nullptr);
+
+    // Self-loop safety of the sweep: re-check the HBR bits directly so a
+    // bookkeeping bug cannot end a cycle early. (The worklist rejects
+    // combinational self-loops at construction.)
+    if (!worklist_ && sh.unstable[i] == 0 &&
+        !inputs_all_read(sh, sh.blocks[i])) {
+      destabilize_local(sh, sh.blocks[i]);
+    }
     if (sh.stats.delta_cycles > budget) {
       sh.diverged = true;
       return;
     }
   }
-  // Fully drained: recycle the storage so the FIFO never grows beyond
-  // the cycle's event count (phase B refills it for the next superstep).
-  sh.worklist.clear();
-  sh.wl_head = 0;
-}
-
-void ShardedSimulator::cycle_two_phase(Shard& sh) {
-  // Ablation schedule, same contract as the sequential engine: correct
-  // only for designs whose outputs depend on registered state alone.
-  // Pass 1 publishes every output (final, under that contract); the
-  // exchange delivers cut-link values; pass 2 recomputes every next
-  // state from final link values.
-  guarded(sh, [&] {
-    sh.links.reset_all_hbr();
-    std::fill(sh.unstable.begin(), sh.unstable.end(), 0);
-    sh.unstable_count = 0;
-  });
-  for (int pass = 0; pass < 2; ++pass) {
-    guarded(sh, [&] { evaluate_all_local(sh); });
-    exchange_round(sh);
-    if (sh.cycle_failed) {
-      return;
-    }
+  if (worklist_) {
+    // Fully drained: recycle the storage so the FIFO never grows beyond
+    // the cycle's event count (phase B refills it for the next superstep).
+    sh.worklist.clear();
+    sh.wl_head = 0;
   }
 }
 
-void ShardedSimulator::cycle_compiled(Shard& sh) {
-  // Compiled superstep loop: each phase A replays the shard's build-time
-  // schedule in full against the latest replica values — no HBR bits, no
-  // per-block destabilization across the cut. Phase B's deliveries mark
-  // readers unstable purely so barrier 2 can agree on "someone received
-  // a changed cut value"; the next phase A clears the bits and re-runs
-  // everything. Cross-shard combinational chains converge in one extra
-  // superstep per cut depth (a block-Jacobi sweep toward the same unique
-  // fixed point the sequential schedule reaches); a genuinely oscillating
-  // cross-shard loop ping-pongs to the superstep cap and diverges.
-  const std::size_t superstep_cap =
-      cfg_.max_evals_per_block * model_.num_blocks();
-  while (true) {
-    guarded(sh, [&] {
-      std::fill(sh.unstable.begin(), sh.unstable.end(), 0);
-      sh.unstable_count = 0;
-      run_compiled_schedule(sh);
-    });
-    if (sh.supersteps >= superstep_cap) {
-      sh.diverged = true;
-    }
-    const bool more = exchange_round(sh);
-    if (sh.cycle_failed || !more) {
-      return;
-    }
-  }
-}
-
-void ShardedSimulator::run_compiled_schedule(Shard& sh) {
-  for (const analysis::CompiledOp& op : sh.compiled->ops) {
+void ShardedSimulator::run_program(Shard& sh) {
+  for (const analysis::CompiledOp& op : sh.program->ops) {
     if (op.kind == analysis::CompiledOpKind::kSettle) {
       settle_scc_local(sh, op.scc);
       if (sh.diverged) {
@@ -623,7 +599,7 @@ void ShardedSimulator::run_compiled_schedule(Shard& sh) {
     } else {
       // kEval and kDrive run identically at execution time; the split
       // only matters for the emission proof (see static_schedule.h).
-      evaluate_block_compiled(sh, local_of_[op.block], nullptr);
+      evaluate_block(sh, local_of_[op.block], nullptr);
     }
   }
 }
@@ -631,24 +607,24 @@ void ShardedSimulator::run_compiled_schedule(Shard& sh) {
 void ShardedSimulator::settle_scc_local(Shard& sh, std::uint32_t scc_index) {
   // Scoped worklist over one strongly connected component, confined to
   // this shard (tracked links need both endpoints in the shard, so an
-  // SCC can never straddle the cut). Mirrors the sequential engine's
-  // settle_scc, with the cooperative divergence protocol instead of a
-  // throw: leave the members' unstable bits set for the merged report.
-  const analysis::CompiledScc& scc = sh.compiled->sccs[scc_index];
+  // SCC can never straddle the cut), with the cooperative divergence
+  // protocol: on a trip the members' unstable bits stay set for the
+  // merged report.
+  const analysis::CompiledScc& scc = sh.program->sccs[scc_index];
   const std::size_t m = scc.blocks.size();
   sh.scc_unstable.assign(m, 1);
   std::size_t remaining = m;
   for (const BlockId b : scc.blocks) {
     sh.unstable[local_of_[b]] = 1;  // report mirror, not counted
   }
+  // Same convergence contract as the pickup, scoped to the SCC: each
+  // member gets max_evals_per_block evaluations to settle.
   const DeltaCycle limit = cfg_.max_evals_per_block * m;
   CompiledSettleCtx ctx{&scc, scc_index + 1, &sh.scc_unstable, &remaining};
   std::size_t cursor = 0;
   DeltaCycle spent = 0;
   while (remaining > 0) {
-    // Bounded cursor scan: a desynchronized remaining-count with an
-    // all-zero bitmap must fail structurally, not spin (same guard as
-    // the dense round-robin in settle_local).
+    // Bounded cursor scan, as in settle_local.
     std::size_t scanned = 0;
     while (sh.scc_unstable[cursor] == 0) {
       cursor = (cursor + 1) % m;
@@ -661,7 +637,7 @@ void ShardedSimulator::settle_scc_local(Shard& sh, std::uint32_t scc_index) {
     cursor = (cursor + 1) % m;
     sh.scc_unstable[mi] = 0;
     --remaining;
-    evaluate_block_compiled(sh, local_of_[scc.blocks[mi]], &ctx);
+    evaluate_block(sh, local_of_[scc.blocks[mi]], &ctx);
     if (++spent > limit) {
       sh.diverged = true;
       return;
@@ -672,167 +648,17 @@ void ShardedSimulator::settle_scc_local(Shard& sh, std::uint32_t scc_index) {
   }
 }
 
-void ShardedSimulator::evaluate_block_compiled(Shard& sh, std::size_t local,
-                                               const CompiledSettleCtx* ctx) {
-  // Lean compiled-mode evaluation: no HBR marking and — crucially — no
-  // same-shard destabilization outside a settle context. The full
-  // schedule replay makes intra-shard wakeups redundant, and marking
-  // them would keep unstable_count nonzero forever (an infinite
-  // superstep loop). Cut publication is identical to evaluate_block.
-  const BlockId b = sh.blocks[local];
-  const BlockInstance& blk = model_.block(b);
-  const SimBlock& logic = *blk.logic;
-  const std::size_t n_in = logic.num_inputs();
-  const std::size_t n_out = logic.num_outputs();
-
-  if (sh.in_scratch.size() < n_in) {
-    sh.in_scratch.resize(n_in, BitVector(0));
-  }
-  if (sh.out_scratch.size() < n_out) {
-    sh.out_scratch.resize(n_out, BitVector(0));
-  }
-  for (std::size_t p = 0; p < n_in; ++p) {
-    sh.in_scratch[p] = sh.links.read(blk.input_links[p]);
-  }
-  if (sh.state_scratch.width() != logic.state_width()) {
-    sh.state_scratch = BitVector(logic.state_width());
-  }
-  for (std::size_t p = 0; p < n_out; ++p) {
-    if (sh.out_scratch[p].width() != logic.output_width(p)) {
-      sh.out_scratch[p] = BitVector(logic.output_width(p));
-    }
-  }
-
-  logic.evaluate(sh.state.read_old(local),
-                 std::span<const BitVector>(sh.in_scratch.data(), n_in),
-                 sh.state_scratch,
-                 std::span<BitVector>(sh.out_scratch.data(), n_out));
-
-  // A drive op's state write is harmlessly overwritten by the block's
-  // later committing eval (write_new overwrites; the last evaluation in
-  // the op sequence always sees all-final inputs).
-  sh.state.write_new(local, sh.state_scratch);
-
-  for (std::size_t p = 0; p < n_out; ++p) {
-    const LinkId l = blk.output_links[p];
-    const bool changed = sh.links.write(l, sh.out_scratch[p]);
-    const std::size_t slot = slot_of_link_[l];
-    if (model_.link(l).kind == LinkKind::kCombinational) {
-      if (changed) {
-        ++sh.stats.link_changes;
-        sh.recent_changed_links[sh.recent_changed_count++ %
-                                Shard::kChangedLinkHistory] = l;
-        if (ctx && sh.compiled->scc_of_link[l] == ctx->scc_id) {
-          // Intra-SCC edge changed mid-settle: wake the (single) reader.
-          const BlockId r = model_.link(l).readers.front().block;
-          const auto it = std::lower_bound(ctx->scc->blocks.begin(),
-                                           ctx->scc->blocks.end(), r);
-          const std::size_t mi =
-              static_cast<std::size_t>(it - ctx->scc->blocks.begin());
-          if (!(*ctx->unstable)[mi]) {
-            (*ctx->unstable)[mi] = 1;
-            ++*ctx->remaining;
-          }
-          sh.unstable[local_of_[r]] = 1;  // report mirror
-        }
-        if (slot != kNoSlot) {
-          mailbox_->publish(slot, sh.out_scratch[p]);
-          ++sh.stats.cut_publishes;
-        }
-      }
-    } else if (slot != kNoSlot) {
-      mailbox_->publish(slot, sh.out_scratch[p]);
-      ++sh.stats.cut_publishes;
-    }
-  }
-
-  if (!sh.evaluated[local]) {
-    sh.evaluated[local] = 1;
-    ++sh.first_evals;
-  }
-  ++sh.stats.delta_cycles;
-}
-
-bool ShardedSimulator::exchange_round(Shard& sh) {
-  ++sh.supersteps;
-  // Observer timing: the settle/evaluation phase ran since mark_ns; the
-  // two barriers plus the exchange form the synchronization tail.
-  const std::uint64_t settle_end_ns = observer_ ? steady_ns() : 0;
-  // Barrier 1: agree whether any shard diverged or threw during the
-  // evaluation phase. Every shard sees the same sum, so every shard
-  // abandons the cycle at the same point — no worker is left behind at
-  // a barrier the others will never reach.
-  const std::uint64_t failures =
-      barrier_->sync((sh.diverged || sh.error) ? 1 : 0, &sh.stats.barrier_spins);
-  if (failures > 0) {
-    sh.cycle_failed = true;
-    return false;
-  }
-  guarded(sh, [&] { apply_incoming(sh); });
-  // Barrier 2: agree on the number of unstable blocks anywhere (with a
-  // sentinel for exchange-phase errors). Zero means the system-wide
-  // link fixed point is reached.
-  const std::uint64_t unstable = barrier_->sync(
-      sh.error ? kErrorSentinel : sh.unstable_count, &sh.stats.barrier_spins);
-  if (observer_) {
-    // Called from every worker thread concurrently; SimObserver
-    // implementations synchronize internally.
-    const std::uint64_t end_ns = steady_ns();
-    observer_->on_superstep(sh.index, total_supersteps_ + sh.supersteps - 1,
-                            settle_end_ns - sh.mark_ns,
-                            end_ns - settle_end_ns);
-    sh.mark_ns = end_ns;
-  }
-  if (unstable >= kErrorSentinel) {
-    sh.cycle_failed = true;
-    return false;
-  }
-  return unstable != 0;
-}
-
-void ShardedSimulator::settle_local(Shard& sh) {
-  const std::size_t ln = sh.blocks.size();
-  const DeltaCycle budget = cfg_.max_evals_per_block * ln;
-  while (sh.unstable_count > 0) {
-    // Local §4.2 round-robin over this shard's non-stable blocks. The
-    // scan is bounded: unstable_count > 0 with an all-zero bitmap is a
-    // bookkeeping desync, and a full lap proves it — fail the cycle
-    // structurally instead of spinning on the cursor forever.
-    std::size_t scanned = 0;
-    while (sh.unstable[sh.rr_next] == 0) {
-      sh.rr_next = (sh.rr_next + 1) % ln;
-      if (++scanned > ln) {
-        sh.diverged = true;
-        return;
-      }
-    }
-    const std::size_t i = sh.rr_next;
-    sh.rr_next = (sh.rr_next + 1) % ln;
-    sh.unstable[i] = 0;
-    --sh.unstable_count;
-
-    evaluate_block(sh, i);
-
-    // Self-loop safety, as in the sequential engine: re-check the HBR
-    // bits directly so a bookkeeping bug cannot end a cycle early.
-    if (sh.unstable[i] == 0 && !inputs_all_read(sh, sh.blocks[i])) {
-      destabilize_local(sh, sh.blocks[i]);
-    }
-    if (sh.stats.delta_cycles > budget) {
-      sh.diverged = true;
-      return;
-    }
-  }
-}
-
-void ShardedSimulator::evaluate_all_local(Shard& sh) {
-  for (std::size_t i = 0; i < sh.blocks.size(); ++i) {
-    evaluate_block(sh, i);
-  }
-}
-
-void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
+void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local,
+                                      const CompiledSettleCtx* ctx) {
+  // Under the §4.2 pickup an evaluation marks its combinational inputs
+  // read (HBR) and a changed output destabilizes its same-shard readers.
+  // An op program does neither: its order already makes every input a
+  // committing evaluation consumes final, and marking same-shard readers
+  // would keep unstable_count nonzero forever (an endless superstep
+  // loop). Inside a kSettle only the SCC's own readers are re-flagged.
+  // Cut publication is the same either way.
+  const bool pickup = !sh.program;
+  if (worklist_) {
     // Everything pending is consumed by this evaluation; activity that
     // arrives later (same-shard writes below, phase B deliveries,
     // external inputs) re-marks it.
@@ -852,11 +678,12 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
   }
 
   // Latch inputs from the shard-local LinkMemory (cut links read the
-  // local replica) and set their HBR bits.
+  // local replica): a later changed write to any of them must
+  // destabilize us.
   for (std::size_t p = 0; p < n_in; ++p) {
     const LinkId l = blk.input_links[p];
     sh.in_scratch[p] = sh.links.read(l);
-    if (model_.link(l).kind == LinkKind::kCombinational) {
+    if (pickup && model_.link(l).kind == LinkKind::kCombinational) {
       sh.links.mark_read(l);
     }
   }
@@ -875,24 +702,31 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
                  sh.state_scratch,
                  std::span<BitVector>(sh.out_scratch.data(), n_out));
 
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
+  if (worklist_) {
     // State fixed point: a pure evaluate() that mapped old == new will
     // reproduce this exact evaluation as long as the inputs stay put —
     // the precondition the quiescence fast path relies on.
     sh.state_fixed[local] =
         sh.state_scratch == sh.state.read_old(local) ? 1 : 0;
   }
+  // The last evaluation of the cycle is the committing one: a drive op's
+  // state write is overwritten by the block's later kEval.
   sh.state.write_new(local, sh.state_scratch);
 
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];
     const bool changed = sh.links.write(l, sh.out_scratch[p]);
-    const std::size_t slot = slot_of_link_[l];
     if (model_.link(l).kind == LinkKind::kCombinational) {
-      if (changed) {
-        ++sh.stats.link_changes;
-        sh.recent_changed_links[sh.recent_changed_count++ %
-                                Shard::kChangedLinkHistory] = l;
+      if (!changed) {
+        continue;
+      }
+      // "if the router writes a value to a link, which is not equal to
+      //  the current value in the memory, it will reset this link's
+      //  status bit to zero" — destabilizing the reader.
+      ++sh.stats.link_changes;
+      sh.recent_changed_links[sh.recent_changed_count++ %
+                              Shard::kChangedLinkHistory] = l;
+      if (pickup) {
         sh.links.clear_hbr(l);
         // Same-shard readers destabilize immediately; cross-shard
         // readers at their next exchange phase, via the mailbox.
@@ -901,15 +735,26 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
             destabilize_local(sh, reader.block);
           }
         }
-        if (slot != kNoSlot) {
-          mailbox_->publish(slot, sh.out_scratch[p]);
-          ++sh.stats.cut_publishes;
+      } else if (ctx && sh.program->scc_of_link[l] == ctx->scc_id) {
+        // Intra-SCC edge changed mid-settle: wake the (single) reader.
+        const BlockId r = model_.link(l).readers.front().block;
+        const auto it = std::lower_bound(ctx->scc->blocks.begin(),
+                                         ctx->scc->blocks.end(), r);
+        const std::size_t mi =
+            static_cast<std::size_t>(it - ctx->scc->blocks.begin());
+        if (!(*ctx->unstable)[mi]) {
+          (*ctx->unstable)[mi] = 1;
+          ++*ctx->remaining;
         }
+        sh.unstable[local_of_[r]] = 1;  // report mirror
       }
-    } else if (slot != kNoSlot) {
-      // Registered cut link: publish every write — re-evaluation may
-      // rewrite the new bank, and the reader's replica must converge to
-      // the final value. Registered links never destabilize (§4.1).
+    }
+    // A changed combinational cut link, or any registered one: a
+    // re-evaluation may rewrite the new bank, and the reader's replica
+    // must converge to the final value. Registered links never
+    // destabilize (§4.1).
+    const std::size_t slot = slot_of_link_[l];
+    if (slot != kNoSlot) {
       mailbox_->publish(slot, sh.out_scratch[p]);
       ++sh.stats.cut_publishes;
     }
@@ -920,6 +765,48 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
     ++sh.first_evals;
   }
   ++sh.stats.delta_cycles;
+  if (trace_) {
+    trace_(cycle_, sh.stats.delta_cycles - 1, b);
+  }
+}
+
+bool ShardedSimulator::exchange_round(Shard& sh) {
+  ++sh.supersteps;
+  // Observer timing (more than one shard only: one shard has no barrier
+  // to wait at): the settle/evaluation phase ran since mark_ns; the two
+  // barriers plus the exchange form the synchronization tail.
+  const bool timed = observer_ && shards_.size() > 1;
+  const std::uint64_t settle_end_ns = timed ? steady_ns() : 0;
+  // Barrier 1: agree whether any shard diverged or threw during the
+  // evaluation phase. Every shard sees the same sum, so every shard
+  // abandons the cycle at the same point — no worker is left behind at
+  // a barrier the others will never reach.
+  const std::uint64_t failures =
+      barrier_->sync((sh.diverged || sh.error) ? 1 : 0, &sh.stats.barrier_spins);
+  if (failures > 0) {
+    sh.cycle_failed = true;
+    return false;
+  }
+  guarded(sh, [&] { apply_incoming(sh); });
+  // Barrier 2: agree on the number of unstable blocks anywhere (with a
+  // sentinel for exchange-phase errors). Zero means the system-wide
+  // link fixed point is reached.
+  const std::uint64_t unstable = barrier_->sync(
+      sh.error ? kErrorSentinel : sh.unstable_count, &sh.stats.barrier_spins);
+  if (timed) {
+    // Called from every worker thread concurrently; SimObserver
+    // implementations synchronize internally.
+    const std::uint64_t end_ns = steady_ns();
+    observer_->on_superstep(sh.index, total_supersteps_ + sh.supersteps - 1,
+                            settle_end_ns - sh.mark_ns,
+                            end_ns - settle_end_ns);
+    sh.mark_ns = end_ns;
+  }
+  if (unstable >= kErrorSentinel) {
+    sh.cycle_failed = true;
+    return false;
+  }
+  return unstable != 0;
 }
 
 void ShardedSimulator::apply_incoming(Shard& sh) {
@@ -944,17 +831,16 @@ void ShardedSimulator::apply_incoming(Shard& sh) {
 
 void ShardedSimulator::destabilize_local(Shard& sh, BlockId global) {
   const std::size_t i = local_of_[global];
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
+  if (worklist_) {
     sh.pending_input[i] = 1;
   }
   if (sh.unstable[i] == 0) {
     sh.unstable[i] = 1;
     ++sh.unstable_count;
-    if (cfg_.scheduler == SchedulerKind::kWorklist &&
-        cfg_.schedule == SchedulePolicy::kDynamic) {
+    if (worklist_) {
       // Push iff the flag transitioned — `unstable` doubles as the
-      // FIFO's dedup guard. Gated on kDynamic: the other schedules never
-      // drain the worklist, so pushing would leak entries across cycles.
+      // FIFO's dedup guard, so each pending event costs exactly one
+      // future evaluation.
       sh.worklist.push_back(i);
       sh.stats.worklist_high_water =
           std::max(sh.stats.worklist_high_water,
@@ -986,7 +872,7 @@ void ShardedSimulator::fill_report(Shard& sh) {
   }
   // A cycle can fail at the divergence barrier before the exchange
   // applies pending cut-link changes. The local readers of those links
-  // are the cross-shard half of the oscillation — the sequential engine
+  // are the cross-shard half of the oscillation — the one-shard engine
   // would already have them marked unstable at trip time. Every
   // producer is quiescent past that barrier, so the versions are final.
   for (const InSlot& in : sh.incoming) {

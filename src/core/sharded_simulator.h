@@ -1,23 +1,36 @@
-// ShardedSimulator: a bulk-synchronous parallel engine over the same
-// SystemModel the SequentialSimulator executes — the paper's §4 engine
-// with the parallelism put back (Manticore's static bulk-synchronous
-// style, with the partition chosen by src/core/partition.h).
+// ShardedSimulator: the simulation engine — the paper's §4 method
+// (evaluate the partitions of a parallel synchronous system one at a
+// time) over N shards, in Manticore's static bulk-synchronous style with
+// the partition chosen by src/core/partition.h. One shard is the
+// sequential engine of the paper: inline on the calling thread, no
+// worker threads, no cut links (SequentialSimulator is that case).
 //
-// The model's blocks are split into N shards; one worker thread runs
-// each shard (the constructing thread doubles as shard 0's worker).
 // Every shard owns a shard-local double-banked StateMemory and a
 // shard-local LinkMemory materializing exactly the links its blocks
-// touch. Cut links are *mirrored*: the writer's shard keeps the
-// authoritative copy (for change detection), the reader's shard keeps a
-// replica (for evaluation and its HBR bit), and the two are reconciled
-// through a versioned single-writer mailbox slot at every delta-cycle
-// barrier.
+// touch; one worker thread runs each shard beyond the first (the
+// constructing thread runs shard 0). Cut links are *mirrored*: the
+// writer's shard keeps the authoritative copy (for change detection),
+// the reader's shard keeps a replica (for evaluation and its HBR bit),
+// and the two are reconciled through a versioned single-writer mailbox
+// slot at every superstep barrier.
 //
-// One system cycle of the dynamic (§4.2) schedule is a sequence of
-// *supersteps*:
+// The (SchedulePolicy, SchedulerKind) pair resolves once, at
+// construction, to one of two per-shard schedules:
 //
-//   phase A  every shard round-robins over its non-stable blocks until
-//            locally stable, publishing changed cut-link values;
+//  - an op program (analysis/static_schedule.h), replayed in full every
+//    superstep: kStatic is the compiled program of a registered-only
+//    model (every block once, ascending ids — Fig. 3), kTwoPhaseOracle
+//    drives every block and then evaluates every block, and kDynamic ×
+//    kCompiled is the SCC-condensed topological program;
+//  - the §4.2 pickup (kDynamic × kRoundRobin / kWorklist): all HBR bits
+//    cleared at cycle start, non-stable blocks picked by the round-robin
+//    cursor or the event worklist, a changed link write destabilizing
+//    its readers.
+//
+// One system cycle is a sequence of *supersteps*:
+//
+//   phase A  every shard runs its schedule until locally stable,
+//            publishing changed cut-link values;
 //   barrier  (also agrees "did anyone diverge?");
 //   phase B  every shard polls its incoming slots; a changed value is
 //            written to the replica, the replica's HBR bit is cleared
@@ -25,28 +38,25 @@
 //            one superstep late;
 //   barrier  (agrees "how many blocks are unstable anywhere?"),
 //
-// repeated until the global count is zero. HBR convergence semantics
-// are preserved exactly: a block is re-evaluated whenever any input
-// changed after it last read it (locally at once, across shards at the
-// next superstep), and the cycle ends only when no link anywhere
-// changed and every block is stable. The final link fixed point — and
-// therefore every register bit — is the one the sequential engine
-// reaches, for any schedule policy; tests/integration/
-// sharded_equivalence_test.cpp enforces this differentially. Only
-// StepStats may differ (the schedules do different amounts of
-// re-evaluation work).
+// repeated until the global count is zero; one shard always needs
+// exactly one. The final link fixed point — and therefore every register
+// bit — does not depend on the shard count or the schedule;
+// tests/integration/sharded_equivalence_test.cpp enforces this
+// differentially against the one-shard engine and the struct-state
+// DirectNocSimulation. Only StepStats may differ.
 //
 // Divergence (an oscillating combinational loop) is detected
 // cooperatively: per-shard evaluation budgets and a superstep bound are
 // reduced through the barrier so every worker abandons the cycle at the
-// same point, and step() throws the same ConvergenceError the
-// sequential engine would, with the shards' reports merged.
+// same point, and step() throws a ConvergenceError with the shards'
+// reports merged.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -62,8 +72,8 @@
 namespace tmsim::core {
 
 struct ShardedConfig {
-  /// Worker count; clamped to the model's block count. 1 degenerates to
-  /// the sequential engine's behaviour on the calling thread.
+  /// Worker count; clamped to the model's block count. 1 is the
+  /// sequential engine, run on the calling thread.
   std::size_t num_shards = 1;
   PartitionPolicy partition = PartitionPolicy::kMinCutGreedy;
   SchedulePolicy schedule = SchedulePolicy::kDynamic;
@@ -71,16 +81,18 @@ struct ShardedConfig {
   /// exceeding either means a non-settling combinational loop.
   std::size_t max_evals_per_block = 64;
   /// Rotates each shard's starting round-robin cursor (dynamic
-  /// schedule). Seed 1 is canonical (cursor 0 everywhere); results are
-  /// schedule-independent, so this can only change StepStats.
+  /// schedule). Seed 1 is canonical (cursor 0 everywhere); shard 0 starts
+  /// at schedule_rr_offset(seed, size), the other shards at
+  /// domain-separated offsets. Results are schedule-independent, so this
+  /// can only change StepStats.
   std::uint64_t schedule_seed = 1;
-  /// Non-stable-block pickup within phase A of each superstep:
-  /// kRoundRobin is the dense §4.2 sweep, kWorklist the event-driven
-  /// scheduler with the quiescence fast path, kCompiled a per-shard
-  /// build-time static schedule (cut links are treated as registered
-  /// edges: each superstep re-runs the full shard schedule against the
-  /// latest replica values until the exchange reports quiescence).
-  /// Bit-identical results in every case; only StepStats may differ.
+  /// Non-stable-block pickup of the dynamic schedule: kRoundRobin is the
+  /// dense §4.2 sweep, kWorklist the event-driven scheduler with the
+  /// quiescence fast path, kCompiled a per-shard build-time op program
+  /// (cut links are treated as registered edges: each superstep re-runs
+  /// the full shard program against the latest replica values until the
+  /// exchange reports quiescence). Bit-identical results in every case;
+  /// only StepStats may differ.
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
 };
 
@@ -118,7 +130,21 @@ class ShardedSimulator : public Engine {
   /// system cycle; each superstep is a settle + exchange round).
   std::uint64_t total_supersteps() const { return total_supersteps_; }
 
+ protected:
+  /// The op program shard `s` replays each superstep, or null under the
+  /// round-robin/worklist pickup.
+  const analysis::CompiledSchedule* program(std::size_t s) const {
+    return shards_[s]->program ? &*shards_[s]->program : nullptr;
+  }
+
+  /// Called once per delta cycle with (system cycle, delta index within
+  /// the cycle, evaluated block), on the evaluating thread — set only on
+  /// one-shard engines (SequentialSimulator::set_trace_hook).
+  std::function<void(SystemCycle, DeltaCycle, BlockId)> trace_;
+
  private:
+  friend class SequentialSimulatorTestPeer;
+
   struct InSlot {
     LinkId link = 0;
     std::size_t slot = 0;
@@ -133,8 +159,9 @@ class ShardedSimulator : public Engine {
     LinkMemory links;                 // global LinkIds, subset-materialized
     std::vector<InSlot> incoming;     // cut links read by this shard
 
-    // Dynamic-schedule bookkeeping (local block indices). `unstable`
-    // doubles as the worklist's dedup flag under kWorklist.
+    // Unstable-block bookkeeping (local block indices): the §4.2 pickup's
+    // work set, the worklist's dedup flag, and under an op program the
+    // exchange's "received a changed cut value" vote.
     std::vector<char> unstable;
     std::size_t unstable_count = 0;
     std::size_t rr_next = 0;
@@ -142,20 +169,20 @@ class ShardedSimulator : public Engine {
 
     // First-evaluation accounting (per cycle): the coordinator computes
     // re_evaluations = Σ delta_cycles - Σ first_evals, identically under
-    // every scheduler, so a cycle abandoned mid-settle cannot underflow.
+    // every schedule, so a cycle abandoned mid-settle cannot underflow.
     std::vector<char> evaluated;
     std::size_t first_evals = 0;
 
-    // Per-shard build-time schedule (kCompiled only): the model's link
-    // graph restricted to this shard's blocks. Cut links fall out of the
-    // tracked set (one endpoint is elsewhere), so the schedule treats
+    // Per-shard op program (static, two-phase, compiled): the model's
+    // link graph restricted to this shard's blocks. Cut links fall out of
+    // the tracked set (one endpoint is elsewhere), so the program treats
     // them exactly like registered edges — pre-final for the superstep.
-    std::optional<analysis::CompiledSchedule> compiled;
+    std::optional<analysis::CompiledSchedule> program;
     std::vector<char> scc_unstable;  // scratch, sized per settling SCC
 
-    // Worklist-scheduler bookkeeping (local indices; empty under
-    // kRoundRobin). The FIFO persists across the cycle's supersteps:
-    // phase B pushes cross-shard events onto it for the next phase A.
+    // Worklist-scheduler bookkeeping (local indices; empty otherwise).
+    // The FIFO persists across the cycle's supersteps: phase B pushes
+    // cross-shard events onto it for the next phase A.
     std::vector<std::size_t> worklist;  // consumed prefix [0, wl_head)
     std::size_t wl_head = 0;
     std::vector<char> skippable;        // static: all links combinational
@@ -190,8 +217,8 @@ class ShardedSimulator : public Engine {
           links(model, materialize) {}
   };
 
-  /// Settle context threaded through compiled-mode evaluations while a
-  /// CompiledScc runs its scoped worklist (see SequentialSimulator).
+  /// Settle context threaded through op-program evaluations while a
+  /// CompiledScc runs its scoped worklist.
   struct CompiledSettleCtx {
     const analysis::CompiledScc* scc = nullptr;
     std::uint32_t scc_id = 0;  ///< scc index + 1 (scc_of_link encoding)
@@ -201,19 +228,13 @@ class ShardedSimulator : public Engine {
 
   void worker_main(std::size_t s);
   void run_cycle(std::size_t s);
-  void cycle_static(Shard& sh);
-  void cycle_dynamic(Shard& sh);
-  void cycle_compiled(Shard& sh);
-  void cycle_two_phase(Shard& sh);
-  void evaluate_block(Shard& sh, std::size_t local);
-  void evaluate_block_compiled(Shard& sh, std::size_t local,
-                               const CompiledSettleCtx* ctx);
-  void run_compiled_schedule(Shard& sh);
+  /// One evaluation. `ctx` is non-null inside a kSettle op.
+  void evaluate_block(Shard& sh, std::size_t local,
+                      const CompiledSettleCtx* ctx);
+  void run_program(Shard& sh);
   void settle_scc_local(Shard& sh, std::uint32_t scc_index);
   void settle_local(Shard& sh);
-  void settle_local_worklist(Shard& sh);
   void seed_worklist_cycle(Shard& sh);
-  void evaluate_all_local(Shard& sh);
   void apply_incoming(Shard& sh);
   void destabilize_local(Shard& sh, BlockId global);
   bool inputs_all_read(const Shard& sh, BlockId global) const;
@@ -227,11 +248,13 @@ class ShardedSimulator : public Engine {
 
   const SystemModel& model_;
   ShardedConfig cfg_;
+  /// The dynamic pickup is the worklist (resolved from cfg_ once; false
+  /// under an op program and under the round-robin sweep).
+  bool worklist_ = false;
   Partition part_;
   std::size_t boundary_links_ = 0;
   std::vector<std::size_t> local_of_;       // global block -> local index
   std::vector<std::size_t> link_home_;      // link -> authoritative shard
-  std::vector<std::vector<std::size_t>> link_shards_;  // link -> replicas
   std::vector<std::size_t> slot_of_link_;   // link -> mailbox slot (or npos)
 
   std::unique_ptr<ShardMailbox> mailbox_;

@@ -335,6 +335,21 @@ void JobSpec::validate() const {
   if (!streams.empty()) {
     traffic::TrafficHarness::validate_gt_streams(net, streams);
   }
+  // Every job runs the NoC, whose router links are combinational, so the
+  // §4.1 static schedule (registered boundaries only) can never run; and
+  // the hosted FpgaDesign always runs the dynamic schedule, so any other
+  // policy would be ignored while still moving the fingerprint.
+  if (engine.policy == core::SchedulePolicy::kStatic ||
+      (kind == JobKind::kHostedFpga &&
+       engine.policy != core::SchedulePolicy::kDynamic)) {
+    throw ContextualError(
+        engine.policy == core::SchedulePolicy::kStatic
+            ? "the static schedule needs registered boundaries; the "
+              "NoC's router links are combinational"
+            : "hosted jobs run the dynamic schedule only",
+        {{"policy", policy_name(engine.policy)},
+         {"kind", job_kind_name(kind)}});
+  }
   if (kind == JobKind::kHostedFpga) {
     // The hosted stack (ArmHost ↔ FpgaDesign) has no warmup window and
     // verifies payloads through its own tag machinery; rejecting these

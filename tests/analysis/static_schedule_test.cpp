@@ -258,5 +258,67 @@ TEST(StaticSchedule, IncludeFilterTreatsCutLinksAsRegistered) {
   EXPECT_EQ(s.ops[0].block, b);
 }
 
+/// Three RegAdder blocks in a ring of registered links (Fig. 2a).
+SystemModel registered_ring() {
+  SystemModel model;
+  std::vector<BlockId> f;
+  std::vector<LinkId> r;
+  for (int i = 0; i < 3; ++i) {
+    f.push_back(model.add_block(
+        std::make_shared<core::examples::RegAdderBlock>(16, i + 1),
+        "F" + std::to_string(i + 1)));
+    r.push_back(model.add_link("R" + std::to_string(i + 1), 16,
+                               LinkKind::kRegistered));
+  }
+  for (int i = 0; i < 3; ++i) {
+    model.bind_output(f[i], 0, r[i]);
+    model.bind_input(f[(i + 1) % 3], 0, r[i]);
+  }
+  model.finalize();
+  return model;
+}
+
+TEST(StaticSchedule, RegisteredOnlyModelCompilesToFigThreeOrder) {
+  // The §4.1 static policy runs this program: no internal link of a
+  // registered-only model is tracked, so every block is one kEval, in
+  // ascending ids — exactly Fig. 3.
+  const SystemModel model = registered_ring();
+  ASSERT_TRUE(model.all_boundaries_registered());
+  const CompiledSchedule s = build_compiled_schedule(model);
+  EXPECT_TRUE(s.acyclic());
+  EXPECT_EQ(s.num_drives, 0u);
+  ASSERT_EQ(s.ops.size(), 3u);
+  for (BlockId b = 0; b < 3; ++b) {
+    EXPECT_EQ(s.ops[b].kind, CompiledOpKind::kEval);
+    EXPECT_EQ(s.ops[b].block, b);
+  }
+}
+
+TEST(StaticSchedule, TwoPhaseProgramDrivesAllThenEvaluatesAll) {
+  const SystemModel model = registered_ring();
+  const CompiledSchedule s = build_two_phase_schedule(model);
+  EXPECT_TRUE(s.acyclic());
+  EXPECT_EQ(s.num_blocks, 3u);
+  EXPECT_EQ(s.num_drives, 3u);
+  EXPECT_EQ(s.num_evals, 3u);
+  ASSERT_EQ(s.ops.size(), 6u);
+  for (BlockId b = 0; b < 3; ++b) {
+    EXPECT_EQ(s.ops[b].kind, CompiledOpKind::kDrive);
+    EXPECT_EQ(s.ops[b].block, b);
+    EXPECT_EQ(s.ops[3 + b].kind, CompiledOpKind::kEval);
+    EXPECT_EQ(s.ops[3 + b].block, b);
+  }
+  // A shard's view: only its members, in the same two passes.
+  std::vector<char> member = {1, 0, 1};
+  StaticScheduleOptions opt;
+  opt.include_blocks = &member;
+  const CompiledSchedule part = build_two_phase_schedule(model, opt);
+  ASSERT_EQ(part.ops.size(), 4u);
+  EXPECT_EQ(part.ops[1].kind, CompiledOpKind::kDrive);
+  EXPECT_EQ(part.ops[1].block, 2u);
+  EXPECT_EQ(part.ops[2].kind, CompiledOpKind::kEval);
+  EXPECT_EQ(part.ops[2].block, 0u);
+}
+
 }  // namespace
 }  // namespace tmsim::analysis

@@ -471,16 +471,17 @@ TEST(Engine, DeltaCycleTotalsAccumulate) {
 
 }  // namespace
 
-/// White-box peer: reaches the round-robin scheduler's private bitmap so
+/// White-box peer: reaches the one shard's private round-robin bitmap so
 /// a test can force the unstable_count/bitmap desync that the bounded
 /// cursor scan turns into a structured failure (it used to spin forever).
 class SequentialSimulatorTestPeer {
  public:
   static void zero_unstable_bitmap(SequentialSimulator& sim) {
-    std::fill(sim.unstable_.begin(), sim.unstable_.end(), 0);
+    std::vector<char>& unstable = sim.shards_[0]->unstable;
+    std::fill(unstable.begin(), unstable.end(), 0);
   }
   static std::size_t unstable_count(const SequentialSimulator& sim) {
-    return sim.unstable_count_;
+    return sim.shards_[0]->unstable_count;
   }
 };
 

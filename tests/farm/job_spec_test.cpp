@@ -169,6 +169,37 @@ TEST(JobSpec, ValidateCatchesUnsatisfiableSpecs) {
   EXPECT_NO_THROW(JobSpec{}.validate());
 }
 
+TEST(JobSpec, ValidateRejectsSchedulePoliciesTheStackCannotRun) {
+  // Every job runs the NoC, whose router links are combinational: the
+  // static schedule would always fail its registered-boundary check at
+  // run time. The hosted FpgaDesign runs the dynamic schedule only, so
+  // any other policy would be silently ignored.
+  const auto rejected = [](JobKind kind, core::SchedulePolicy policy) {
+    JobSpec s;
+    s.kind = kind;
+    s.engine.policy = policy;
+    try {
+      s.validate();
+    } catch (const ContextualError& e) {
+      EXPECT_EQ(e.context_value("kind"), job_kind_name(kind));
+      return e.context_value("policy");
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(rejected(JobKind::kCoreTraffic, core::SchedulePolicy::kStatic),
+            "static");
+  EXPECT_EQ(rejected(JobKind::kHostedFpga, core::SchedulePolicy::kStatic),
+            "static");
+  EXPECT_EQ(
+      rejected(JobKind::kHostedFpga, core::SchedulePolicy::kTwoPhaseOracle),
+      "two_phase");
+  EXPECT_EQ(
+      rejected(JobKind::kCoreTraffic, core::SchedulePolicy::kTwoPhaseOracle),
+      "accepted");
+  EXPECT_EQ(rejected(JobKind::kHostedFpga, core::SchedulePolicy::kDynamic),
+            "accepted");
+}
+
 TEST(JobSpec, DeriveSeedSeparatesDomains) {
   const std::uint64_t base = 42;
   std::set<std::uint64_t> seeds;

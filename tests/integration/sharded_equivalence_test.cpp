@@ -1,10 +1,13 @@
-// Randomized differential proof of the sharded engine (the PR's
-// headline instrument): for any topology, workload, seed, shard count
-// and partition policy, the sharded bulk-synchronous engine must be
-// bit-identical to the sequential §4 engine — every local output, every
-// credit wire, every register bit, every cycle (LockstepNocSimulation
-// throws on the first divergence), every link value at the end, and the
-// full monitor statistics of a dual-harness run.
+// Randomized differential proof of the sharded engine: for any
+// topology, workload, seed, shard count and partition policy, the
+// N-shard engine must be bit-identical to the one-shard (sequential §4)
+// engine and to the struct-state DirectNocSimulation golden model —
+// every local output, every credit wire, every register bit, every
+// cycle (LockstepNocSimulation throws on the first divergence), every
+// link value at the end, and the full monitor statistics of a
+// dual-harness run. The one-shard engine is the same code as the
+// N-shard one, so the golden model is the lane that stays independent of
+// the engine under test.
 //
 // Every case derives its whole configuration from one index, printed as
 // a replay tuple via SCOPED_TRACE on failure: rerun with
@@ -22,6 +25,7 @@
 #include "core/noc_block.h"
 #include "core/sharded_simulator.h"
 #include "noc/lockstep.h"
+#include "noc/network.h"
 #include "traffic/harness.h"
 
 namespace tmsim {
@@ -128,6 +132,7 @@ TEST_P(ShardedRandomized, BitIdenticalToSequential) {
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   sims.push_back(std::move(seq));
   sims.push_back(std::move(sharded));
+  sims.push_back(std::make_unique<noc::DirectNocSimulation>(net));
   noc::LockstepNocSimulation lockstep(std::move(sims));
 
   traffic::TrafficHarness::Options opts;
