@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/engine.h"
 #include "core/noc_block.h"
 #include "core/partition.h"
-#include "core/sharded_simulator.h"
 #include "fpga/arm_host.h"
 #include "fpga/fpga_design.h"
 #include "fpga/timing_model.h"
@@ -50,12 +50,9 @@ Measured measure(const noc::NetworkConfig& net, const core::EngineOptions& opts,
   const double secs = bench::time_run([&] { h.run(cycles); });
   Measured m;
   m.cps = static_cast<double>(cycles) / secs;
-  if (const auto* sh =
-          dynamic_cast<const core::ShardedSimulator*>(&sim.engine())) {
-    m.supersteps = static_cast<double>(sh->total_supersteps()) /
-                   static_cast<double>(sim.cycle());
-    m.cut_links = sh->num_boundary_links();
-  }
+  m.supersteps = static_cast<double>(sim.engine().total_supersteps()) /
+                 static_cast<double>(sim.cycle());
+  m.cut_links = sim.engine().num_boundary_links();
   return m;
 }
 
@@ -152,9 +149,8 @@ int main() {
     opts.num_shards = k;
     const Measured m = measure(net8, opts, 120 / scale + 30);
     core::SeqNocSimulation probe(net8, opts);
-    const double imb = imbalance_of(
-        dynamic_cast<const core::ShardedSimulator&>(probe.engine()).model(), k,
-        core::PartitionPolicy::kMinCutGreedy);
+    const double imb = imbalance_of(probe.engine().model(), k,
+                                    core::PartitionPolicy::kMinCutGreedy);
     const fpga::ShardedEstimate est = model.sharded_simulate_estimate(
         host.counts(), k, imb, 4.0, std::max(m.supersteps, 1.0));
     std::printf("  %6zu %12.3f %8.2fx %12.0f\n", k, est.simulate_raw,

@@ -1,27 +1,85 @@
-// Engine: the contract every host-side simulation engine fulfils.
-//
-// The paper's engine is the sequential time-multiplexed simulator of §4.
-// It is implemented once, as ShardedSimulator: N shards evaluated in
-// bulk-synchronous supersteps, of which one shard on the calling thread
-// (SequentialSimulator) is the paper's method. Everything above the
-// engine — the NoC facade, the FPGA design model, the differential test
-// harness — talks to this interface, and DirectNocSimulation is the
-// independent reference it is proved against, so the shard count and
-// the schedule can never change what a workload observes, only how fast
-// it runs.
+// Engine: the simulation engine — the paper's §4 method (evaluate the
+// partitions of a parallel synchronous system one at a time) over N
+// shards, in Manticore's static bulk-synchronous style with the partition
+// chosen by src/core/partition.h. The shard count is just a parameter:
+// one shard is the sequential engine of the paper, inline on the calling
+// thread with no worker threads and no cut links (SequentialSimulator is
+// that case). Everything above the engine — the NoC facade, the FPGA
+// design model, the differential test harness — runs this one class, and
+// DirectNocSimulation is the independent reference it is proved against,
+// so the shard count and the schedule can never change what a workload
+// observes, only how fast it runs.
 //
 // Shared vocabulary (§4): a *system cycle* is one clock cycle of the
 // simulated parallel design; a *delta cycle* is one block evaluation and
 // does not advance simulated time.
+//
+// Every shard owns a shard-local double-banked StateMemory and a
+// shard-local LinkMemory materializing exactly the links its blocks
+// touch; one worker thread runs each shard beyond the first (the
+// constructing thread runs shard 0). Cut links are *mirrored*: the
+// writer's shard keeps the authoritative copy (for change detection),
+// the reader's shard keeps a replica (for evaluation and its HBR bit),
+// and the two are reconciled through a versioned single-writer mailbox
+// slot at every superstep barrier.
+//
+// The (SchedulePolicy, SchedulerKind) pair resolves once, at
+// construction, to one of two per-shard schedules:
+//
+//  - an op program (analysis/static_schedule.h), replayed in full every
+//    superstep: kStatic is the compiled program of a registered-only
+//    model (every block once, ascending ids — Fig. 3), kTwoPhaseOracle
+//    drives every block and then evaluates every block, and kDynamic ×
+//    kCompiled is the SCC-condensed topological program;
+//  - the §4.2 pickup (kDynamic × kRoundRobin / kWorklist): all HBR bits
+//    cleared at cycle start, non-stable blocks picked by the round-robin
+//    cursor or the event worklist, a changed link write destabilizing
+//    its readers.
+//
+// One system cycle is a sequence of *supersteps*:
+//
+//   phase A  every shard runs its schedule until locally stable,
+//            publishing changed cut-link values;
+//   barrier  (also agrees "did anyone diverge?");
+//   phase B  every shard polls its incoming slots; a changed value is
+//            written to the replica, the replica's HBR bit is cleared
+//            and the reading block destabilized — exactly the §4.2 rule,
+//            one superstep late;
+//   barrier  (agrees "how many blocks are unstable anywhere?"),
+//
+// repeated until the global count is zero; one shard always needs
+// exactly one. The final link fixed point — and therefore every register
+// bit — does not depend on the shard count or the schedule;
+// tests/integration/sharded_equivalence_test.cpp enforces this
+// differentially against the one-shard engine and the struct-state
+// DirectNocSimulation. Only StepStats may differ.
+//
+// Divergence (an oscillating combinational loop) is detected
+// cooperatively: per-shard evaluation budgets and a superstep bound are
+// reduced through the barrier so every worker abandons the cycle at the
+// same point, and step() throws a ConvergenceError with the shards'
+// reports merged.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "analysis/static_schedule.h"
 #include "common/bit_vector.h"
 #include "common/error.h"
 #include "common/types.h"
+#include "core/link_memory.h"
+#include "core/partition.h"
+#include "core/shard_mailbox.h"
+#include "core/state_memory.h"
 #include "core/system_model.h"
 
 namespace tmsim::core {
@@ -81,6 +139,37 @@ enum class SchedulerKind : std::uint8_t {
 };
 
 const char* scheduler_kind_name(SchedulerKind k);
+
+/// Everything that configures an Engine, spelled once: the NoC facade,
+/// the FPGA design model and the farm's JobSpec all carry this struct.
+struct EngineOptions {
+  SchedulePolicy policy = SchedulePolicy::kDynamic;
+  /// Shard (worker) count; clamped to the model's block count. 1 is the
+  /// sequential engine, run on the calling thread.
+  std::size_t num_shards = 1;
+  /// Block-to-shard assignment policy when num_shards > 1.
+  PartitionPolicy partition = PartitionPolicy::kMinCutGreedy;
+  /// Rotates each shard's starting round-robin cursor (dynamic
+  /// schedule). Seed 1 is canonical (cursor 0 everywhere); shard 0 starts
+  /// at schedule_rr_offset(seed, size), the other shards at
+  /// domain-separated offsets. Results are schedule-independent, so this
+  /// can only change StepStats.
+  std::uint64_t seed = 1;
+  /// Non-stable-block pickup of the dynamic schedule: kRoundRobin is the
+  /// dense §4.2 sweep, kWorklist the event-driven scheduler with the
+  /// quiescence fast path, kCompiled a per-shard build-time op program
+  /// (cut links are treated as registered edges: each superstep re-runs
+  /// the full shard program against the latest replica values until the
+  /// exchange reports quiescence). Bit-identical results in every case;
+  /// only StepStats may differ.
+  SchedulerKind scheduler = SchedulerKind::kRoundRobin;
+  /// Per-cycle evaluation budget per block and superstep bound;
+  /// exceeding either means a non-settling combinational loop, reported
+  /// as a ConvergenceError rather than an infinite loop.
+  std::size_t max_evals_per_block = 64;
+
+  friend bool operator==(const EngineOptions&, const EngineOptions&) = default;
+};
 
 /// Diagnostic snapshot taken when a schedule gives up on a system cycle:
 /// which blocks were still unstable, which links changed most recently,
@@ -149,8 +238,8 @@ struct StepStats {
 class Engine;
 
 /// Engine-side observability hooks (DESIGN.md §10). The default
-/// implementation of every callback is a no-op, and engines guard each
-/// notification behind a null pointer check, so an unobserved run does
+/// implementation of every callback is a no-op, and the engine guards
+/// each notification behind a null pointer check, so an unobserved run does
 /// no extra work and is bit-identical to one on a build without the obs
 /// subsystem (tests/obs/obs_off_test.cpp).
 ///
@@ -190,15 +279,6 @@ class SimObserver {
   }
 };
 
-/// Point-in-time snapshot of an engine's committed architectural state
-/// (DESIGN.md §11). Because every inter-block value of a combinational
-/// model is recomputed from committed block state each cycle, the block
-/// states plus the cycle counters are the *complete* resume state: an
-/// engine restored from a checkpoint — any engine instance over the same
-/// model, even one that just ran a different workload — continues
-/// bit-identically. `digest` (FNV-1a over the serialized states) lets
-/// the restore side verify integrity the same way the hardened host
-/// verifies its commit-counter mirrors (§8).
 /// Scheduler-canonical bookkeeping carried alongside the architectural
 /// state (DESIGN.md §17). None of it can affect results — that is the
 /// engine contract — but it does affect *StepStats*: the round-robin
@@ -227,6 +307,15 @@ struct SchedulerCheckpoint {
   }
 };
 
+/// Point-in-time snapshot of an engine's committed architectural state
+/// (DESIGN.md §11). Because every inter-block value of a combinational
+/// model is recomputed from committed block state each cycle, the block
+/// states plus the cycle counters are the *complete* resume state: an
+/// engine restored from a checkpoint — any engine instance over the same
+/// model, even one that just ran a different workload — continues
+/// bit-identically. `digest` (FNV-1a over the serialized states) lets
+/// the restore side verify integrity the same way the hardened host
+/// verifies its commit-counter mirrors (§8).
 struct EngineCheckpoint {
   SystemCycle cycle = 0;
   DeltaCycle total_delta_cycles = 0;
@@ -247,78 +336,209 @@ struct EngineCheckpoint {
   bool empty() const { return block_states.empty(); }
 };
 
-/// Abstract engine over a finalized SystemModel. All engines must agree
-/// bit-for-bit on block state and link values after every step(); only
-/// StepStats (how much work the schedule did) may differ.
+/// The engine over a finalized SystemModel. Every configuration must
+/// agree bit-for-bit on block state and link values after every step();
+/// only StepStats (how much work the schedule did) may differ.
 class Engine {
  public:
-  virtual ~Engine();
+  Engine(const SystemModel& model, const EngineOptions& opts);
+  ~Engine();
+
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
   /// Drives an external-input link (takes effect for the next step()).
   /// Throws ContextualError when the link is block-driven or when no
   /// block reads it (a silently ignored stimulus is always a test bug).
-  virtual void set_external_input(LinkId link, const BitVector& value) = 0;
+  void set_external_input(LinkId link, const BitVector& value);
 
   /// Current reader-visible value of any link. For combinational links
   /// this is the value driven during the last step(); for registered
   /// links, the value committed at its clock edge.
-  virtual const BitVector& link_value(LinkId link) const = 0;
+  const BitVector& link_value(LinkId link) const;
 
   /// Old-bank (committed) state of a block.
-  virtual const BitVector& block_state(BlockId block) const = 0;
+  const BitVector& block_state(BlockId block) const;
 
   /// Overwrites a block's committed state (reset preloading, testing).
-  virtual void load_block_state(BlockId block, const BitVector& value) = 0;
+  void load_block_state(BlockId block, const BitVector& value);
 
   /// Overwrites the reader-visible value of an internal combinational
-  /// link (checkpoint restore). The default is a no-op, which is correct
-  /// for engines that recompute every link from committed state each
-  /// cycle; engines with cross-cycle fast paths that *reuse* link values
-  /// (the worklist quiescence skip) must override so a restored snapshot
-  /// is self-consistent.
-  virtual void load_link_value(LinkId link, const BitVector& value) {
-    (void)link;
-    (void)value;
-  }
+  /// link (checkpoint restore), so the worklist quiescence skip — which
+  /// reuses link values across cycles — sees a self-consistent snapshot.
+  void load_link_value(LinkId link, const BitVector& value);
 
   /// Simulates one system cycle.
-  virtual StepStats step() = 0;
+  StepStats step();
 
-  virtual SystemCycle cycle() const = 0;
-  virtual DeltaCycle total_delta_cycles() const = 0;
-  virtual SchedulePolicy policy() const = 0;
-  virtual const SystemModel& model() const = 0;
+  SystemCycle cycle() const { return cycle_; }
+  DeltaCycle total_delta_cycles() const { return total_delta_cycles_; }
+  const SystemModel& model() const { return model_; }
 
   /// Overwrites the cycle/delta accounting — the resume half of the
   /// checkpoint machinery (restore_checkpoint below). Only call between
   /// steps. Does not touch state or link memory.
-  virtual void rebase(SystemCycle cycle, DeltaCycle total_deltas) = 0;
+  void rebase(SystemCycle cycle, DeltaCycle total_deltas);
 
-  /// Snapshot of the scheduler-canonical bookkeeping (cursor, quiescence
-  /// flags) in the engine-agnostic SchedulerCheckpoint encoding. The
-  /// default (an empty snapshot) is correct for engines with no dynamic
-  /// scheduling state.
-  virtual SchedulerCheckpoint scheduler_checkpoint() const { return {}; }
+  /// Snapshot of the scheduler-canonical bookkeeping (cursors, quiescence
+  /// flags) in the shard-count-agnostic SchedulerCheckpoint encoding;
+  /// empty under an op program.
+  SchedulerCheckpoint scheduler_checkpoint() const;
 
   /// Restores (or canonicalizes, for an empty/mismatched snapshot) the
   /// scheduler bookkeeping. Only call between steps. Never affects
   /// results — only the StepStats stream.
-  virtual void restore_scheduler_state(const SchedulerCheckpoint& sched) {
-    (void)sched;
-  }
+  void restore_scheduler_state(const SchedulerCheckpoint& sched);
 
   /// Attaches an observer (nullptr detaches). Not owned; must outlive
-  /// the engine or be detached first. Engines only touch it between
+  /// the engine or be detached first. The engine only touches it between
   /// steps, so attaching between step() calls is always safe.
   void set_observer(SimObserver* obs) { observer_ = obs; }
-  SimObserver* observer() const { return observer_; }
+
+  /// Cut links (== mailbox slots) under the active partition.
+  std::size_t num_boundary_links() const { return boundary_links_; }
+  /// Barrier-separated supersteps executed so far (at least one per
+  /// system cycle; each superstep is a settle + exchange round).
+  std::uint64_t total_supersteps() const { return total_supersteps_; }
 
  protected:
-  SimObserver* observer_ = nullptr;
-};
+  /// The op program shard `s` replays each superstep, or null under the
+  /// round-robin/worklist pickup.
+  const analysis::CompiledSchedule* program(std::size_t s) const {
+    return shards_[s]->program ? &*shards_[s]->program : nullptr;
+  }
 
-/// Builds the widths vector StateMemory needs from a model.
-std::vector<std::size_t> block_state_widths(const SystemModel& model);
+  /// Called once per delta cycle with (system cycle, delta index within
+  /// the cycle, evaluated block), on the evaluating thread — set only on
+  /// one-shard engines (SequentialSimulator::set_trace_hook).
+  std::function<void(SystemCycle, DeltaCycle, BlockId)> trace_;
+
+ private:
+  friend class SequentialSimulatorTestPeer;
+
+  struct InSlot {
+    LinkId link = 0;
+    std::size_t slot = 0;
+    std::uint64_t last_seen = 0;
+    LinkKind kind = LinkKind::kCombinational;
+  };
+
+  struct Shard {
+    std::size_t index = 0;
+    std::vector<BlockId> blocks;      // global ids
+    StateMemory state;                // indexed by local block index
+    LinkMemory links;                 // global LinkIds, subset-materialized
+    std::vector<InSlot> incoming;     // cut links read by this shard
+
+    // Unstable-block bookkeeping (local block indices): the §4.2 pickup's
+    // work set, the worklist's dedup flag, and under an op program the
+    // exchange's "received a changed cut value" vote.
+    std::vector<char> unstable;
+    std::size_t unstable_count = 0;
+    std::size_t rr_next = 0;
+    std::size_t rr_init = 0;  // seeded cursor; canonical restore target
+
+    // First-evaluation accounting (per cycle): the coordinator computes
+    // re_evaluations = Σ delta_cycles - Σ first_evals, identically under
+    // every schedule, so a cycle abandoned mid-settle cannot underflow.
+    std::vector<char> evaluated;
+    std::size_t first_evals = 0;
+
+    // Per-shard op program (static, two-phase, compiled): the model's
+    // link graph restricted to this shard's blocks. Cut links fall out of
+    // the tracked set (one endpoint is elsewhere), so the program treats
+    // them exactly like registered edges — pre-final for the superstep.
+    std::optional<analysis::CompiledSchedule> program;
+    std::vector<char> scc_unstable;  // scratch, sized per settling SCC
+
+    // Worklist-scheduler bookkeeping (local indices; empty otherwise).
+    // The FIFO persists across the cycle's supersteps: phase B pushes
+    // cross-shard events onto it for the next phase A.
+    std::vector<std::size_t> worklist;  // consumed prefix [0, wl_head)
+    std::size_t wl_head = 0;
+    std::vector<char> skippable;        // static: all links combinational
+    std::vector<char> state_fixed;      // last committed eval: old == new
+    std::vector<char> pending_input;    // input changed since last eval
+
+    // Per-cycle outcome, read by the coordinator after the final barrier.
+    StepStats stats;
+    bool diverged = false;
+    bool cycle_failed = false;
+    std::size_t supersteps = 0;
+    std::exception_ptr error;
+    ConvergenceReport report;
+    // Wall-clock mark for observer superstep timing (worker-local).
+    std::uint64_t mark_ns = 0;
+
+    // Scratch reused across evaluations (hot path).
+    std::vector<BitVector> in_scratch;
+    std::vector<BitVector> out_scratch;
+    BitVector state_scratch{0};
+    BitVector poll_scratch{0};
+    static constexpr std::size_t kChangedLinkHistory = 8;
+    std::array<LinkId, kChangedLinkHistory> recent_changed_links{};
+    std::size_t recent_changed_count = 0;
+
+    Shard(std::size_t idx, std::vector<BlockId> blks,
+          std::vector<std::size_t> widths, const SystemModel& model,
+          const std::vector<char>& materialize)
+        : index(idx),
+          blocks(std::move(blks)),
+          state(widths),
+          links(model, materialize) {}
+  };
+
+  /// Settle context threaded through op-program evaluations while a
+  /// CompiledScc runs its scoped worklist.
+  struct CompiledSettleCtx {
+    const analysis::CompiledScc* scc = nullptr;
+    std::uint32_t scc_id = 0;  ///< scc index + 1 (scc_of_link encoding)
+    std::vector<char>* unstable = nullptr;  ///< per SCC member
+    std::size_t* remaining = nullptr;
+  };
+
+  void worker_main(std::size_t s);
+  void run_cycle(std::size_t s);
+  /// One evaluation. `ctx` is non-null inside a kSettle op.
+  void evaluate_block(Shard& sh, std::size_t local,
+                      const CompiledSettleCtx* ctx);
+  void run_program(Shard& sh);
+  void settle_scc_local(Shard& sh, std::uint32_t scc_index);
+  void settle_local(Shard& sh);
+  void seed_worklist_cycle(Shard& sh);
+  void apply_incoming(Shard& sh);
+  void destabilize_local(Shard& sh, BlockId global);
+  bool inputs_all_read(const Shard& sh, BlockId global) const;
+  void fill_report(Shard& sh);
+  template <typename F>
+  void guarded(Shard& sh, F&& f);
+  /// Two aligned barrier syncs shared by every schedule: agree on
+  /// failure after the evaluation phase, then exchange and agree on
+  /// global instability. Returns false when the cycle must be abandoned.
+  bool exchange_round(Shard& sh);
+
+  const SystemModel& model_;
+  EngineOptions opts_;
+  /// The dynamic pickup is the worklist (resolved from opts_ once; false
+  /// under an op program and under the round-robin sweep).
+  bool worklist_ = false;
+  Partition part_;
+  std::size_t boundary_links_ = 0;
+  std::vector<std::size_t> local_of_;       // global block -> local index
+  std::vector<std::size_t> link_home_;      // link -> authoritative shard
+  std::vector<std::size_t> slot_of_link_;   // link -> mailbox slot (or npos)
+
+  std::unique_ptr<ShardMailbox> mailbox_;
+  std::unique_ptr<ShardBarrier> barrier_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::thread> threads_;
+  bool stop_ = false;
+
+  SimObserver* observer_ = nullptr;
+  SystemCycle cycle_ = 0;
+  DeltaCycle total_delta_cycles_ = 0;
+  std::uint64_t total_supersteps_ = 0;
+};
 
 /// FNV-1a digest over every block's committed state — the cheap
 /// bit-identity witness the farm's differential tests and checkpoint
@@ -333,9 +553,11 @@ std::uint64_t engine_state_digest(const Engine& eng);
 EngineCheckpoint save_checkpoint(const Engine& eng);
 
 /// Loads `ck` into `eng` (same model shape required) and rebases the
-/// cycle counters. Verifies the digest after the load and throws
-/// ContextualError on mismatch. `eng` may be a different instance — or a
-/// different Engine subclass — than the one that produced `ck`; external
+/// cycle counters. Verifies the digest after the load, and that a link
+/// snapshot names exactly the links save_checkpoint emits for this model
+/// (internal combinational links, ascending), throwing ContextualError on
+/// any mismatch. `eng` may be a different instance — with a different
+/// shard count or schedule — than the one that produced `ck`; external
 /// inputs are NOT restored (drive them for the next cycle as usual).
 void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck);
 
@@ -343,27 +565,6 @@ void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck);
 /// reset state, counters rebased to zero. This is what makes engine
 /// instances reusable across farm jobs.
 void reset_engine(Engine& eng);
-
-/// Shared validation for Engine::set_external_input (the engines must
-/// reject exactly the same misuses to stay substitutable).
-void check_external_input(const SystemModel& model, LinkId link);
-
-/// Degenerate-topology gate for the worklist scheduler, applied by the
-/// engine at construction and re-checked (per shard) after
-/// partitioning. Rejects, with a structured error instead of a hang at
-/// the delta budget:
-///  - combinational self-loop links (a block reading its own
-///    combinational output), which the event-driven pickup would chase
-///    in a tight requeue loop;
-///  - external-input combinational links with an empty reader set: a
-///    stimulus on such a link is an event that wakes nobody, so the
-///    worklist would silently drop it (check_external_input catches the
-///    drive; this catches the model).
-/// No-op for kRoundRobin (the dense sweep tolerates both shapes, at
-/// delta-budget cost) and for kCompiled (a self-loop becomes a scoped
-/// settle region, and a program evaluates every block whether or not a
-/// stimulus arrived).
-void check_scheduler_topology(const SystemModel& model, SchedulerKind kind);
 
 /// Initial round-robin cursor of a dynamic schedule for `schedule_seed`.
 /// Seed 1 is canonical and maps to cursor 0 (the behaviour of every

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "core/sharded_simulator.h"
-
 namespace tmsim::core {
 
 using noc::kForwardBits;
@@ -179,21 +177,6 @@ NocModel build_noc_model(const noc::NetworkConfig& net) {
   return nm;
 }
 
-namespace {
-
-std::unique_ptr<Engine> make_engine(const SystemModel& model,
-                                    const EngineOptions& opts) {
-  ShardedConfig cfg;
-  cfg.num_shards = opts.num_shards;
-  cfg.partition = opts.partition;
-  cfg.schedule = opts.policy;
-  cfg.schedule_seed = opts.seed;
-  cfg.scheduler = opts.scheduler;
-  return std::make_unique<ShardedSimulator>(model, cfg);
-}
-
-}  // namespace
-
 SeqNocSimulation::SeqNocSimulation(const noc::NetworkConfig& net,
                                    SchedulePolicy policy)
     : SeqNocSimulation(net, EngineOptions{policy}) {}
@@ -202,42 +185,42 @@ SeqNocSimulation::SeqNocSimulation(const noc::NetworkConfig& net,
                                    const EngineOptions& opts)
     : net_(net),
       noc_(build_noc_model(net_)),
-      sim_(make_engine(noc_.model, opts)) {}
+      sim_(noc_.model, opts) {}
 
 void SeqNocSimulation::set_local_input(std::size_t r,
                                        const noc::LinkForward& f) {
   BitVector v(noc::kForwardBits);
   v.set_field(0, noc::kForwardBits, noc::encode_forward(f));
-  sim_->set_external_input(noc_.local_fwd_in.at(r), v);
+  sim_.set_external_input(noc_.local_fwd_in.at(r), v);
   dirty_inputs_.push_back(r);
 }
 
 void SeqNocSimulation::step() {
-  last_stats_ = sim_->step();
+  last_stats_ = sim_.step();
   // Inputs are per-cycle: reset everything that was driven back to idle.
   const BitVector idle(noc::kForwardBits);
   for (std::size_t r : dirty_inputs_) {
-    sim_->set_external_input(noc_.local_fwd_in[r], idle);
+    sim_.set_external_input(noc_.local_fwd_in[r], idle);
   }
   dirty_inputs_.clear();
 }
 
 noc::LinkForward SeqNocSimulation::local_output(std::size_t r) const {
   return noc::decode_forward(static_cast<std::uint32_t>(
-      sim_->link_value(noc_.local_fwd_out.at(r))
+      sim_.link_value(noc_.local_fwd_out.at(r))
           .get_field(0, noc::kForwardBits)));
 }
 
 noc::CreditWires SeqNocSimulation::local_input_credits(std::size_t r) const {
   return noc::decode_credit(
       static_cast<std::uint32_t>(
-          sim_->link_value(noc_.local_credit_out.at(r))
+          sim_.link_value(noc_.local_credit_out.at(r))
               .get_field(0, net_.router.num_vcs)),
       net_.router.num_vcs);
 }
 
 BitVector SeqNocSimulation::router_state_word(std::size_t r) const {
-  return sim_->block_state(r);
+  return sim_.block_state(r);
 }
 
 void SeqNocSimulation::idle_all_inputs() {
@@ -246,18 +229,18 @@ void SeqNocSimulation::idle_all_inputs() {
   // into the first resumed cycle.
   const BitVector idle(noc::kForwardBits);
   for (const LinkId l : noc_.local_fwd_in) {
-    sim_->set_external_input(l, idle);
+    sim_.set_external_input(l, idle);
   }
   dirty_inputs_.clear();
 }
 
 void SeqNocSimulation::restore(const EngineCheckpoint& ck) {
-  restore_checkpoint(*sim_, ck);
+  restore_checkpoint(sim_, ck);
   idle_all_inputs();
 }
 
 void SeqNocSimulation::reset() {
-  reset_engine(*sim_);
+  reset_engine(sim_);
   idle_all_inputs();
 }
 

@@ -30,8 +30,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/partition.h"
-#include "core/sequential_simulator.h"
+#include "core/engine.h"
 #include "core/sim_block.h"
 #include "core/system_model.h"
 #include "noc/network.h"
@@ -94,27 +93,11 @@ struct NocModel {
 /// `net` must outlive the returned model (RouterBlocks keep a pointer).
 NocModel build_noc_model(const noc::NetworkConfig& net);
 
-/// Engine selection for the NoC facade. num_shards == 1 is the
-/// sequential engine (the paper's method, on the calling thread); > 1
-/// splits the same model over worker threads — bit-identical results,
-/// enforced by tests/integration/sharded_equivalence_test.cpp.
-struct EngineOptions {
-  SchedulePolicy policy = SchedulePolicy::kDynamic;
-  std::size_t num_shards = 1;
-  PartitionPolicy partition = PartitionPolicy::kMinCutGreedy;
-  /// Dynamic-schedule seed (see schedule_rr_offset). Seed 1 is canonical;
-  /// other values rotate the round-robin cursor — results are identical
-  /// by the engine contract, only StepStats can move.
-  std::uint64_t seed = 1;
-  /// Non-stable-block pickup within the dynamic schedule: the dense
-  /// round-robin sweep (reference) or the event-driven worklist with the
-  /// quiescence fast path. Bit-identical results either way.
-  SchedulerKind scheduler = SchedulerKind::kRoundRobin;
-
-  friend bool operator==(const EngineOptions&, const EngineOptions&) = default;
-};
-
-/// NocSimulation facade over a core engine (sequential by default).
+/// NocSimulation facade over the core engine. EngineOptions::num_shards
+/// == 1 (the default) is the sequential engine, the paper's method on the
+/// calling thread; > 1 splits the same model over worker threads —
+/// bit-identical results, enforced by
+/// tests/integration/sharded_equivalence_test.cpp.
 class SeqNocSimulation : public noc::NocSimulation {
  public:
   explicit SeqNocSimulation(const noc::NetworkConfig& net,
@@ -127,29 +110,29 @@ class SeqNocSimulation : public noc::NocSimulation {
   noc::LinkForward local_output(std::size_t r) const override;
   noc::CreditWires local_input_credits(std::size_t r) const override;
   BitVector router_state_word(std::size_t r) const override;
-  SystemCycle cycle() const override { return sim_->cycle(); }
+  SystemCycle cycle() const override { return sim_.cycle(); }
 
   /// Engine access for delta-cycle statistics (§6) and white-box tests.
-  const Engine& engine() const { return *sim_; }
+  const Engine& engine() const { return sim_; }
   const StepStats& last_step_stats() const { return last_stats_; }
   /// Cumulative delta cycles since power-on/restore — sampled before and
   /// after a run slice this yields the slice's convergence cost, which
   /// the farm attaches to its `farm.slice` trace spans (DESIGN.md §15).
-  DeltaCycle total_delta_cycles() const { return sim_->total_delta_cycles(); }
+  DeltaCycle total_delta_cycles() const { return sim_.total_delta_cycles(); }
 
   /// Observability (DESIGN.md §10): attaches a SimObserver to the
   /// underlying engine. nullptr detaches; only call between step()s.
-  void set_observer(SimObserver* obs) { sim_->set_observer(obs); }
+  void set_observer(SimObserver* obs) { sim_.set_observer(obs); }
 
   /// Session checkpointing (DESIGN.md §11). checkpoint() snapshots the
   /// committed router states between steps; restore() loads a snapshot —
   /// possibly taken from a *different* SeqNocSimulation over an equal
-  /// NetworkConfig, even one running the other engine — verifies its
-  /// digest, rebases the cycle counters, and idles every local input so
-  /// no stale stimulus from the previous tenant leaks into the first
-  /// resumed cycle. reset() returns the simulation to power-on state for
-  /// reuse by the next job.
-  EngineCheckpoint checkpoint() const { return save_checkpoint(*sim_); }
+  /// NetworkConfig, even one with another shard count or schedule —
+  /// verifies its digest, rebases the cycle counters, and idles every
+  /// local input so no stale stimulus from the previous tenant leaks into
+  /// the first resumed cycle. reset() returns the simulation to power-on
+  /// state for reuse by the next job.
+  EngineCheckpoint checkpoint() const { return save_checkpoint(sim_); }
   void restore(const EngineCheckpoint& ck);
   void reset();
 
@@ -157,7 +140,7 @@ class SeqNocSimulation : public noc::NocSimulation {
   void idle_all_inputs();
   noc::NetworkConfig net_;
   NocModel noc_;
-  std::unique_ptr<Engine> sim_;
+  Engine sim_;
   StepStats last_stats_;
   std::vector<std::size_t> dirty_inputs_;
 };

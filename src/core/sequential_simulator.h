@@ -1,9 +1,10 @@
 // SequentialSimulator: the paper's core contribution (§4) — simulate a
 // parallel synchronous system by evaluating its partitions one at a time.
-// It is the one-shard case of the engine in sharded_simulator.h: every
-// block in one shard, in block-index order, evaluated inline on the
-// calling thread, with no worker threads and no cut links. This class
-// only fixes that shape and adds the per-delta trace hook.
+// It is the one-shard case of Engine (engine.h): every block in one
+// shard, in block-index order, evaluated inline on the calling thread,
+// with no worker threads and no cut links. This class only fixes that
+// shape, keeps the positional constructor, and adds the per-delta trace
+// hook.
 //
 // Terminology (§4): a *system cycle* is one clock cycle of the simulated
 // parallel design; a *delta cycle* is one block evaluation in the
@@ -38,33 +39,30 @@
 #include <utility>
 
 #include "analysis/static_schedule.h"
-#include "core/sharded_simulator.h"
+#include "core/engine.h"
 
 namespace tmsim::core {
 
-class SequentialSimulator : public ShardedSimulator {
+class SequentialSimulator : public Engine {
  public:
-  /// `max_evals_per_block` bounds re-evaluation; exceeding it means the
-  /// netlist contains a combinational cycle that does not settle, which
-  /// is reported as a ConvergenceError rather than an infinite loop.
+  /// The arguments are the EngineOptions fields of the one-shard engine
+  /// (see there): `max_evals_per_block` bounds re-evaluation,
   /// `schedule_seed` rotates the dynamic schedule's starting round-robin
-  /// cursor to schedule_rr_offset(schedule_seed, num_blocks) (seed 1 =
-  /// the canonical cursor 0 used throughout the paper reproduction).
-  /// Committed results are schedule-independent by the engine contract,
-  /// so the seed can never change what a workload observes — only the
-  /// order (and count) of delta cycles. `scheduler` selects how the
-  /// dynamic schedule picks non-stable blocks (SchedulerKind); kWorklist
-  /// rejects degenerate topologies via check_scheduler_topology.
+  /// cursor to schedule_rr_offset(schedule_seed, num_blocks), and
+  /// `scheduler` selects how the dynamic schedule picks non-stable
+  /// blocks. Committed results are schedule-independent by the engine
+  /// contract, so none of them can change what a workload observes —
+  /// only the order (and count) of delta cycles.
   SequentialSimulator(const SystemModel& model, SchedulePolicy policy,
                       std::size_t max_evals_per_block = 64,
                       std::uint64_t schedule_seed = 1,
                       SchedulerKind scheduler = SchedulerKind::kRoundRobin)
-      : ShardedSimulator(
-            model, ShardedConfig{.num_shards = 1,
-                                 .schedule = policy,
-                                 .max_evals_per_block = max_evals_per_block,
-                                 .schedule_seed = schedule_seed,
-                                 .scheduler = scheduler}) {}
+      : Engine(model, EngineOptions{.policy = policy,
+                                    .num_shards = 1,
+                                    .seed = schedule_seed,
+                                    .scheduler = scheduler,
+                                    .max_evals_per_block =
+                                        max_evals_per_block}) {}
 
   /// The op program the engine replays every system cycle (kStatic,
   /// kTwoPhaseOracle and kCompiled; null under the round-robin and

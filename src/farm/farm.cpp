@@ -14,30 +14,19 @@ namespace tmsim::farm {
 
 namespace {
 
+/// Sub-queues per priority class in the AdmissionQueue — submitters and
+/// poppers contend 1/kAdmissionShards of the time.
+constexpr std::size_t kAdmissionShards = 4;
+/// Dispatch batching: a worker pops up to this many *consecutive*
+/// same-class jobs sharing an engine-cache key and runs them back-to-back
+/// on one warm engine.
+constexpr std::size_t kBatchMaxJobs = 4;
+/// Engines a worker keeps warm, LRU-evicted (keyed by topology + engine
+/// options with the canonical schedule seed).
+constexpr std::size_t kEngineCachePerWorker = 2;
+
 std::string worker_label(std::size_t w) {
   return "worker=" + std::to_string(w);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string hex_id(std::uint64_t v) {
@@ -68,7 +57,7 @@ const char* cancel_result_name(CancelResult r) {
 SimFarm::SimFarm(FarmOptions opt)
     : opt_(opt),
       queue_(opt.queue_capacity, opt.max_job_cycles,
-             [this] { return now_us(); }, opt.admission_shards,
+             [this] { return now_us(); }, kAdmissionShards,
              // Batch compatibility = engine-cache identity: the queue
              // only hands out multi-job batches that can share one warm
              // engine without re-attach.
@@ -371,10 +360,9 @@ void SimFarm::requeue_batch_tail(std::vector<QueuedJob>& batch,
 
 void SimFarm::worker_main(std::size_t w) {
   Worker& worker = *workers_[w];
-  const std::size_t max_batch = std::max<std::size_t>(1, opt_.batch_max_jobs);
   for (;;) {
     worker.idle.store(true, std::memory_order_relaxed);
-    std::vector<QueuedJob> batch = queue_.pop_batch_blocking(max_batch);
+    std::vector<QueuedJob> batch = queue_.pop_batch_blocking(kBatchMaxJobs);
     worker.idle.store(false, std::memory_order_relaxed);
     if (batch.empty()) {
       return;
@@ -419,7 +407,7 @@ core::SeqNocSimulation& SimFarm::acquire_engine(std::size_t w,
     }
   }
   ++worker.cache_misses;
-  if (worker.cache.size() >= opt_.engine_cache_per_worker &&
+  if (worker.cache.size() >= kEngineCachePerWorker &&
       !worker.cache.empty()) {
     std::size_t lru = 0;
     for (std::size_t i = 1; i < worker.cache.size(); ++i) {
@@ -1191,7 +1179,7 @@ void SimFarm::reclaim_dead_workers(bool allow_respawn) {
     worker.last_beat = worker.heartbeat.load(std::memory_order_relaxed);
     worker.missed_scans = 0;
     worker.dead.store(false, std::memory_order_release);
-    if (allow_respawn && opt_.respawn_lost_workers && !queue_.stopped()) {
+    if (allow_respawn && !queue_.stopped()) {
       worker.thread = std::thread([this, w] { worker_main(w); });
       if (opt_.metrics) {
         std::lock_guard<std::mutex> lock(metrics_mu_);

@@ -60,7 +60,7 @@
 // workers adds throughput until the machine runs out of cores
 // (tests/farm/farm_scaling_test.cpp pins w4 ≥ 2× w1 on a paced
 // workload). Two dispatch amortizations ride on top:
-//   - *batching*: a worker pops up to FarmOptions::batch_max_jobs
+//   - *batching*: a worker pops up to kBatchMaxJobs (farm.cpp)
 //     consecutive same-class jobs sharing an engine_cache_key (never
 //     skipping or reordering anything) and runs them back-to-back on one
 //     warm engine; if higher-priority work arrives mid-batch the
@@ -193,16 +193,6 @@ struct FarmOptions {
   SystemCycle preempt_quantum = 256;
   /// Per-job cycle ceiling (admission rejects above it with kTooLarge).
   SystemCycle max_job_cycles = 10'000'000;
-  /// Engines a worker keeps warm, LRU-evicted (keyed by topology +
-  /// engine options with the canonical schedule seed).
-  std::size_t engine_cache_per_worker = 2;
-  /// Sub-queues per priority class in the AdmissionQueue — submitters
-  /// and poppers contend 1/shards of the time.
-  std::size_t admission_shards = 4;
-  /// Dispatch batching: a worker pops up to this many *consecutive*
-  /// same-class jobs sharing an engine-cache key and runs them
-  /// back-to-back on one warm engine. 1 disables batching.
-  std::size_t batch_max_jobs = 4;
   /// Spec-fingerprint result memoization: kDone results cached under
   /// JobSpec::fingerprint(), identical later specs served without
   /// simulating (LRU bound = this many entries). 0 disables the memo.
@@ -223,8 +213,6 @@ struct FarmOptions {
   /// worker. Off by default: under heavy sanitizer/CI load a healthy
   /// slice can legitimately outlast the threshold.
   bool supervisor_escalate_stuck = false;
-  /// Respawn a replacement thread into a lost worker's slot.
-  bool respawn_lost_workers = true;
   /// Chaos hook (tests/bench): consulted at every slice boundary.
   std::function<ChaosAction(const ChaosEvent&)> chaos;
   /// Test knobs: force_preempt requeues after *every* quantum even with

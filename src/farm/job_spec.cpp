@@ -337,8 +337,8 @@ void JobSpec::validate() const {
   }
   // Every job runs the NoC, whose router links are combinational, so the
   // §4.1 static schedule (registered boundaries only) can never run; and
-  // the hosted FpgaDesign always runs the dynamic schedule, so any other
-  // policy would be ignored while still moving the fingerprint.
+  // the hosted FpgaDesign runs the dynamic schedule only, so any other
+  // policy is refused here, at admission, rather than by the design.
   if (engine.policy == core::SchedulePolicy::kStatic ||
       (kind == JobKind::kHostedFpga &&
        engine.policy != core::SchedulePolicy::kDynamic)) {
@@ -349,6 +349,14 @@ void JobSpec::validate() const {
             : "hosted jobs run the dynamic schedule only",
         {{"policy", policy_name(engine.policy)},
          {"kind", job_kind_name(kind)}});
+  }
+  // The wire format carries no evaluation budget, so a spec that set one
+  // would lose it in serialize() and run a different engine remotely.
+  if (engine.max_evals_per_block != core::EngineOptions{}.max_evals_per_block) {
+    throw ContextualError(
+        "max_evals_per_block is not part of the job spec; leave it at the "
+        "default",
+        {{"max_evals_per_block", std::to_string(engine.max_evals_per_block)}});
   }
   if (kind == JobKind::kHostedFpga) {
     // The hosted stack (ArmHost ↔ FpgaDesign) has no warmup window and

@@ -89,6 +89,8 @@ struct JobSpec {
   /// Engine choice. `engine.seed` is advisory: the farm canonicalizes it
   /// (schedule seeds cannot change results, only evaluation order), so
   /// it does not participate in worker-side engine-cache identity.
+  /// `engine.max_evals_per_block` must stay at its default: the wire
+  /// format does not carry it (validate() rejects anything else).
   core::EngineOptions engine;
   /// The job's one true seed (see derive_seed).
   std::uint64_t seed = 1;

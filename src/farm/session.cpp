@@ -49,10 +49,7 @@ SimSession::SimSession(const JobSpec& spec) : spec_(spec) {
   }
   fpga::FpgaBuildConfig build;
   build.router = spec_.net.router;
-  build.num_shards = spec_.engine.num_shards;
-  build.partition = spec_.engine.partition;
-  build.engine_seed = effective_engine_options(spec_, false).seed;
-  build.scheduler = spec_.engine.scheduler;
+  build.engine = effective_engine_options(spec_, false);
   design_ = std::make_unique<fpga::FpgaDesign>(build);
 
   fpga::ArmHost::Workload wl;

@@ -41,7 +41,7 @@
 
 #include "analysis/stats.h"
 #include "common/rng.h"
-#include "core/sequential_simulator.h"
+#include "core/engine.h"
 #include "fpga/fault_report.h"
 #include "fpga/fpga_design.h"
 #include "fpga/timing_model.h"

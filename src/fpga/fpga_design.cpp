@@ -19,6 +19,14 @@ FpgaDesign::FpgaDesign(const FpgaBuildConfig& build) : build_(build) {
   TMSIM_CHECK_MSG(build_.stimuli_buffer_depth >= 2, "stimuli buffer too small");
   TMSIM_CHECK_MSG(build_.output_buffer_depth >= build_.stimuli_buffer_depth,
                   "output buffers must cover a full simulation period");
+  if (build_.engine.policy != core::SchedulePolicy::kDynamic) {
+    // Every router link is combinational (§4.2), so the static schedule
+    // cannot run and the two-phase ablation has no place in the design.
+    throw ContextualError(
+        "the FPGA design runs the dynamic schedule only",
+        {{"policy",
+          std::to_string(static_cast<int>(build_.engine.policy))}});
+  }
 }
 
 FpgaDesign::~FpgaDesign() = default;
@@ -63,13 +71,7 @@ void FpgaDesign::configure() {
   TMSIM_CHECK_MSG(net_.num_routers() <= build_.max_routers,
                   "network larger than the BRAM provisioning");
 
-  core::EngineOptions engine_opts;
-  engine_opts.policy = core::SchedulePolicy::kDynamic;
-  engine_opts.num_shards = build_.num_shards;
-  engine_opts.partition = build_.partition;
-  engine_opts.seed = build_.engine_seed;
-  engine_opts.scheduler = build_.scheduler;
-  sim_ = std::make_unique<core::SeqNocSimulation>(net_, engine_opts);
+  sim_ = std::make_unique<core::SeqNocSimulation>(net_, build_.engine);
   if (engine_observer_) {
     sim_->set_observer(engine_observer_);
   }

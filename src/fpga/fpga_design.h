@@ -53,19 +53,11 @@ struct FpgaBuildConfig {
   std::size_t monitor_buffer_depth = 64;
   /// Largest network the BRAM budget was provisioned for.
   std::size_t max_routers = 256;
-  /// Simulation-engine shard count: 1 = the paper's sequential engine,
-  /// > 1 = the sharded bulk-synchronous engine (bit-identical results;
-  /// clamped to the router count).
-  std::size_t num_shards = 1;
-  /// Block-to-shard assignment policy when num_shards > 1.
-  core::PartitionPolicy partition = core::PartitionPolicy::kMinCutGreedy;
-  /// Dynamic-schedule seed forwarded to the engine (EngineOptions::seed).
-  /// 1 is canonical; any other value perturbs only the evaluation order.
-  std::uint64_t engine_seed = 1;
-  /// Non-stable-block pickup strategy forwarded to the engine
-  /// (EngineOptions::scheduler). Bit-identical results for every kind;
-  /// part of the farm's engine cache key.
-  core::SchedulerKind scheduler = core::SchedulerKind::kRoundRobin;
+  /// Simulation engine behind the router block. num_shards 1 is the
+  /// paper's sequential engine; > 1 the sharded bulk-synchronous engine
+  /// (bit-identical results; clamped to the router count). The policy
+  /// must stay kDynamic: the case-study NoC's links are combinational.
+  core::EngineOptions engine;
 };
 
 class FpgaDesign : public BusInterface {

@@ -5,6 +5,7 @@
 // schedule_rr_offset behaviour the farm's engine cache relies on.
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include "core/engine.h"
 #include "core/example_blocks.h"
 #include "core/sequential_simulator.h"
-#include "core/sharded_simulator.h"
 #include "core/system_model.h"
 
 namespace tmsim::core {
@@ -212,18 +212,18 @@ TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
        {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
         SchedulerKind::kCompiled}) {
     SCOPED_TRACE(scheduler_kind_name(kind));
-    ShardedConfig cfg;
+    EngineOptions cfg;
     cfg.num_shards = 2;
     cfg.scheduler = kind;
     PipeChain a_chain;
-    ShardedSimulator a(a_chain.model, cfg);
+    Engine a(a_chain.model, cfg);
     drive_recording(a, a_chain, 9, stimulus);
     const EngineCheckpoint ck = save_checkpoint(a);
     const std::vector<StepStats> ref =
         drive_recording(a, a_chain, 8, stimulus);
 
     PipeChain b_chain;
-    ShardedSimulator b(b_chain.model, cfg);
+    Engine b(b_chain.model, cfg);
     drive_recording(b, b_chain, 5, other_stimulus);
     restore_checkpoint(b, ck);
     const std::vector<StepStats> got =
@@ -257,6 +257,39 @@ TEST(SchedulerCheckpoint, TamperedLinkSnapshotIsRejected) {
   ASSERT_FALSE(ck.link_ids.empty());
   ck.link_values[0] = val(16, 0xbad);
   EXPECT_THROW(restore_checkpoint(sim, ck), std::exception);
+}
+
+/// link_digest covers the snapshot's values, not its ids, so a
+/// checkpoint whose id list was damaged in flight still passes every
+/// digest. restore_checkpoint must check the ids against the model and
+/// load nothing when they differ.
+void expect_link_ids_rejected(void (*damage)(EngineCheckpoint&,
+                                             const PipeChain&)) {
+  PipeChain chain;
+  SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
+                          SchedulerKind::kWorklist);
+  drive(sim, chain, 5);
+  EngineCheckpoint ck = save_checkpoint(sim);
+  ASSERT_EQ(ck.link_ids, (std::vector<LinkId>{chain.l1, chain.l2}));
+  damage(ck, chain);
+  SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
+                            SchedulerKind::kWorklist);
+  const std::uint64_t power_on = engine_state_digest(fresh);
+  EXPECT_THROW(restore_checkpoint(fresh, ck), ContextualError);
+  EXPECT_EQ(fresh.cycle(), 0u);
+  EXPECT_EQ(engine_state_digest(fresh), power_on);
+}
+
+TEST(SchedulerCheckpoint, OutOfRangeSnapshotLinkIdIsRejected) {
+  expect_link_ids_rejected([](EngineCheckpoint& ck, const PipeChain& chain) {
+    ck.link_ids[1] = static_cast<LinkId>(chain.model.num_links() + 3);
+  });
+}
+
+TEST(SchedulerCheckpoint, SwappedSnapshotLinkIdsAreRejected) {
+  expect_link_ids_rejected([](EngineCheckpoint& ck, const PipeChain&) {
+    std::swap(ck.link_ids[0], ck.link_ids[1]);
+  });
 }
 
 TEST(SchedulerCheckpoint, LegacyCheckpointWithoutSnapshotCanonicalizes) {

@@ -78,7 +78,7 @@ std::vector<JobResult> run_on_farm(const std::vector<JobSpec>& specs,
   opt.preempt_quantum = quantum;
   opt.force_preempt = force_preempt;
   opt.paranoid_resume = true;
-  opt.engine_cache_per_worker = 2;  // < distinct topologies → cache churn
+  // Each worker keeps 2 warm engines (< distinct topologies): cache churn.
   SimFarm farm(opt);
   std::vector<std::uint64_t> ids;
   ids.reserve(specs.size());

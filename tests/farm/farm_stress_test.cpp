@@ -10,6 +10,8 @@
 // interleaving, each accepted job is popped exactly once and each
 // published result is observed exactly once.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -277,6 +279,16 @@ TEST(FarmStress, HasHigherThanProbeRunsRaceFreeAgainstChurn) {
     });
   }
   std::thread consumer([&] {
+    // Under parallel ctest load the consumer could drain every job before
+    // either probe thread is first scheduled. Hold the drain until the
+    // first sighting (bounded, so a blind probe still fails the EXPECT
+    // below instead of hanging), then pop while both probes keep racing.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (sightings.load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
     while (queue.pop_blocking()) {
     }
   });

@@ -172,8 +172,8 @@ TEST(JobSpec, ValidateCatchesUnsatisfiableSpecs) {
 TEST(JobSpec, ValidateRejectsSchedulePoliciesTheStackCannotRun) {
   // Every job runs the NoC, whose router links are combinational: the
   // static schedule would always fail its registered-boundary check at
-  // run time. The hosted FpgaDesign runs the dynamic schedule only, so
-  // any other policy would be silently ignored.
+  // run time. The hosted FpgaDesign runs the dynamic schedule only and
+  // rejects any other policy when it is built.
   const auto rejected = [](JobKind kind, core::SchedulePolicy policy) {
     JobSpec s;
     s.kind = kind;
@@ -198,6 +198,21 @@ TEST(JobSpec, ValidateRejectsSchedulePoliciesTheStackCannotRun) {
       "accepted");
   EXPECT_EQ(rejected(JobKind::kHostedFpga, core::SchedulePolicy::kDynamic),
             "accepted");
+}
+
+TEST(JobSpec, ValidateRejectsAnEvaluationBudgetTheWireCannotCarry) {
+  // serialize() has no max_evals_per_block token, so a non-default
+  // budget would silently revert to 64 on the far side of the wire.
+  JobSpec s;
+  s.engine.max_evals_per_block = 32;
+  try {
+    s.validate();
+    FAIL() << "non-default max_evals_per_block accepted";
+  } catch (const ContextualError& e) {
+    EXPECT_EQ(e.context_value("max_evals_per_block"), "32");
+  }
+  s.engine.max_evals_per_block = 64;
+  EXPECT_NO_THROW(s.validate());
 }
 
 TEST(JobSpec, DeriveSeedSeparatesDomains) {

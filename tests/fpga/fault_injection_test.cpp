@@ -35,7 +35,7 @@ RunResult run_with_rates(const FaultRates& rates, std::uint64_t seed,
                          std::size_t cycles = 2000,
                          std::size_t num_shards = 1) {
   FpgaBuildConfig build;
-  build.num_shards = num_shards;
+  build.engine.num_shards = num_shards;
   FpgaDesign fpga{build};
   FaultyBus bus(fpga, rates, seed);
   ArmHost::Workload wl;

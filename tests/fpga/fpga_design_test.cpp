@@ -55,6 +55,20 @@ TEST(FpgaDesign, RejectsOversizedNetwork) {
   EXPECT_THROW(fpga.write32(kRegConfigure, 1), Error);
 }
 
+TEST(FpgaDesign, RejectsNonDynamicSchedulePolicy) {
+  // The router links are combinational (§4.2): only the dynamic schedule
+  // is a faithful model of the design.
+  for (const core::SchedulePolicy policy :
+       {core::SchedulePolicy::kStatic, core::SchedulePolicy::kTwoPhaseOracle}) {
+    FpgaBuildConfig build;
+    build.engine.policy = policy;
+    EXPECT_THROW(FpgaDesign{build}, ContextualError);
+  }
+  FpgaBuildConfig build;
+  build.engine.policy = core::SchedulePolicy::kDynamic;
+  EXPECT_NO_THROW(FpgaDesign{build});
+}
+
 TEST(FpgaDesign, RngRegisterIsTheLfsr) {
   auto fpga_p = make_configured();
   FpgaDesign& fpga = *fpga_p;

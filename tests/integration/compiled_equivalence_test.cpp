@@ -24,7 +24,6 @@
 #include "core/engine.h"
 #include "core/example_blocks.h"
 #include "core/sequential_simulator.h"
-#include "core/sharded_simulator.h"
 #include "core/system_model.h"
 
 namespace tmsim::core {
@@ -100,16 +99,16 @@ TEST(CompiledEquivalence, OrLatchSccIsBitIdenticalAcrossAllEngines) {
   // round-robin partition that forces the SCC's two blocks into
   // *different* shards: the cycle then runs as cross-shard Jacobi
   // supersteps instead of a local settle, and must still agree.
-  ShardedConfig cut_cfg;
+  EngineOptions cut_cfg;
   cut_cfg.num_shards = 2;
   cut_cfg.scheduler = SchedulerKind::kCompiled;
-  ShardedSimulator sh_cut(m.model, cut_cfg);
+  Engine sh_cut(m.model, cut_cfg);
 
-  ShardedConfig split_cfg;
+  EngineOptions split_cfg;
   split_cfg.num_shards = 2;
   split_cfg.partition = PartitionPolicy::kRoundRobin;
   split_cfg.scheduler = SchedulerKind::kCompiled;
-  ShardedSimulator sh_split(m.model, split_cfg);
+  Engine sh_split(m.model, split_cfg);
 
   std::vector<Engine*> engines = {&ref, &cp, &sh_cut, &sh_split};
 

@@ -23,9 +23,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/example_blocks.h"
 #include "core/noc_block.h"
-#include "core/sharded_simulator.h"
+#include "core/sequential_simulator.h"
 #include "noc/lockstep.h"
 #include "obs/engine_sinks.h"
 #include "traffic/harness.h"
@@ -253,10 +254,10 @@ TEST(SchedDegenerate, CombinationalSelfLoopRejectedAtConstruction) {
     EXPECT_EQ(e.context_value("scheduler"), "worklist");
     EXPECT_EQ(e.context_value("name"), "aa");
   }
-  core::ShardedConfig cfg;
+  core::EngineOptions cfg;
   cfg.num_shards = 1;
   cfg.scheduler = SchedulerKind::kWorklist;
-  EXPECT_THROW(core::ShardedSimulator(m, cfg), ContextualError);
+  EXPECT_THROW(core::Engine(m, cfg), ContextualError);
 }
 
 TEST(SchedDegenerate, ExternalLinkWithNoReadersRejected) {
@@ -281,10 +282,10 @@ TEST(SchedDegenerate, ExternalLinkWithNoReadersRejected) {
     EXPECT_EQ(e.context_value("scheduler"), "worklist");
     EXPECT_EQ(e.context_value("name"), "dangle");
   }
-  core::ShardedConfig cfg;
+  core::EngineOptions cfg;
   cfg.num_shards = 1;
   cfg.scheduler = SchedulerKind::kWorklist;
-  EXPECT_THROW(core::ShardedSimulator(m, cfg), ContextualError);
+  EXPECT_THROW(core::Engine(m, cfg), ContextualError);
 }
 
 // ---------------------------------------------------------------------------
@@ -330,14 +331,14 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
   // per shard — a cut loop that ping-pongs to the superstep cap.
   core::SequentialSimulator seq_cp(m, SchedulePolicy::kDynamic, 16, 1,
                                    SchedulerKind::kCompiled);
-  core::ShardedConfig cfg;
+  core::EngineOptions cfg;
   cfg.num_shards = 5;  // one inverter per shard: purely cross-shard loop
   cfg.max_evals_per_block = 16;
   cfg.scheduler = SchedulerKind::kWorklist;
-  core::ShardedSimulator sh_wl(m, cfg);
-  core::ShardedConfig cp_cfg = cfg;
+  core::Engine sh_wl(m, cfg);
+  core::EngineOptions cp_cfg = cfg;
   cp_cfg.scheduler = SchedulerKind::kCompiled;
-  core::ShardedSimulator sh_cp(m, cp_cfg);
+  core::Engine sh_cp(m, cp_cfg);
 
   const core::ConvergenceReport a = trip(seq_rr);
   const core::ConvergenceReport b = trip(seq_wl);
@@ -378,11 +379,11 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
 TEST(SchedConvergence, MergedShardedReportIsDeterministic) {
   const core::SystemModel m = not_ring(5);
   auto report = [&] {
-    core::ShardedConfig cfg;
+    core::EngineOptions cfg;
     cfg.num_shards = 3;
     cfg.max_evals_per_block = 16;
     cfg.scheduler = SchedulerKind::kWorklist;
-    core::ShardedSimulator sim(m, cfg);
+    core::Engine sim(m, cfg);
     return trip(sim);
   };
   const core::ConvergenceReport a = report();

@@ -21,9 +21,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/example_blocks.h"
 #include "core/noc_block.h"
-#include "core/sharded_simulator.h"
+#include "core/sequential_simulator.h"
 #include "noc/lockstep.h"
 #include "noc/network.h"
 #include "traffic/harness.h"
@@ -285,10 +286,10 @@ TEST(ShardedConvergence, CrossShardOscillatorThrowsLikeSequential) {
   };
 
   core::SequentialSimulator seq(m, SchedulePolicy::kDynamic, 16);
-  core::ShardedConfig cfg;
+  core::EngineOptions cfg;
   cfg.num_shards = 3;  // one inverter per shard: purely cross-shard loop
   cfg.max_evals_per_block = 16;
-  core::ShardedSimulator sharded(m, cfg);
+  core::Engine sharded(m, cfg);
 
   const auto a = oscillating_blocks(seq);
   const auto b = oscillating_blocks(sharded);
@@ -329,11 +330,11 @@ TEST(ShardedStatic, RegisteredPipelineMatchesSequential) {
   m.finalize();
 
   core::SequentialSimulator seq(m, SchedulePolicy::kStatic);
-  core::ShardedConfig cfg;
+  core::EngineOptions cfg;
   cfg.num_shards = 3;
-  cfg.schedule = SchedulePolicy::kStatic;
+  cfg.policy = SchedulePolicy::kStatic;
   cfg.partition = PartitionPolicy::kRoundRobin;  // worst case: all links cut
-  core::ShardedSimulator sharded(m, cfg);
+  core::Engine sharded(m, cfg);
 
   SplitMix64 rng(123);
   for (int cycle = 0; cycle < 50; ++cycle) {
