@@ -1,6 +1,6 @@
 // Static-schedule analysis (DESIGN.md §17): the build-time pass behind
-// SchedulerKind::kCompiled, and the op programs the engine runs for the
-// static (§4.1) and two-phase policies.
+// SchedulerKind::kCompiled — the one op program the engine runs. On a
+// registered-only model it is the paper's §4.1 static schedule.
 //
 // The paper's §4.2 dynamic schedule discovers the evaluation order at
 // run time, every system cycle, by chasing an unstable set to a fixed
@@ -99,15 +99,6 @@ struct StaticScheduleOptions {
 /// Builds the compiled schedule for `model` (which must be finalized).
 /// Deterministic: same model + options → identical schedule.
 CompiledSchedule build_compiled_schedule(
-    const core::SystemModel& model, const StaticScheduleOptions& options = {});
-
-/// The two-phase ablation schedule (not in the paper) as an op program: a
-/// kDrive of every scheduled block, then a kEval of every scheduled block,
-/// both in ascending id — exactly 2 × num_blocks delta cycles. Correct
-/// only for designs whose outputs depend on registered state alone (true
-/// of the case-study router): the drives publish every output, the evals
-/// recompute every next state from final link values.
-CompiledSchedule build_two_phase_schedule(
     const core::SystemModel& model, const StaticScheduleOptions& options = {});
 
 }  // namespace tmsim::analysis

@@ -212,17 +212,8 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
                   "sharded engine needs at least one block");
   TMSIM_CHECK_MSG(opts.num_shards >= 1, "num_shards must be >= 1");
   TMSIM_CHECK_MSG(opts.max_evals_per_block >= 1, "eval limit must be positive");
-  if (opts_.policy == SchedulePolicy::kStatic) {
-    TMSIM_CHECK_MSG(model.all_boundaries_registered(),
-                    "static schedule requires registered boundaries (§4.1); "
-                    "use kDynamic for combinational boundaries");
-  }
   check_scheduler_topology(model, opts_.scheduler);
-  // Static, two-phase and compiled run an op program; only the dynamic
-  // policy's round-robin and worklist pickups do not.
-  const bool programmed = opts_.policy != SchedulePolicy::kDynamic ||
-                          opts_.scheduler == SchedulerKind::kCompiled;
-  worklist_ = !programmed && opts_.scheduler == SchedulerKind::kWorklist;
+  worklist_ = opts_.scheduler == SchedulerKind::kWorklist;
 
   const std::size_t n = model.num_blocks();
   opts_.num_shards = std::min(opts_.num_shards, n);
@@ -319,24 +310,21 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
       sh->rr_next = schedule_rr_offset(seed, blocks.size());
       sh->rr_init = sh->rr_next;
     }
-    if (programmed) {
+    if (opts_.scheduler == SchedulerKind::kCompiled) {
       // Per-shard op program over the link graph restricted to this
       // shard's membership. Cut links have one endpoint elsewhere, so
       // they drop out of the tracked set and the emitted order treats
       // them as registered edges; the superstep loop in run_cycle
       // reconciles them through the mailbox. A registered-only model
-      // (the static policy's precondition) compiles to every block once
-      // in ascending ids — the §4.1 Fig. 3 schedule.
+      // compiles to every block once in ascending ids — the §4.1 Fig. 3
+      // schedule.
       std::vector<char> member(n, 0);
       for (const BlockId b : blocks) {
         member[b] = 1;
       }
       analysis::StaticScheduleOptions opt;
       opt.include_blocks = &member;
-      sh->program.emplace(
-          opts_.policy == SchedulePolicy::kTwoPhaseOracle
-              ? analysis::build_two_phase_schedule(model, opt)
-              : analysis::build_compiled_schedule(model, opt));
+      sh->program.emplace(analysis::build_compiled_schedule(model, opt));
     }
     shards_.push_back(std::move(sh));
   }

@@ -23,18 +23,17 @@
 // and the two are reconciled through a versioned single-writer mailbox
 // slot at every superstep barrier.
 //
-// The (SchedulePolicy, SchedulerKind) pair resolves once, at
-// construction, to one of two per-shard schedules:
+// EngineOptions::scheduler resolves once, at construction, to one of two
+// per-shard schedules:
 //
-//  - an op program (analysis/static_schedule.h), replayed in full every
-//    superstep: kStatic is the compiled program of a registered-only
-//    model (every block once, ascending ids — Fig. 3), kTwoPhaseOracle
-//    drives every block and then evaluates every block, and kDynamic ×
-//    kCompiled is the SCC-condensed topological program;
-//  - the §4.2 pickup (kDynamic × kRoundRobin / kWorklist): all HBR bits
-//    cleared at cycle start, non-stable blocks picked by the round-robin
-//    cursor or the event worklist, a changed link write destabilizing
-//    its readers.
+//  - kCompiled: an op program (analysis/static_schedule.h), replayed in
+//    full every superstep — the SCC-condensed topological order of the
+//    shard's blocks. For a registered-only model it is every block once
+//    in ascending ids, the paper's §4.1 static schedule (Fig. 3), which
+//    is how SequentialSimulator runs SchedulePolicy::kStatic;
+//  - kRoundRobin / kWorklist: the §4.2 pickup — all HBR bits cleared at
+//    cycle start, non-stable blocks picked by the round-robin cursor or
+//    the event worklist, a changed link write destabilizing its readers.
 //
 // One system cycle is a sequence of *supersteps*:
 //
@@ -84,29 +83,9 @@
 
 namespace tmsim::core {
 
-/// Which delta-cycle schedule the engine runs. Together with
-/// SchedulerKind it resolves once, at engine construction, either to an
-/// op program (analysis/static_schedule.h) the engine replays every
-/// system cycle, or to the §4.2 round-robin/worklist pickup.
-///
-///  - kStatic (§4.1, Fig. 3): only for models whose internal boundaries
-///    are all registered (checked at construction). The compiled program
-///    of such a model evaluates every block once in ascending ids.
-///  - kDynamic (§4.2, Fig. 5): the paper's method for combinational
-///    boundaries; SchedulerKind picks how non-stable blocks are found.
-///  - kTwoPhaseOracle: an ablation, not in the paper — the op program
-///    "drive every block, then evaluate every block" (2 × num_blocks delta
-///    cycles). Correct only for designs whose outputs depend on
-///    registered state alone, such as the case-study router.
-///
-/// kStatic and kTwoPhaseOracle ignore SchedulerKind.
-enum class SchedulePolicy : std::uint8_t {
-  kStatic = 0,
-  kDynamic = 1,
-  kTwoPhaseOracle = 2,
-};
-
-/// How the dynamic (§4.2) schedule picks the next non-stable block.
+/// The engine's one schedule setting: how the next block to evaluate is
+/// found. The paper's §4.1 / §4.2 vocabulary (SchedulePolicy) lives only
+/// in the one-shard SequentialSimulator adapter.
 ///
 ///  - kRoundRobin: the paper's Fig. 5 scheduler — a dense sweep over the
 ///    unstable bitmap. O(num_blocks) scan work per delta sweep even when
@@ -125,8 +104,7 @@ enum class SchedulePolicy : std::uint8_t {
 ///    (src/analysis/static_schedule.h) condenses the combinational link
 ///    graph's strongly-connected components, topologically orders the
 ///    condensation, and emits an op program executed verbatim every
-///    system cycle by the same interpreter that runs kStatic and
-///    kTwoPhaseOracle — no HBR bookkeeping, no unstable bitmap, no
+///    system cycle — no HBR bookkeeping, no unstable bitmap, no
 ///    worklist for acyclic regions; true combinational cycles settle in
 ///    a scoped worklist confined to their SCC under the usual
 ///    convergence budget. Bit-identical to the dynamic schedulers by
@@ -143,7 +121,6 @@ const char* scheduler_kind_name(SchedulerKind k);
 /// Everything that configures an Engine, spelled once: the NoC facade,
 /// the FPGA design model and the farm's JobSpec all carry this struct.
 struct EngineOptions {
-  SchedulePolicy policy = SchedulePolicy::kDynamic;
   /// Shard (worker) count; clamped to the model's block count. 1 is the
   /// sequential engine, run on the calling thread.
   std::size_t num_shards = 1;
@@ -155,13 +132,12 @@ struct EngineOptions {
   /// domain-separated offsets. Results are schedule-independent, so this
   /// can only change StepStats.
   std::uint64_t seed = 1;
-  /// Non-stable-block pickup of the dynamic schedule: kRoundRobin is the
-  /// dense §4.2 sweep, kWorklist the event-driven scheduler with the
-  /// quiescence fast path, kCompiled a per-shard build-time op program
-  /// (cut links are treated as registered edges: each superstep re-runs
-  /// the full shard program against the latest replica values until the
-  /// exchange reports quiescence). Bit-identical results in every case;
-  /// only StepStats may differ.
+  /// The schedule: kRoundRobin is the dense §4.2 sweep, kWorklist the
+  /// event-driven scheduler with the quiescence fast path, kCompiled a
+  /// per-shard build-time op program (cut links are treated as registered
+  /// edges: each superstep re-runs the full shard program against the
+  /// latest replica values until the exchange reports quiescence).
+  /// Bit-identical results in every case; only StepStats may differ.
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
   /// Per-cycle evaluation budget per block and superstep bound;
   /// exceeding either means a non-settling combinational loop, reported
@@ -293,10 +269,10 @@ class SimObserver {
 /// sequential engine has one) and the quiescence flags in model block
 /// order. A restore into an engine whose shape does not match — or from
 /// a default-constructed (empty) snapshot — canonicalizes instead:
-/// cursors back to their seeded initial offsets, flags cleared. An op
-/// program (static, two-phase, compiled) has no entry here at all: it
-/// carries zero dynamic scheduling state, which is what makes its
-/// preemption trivially invisible.
+/// cursors back to their seeded initial offsets, flags cleared. The
+/// compiled op program has no entry here at all: it carries zero dynamic
+/// scheduling state, which is what makes its preemption trivially
+/// invisible.
 struct SchedulerCheckpoint {
   std::vector<std::size_t> rr_cursors;  ///< one per shard
   std::vector<char> state_fixed;        ///< worklist flags, model order
@@ -444,10 +420,10 @@ class Engine {
     std::vector<char> evaluated;
     std::size_t first_evals = 0;
 
-    // Per-shard op program (static, two-phase, compiled): the model's
-    // link graph restricted to this shard's blocks. Cut links fall out of
-    // the tracked set (one endpoint is elsewhere), so the program treats
-    // them exactly like registered edges — pre-final for the superstep.
+    // Per-shard op program (kCompiled only): the model's link graph
+    // restricted to this shard's blocks. Cut links fall out of the tracked
+    // set (one endpoint is elsewhere), so the program treats them exactly
+    // like registered edges — pre-final for the superstep.
     std::optional<analysis::CompiledSchedule> program;
     std::vector<char> scc_unstable;  // scratch, sized per settling SCC
 
@@ -519,8 +495,7 @@ class Engine {
 
   const SystemModel& model_;
   EngineOptions opts_;
-  /// The dynamic pickup is the worklist (resolved from opts_ once; false
-  /// under an op program and under the round-robin sweep).
+  /// opts_.scheduler == kWorklist, resolved once for the hot path.
   bool worklist_ = false;
   Partition part_;
   std::size_t boundary_links_ = 0;

@@ -178,10 +178,6 @@ NocModel build_noc_model(const noc::NetworkConfig& net) {
 }
 
 SeqNocSimulation::SeqNocSimulation(const noc::NetworkConfig& net,
-                                   SchedulePolicy policy)
-    : SeqNocSimulation(net, EngineOptions{policy}) {}
-
-SeqNocSimulation::SeqNocSimulation(const noc::NetworkConfig& net,
                                    const EngineOptions& opts)
     : net_(net),
       noc_(build_noc_model(net_)),

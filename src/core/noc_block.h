@@ -101,8 +101,7 @@ NocModel build_noc_model(const noc::NetworkConfig& net);
 class SeqNocSimulation : public noc::NocSimulation {
  public:
   explicit SeqNocSimulation(const noc::NetworkConfig& net,
-                            SchedulePolicy policy = SchedulePolicy::kDynamic);
-  SeqNocSimulation(const noc::NetworkConfig& net, const EngineOptions& opts);
+                            const EngineOptions& opts = {});
 
   const noc::NetworkConfig& config() const override { return net_; }
   void set_local_input(std::size_t r, const noc::LinkForward& f) override;

@@ -4,7 +4,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "traffic/workloads.h"
 
@@ -45,6 +47,15 @@ std::uint64_t parse_u64(const std::string& v) {
   return u;
 }
 
+/// parse_u64 for 32-bit fields: a value that does not fit is rejected,
+/// never truncated into a different spec.
+std::uint32_t parse_u32(const std::string& v) {
+  const std::uint64_t u = parse_u64(v);
+  TMSIM_CHECK_MSG(u <= std::numeric_limits<std::uint32_t>::max(),
+                  "32-bit job spec field out of range");
+  return static_cast<std::uint32_t>(u);
+}
+
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::string cur;
@@ -64,15 +75,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 const char* topology_name(noc::Topology t) {
   return t == noc::Topology::kTorus ? "torus" : "mesh";
-}
-
-const char* policy_name(core::SchedulePolicy p) {
-  switch (p) {
-    case core::SchedulePolicy::kStatic: return "static";
-    case core::SchedulePolicy::kDynamic: return "dynamic";
-    case core::SchedulePolicy::kTwoPhaseOracle: return "two_phase";
-  }
-  return "?";
 }
 
 const char* partition_name(core::PartitionPolicy p) {
@@ -111,7 +113,6 @@ std::string JobSpec::serialize() const {
   os << " width=" << net.width << " height=" << net.height;
   os << " topology=" << topology_name(net.topology);
   os << " vcs=" << net.router.num_vcs << " qdepth=" << net.router.queue_depth;
-  os << " policy=" << policy_name(engine.policy);
   os << " shards=" << engine.num_shards;
   os << " partition=" << partition_name(engine.partition);
   os << " engine_seed=" << engine.seed;
@@ -204,14 +205,17 @@ JobSpec JobSpec::deserialize(const std::string& text) {
     } else if (key == "qdepth") {
       spec.net.router.queue_depth = parse_u64(val);
     } else if (key == "policy") {
-      if (val == "static") {
-        spec.engine.policy = core::SchedulePolicy::kStatic;
-      } else if (val == "dynamic") {
-        spec.engine.policy = core::SchedulePolicy::kDynamic;
-      } else if (val == "two_phase") {
-        spec.engine.policy = core::SchedulePolicy::kTwoPhaseOracle;
-      } else {
-        throw ContextualError("unknown schedule policy", {{"policy", val}});
+      // No longer emitted, but spill segments written by an older daemon
+      // still carry it, with any value that daemon admitted: `dynamic`,
+      // or `two_phase` for core jobs. Results do not depend on the
+      // schedule, so both decode to the same spec. `static` was never
+      // admitted: every job runs the NoC, whose router links are
+      // combinational.
+      if (val != "dynamic" && val != "two_phase") {
+        throw ContextualError(
+            "jobs run the dynamic schedule only; the NoC's router links "
+            "are combinational",
+            {{"policy", val}});
       }
     } else if (key == "shards") {
       spec.engine.num_shards = parse_u64(val);
@@ -241,8 +245,7 @@ JobSpec JobSpec::deserialize(const std::string& text) {
       spec.workload.be_load = parse_double(val);
     } else if (key == "be_vcs") {
       for (const std::string& v : split(val, ',')) {
-        spec.workload.be_vcs.push_back(
-            static_cast<unsigned>(parse_u64(v)));
+        spec.workload.be_vcs.push_back(parse_u32(v));
       }
     } else if (key == "be_bytes") {
       spec.workload.be_bytes = parse_u64(val);
@@ -257,7 +260,7 @@ JobSpec JobSpec::deserialize(const std::string& text) {
         traffic::GtStream s;
         s.src = parse_u64(f[0]);
         s.dst = parse_u64(f[1]);
-        s.vc = static_cast<unsigned>(parse_u64(f[2]));
+        s.vc = parse_u32(f[2]);
         s.period = parse_u64(f[3]);
         s.phase = parse_u64(f[4]);
         s.bytes = parse_u64(f[5]);
@@ -278,7 +281,7 @@ JobSpec JobSpec::deserialize(const std::string& text) {
     } else if (key == "deadline_ms") {
       spec.deadline_ms = parse_u64(val);
     } else if (key == "max_retries") {
-      spec.max_retries = static_cast<std::uint32_t>(parse_u64(val));
+      spec.max_retries = parse_u32(val);
     } else if (key == "f_read_flip") {
       spec.faults.read_flip = parse_double(val);
     } else if (key == "f_write_flip") {
@@ -322,6 +325,10 @@ void JobSpec::validate() const {
   }
   net.validate();
   TMSIM_CHECK_MSG(cycles >= 1, "job must simulate at least one cycle");
+  if (engine.num_shards == 0) {
+    throw ContextualError("an engine needs at least one shard",
+                          {{"shards", "0"}});
+  }
   TMSIM_CHECK_MSG(max_retries <= 64,
                   "max_retries above 64 is a crash-loop, not a retry policy");
   TMSIM_CHECK_MSG(!(workload.fig1_gt && !workload.gt_streams.empty()),
@@ -330,25 +337,25 @@ void JobSpec::validate() const {
     TMSIM_CHECK_MSG(workload.be_load <= 1.0, "be_load must be in [0,1]");
     TMSIM_CHECK_MSG(!workload.be_vcs.empty(),
                     "BE traffic needs at least one VC");
+    for (const unsigned vc : workload.be_vcs) {
+      if (vc >= net.router.num_vcs) {
+        throw ContextualError(
+            "BE vc out of range for the router",
+            {{"be_vcs", std::to_string(vc)},
+             {"vcs", std::to_string(net.router.num_vcs)}});
+      }
+    }
+    if (workload.be_bytes == 0 ||
+        workload.be_bytes > traffic::kMaxPacketBytes) {
+      throw ContextualError(
+          "BE packet payload must be 1.." +
+              std::to_string(traffic::kMaxPacketBytes) + " bytes",
+          {{"be_bytes", std::to_string(workload.be_bytes)}});
+    }
   }
   const std::vector<traffic::GtStream> streams = resolved_gt_streams();
   if (!streams.empty()) {
     traffic::TrafficHarness::validate_gt_streams(net, streams);
-  }
-  // Every job runs the NoC, whose router links are combinational, so the
-  // §4.1 static schedule (registered boundaries only) can never run; and
-  // the hosted FpgaDesign runs the dynamic schedule only, so any other
-  // policy is refused here, at admission, rather than by the design.
-  if (engine.policy == core::SchedulePolicy::kStatic ||
-      (kind == JobKind::kHostedFpga &&
-       engine.policy != core::SchedulePolicy::kDynamic)) {
-    throw ContextualError(
-        engine.policy == core::SchedulePolicy::kStatic
-            ? "the static schedule needs registered boundaries; the "
-              "NoC's router links are combinational"
-            : "hosted jobs run the dynamic schedule only",
-        {{"policy", policy_name(engine.policy)},
-         {"kind", job_kind_name(kind)}});
   }
   // The wire format carries no evaluation budget, so a spec that set one
   // would lose it in serialize() and run a different engine remotely.
@@ -357,6 +364,17 @@ void JobSpec::validate() const {
         "max_evals_per_block is not part of the job spec; leave it at the "
         "default",
         {{"max_evals_per_block", std::to_string(engine.max_evals_per_block)}});
+  }
+  for (const auto& [key, rate] :
+       {std::pair{"f_read_flip", faults.read_flip},
+        std::pair{"f_write_flip", faults.write_flip},
+        std::pair{"f_dropped_write", faults.dropped_write},
+        std::pair{"f_stuck_busy", faults.stuck_busy},
+        std::pair{"f_spurious_overrun", faults.spurious_overrun}}) {
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      throw ContextualError("fault rates are probabilities in [0,1]",
+                            {{key, fmt_double(rate)}});
+    }
   }
   if (kind == JobKind::kHostedFpga) {
     // The hosted stack (ArmHost ↔ FpgaDesign) has no warmup window and

@@ -124,8 +124,9 @@ struct JobSpec {
 
   /// Throws ContextualError on an unsatisfiable spec: invalid network,
   /// zero cycles, bad name charset, GT streams that violate the one-
-  /// stream-per-VC rule, or hosted-job options the ArmHost stack cannot
-  /// honour (warmup, payload verification, faults on a core job).
+  /// stream-per-VC rule, packets outside 1..traffic::kMaxPacketBytes,
+  /// or hosted-job options the ArmHost stack cannot honour (warmup,
+  /// payload verification, faults on a core job).
   void validate() const;
 
   /// The GT streams this spec resolves to (fig1 population or explicit).

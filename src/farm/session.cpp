@@ -25,8 +25,7 @@ std::string engine_cache_key(const JobSpec& spec) {
   std::ostringstream os;
   os << spec.net.width << "x" << spec.net.height << ":"
      << static_cast<int>(spec.net.topology) << ":" << spec.net.router.num_vcs
-     << ":" << spec.net.router.queue_depth << ":"
-     << static_cast<int>(opts.policy) << ":" << opts.num_shards << ":"
+     << ":" << spec.net.router.queue_depth << ":" << opts.num_shards << ":"
      << static_cast<int>(opts.partition) << ":"
      << static_cast<int>(opts.scheduler);
   return os.str();

@@ -472,6 +472,7 @@ void FarmdServer::handle_cancel(Conn& conn, const net::Frame& frame) {
   reply.req_id = m.req_id;
   std::uint64_t farm_id = 0;
   bool known = false;
+  bool refused = false;
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     auto it = jobs_.find(m.remote_id);
@@ -479,6 +480,8 @@ void FarmdServer::handle_cancel(Conn& conn, const net::Frame& frame) {
       known = true;
       if (it->second.farm_id != 0) {
         farm_id = it->second.farm_id;
+      } else if (it->second.refused.has_value()) {
+        refused = true;
       } else {
         // Still spilled: remember the intent; the refill thread cancels
         // the job the moment it is admitted, so exactly-one-result
@@ -492,6 +495,9 @@ void FarmdServer::handle_cancel(Conn& conn, const net::Frame& frame) {
         static_cast<std::uint8_t>(farm::CancelResult::kUnknownJob);
   } else if (farm_id != 0) {
     reply.outcome = static_cast<std::uint8_t>(farm_.cancel(farm_id));
+  } else if (refused) {
+    reply.outcome =
+        static_cast<std::uint8_t>(farm::CancelResult::kAlreadyFinished);
   } else {
     reply.outcome =
         static_cast<std::uint8_t>(farm::CancelResult::kRequested);
@@ -506,6 +512,7 @@ void FarmdServer::handle_fetch(Conn& conn, const net::Frame& frame) {
   std::uint64_t farm_id = 0;
   bool known = false;
   bool spilled = false;
+  std::optional<farm::JobResult> refused;
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     auto it = jobs_.find(m.remote_id);
@@ -513,10 +520,14 @@ void FarmdServer::handle_fetch(Conn& conn, const net::Frame& frame) {
       known = true;
       farm_id = it->second.farm_id;
       spilled = it->second.farm_id == 0 && it->second.spilled;
+      refused = it->second.refused;
     }
   }
   if (!known) {
     reply.state = static_cast<std::uint8_t>(net::RemoteJobState::kUnknown);
+  } else if (refused.has_value()) {
+    reply.state = static_cast<std::uint8_t>(net::RemoteJobState::kTerminal);
+    reply.result = std::move(refused);
   } else if (spilled) {
     reply.state = static_cast<std::uint8_t>(net::RemoteJobState::kSpilled);
   } else {
@@ -637,10 +648,6 @@ void FarmdServer::pump_main() {
 // --- spill refill ----------------------------------------------------------
 
 void FarmdServer::readmit(const SpillRecord& rec, farm::Priority cls) {
-  // The spec was validated before it was spilled; deserialize cannot
-  // fail short of disk corruption (which the record CRC already
-  // excludes).
-  const farm::JobSpec spec = farm::JobSpec::deserialize(rec.spec_text);
   // A record recovered from a previous daemon run has no jobs_ entry —
   // the table died with the process. Rebuild the routing state from the
   // record itself: resolve (or create) the owning client from the
@@ -661,6 +668,16 @@ void FarmdServer::readmit(const SpillRecord& rec, farm::Priority cls) {
     job.cls = cls;
     job.spilled = true;
     jobs_.emplace(rec.remote_id, job);
+  }
+  // The spec was validated before it was spilled, but perhaps by an
+  // older daemon whose format or admission rules this one no longer
+  // shares; such a record fails instead of taking the daemon down.
+  farm::JobSpec spec;
+  try {
+    spec = farm::JobSpec::deserialize(rec.spec_text);
+  } catch (const std::exception& e) {
+    refuse_spilled(rec, e.what());
+    return;
   }
   obs::TraceContext remote_ctx;
   remote_ctx.trace_id = rec.trace_id;
@@ -699,12 +716,43 @@ void FarmdServer::readmit(const SpillRecord& rec, farm::Priority cls) {
       std::this_thread::sleep_for(200us);
       continue;
     }
-    // kStopped (hard shutdown before the backlog drained): the record
-    // stays accounted as a known remote job; synthesize nothing — the
-    // graceful path drains the spill before stopping the farm, so this
-    // only happens when the process is going down anyway.
+    if (out.reason == farm::RejectReason::kStopped) {
+      // Hard shutdown before the backlog drained: the record stays
+      // accounted as a known remote job; synthesize nothing — the
+      // graceful path drains the spill before stopping the farm, so
+      // this only happens when the process is going down anyway.
+      return;
+    }
+    // kInvalidSpec or kTooLarge: admitted under an older daemon's rules
+    // or a higher cycle ceiling, never runnable here.
+    refuse_spilled(rec, out.detail);
     return;
   }
+}
+
+void FarmdServer::refuse_spilled(const SpillRecord& rec,
+                                 const std::string& why) {
+  farm::JobResult res;
+  res.job_id = rec.remote_id;
+  res.status = farm::JobStatus::kFailed;
+  res.error = why;
+  res.failure.kind = farm::FailureKind::kEngineError;
+  res.failure.message = why;
+  res.failure.replay = rec.spec_text;
+  std::shared_ptr<ClientState> owner;
+  {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    auto it = jobs_.find(rec.remote_id);
+    if (it == jobs_.end() || it->second.terminal) {
+      return;
+    }
+    it->second.spilled = false;
+    it->second.terminal = true;
+    it->second.refused = std::move(res);
+    owner = it->second.owner;
+  }
+  push_outbox(owner, rec.remote_id);
+  bump("net.spill.refused");
 }
 
 void FarmdServer::refill_main() {
@@ -816,15 +864,18 @@ void FarmdServer::writer_main(std::shared_ptr<ClientState> client) {
     // Build the Result frame outside the client lock (the result fetch
     // takes a result-store shard lock, the encode is pure CPU).
     std::uint64_t farm_id = 0;
+    std::optional<farm::JobResult> res;
     {
       std::lock_guard<std::mutex> lock(jobs_mu_);
       auto it = jobs_.find(remote_id);
       if (it != jobs_.end()) {
         farm_id = it->second.farm_id;
+        res = it->second.refused;
       }
     }
-    std::optional<farm::JobResult> res =
-        farm_id != 0 ? farm_.results().get(farm_id) : std::nullopt;
+    if (farm_id != 0) {
+      res = farm_.results().get(farm_id);
+    }
     if (!res.has_value()) {
       continue;  // routed id without a stored result: nothing to send
     }

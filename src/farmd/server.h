@@ -140,6 +140,9 @@ class FarmdServer {
     bool spilled = false;
     bool cancel_requested = false;
     bool terminal = false;
+    /// The failed result the daemon gave a spill record the farm would
+    /// not take (farm_id stays 0); see refuse_spilled().
+    std::optional<farm::JobResult> refused;
   };
 
   void accept_main();
@@ -179,6 +182,10 @@ class FarmdServer {
   /// Readmits one spill record into the farm (retrying on kQueueFull
   /// until admitted or hard-stopped).
   void readmit(const SpillRecord& rec, farm::Priority cls);
+  /// Ends a spill record the farm will never run (its spec no longer
+  /// decodes or admits) with a failed result routed to its owner, so the
+  /// client still gets exactly one terminal result.
+  void refuse_spilled(const SpillRecord& rec, const std::string& why);
   void bump(const char* counter, std::uint64_t n = 1);
 
   FarmdOptions opt_;

@@ -19,14 +19,6 @@ FpgaDesign::FpgaDesign(const FpgaBuildConfig& build) : build_(build) {
   TMSIM_CHECK_MSG(build_.stimuli_buffer_depth >= 2, "stimuli buffer too small");
   TMSIM_CHECK_MSG(build_.output_buffer_depth >= build_.stimuli_buffer_depth,
                   "output buffers must cover a full simulation period");
-  if (build_.engine.policy != core::SchedulePolicy::kDynamic) {
-    // Every router link is combinational (§4.2), so the static schedule
-    // cannot run and the two-phase ablation has no place in the design.
-    throw ContextualError(
-        "the FPGA design runs the dynamic schedule only",
-        {{"policy",
-          std::to_string(static_cast<int>(build_.engine.policy))}});
-  }
 }
 
 FpgaDesign::~FpgaDesign() = default;

@@ -55,8 +55,7 @@ struct FpgaBuildConfig {
   std::size_t max_routers = 256;
   /// Simulation engine behind the router block. num_shards 1 is the
   /// paper's sequential engine; > 1 the sharded bulk-synchronous engine
-  /// (bit-identical results; clamped to the router count). The policy
-  /// must stay kDynamic: the case-study NoC's links are combinational.
+  /// (bit-identical results; clamped to the router count).
   core::EngineOptions engine;
 };
 

@@ -9,6 +9,21 @@ using noc::Coord;
 using noc::LinkForward;
 using noc::Port;
 
+namespace {
+
+/// The per-stream preconditions every GT stream must meet to inject.
+void check_gt_stream(const noc::NetworkConfig& net, const GtStream& s) {
+  TMSIM_CHECK_MSG(s.src < net.num_routers() && s.dst < net.num_routers(),
+                  "GT stream endpoint out of range");
+  TMSIM_CHECK_MSG(s.src != s.dst, "GT stream src == dst");
+  TMSIM_CHECK_MSG(s.vc < net.router.num_vcs, "GT stream vc out of range");
+  TMSIM_CHECK_MSG(s.period >= 1, "GT stream period must be >= 1");
+  TMSIM_CHECK_MSG(s.bytes >= 1 && s.bytes <= kMaxPacketBytes,
+                  "GT packet payload must be 1..kMaxPacketBytes bytes");
+}
+
+}  // namespace
+
 TrafficHarness::TrafficHarness(noc::NocSimulation& sim, Options opt)
     : sim_(&sim), net_(sim.config()), opt_(opt), rng_(opt.seed) {
   const noc::NetworkConfig& net = net_;
@@ -41,12 +56,7 @@ void TrafficHarness::rebind(noc::NocSimulation& sim) {
 }
 
 void TrafficHarness::add_gt_stream(const GtStream& s) {
-  const noc::NetworkConfig& net = net_;
-  TMSIM_CHECK_MSG(s.src < net.num_routers() && s.dst < net.num_routers(),
-                  "GT stream endpoint out of range");
-  TMSIM_CHECK_MSG(s.src != s.dst, "GT stream src == dst");
-  TMSIM_CHECK_MSG(s.vc < net.router.num_vcs, "GT stream vc out of range");
-  TMSIM_CHECK_MSG(s.period >= 1, "GT stream period must be >= 1");
+  check_gt_stream(net_, s);
   gt_streams_.push_back(s);
 }
 
@@ -310,6 +320,7 @@ void TrafficHarness::validate_gt_streams(const noc::NetworkConfig& net,
   // occupies; any pair claimed twice breaks the one-stream-per-VC rule.
   std::set<std::tuple<std::size_t, int, unsigned>> claimed;  // (router,port,vc)
   for (const GtStream& s : streams) {
+    check_gt_stream(net, s);
     Coord here = router_coord(net, s.src);
     const Coord dest = router_coord(net, s.dst);
     std::size_t guard = 0;

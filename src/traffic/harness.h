@@ -114,9 +114,10 @@ class TrafficHarness {
   std::size_t source_backlog() const;
   SystemCycle current_cycle() const { return cycle_; }
 
-  /// Checks that no two GT streams share a (link, VC) pair along their XY
-  /// paths — the condition under which the round-robin arbitration gives
-  /// a hard latency bound (§2.1). Throws on violation.
+  /// Checks each stream's endpoints, VC, period and payload, and that no
+  /// two GT streams share a (link, VC) pair along their XY paths — the
+  /// condition under which the round-robin arbitration gives a hard
+  /// latency bound (§2.1). Throws on violation.
   static void validate_gt_streams(const noc::NetworkConfig& net,
                                   const std::vector<GtStream>& streams);
 

@@ -34,6 +34,11 @@ inline std::size_t payload_flits_for_bytes(std::size_t bytes) {
 inline constexpr std::size_t kGtPacketBytes = 256;  // → 129 flits
 inline constexpr std::size_t kBePacketBytes = 10;   // → 6 flits
 
+/// Largest payload a packet may carry: 256× the GT packet. The hosted
+/// ArmHost builds every flit of a packet when it generates it, so an
+/// unbounded size would be an unbounded allocation.
+inline constexpr std::size_t kMaxPacketBytes = 64 * 1024;
+
 /// The `index`-th flit (0 == HEAD) of a packet: HEAD(dest, vc, seq)
 /// followed by `payload_flits` payload flits, the last of which is the
 /// TAIL. Payload words derive deterministically from `fill` (a pattern

@@ -5,6 +5,7 @@ namespace tmsim::traffic {
 std::vector<GtStream> fig1_gt_streams(const noc::NetworkConfig& net,
                                       SystemCycle period) {
   TMSIM_CHECK_MSG(net.width >= 4, "2-hop stream pattern needs width >= 4");
+  TMSIM_CHECK_MSG(period >= 1, "GT stream period must be >= 1");
   std::vector<GtStream> streams;
   for (std::size_t y = 0; y < net.height; ++y) {
     for (std::size_t x = 0; x < net.width; ++x) {

@@ -294,31 +294,5 @@ TEST(StaticSchedule, RegisteredOnlyModelCompilesToFigThreeOrder) {
   }
 }
 
-TEST(StaticSchedule, TwoPhaseProgramDrivesAllThenEvaluatesAll) {
-  const SystemModel model = registered_ring();
-  const CompiledSchedule s = build_two_phase_schedule(model);
-  EXPECT_TRUE(s.acyclic());
-  EXPECT_EQ(s.num_blocks, 3u);
-  EXPECT_EQ(s.num_drives, 3u);
-  EXPECT_EQ(s.num_evals, 3u);
-  ASSERT_EQ(s.ops.size(), 6u);
-  for (BlockId b = 0; b < 3; ++b) {
-    EXPECT_EQ(s.ops[b].kind, CompiledOpKind::kDrive);
-    EXPECT_EQ(s.ops[b].block, b);
-    EXPECT_EQ(s.ops[3 + b].kind, CompiledOpKind::kEval);
-    EXPECT_EQ(s.ops[3 + b].block, b);
-  }
-  // A shard's view: only its members, in the same two passes.
-  std::vector<char> member = {1, 0, 1};
-  StaticScheduleOptions opt;
-  opt.include_blocks = &member;
-  const CompiledSchedule part = build_two_phase_schedule(model, opt);
-  ASSERT_EQ(part.ops.size(), 4u);
-  EXPECT_EQ(part.ops[1].kind, CompiledOpKind::kDrive);
-  EXPECT_EQ(part.ops[1].block, 2u);
-  EXPECT_EQ(part.ops[2].kind, CompiledOpKind::kEval);
-  EXPECT_EQ(part.ops[2].block, 0u);
-}
-
 }  // namespace
 }  // namespace tmsim::analysis

@@ -88,6 +88,21 @@ TEST(StaticSchedule, DynamicPolicyGivesIdenticalResultsOnRegisteredRing) {
   }
 }
 
+TEST(StaticSchedule, RunsTheCompiledProgramAndNoOtherScheduler) {
+  // kStatic is the compiled program of a registered-only model, so the
+  // scheduler argument may be left at its default or name kCompiled;
+  // a pickup scheduler would be silently ignored, so it is refused.
+  RegRing ring(1, 10, 100);
+  SequentialSimulator by_default(ring.model, SchedulePolicy::kStatic);
+  SequentialSimulator named(ring.model, SchedulePolicy::kStatic, 64, 1,
+                            SchedulerKind::kCompiled);
+  EXPECT_NE(by_default.compiled_schedule(), nullptr);
+  EXPECT_NE(named.compiled_schedule(), nullptr);
+  EXPECT_THROW(SequentialSimulator(ring.model, SchedulePolicy::kStatic, 64,
+                                   1, SchedulerKind::kWorklist),
+               Error);
+}
+
 TEST(StaticSchedule, RejectsCombinationalBoundaries) {
   SystemModel m;
   auto blk = std::make_shared<CombAdderBlock>(8, 1);
@@ -389,23 +404,6 @@ TEST(DynamicSchedule, WorklistSkipsAnIdleNetworkEntirely) {
   EXPECT_EQ(sim.link_value(chain.out).get_field(0, 8), 26u);
 }
 
-TEST(TwoPhaseOracle, MatchesDynamicOnStateOnlyDesign) {
-  PipeRing a({9, 8, 7}), b({9, 8, 7});
-  SequentialSimulator dyn(a.model, SchedulePolicy::kDynamic);
-  SequentialSimulator oracle(b.model, SchedulePolicy::kTwoPhaseOracle);
-  for (int cycle = 0; cycle < 25; ++cycle) {
-    dyn.step();
-    const StepStats st = oracle.step();
-    EXPECT_EQ(st.delta_cycles, 6u);  // always exactly 2N
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_EQ(dyn.block_state(a.blocks[i]), oracle.block_state(b.blocks[i]))
-          << cycle;
-      ASSERT_EQ(dyn.link_value(a.links[i]), oracle.link_value(b.links[i]))
-          << cycle;
-    }
-  }
-}
-
 TEST(Engine, ExternalInputValidation) {
   PipeRing ring({0, 0, 0});
   SequentialSimulator sim(ring.model, SchedulePolicy::kDynamic);
@@ -617,13 +615,6 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
     EXPECT_EQ(rr.link_value(l), wl.link_value(l));
     EXPECT_EQ(rr.link_value(l), cp.link_value(l));
   }
-
-  // Two-phase oracle: exactly two passes, so exactly one re-evaluation
-  // per block, every cycle.
-  SequentialSimulator tp(chain.model, SchedulePolicy::kTwoPhaseOracle);
-  st = tp.step();
-  EXPECT_EQ(st.delta_cycles, 6u);
-  EXPECT_EQ(st.re_evaluations, 3u);
 }
 
 }  // namespace

@@ -4,13 +4,17 @@
 // its own stream.
 #include "farm/job_spec.h"
 
+#include <cstdlib>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "farm/session.h"
 
 namespace tmsim::farm {
 namespace {
@@ -169,35 +173,26 @@ TEST(JobSpec, ValidateCatchesUnsatisfiableSpecs) {
   EXPECT_NO_THROW(JobSpec{}.validate());
 }
 
-TEST(JobSpec, ValidateRejectsSchedulePoliciesTheStackCannotRun) {
-  // Every job runs the NoC, whose router links are combinational: the
-  // static schedule would always fail its registered-boundary check at
-  // run time. The hosted FpgaDesign runs the dynamic schedule only and
-  // rejects any other policy when it is built.
-  const auto rejected = [](JobKind kind, core::SchedulePolicy policy) {
-    JobSpec s;
-    s.kind = kind;
-    s.engine.policy = policy;
+TEST(JobSpec, DecodeRejectsSchedulePoliciesTheStackCannotRun) {
+  // Every job runs the NoC, whose router links are combinational, so the
+  // dynamic schedule is the only one. The policy token is no longer
+  // emitted, but spill segments written before it was dropped still carry
+  // every value an older daemon admitted — `dynamic`, and `two_phase` for
+  // core jobs — and must decode to the same spec, since results do not
+  // depend on the schedule. `static` was never admitted.
+  const JobSpec spec = rich_spec();
+  const std::string text = spec.serialize();
+  EXPECT_EQ(text.find("policy="), std::string::npos) << text;
+  EXPECT_EQ(JobSpec::deserialize(text + " policy=dynamic"), spec);
+  EXPECT_EQ(JobSpec::deserialize(text + " policy=two_phase"), spec);
+  for (const char* policy : {"static", "bogus"}) {
     try {
-      s.validate();
+      JobSpec::deserialize(text + " policy=" + policy);
+      ADD_FAILURE() << "policy=" << policy << " accepted";
     } catch (const ContextualError& e) {
-      EXPECT_EQ(e.context_value("kind"), job_kind_name(kind));
-      return e.context_value("policy");
+      EXPECT_EQ(e.context_value("policy"), policy);
     }
-    return std::string("accepted");
-  };
-  EXPECT_EQ(rejected(JobKind::kCoreTraffic, core::SchedulePolicy::kStatic),
-            "static");
-  EXPECT_EQ(rejected(JobKind::kHostedFpga, core::SchedulePolicy::kStatic),
-            "static");
-  EXPECT_EQ(
-      rejected(JobKind::kHostedFpga, core::SchedulePolicy::kTwoPhaseOracle),
-      "two_phase");
-  EXPECT_EQ(
-      rejected(JobKind::kCoreTraffic, core::SchedulePolicy::kTwoPhaseOracle),
-      "accepted");
-  EXPECT_EQ(rejected(JobKind::kHostedFpga, core::SchedulePolicy::kDynamic),
-            "accepted");
+  }
 }
 
 TEST(JobSpec, ValidateRejectsAnEvaluationBudgetTheWireCannotCarry) {
@@ -213,6 +208,229 @@ TEST(JobSpec, ValidateRejectsAnEvaluationBudgetTheWireCannotCarry) {
   }
   s.engine.max_evals_per_block = 64;
   EXPECT_NO_THROW(s.validate());
+}
+
+/// The context value `key` of the ContextualError validate() throws, or
+/// "accepted" when it does not throw.
+std::string rejected_field(const JobSpec& s, const std::string& key) {
+  try {
+    s.validate();
+  } catch (const ContextualError& e) {
+    return e.context_value(key);
+  }
+  return "accepted";
+}
+
+TEST(JobSpec, ValidateRejectsZeroFig1GtPeriod) {
+  // fig1_gt staggers stream phases modulo the period; a zero period used
+  // to be a division by zero inside validate() itself.
+  JobSpec s;
+  s.workload.fig1_gt = true;
+  s.workload.gt_period = 0;
+  EXPECT_THROW(s.validate(), Error);
+  s.workload.gt_period = 1;
+  EXPECT_NO_THROW(s.validate());
+}
+
+TEST(JobSpec, ValidateRejectsZeroShards) {
+  JobSpec s;
+  s.engine.num_shards = 0;
+  EXPECT_EQ(rejected_field(s, "shards"), "0");
+  s.engine.num_shards = 1;
+  EXPECT_EQ(rejected_field(s, "shards"), "accepted");
+}
+
+TEST(JobSpec, ValidateRejectsBeVcsTheRoutersDoNotHave) {
+  for (const JobKind kind : {JobKind::kCoreTraffic, JobKind::kHostedFpga}) {
+    JobSpec s;
+    s.kind = kind;
+    s.net.router.num_vcs = 2;
+    s.workload.be_load = 0.1;
+    s.workload.be_vcs = {1, 2};
+    EXPECT_EQ(rejected_field(s, "be_vcs"), "2") << job_kind_name(kind);
+    s.workload.be_vcs = {0, 1};
+    EXPECT_EQ(rejected_field(s, "be_vcs"), "accepted") << job_kind_name(kind);
+  }
+}
+
+TEST(JobSpec, ValidateRejectsPayloadlessBePackets) {
+  for (const JobKind kind : {JobKind::kCoreTraffic, JobKind::kHostedFpga}) {
+    JobSpec s;
+    s.kind = kind;
+    s.workload.be_load = 0.1;
+    s.workload.be_bytes = 0;
+    EXPECT_EQ(rejected_field(s, "be_bytes"), "0") << job_kind_name(kind);
+    s.workload.be_bytes = 1;
+    EXPECT_EQ(rejected_field(s, "be_bytes"), "accepted")
+        << job_kind_name(kind);
+  }
+}
+
+TEST(JobSpec, ValidateRejectsPacketsAboveTheLargestSupported) {
+  // The hosted ArmHost builds a whole packet when it generates it, so a
+  // 2^32-byte packet used to pass admission and then allocate billions
+  // of flits on a worker.
+  for (const JobKind kind : {JobKind::kCoreTraffic, JobKind::kHostedFpga}) {
+    JobSpec be;
+    be.kind = kind;
+    be.workload.be_load = 0.1;
+    be.workload.be_bytes = traffic::kMaxPacketBytes + 1;
+    EXPECT_EQ(rejected_field(be, "be_bytes"),
+              std::to_string(traffic::kMaxPacketBytes + 1))
+        << job_kind_name(kind);
+    be.workload.be_bytes = traffic::kMaxPacketBytes;
+    EXPECT_EQ(rejected_field(be, "be_bytes"), "accepted")
+        << job_kind_name(kind);
+
+    JobSpec gt;
+    gt.kind = kind;
+    traffic::GtStream s;
+    s.src = 0;
+    s.dst = 1;
+    s.period = 100;
+    s.bytes = traffic::kMaxPacketBytes + 1;
+    gt.workload.gt_streams.push_back(s);
+    EXPECT_THROW(gt.validate(), Error) << job_kind_name(kind);
+    gt.workload.gt_streams[0].bytes = traffic::kMaxPacketBytes;
+    EXPECT_NO_THROW(gt.validate()) << job_kind_name(kind);
+  }
+}
+
+/// Every numeric field of `text` (a serialize() form): the token's key and
+/// the element's [begin, end) offsets. List elements (be_vcs, the fields
+/// of each GT stream) count one by one.
+struct NumericField {
+  std::string key;
+  std::size_t begin;
+  std::size_t end;
+};
+
+std::vector<NumericField> numeric_fields(const std::string& text) {
+  std::vector<NumericField> out;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t tok_end = text.find(' ', pos);
+    if (tok_end == std::string::npos) {
+      tok_end = text.size();
+    }
+    const std::size_t eq = text.find('=', pos);
+    const std::string key = text.substr(pos, eq - pos);
+    std::size_t b = eq + 1;
+    while (b < tok_end) {
+      std::size_t e = b;
+      while (e < tok_end && text[e] != ',' && text[e] != ';' &&
+             text[e] != ':') {
+        ++e;
+      }
+      const std::string elem = text.substr(b, e - b);
+      char* parse_end = nullptr;
+      std::strtod(elem.c_str(), &parse_end);
+      if (!elem.empty() && *parse_end == '\0') {
+        out.push_back({key, b, e});
+      }
+      b = e + 1;
+    }
+    pos = tok_end + 1;
+  }
+  return out;
+}
+
+/// Substitutes 0 and 2^32 for each numeric field of `base`'s serialized
+/// form in turn. Each hostile spec must either be refused by deserialize
+/// + validate, or run: 8 cycles (cycles forced to 8) must end kDone. A
+/// spec admission accepts must never fail on a worker.
+void sweep_tokens(const JobSpec& base) {
+  ASSERT_NO_THROW(base.validate());
+  const std::string text = base.serialize();
+  std::size_t refused = 0;
+  std::size_t ran = 0;
+  for (const NumericField& f : numeric_fields(text)) {
+    for (const char* value : {"0", "4294967296"}) {
+      const std::string hostile =
+          text.substr(0, f.begin) + value + text.substr(f.end);
+      SCOPED_TRACE(f.key + " <- " + value + ": " + hostile);
+      JobSpec spec;
+      try {
+        spec = JobSpec::deserialize(hostile);
+        spec.validate();
+      } catch (const std::exception&) {
+        ++refused;
+        continue;
+      }
+      ++ran;
+      if (f.key == "cycles") {
+        // An admitted multi-billion-cycle job is legal; run its first 8
+        // cycles instead of all of them.
+        SimSession session(spec);
+        std::unique_ptr<core::SeqNocSimulation> sim;
+        if (session.needs_engine()) {
+          sim = std::make_unique<core::SeqNocSimulation>(
+              spec.net, effective_engine_options(spec, false));
+          session.attach(*sim);
+        }
+        EXPECT_NO_THROW(session.advance(8));
+        EXPECT_FALSE(session.aborted());
+        continue;
+      }
+      spec.cycles = 8;
+      const JobResult r = run_job_standalone(spec);
+      EXPECT_EQ(r.status, JobStatus::kDone) << r.error;
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(ran, 0u);
+}
+
+TEST(JobSpec, HostileNumericTokensAreRefusedOrRun) {
+  JobSpec core_job;
+  core_job.name = "sweep";
+  core_job.net.width = 3;
+  core_job.net.height = 3;
+  core_job.net.topology = noc::Topology::kMesh;
+  core_job.net.router.queue_depth = 2;
+  core_job.engine.num_shards = 2;
+  core_job.engine.seed = 3;
+  core_job.engine.scheduler = core::SchedulerKind::kCompiled;
+  core_job.workload.be_load = 0.2;
+  core_job.workload.be_vcs = {1, 2};
+  traffic::GtStream s;
+  s.src = 1;
+  s.dst = 7;
+  s.vc = 3;
+  s.period = 5;
+  s.phase = 2;
+  s.bytes = 32;
+  core_job.workload.gt_streams.push_back(s);
+  core_job.workload.warmup_cycles = 2;
+  core_job.workload.verify_payload = true;
+  core_job.workload.overload_threshold = 4096;
+  core_job.seed = 7;
+  core_job.cycles = 8;
+  core_job.deadline_ms = 5000;
+  core_job.max_retries = 1;
+  sweep_tokens(core_job);
+
+  JobSpec hosted_job;
+  hosted_job.name = "sweep";
+  hosted_job.kind = JobKind::kHostedFpga;
+  hosted_job.net.width = 4;
+  hosted_job.net.height = 2;
+  hosted_job.net.router.queue_depth = 3;
+  hosted_job.workload.be_load = 0.2;
+  hosted_job.workload.be_vcs = {3};
+  hosted_job.workload.be_bytes = 18;
+  hosted_job.workload.fig1_gt = true;
+  hosted_job.workload.gt_period = 6;
+  hosted_job.seed = 11;
+  hosted_job.cycles = 8;
+  sweep_tokens(hosted_job);
+
+  // The same hosted job with an explicit GT stream instead of fig1_gt,
+  // so the stream's own tokens (bytes among them) are swept too.
+  hosted_job.workload.fig1_gt = false;
+  hosted_job.workload.gt_streams = {s};
+  hosted_job.workload.gt_streams[0].vc = 1;
+  sweep_tokens(hosted_job);
 }
 
 TEST(JobSpec, DeriveSeedSeparatesDomains) {

@@ -52,8 +52,7 @@ TEST_P(AllEngines, BitAndCycleExactAcrossAllFourEngines) {
 
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   sims.push_back(std::make_unique<noc::DirectNocSimulation>(net));
-  sims.push_back(std::make_unique<core::SeqNocSimulation>(
-      net, core::SchedulePolicy::kDynamic));
+  sims.push_back(std::make_unique<core::SeqNocSimulation>(net));
   sims.push_back(std::make_unique<sysc::SyscNocSimulation>(net));
   sims.push_back(std::make_unique<rtlsim::RtlNocSimulation>(net));
   noc::LockstepNocSimulation lockstep(std::move(sims));
@@ -101,8 +100,7 @@ TEST(AllEnginesGt, GtPlusBeWorkloadStaysExact) {
   net.router.queue_depth = 2;
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   sims.push_back(std::make_unique<noc::DirectNocSimulation>(net));
-  sims.push_back(std::make_unique<core::SeqNocSimulation>(
-      net, core::SchedulePolicy::kDynamic));
+  sims.push_back(std::make_unique<core::SeqNocSimulation>(net));
   sims.push_back(std::make_unique<sysc::SyscNocSimulation>(net));
   sims.push_back(std::make_unique<rtlsim::RtlNocSimulation>(net));
   noc::LockstepNocSimulation lockstep(std::move(sims));

@@ -110,7 +110,6 @@ NetworkConfig make_net(const RandomConfig& c) {
 EngineOptions make_opts(const RandomConfig& c, std::size_t shards,
                         SchedulerKind sched) {
   EngineOptions o;
-  o.policy = SchedulePolicy::kDynamic;
   o.num_shards = shards;
   o.partition = c.partition;
   o.scheduler = sched;

@@ -2,7 +2,7 @@
 // bit level accuracy"): the sequential time-multiplexed simulator must
 // match the golden two-phase reference on every register bit and every
 // link value, every cycle, across sizes, topologies, queue depths,
-// schedules and traffic loads.
+// schedulers and traffic loads.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +15,8 @@
 namespace tmsim {
 namespace {
 
-using core::SchedulePolicy;
+using core::EngineOptions;
+using core::SchedulerKind;
 using core::SeqNocSimulation;
 using noc::DirectNocSimulation;
 using noc::LockstepNocSimulation;
@@ -55,10 +56,9 @@ TEST_P(SeqEquivalence, DynamicScheduleMatchesGoldenReference) {
   const NetworkConfig net = make_net(sc);
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   sims.push_back(std::make_unique<DirectNocSimulation>(net));
-  sims.push_back(
-      std::make_unique<SeqNocSimulation>(net, SchedulePolicy::kDynamic));
-  sims.push_back(
-      std::make_unique<SeqNocSimulation>(net, SchedulePolicy::kTwoPhaseOracle));
+  sims.push_back(std::make_unique<SeqNocSimulation>(net));
+  sims.push_back(std::make_unique<SeqNocSimulation>(
+      net, EngineOptions{.scheduler = SchedulerKind::kCompiled}));
   LockstepNocSimulation lockstep(std::move(sims));
 
   traffic::TrafficHarness::Options opts;
@@ -99,8 +99,7 @@ TEST(SeqEquivalenceGt, MixedGtBeTrafficStaysBitExact) {
   net.router.queue_depth = 2;
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   sims.push_back(std::make_unique<DirectNocSimulation>(net));
-  sims.push_back(
-      std::make_unique<SeqNocSimulation>(net, SchedulePolicy::kDynamic));
+  sims.push_back(std::make_unique<SeqNocSimulation>(net));
   LockstepNocSimulation lockstep(std::move(sims));
   traffic::TrafficHarness::Options opts;
   opts.seed = 42;
@@ -121,7 +120,7 @@ TEST(SeqDeltaCycles, MinimumIsOneDeltaPerRouterPerCycle) {
   NetworkConfig net;
   net.width = 4;
   net.height = 4;
-  SeqNocSimulation sim(net, SchedulePolicy::kDynamic);
+  SeqNocSimulation sim(net);
   sim.step();  // idle network
   EXPECT_EQ(sim.last_step_stats().delta_cycles, 16u);
   EXPECT_EQ(sim.last_step_stats().re_evaluations, 0u);
@@ -131,13 +130,13 @@ TEST(SeqDeltaCycles, ReEvaluationsScaleWithTraffic) {
   NetworkConfig net;
   net.width = 4;
   net.height = 4;
-  SeqNocSimulation sim(net, SchedulePolicy::kDynamic);
+  SeqNocSimulation sim(net);
   traffic::TrafficHarness h(sim);
   h.set_be_load(0.2, {0, 1, 2, 3});
   h.run(300);
   const auto& eng = sim.engine();
-  // More than the idle minimum, far less than the two-per-block oracle
-  // bound (§6 reports 1.5–2× the input load as *extra* delta cycles).
+  // More than the idle minimum, far less than two evaluations per block
+  // (§6 reports 1.5–2× the input load as *extra* delta cycles).
   EXPECT_GT(eng.total_delta_cycles(), 300u * 16);
   EXPECT_LT(eng.total_delta_cycles(), 2u * 300 * 16);
 }

@@ -35,6 +35,7 @@ namespace {
 using core::EngineOptions;
 using core::PartitionPolicy;
 using core::SchedulePolicy;
+using core::SchedulerKind;
 using core::SeqNocSimulation;
 using noc::NetworkConfig;
 using noc::Topology;
@@ -49,7 +50,7 @@ struct RandomConfig {
   std::size_t cycles;
   std::size_t num_shards;
   PartitionPolicy partition;
-  SchedulePolicy schedule;
+  SchedulerKind scheduler;
 
   std::string replay_tuple(std::uint64_t index) const {
     return "replay{index=" + std::to_string(index) + ", net=" +
@@ -60,9 +61,8 @@ struct RandomConfig {
            ", traffic_seed=" + std::to_string(traffic_seed) +
            ", cycles=" + std::to_string(cycles) +
            ", num_shards=" + std::to_string(num_shards) + ", partition=" +
-           core::partition_policy_name(partition) + ", schedule=" +
-           (schedule == SchedulePolicy::kDynamic ? "dynamic" : "two_phase") +
-           "}";
+           core::partition_policy_name(partition) + ", scheduler=" +
+           core::scheduler_kind_name(scheduler) + "}";
   }
 };
 
@@ -92,10 +92,10 @@ RandomConfig derive_config(std::uint64_t index) {
       PartitionPolicy::kRoundRobin, PartitionPolicy::kContiguous,
       PartitionPolicy::kMinCutGreedy};
   c.partition = kPolicies[rng.next_below(3)];
-  // Mostly the production dynamic schedule; the two-phase oracle rides
-  // along to prove the engine is schedule-agnostic.
-  c.schedule = rng.next_below(6) == 0 ? SchedulePolicy::kTwoPhaseOracle
-                                      : SchedulePolicy::kDynamic;
+  // Mostly the reference round-robin pickup; the compiled op program
+  // rides along to prove the engine is schedule-agnostic.
+  c.scheduler = rng.next_below(6) == 0 ? SchedulerKind::kCompiled
+                                       : SchedulerKind::kRoundRobin;
   return c;
 }
 
@@ -110,7 +110,7 @@ NetworkConfig make_net(const RandomConfig& c) {
 
 EngineOptions sharded_opts(const RandomConfig& c) {
   EngineOptions o;
-  o.policy = c.schedule;
+  o.scheduler = c.scheduler;
   o.num_shards = c.num_shards;
   o.partition = c.partition;
   return o;
@@ -125,7 +125,8 @@ TEST_P(ShardedRandomized, BitIdenticalToSequential) {
   const NetworkConfig net = make_net(cfg);
 
   auto seq = std::make_unique<SeqNocSimulation>(
-      net, EngineOptions{cfg.schedule, 1, cfg.partition});
+      net, EngineOptions{.partition = cfg.partition,
+                         .scheduler = cfg.scheduler});
   auto sharded = std::make_unique<SeqNocSimulation>(net, sharded_opts(cfg));
   const SeqNocSimulation* seq_ptr = seq.get();
   const SeqNocSimulation* sharded_ptr = sharded.get();
@@ -191,7 +192,8 @@ TEST_P(ShardedStats, MonitorStatisticsMatchSequential) {
     return r;
   };
 
-  const auto a = run(EngineOptions{cfg.schedule, 1, cfg.partition});
+  const auto a = run(EngineOptions{.partition = cfg.partition,
+                                   .scheduler = cfg.scheduler});
   const auto b = run(sharded_opts(cfg));
   EXPECT_EQ(a.injected, b.injected);
   EXPECT_EQ(a.delivered, b.delivered);
@@ -239,8 +241,7 @@ TEST(ShardedClamp, MoreShardsThanBlocksClampsAndStaysExact) {
   traffic::TrafficHarness::Options opts;
   opts.seed = 99;
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
-  sims.push_back(std::make_unique<SeqNocSimulation>(net,
-                                                    SchedulePolicy::kDynamic));
+  sims.push_back(std::make_unique<SeqNocSimulation>(net));
   sims.push_back(std::make_unique<SeqNocSimulation>(net, o));
   noc::LockstepNocSimulation lockstep(std::move(sims));
   traffic::TrafficHarness h(lockstep, opts);
@@ -332,7 +333,7 @@ TEST(ShardedStatic, RegisteredPipelineMatchesSequential) {
   core::SequentialSimulator seq(m, SchedulePolicy::kStatic);
   core::EngineOptions cfg;
   cfg.num_shards = 3;
-  cfg.policy = SchedulePolicy::kStatic;
+  cfg.scheduler = SchedulerKind::kCompiled;  // what kStatic runs
   cfg.partition = PartitionPolicy::kRoundRobin;  // worst case: all links cut
   core::Engine sharded(m, cfg);
 

@@ -22,7 +22,6 @@ namespace tmsim {
 namespace {
 
 using core::EngineOptions;
-using core::SchedulePolicy;
 using core::SchedulerKind;
 
 constexpr std::size_t kCycles = 300;
@@ -61,48 +60,37 @@ std::uint64_t stats_stream_hash(const EngineOptions& opts, double load) {
 }
 
 struct PinnedStream {
-  SchedulePolicy policy;
   SchedulerKind scheduler;
   double load;
   std::uint64_t seed;
   std::uint64_t hash;
 };
 
-constexpr SchedulePolicy kDyn = SchedulePolicy::kDynamic;
-constexpr SchedulePolicy kTwo = SchedulePolicy::kTwoPhaseOracle;
 constexpr SchedulerKind kRr = SchedulerKind::kRoundRobin;
 constexpr SchedulerKind kWl = SchedulerKind::kWorklist;
 constexpr SchedulerKind kCp = SchedulerKind::kCompiled;
 
 constexpr PinnedStream kPinned[] = {
-    {kDyn, kRr, 0.02, 1, 14177976529857831366ull},
-    {kDyn, kRr, 0.02, 7, 14177976529857831366ull},
-    {kDyn, kRr, 0.30, 1, 8476482277377185957ull},
-    {kDyn, kRr, 0.30, 7, 12946309072524607941ull},
-    {kDyn, kWl, 0.02, 1, 12641621498358377614ull},
-    {kDyn, kWl, 0.02, 7, 12641621498358377614ull},
-    {kDyn, kWl, 0.30, 1, 6121459150801525735ull},
-    {kDyn, kWl, 0.30, 7, 6121459150801525735ull},
-    {kDyn, kCp, 0.02, 1, 1558712831643987750ull},
-    {kDyn, kCp, 0.02, 7, 1558712831643987750ull},
-    {kDyn, kCp, 0.30, 1, 6158784934889136997ull},
-    {kDyn, kCp, 0.30, 7, 6158784934889136997ull},
-    {kTwo, kRr, 0.02, 1, 6637056114422996390ull},
-    {kTwo, kRr, 0.02, 7, 6637056114422996390ull},
-    {kTwo, kRr, 0.30, 1, 7836753419080305381ull},
-    {kTwo, kRr, 0.30, 7, 7836753419080305381ull},
+    {kRr, 0.02, 1, 14177976529857831366ull},
+    {kRr, 0.02, 7, 14177976529857831366ull},
+    {kRr, 0.30, 1, 8476482277377185957ull},
+    {kRr, 0.30, 7, 12946309072524607941ull},
+    {kWl, 0.02, 1, 12641621498358377614ull},
+    {kWl, 0.02, 7, 12641621498358377614ull},
+    {kWl, 0.30, 1, 6121459150801525735ull},
+    {kWl, 0.30, 7, 6121459150801525735ull},
+    {kCp, 0.02, 1, 1558712831643987750ull},
+    {kCp, 0.02, 7, 1558712831643987750ull},
+    {kCp, 0.30, 1, 6158784934889136997ull},
+    {kCp, 0.30, 7, 6158784934889136997ull},
 };
 
 TEST(StepStatsPin, OneShardStreamMatchesRecordedHashes) {
   for (const PinnedStream& p : kPinned) {
-    SCOPED_TRACE(std::string(p.policy == SchedulePolicy::kDynamic
-                                 ? "dynamic"
-                                 : "two_phase") +
-                 " x " + core::scheduler_kind_name(p.scheduler) +
+    SCOPED_TRACE(std::string(core::scheduler_kind_name(p.scheduler)) +
                  " load=" + std::to_string(p.load) +
                  " seed=" + std::to_string(p.seed));
     EngineOptions opts;
-    opts.policy = p.policy;
     opts.scheduler = p.scheduler;
     opts.seed = p.seed;
     EXPECT_EQ(stats_stream_hash(opts, p.load), p.hash);

@@ -464,6 +464,122 @@ TEST(FarmdRemote, RestartRecoveryReadmitsSpilledRecordsToTheirClient) {
   EXPECT_TRUE(server.spill().empty());
 }
 
+TEST(FarmdRemote, RecoveredRecordsThisDaemonCannotRunFailToTheirClient) {
+  // Spill segments outlive the daemon that wrote them, and an older
+  // daemon decoded and admitted specs this one does not: a `two_phase`
+  // policy token (still decoded: results do not depend on the schedule),
+  // a `static` one (never admitted, no longer decodes), and a BE packet
+  // with no payload (admitted, then failed on a worker). Each record must
+  // end in exactly one terminal result for its client — never a dead
+  // daemon, never a job that hangs without a result.
+  const std::string dir = scratch_dir("refused");
+  farm::JobSpec base;
+  base.name = "legacy";
+  base.net.width = 3;
+  base.net.height = 3;
+  base.workload.be_load = 0.1;
+  base.cycles = 40;
+  const farm::JobResult base_standalone = farm::run_job_standalone(base);
+  ASSERT_EQ(base_standalone.status, farm::JobStatus::kDone);
+  farm::JobSpec payloadless = base;
+  payloadless.workload.be_bytes = 0;
+  const std::map<std::uint64_t, std::string> legacy = {
+      {10, base.serialize() + " policy=two_phase"},
+      {11, base.serialize() + " policy=static"},
+      {12, payloadless.serialize()},
+  };
+  {
+    SpillQueue crashed(dir);
+    for (const auto& [remote_id, text] : legacy) {
+      SpillRecord rec;
+      rec.remote_id = remote_id;
+      rec.client = "legacy-client";
+      rec.spec_text = text;
+      crashed.append(base.priority, rec);
+    }
+  }  // "crash": the records stay on disk
+
+  obs::MetricsRegistry metrics;
+  FarmdOptions opt;
+  opt.spill_dir = dir;
+  opt.farm.num_workers = 1;
+  opt.farm.metrics = &metrics;
+  FarmdServer server(opt);
+  net::FarmClient client(server.port(), "legacy-client");
+  client.subscribe();
+
+  std::map<std::uint64_t, farm::JobResult> results;
+  drain_results(client, legacy.size(), results);
+  ASSERT_EQ(results.size(), legacy.size());
+  std::string why;
+  EXPECT_TRUE(farm::results_equivalent(base_standalone, results.at(10), &why))
+      << why;
+  for (const std::uint64_t refused : {11u, 12u}) {
+    const farm::JobResult& r = results.at(refused);
+    EXPECT_EQ(r.status, farm::JobStatus::kFailed) << refused;
+    EXPECT_FALSE(r.error.empty()) << refused;
+    EXPECT_EQ(r.failure.replay, legacy.at(refused));
+    const net::FetchReplyMsg f = client.fetch(refused);
+    EXPECT_EQ(f.state,
+              static_cast<std::uint8_t>(net::RemoteJobState::kTerminal));
+    ASSERT_TRUE(f.result.has_value());
+    EXPECT_EQ(f.result->error, r.error);
+  }
+  EXPECT_EQ(metrics.counter_value("net.spill.refused"), 2u);
+
+  // And the daemon serves on.
+  const net::SubmitReplyMsg next = client.submit(base);
+  ASSERT_TRUE(next.accepted) << next.detail;
+  drain_results(client, legacy.size() + 1, results);
+  ASSERT_EQ(results.count(next.remote_id), 1u);
+  EXPECT_EQ(results.at(next.remote_id).status, farm::JobStatus::kDone);
+  client.close();
+  server.shutdown();
+  EXPECT_TRUE(server.spill().empty());
+}
+
+TEST(FarmdRemote, ZeroGtPeriodIsRejectedAndTheDaemonServesOn) {
+  // fig1_gt staggers stream phases modulo gt_period; a zero period used
+  // to divide by zero inside admission and kill the daemon.
+  FarmdOptions opt;
+  opt.spill_dir = scratch_dir("zero_period");
+  opt.farm.num_workers = 1;
+  FarmdServer server(opt);
+  net::FarmClient client(server.port(), "hostile-client");
+
+  farm::JobSpec hostile;
+  hostile.name = "zero-period";
+  hostile.workload.fig1_gt = true;
+  hostile.workload.gt_period = 0;
+  hostile.cycles = 10;
+  const net::SubmitReplyMsg bad = client.submit(hostile);
+  EXPECT_FALSE(bad.accepted);
+  EXPECT_EQ(bad.reason,
+            static_cast<std::uint8_t>(farm::RejectReason::kInvalidSpec));
+  EXPECT_FALSE(bad.detail.empty());
+
+  farm::JobSpec next;
+  next.name = "after-reject";
+  next.net.width = 3;
+  next.net.height = 3;
+  next.workload.be_load = 0.1;
+  next.cycles = 40;
+  const net::SubmitReplyMsg ok = client.submit(next);
+  ASSERT_TRUE(ok.accepted);
+  for (;;) {
+    const net::FetchReplyMsg f = client.fetch(ok.remote_id);
+    if (f.state == static_cast<std::uint8_t>(net::RemoteJobState::kTerminal)) {
+      ASSERT_TRUE(f.result.has_value());
+      EXPECT_EQ(f.result->status, farm::JobStatus::kDone);
+      EXPECT_EQ(f.result->state_digest,
+                farm::run_job_standalone(next).state_digest);
+      break;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  client.close();
+}
+
 TEST(FarmdRemote, RejectsBackpressureAndProtocolErrors) {
   FarmdOptions opt;
   opt.spill_dir = scratch_dir("errors");
