@@ -43,10 +43,49 @@ void BM_RouterEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterEvaluate);
 
+/// A saturated router's registers: every queue partly or fully occupied
+/// with wrapped pointers, half the routes locked, busy output VCs with
+/// varied credits, scattered arbiter pointers. The reset word is all-zero
+/// slots and empty queues, which is not what a loaded network decodes.
+noc::RouterState loaded_state(const noc::RouterConfig& cfg) {
+  noc::RouterState s(cfg);
+  for (std::size_t q = 0; q < cfg.num_queues(); ++q) {
+    noc::QueueState& qs = s.queues[q];
+    for (std::size_t i = 0; i < q % cfg.queue_depth; ++i) {
+      qs.fifo.push(noc::Flit{noc::FlitType::kBody, 0});
+      qs.fifo.pop();
+    }
+    const std::size_t fill = 1 + q % cfg.queue_depth;
+    for (std::size_t i = 0; i < fill; ++i) {
+      qs.fifo.push(noc::Flit{i == 0 ? noc::FlitType::kHead
+                                    : noc::FlitType::kBody,
+                             static_cast<std::uint16_t>(0x9e37 * (q + i))});
+    }
+    qs.locked = q % 2 == 0;
+    qs.out_port = static_cast<noc::Port>(q % noc::kPorts);
+  }
+  for (std::size_t o = 0; o < cfg.num_queues(); ++o) {
+    s.out_vcs[o].busy = o % 3 != 0;
+    s.out_vcs[o].owner_port = static_cast<std::uint8_t>(o % noc::kPorts);
+    s.out_vcs[o].credits =
+        static_cast<std::uint8_t>(o % (cfg.queue_depth + 1));
+  }
+  for (std::size_t p = 0; p < noc::kPorts; ++p) {
+    s.rr_ptr[p] = static_cast<std::uint8_t>((7 * p + 3) % cfg.num_queues());
+  }
+  return s;
+}
+
+/// arg 0: reset state, arg 1: loaded_state().
+noc::RouterState codec_bench_state(const benchmark::State& state,
+                                   const noc::RouterConfig& cfg) {
+  return state.range(0) == 0 ? noc::RouterState(cfg) : loaded_state(cfg);
+}
+
 void BM_StateWordSerialize(benchmark::State& state) {
   const noc::RouterConfig cfg;
   const noc::RouterStateCodec codec(cfg);
-  noc::RouterState s(cfg);
+  const noc::RouterState s = codec_bench_state(state, cfg);
   BitVector word(codec.state_bits());
   for (auto _ : state) {
     codec.serialize_into(s, word);
@@ -54,12 +93,12 @@ void BM_StateWordSerialize(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * codec.state_bits() / 8);
 }
-BENCHMARK(BM_StateWordSerialize);
+BENCHMARK(BM_StateWordSerialize)->ArgName("loaded")->Arg(0)->Arg(1);
 
 void BM_StateWordDeserialize(benchmark::State& state) {
   const noc::RouterConfig cfg;
   const noc::RouterStateCodec codec(cfg);
-  const BitVector word = codec.reset_word();
+  const BitVector word = codec.serialize(codec_bench_state(state, cfg));
   noc::RouterState s(cfg);
   for (auto _ : state) {
     codec.deserialize_into(word, s);
@@ -67,7 +106,7 @@ void BM_StateWordDeserialize(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * codec.state_bits() / 8);
 }
-BENCHMARK(BM_StateWordDeserialize);
+BENCHMARK(BM_StateWordDeserialize)->ArgName("loaded")->Arg(0)->Arg(1);
 
 void BM_StateMemoryRoundTrip(benchmark::State& state) {
   core::StateMemory mem(std::vector<std::size_t>(36, 2000));

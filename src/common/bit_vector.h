@@ -3,13 +3,17 @@
 // This is the fundamental data type of the reproduction: the paper's method
 // extracts every register of a hardware block and concatenates the values
 // into one memory word ("old" and "new", §5.2). BitVector is that memory
-// word. StateLayout (noc/state_layout.h) assigns (offset,width) slots; the
-// simulators read and write fields through get_field/set_field, so the
+// word. StateLayout (noc/state_layout.h) assigns (offset,width) slots, so the
 // register file layout in our state memory is explicit and countable —
-// which is how bench/table1 derives the paper's Table 1.
+// which is how bench/table1 derives the paper's Table 1. Fields are read
+// and written through get_field/set_field; the router state codec, which
+// runs every delta cycle, instead compiles its layout into shifts and masks
+// over words() and writes the word back whole with store_words().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,8 +50,6 @@ class BitVector {
   }
 
   /// Reads `width` (1..64) bits starting at `offset`, returned LSB-aligned.
-  /// Inline: this is the innermost loop of the sequential simulator (the
-  /// state-memory word is read field by field every delta cycle).
   std::uint64_t get_field(std::size_t offset, std::size_t width) const {
     TMSIM_CHECK_MSG(width >= 1 && width <= 64, "field width must be 1..64");
     TMSIM_CHECK_MSG(offset + width <= width_, "field read out of range");
@@ -107,6 +109,19 @@ class BitVector {
 
   /// Raw word access for the memory models (read-only).
   const std::vector<std::uint64_t>& words() const { return words_; }
+
+  /// Replaces the whole vector with `src`, LSB word first. `src` must hold
+  /// exactly words().size() words with every bit above width() zero
+  /// (checked once here) — the bulk store of a codec that assembles the
+  /// word itself.
+  void store_words(std::span<const std::uint64_t> src) {
+    TMSIM_CHECK_MSG(src.size() == words_.size(), "word count mismatch");
+    if (width_ % 64 != 0) {
+      TMSIM_CHECK_MSG((src.back() >> (width_ % 64)) == 0,
+                      "bits set above the vector width");
+    }
+    std::copy(src.begin(), src.end(), words_.begin());
+  }
 
  private:
   std::size_t width_;

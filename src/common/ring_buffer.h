@@ -95,7 +95,14 @@ class RingBuffer {
     TMSIM_CHECK_MSG(read_pos < capacity_ && write_pos < capacity_ &&
                         size <= capacity_,
                     "invalid ring buffer restore state");
-    TMSIM_CHECK_MSG((read_pos + size) % capacity_ == write_pos ||
+    // read_pos + size < 2 * capacity_ here, so one subtraction wraps it
+    // (no division: the state codec restores every queue every delta
+    // cycle).
+    std::size_t end = read_pos + size;
+    if (end >= capacity_) {
+      end -= capacity_;
+    }
+    TMSIM_CHECK_MSG(end == write_pos ||
                         (size == capacity_ && read_pos == write_pos),
                     "inconsistent ring buffer pointers");
     read_ = read_pos;

@@ -11,7 +11,9 @@
 //
 // RouterStateCodec turns the whole struct into one BitVector and back,
 // with an explicit StateLayout so the bit cost of every design parameter
-// is inspectable (bench/table1_registers prints it).
+// is inspectable (bench/table1_registers prints it). The layout is
+// compiled once into a field plan of shifts and masks, which every
+// encode/decode walks (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -86,13 +88,22 @@ class RouterStateCodec {
   BitVector reset_word() const;
 
  private:
+  /// One StateLayout field compiled to word-aligned operations: the field
+  /// occupies bits [shift, shift + width) of word `word`, spilling into
+  /// word + 1 when it straddles a 64-bit boundary.
+  struct FieldOp {
+    std::uint64_t mask;  ///< low `width` bits set
+    std::uint16_t word;
+    std::uint8_t shift;
+    bool straddles;
+    bool ends_word;  ///< the field reaches bit 63 of `word`
+  };
+
+  [[noreturn]] void throw_field_overflow(const RouterState& s) const;
+
   RouterConfig cfg_;
   StateLayout layout_;
-  // Field indices, addressed by queue / out-vc / port index.
-  std::vector<std::vector<std::size_t>> f_slot_;  // [queue][slot]
-  std::vector<std::size_t> f_rd_, f_wr_, f_full_, f_locked_, f_outport_;
-  std::vector<std::size_t> f_busy_, f_owner_, f_credits_;
-  std::vector<std::size_t> f_rr_;
+  std::vector<FieldOp> plan_;  // one op per layout field, in layout order
 };
 
 /// Two router states are equal iff their serializations are bit-identical.

@@ -7,7 +7,10 @@
 // slot in the block's state-memory word, grouped into categories so that
 // bench/table1 can regenerate the paper's Table 1 (register bits per
 // router, per category) directly from the implementation instead of
-// quoting it.
+// quoting it. The layout is the only definition of field offsets:
+// RouterStateCodec compiles it into a plan of shifts and masks for the hot
+// path (DESIGN.md §7), and read/write below stay the field-at-a-time
+// reference that the codec tests compare against.
 #pragma once
 
 #include <cstddef>

@@ -136,6 +136,30 @@ TEST(BitVector, RandomizedFieldRoundTrip) {
   }
 }
 
+TEST(BitVector, StoreWordsReplacesEveryWord) {
+  BitVector v(100);
+  v.set_field(0, 64, 0xffffffffffffffffull);
+  const std::vector<std::uint64_t> src = {0x0123456789abcdefull,
+                                          0xfffffffffull};
+  v.store_words(src);
+  EXPECT_EQ(v.get_field(0, 64), 0x0123456789abcdefull);
+  EXPECT_EQ(v.get_field(64, 36), 0xfffffffffull);
+}
+
+TEST(BitVector, StoreWordsRejectsWrongCountAndPaddingBits) {
+  BitVector v(100);
+  const std::vector<std::uint64_t> one = {1};
+  EXPECT_THROW(v.store_words(one), Error);
+  // Bit 100 is the first padding bit of the second word.
+  const std::vector<std::uint64_t> padded = {0, std::uint64_t{1} << 36};
+  EXPECT_THROW(v.store_words(padded), Error);
+  EXPECT_EQ(v.popcount(), 0u);
+  BitVector full(128);
+  const std::vector<std::uint64_t> all = {~std::uint64_t{0}, ~std::uint64_t{0}};
+  full.store_words(all);
+  EXPECT_EQ(full.popcount(), 128u);
+}
+
 TEST(BitVector, MakeBitVectorHelper) {
   const BitVector v = make_bit_vector(10, 0x2ffu);
   EXPECT_EQ(v.get_field(0, 10), 0x2ffu);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "common/rng.h"
 
 namespace tmsim::noc {
@@ -127,6 +130,228 @@ TEST(RouterStateCodec, RejectsWrongWidthWord) {
   const RouterStateCodec codec(default_cfg());
   EXPECT_THROW(codec.deserialize(BitVector(codec.state_bits() + 1)),
                tmsim::Error);
+}
+
+// --- The codec against StateLayout, over every router shape ------------
+
+constexpr std::size_t kShapeVcs[] = {1, 2, 3, 4};
+constexpr std::size_t kShapeDepths[] = {1, 2, 3, 4, 5, 8, 15};
+
+RouterConfig shape(std::size_t vcs, std::size_t depth) {
+  RouterConfig cfg;
+  cfg.num_vcs = vcs;
+  cfg.queue_depth = depth;
+  return cfg;
+}
+
+/// A random reachable state: every queue's pointers are rotated by a
+/// random number of push/pop pairs first, so they wrap and the dead slots
+/// hold stale flits, as in a running router.
+RouterState random_reachable_state(const RouterConfig& cfg,
+                                   tmsim::SplitMix64& rng) {
+  const auto random_flit = [&rng] {
+    return Flit{static_cast<FlitType>(1 + rng.next_below(3)),
+                static_cast<std::uint16_t>(rng.next())};
+  };
+  RouterState s(cfg);
+  for (auto& q : s.queues) {
+    const std::size_t rotate = rng.next_below(2 * cfg.queue_depth + 1);
+    for (std::size_t i = 0; i < rotate; ++i) {
+      q.fifo.push(random_flit());
+      q.fifo.pop();
+    }
+    const std::size_t n = rng.next_below(cfg.queue_depth + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      q.fifo.push(random_flit());
+    }
+    q.locked = rng.next_below(2) == 1;
+    q.out_port = static_cast<Port>(rng.next_below(kPorts));
+  }
+  for (auto& ovc : s.out_vcs) {
+    ovc.busy = rng.next_below(2) == 1;
+    ovc.owner_port = static_cast<std::uint8_t>(rng.next_below(kPorts));
+    ovc.credits =
+        static_cast<std::uint8_t>(rng.next_below(cfg.queue_depth + 1));
+  }
+  for (auto& rr : s.rr_ptr) {
+    rr = static_cast<std::uint8_t>(rng.next_below(cfg.num_queues()));
+  }
+  return s;
+}
+
+/// Every register of `s` under its StateLayout field name, derived from
+/// the struct alone (independent of the codec's field order).
+std::map<std::string, std::uint64_t> registers_by_name(const RouterConfig& cfg,
+                                                       const RouterState& s) {
+  std::map<std::string, std::uint64_t> out;
+  for (std::size_t q = 0; q < cfg.num_queues(); ++q) {
+    const QueueState& qs = s.queues[q];
+    const std::string p = "q" + std::to_string(q) + ".";
+    for (std::size_t slot = 0; slot < cfg.queue_depth; ++slot) {
+      out[p + "slot" + std::to_string(slot)] = encode_flit(qs.fifo.slot(slot));
+    }
+    out[p + "rd"] = qs.fifo.read_pos();
+    out[p + "wr"] = qs.fifo.write_pos();
+    out[p + "full"] = qs.fifo.full() ? 1 : 0;
+    out[p + "locked"] = qs.locked ? 1 : 0;
+    out[p + "out_port"] = static_cast<std::uint64_t>(qs.out_port);
+  }
+  for (std::size_t o = 0; o < cfg.num_queues(); ++o) {
+    const std::string p = "ovc" + std::to_string(o) + ".";
+    out[p + "busy"] = s.out_vcs[o].busy ? 1 : 0;
+    out[p + "owner"] = s.out_vcs[o].owner_port;
+    out[p + "credits"] = s.out_vcs[o].credits;
+  }
+  for (std::size_t p = 0; p < kPorts; ++p) {
+    out["arb" + std::to_string(p) + ".rr"] = s.rr_ptr[p];
+  }
+  return out;
+}
+
+void expect_fields_match(const RouterStateCodec& codec, const RouterState& s,
+                         const BitVector& word) {
+  const auto regs = registers_by_name(codec.config(), s);
+  const StateLayout& layout = codec.layout();
+  ASSERT_EQ(regs.size(), layout.fields().size());
+  for (std::size_t i = 0; i < layout.fields().size(); ++i) {
+    const std::string& name = layout.field(i).name;
+    ASSERT_EQ(regs.count(name), 1u) << name;
+    ASSERT_EQ(regs.at(name), layout.read(word, i)) << name;
+  }
+}
+
+std::size_t field_index(const StateLayout& layout, const std::string& name) {
+  for (std::size_t i = 0; i < layout.fields().size(); ++i) {
+    if (layout.field(i).name == name) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no field " << name;
+  return 0;
+}
+
+TEST(RouterStateCodecShapes, SerializeAgreesWithLayoutOnEveryShape) {
+  tmsim::SplitMix64 rng(0x5eed);
+  for (const std::size_t vcs : kShapeVcs) {
+    for (const std::size_t depth : kShapeDepths) {
+      SCOPED_TRACE("vcs=" + std::to_string(vcs) +
+                   " depth=" + std::to_string(depth));
+      const RouterConfig cfg = shape(vcs, depth);
+      const RouterStateCodec codec(cfg);
+      const std::size_t tail = codec.state_bits() % 64;
+      for (int iter = 0; iter < 40; ++iter) {
+        const RouterState s = random_reachable_state(cfg, rng);
+        const BitVector w = codec.serialize(s);
+        expect_fields_match(codec, s, w);
+        if (tail != 0) {
+          ASSERT_EQ(w.words().back() >> tail, 0u) << "padding bits set";
+        }
+        ASSERT_EQ(codec.serialize(codec.deserialize(w)), w);
+      }
+    }
+  }
+}
+
+TEST(RouterStateCodecShapes, DeserializeAgreesWithLayoutOnArbitraryWords) {
+  // Random words: decode must reject exactly the words in which some
+  // queue's rd/wr/full registers are inconsistent, and otherwise yield the
+  // layout's value for every register.
+  tmsim::SplitMix64 rng(0xdec0de);
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (const std::size_t vcs : kShapeVcs) {
+    for (const std::size_t depth : kShapeDepths) {
+      SCOPED_TRACE("vcs=" + std::to_string(vcs) +
+                   " depth=" + std::to_string(depth));
+      const RouterConfig cfg = shape(vcs, depth);
+      const RouterStateCodec codec(cfg);
+      const StateLayout& layout = codec.layout();
+      for (int iter = 0; iter < 40; ++iter) {
+        BitVector w(codec.state_bits());
+        for (std::size_t i = 0; i < layout.fields().size(); ++i) {
+          const std::size_t width = layout.field(i).width;
+          layout.write(w, i, rng.next() >> (64 - width));
+        }
+        // Most random words have an inconsistent queue; repair every
+        // queue in half of them so both outcomes are well covered.
+        const bool repair = iter % 2 == 0;
+        bool inconsistent = false;
+        for (std::size_t q = 0; q < cfg.num_queues(); ++q) {
+          const std::string p = "q" + std::to_string(q) + ".";
+          const std::size_t f_rd = field_index(layout, p + "rd");
+          const std::size_t f_wr = field_index(layout, p + "wr");
+          const std::size_t f_full = field_index(layout, p + "full");
+          if (repair) {
+            layout.write(w, f_rd, layout.read(w, f_rd) % depth);
+            layout.write(w, f_wr, layout.read(w, f_wr) % depth);
+            if (layout.read(w, f_rd) != layout.read(w, f_wr)) {
+              layout.write(w, f_full, 0);
+            }
+          }
+          const std::uint64_t rd = layout.read(w, f_rd);
+          const std::uint64_t wr = layout.read(w, f_wr);
+          const bool full = layout.read(w, f_full) != 0;
+          inconsistent |= rd >= depth || wr >= depth || (full && rd != wr);
+        }
+        if (inconsistent) {
+          ++rejected;
+          ASSERT_THROW(codec.deserialize(w), tmsim::Error);
+          continue;
+        }
+        ++accepted;
+        const RouterState s = codec.deserialize(w);
+        expect_fields_match(codec, s, w);
+      }
+    }
+  }
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(accepted, 100u);
+}
+
+/// Encodes `s` and returns the ContextualError it raises.
+tmsim::ContextualError overflow_error(const RouterStateCodec& codec,
+                                      const RouterState& s) {
+  BitVector w(codec.state_bits());
+  try {
+    codec.serialize_into(s, w);
+  } catch (const tmsim::ContextualError& e) {
+    return e;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a ContextualError, got: " << e.what();
+    return tmsim::ContextualError("", {});
+  }
+  ADD_FAILURE() << "out-of-range register was encoded without an error";
+  return tmsim::ContextualError("", {});
+}
+
+TEST(RouterStateCodec, OutOfRangeCreditsNamesItsField) {
+  const RouterConfig cfg = default_cfg();  // depth 4: 3-bit credit counter
+  const RouterStateCodec codec(cfg);
+  RouterState s(cfg);
+  s.out_vcs[7].credits = 9;
+  const tmsim::ContextualError e = overflow_error(codec, s);
+  EXPECT_EQ(e.context_value("field"), "ovc7.credits");
+  EXPECT_EQ(e.context_value("value"), "9");
+}
+
+TEST(RouterStateCodec, OutOfRangeOwnerPortNamesItsField) {
+  const RouterConfig cfg = default_cfg();  // 3-bit owner port
+  const RouterStateCodec codec(cfg);
+  RouterState s(cfg);
+  s.out_vcs[3].owner_port = 8;
+  const tmsim::ContextualError e = overflow_error(codec, s);
+  EXPECT_EQ(e.context_value("field"), "ovc3.owner");
+  EXPECT_EQ(e.context_value("value"), "8");
+}
+
+TEST(RouterStateCodec, OutOfRangeRrPointerNamesItsField) {
+  const RouterConfig cfg = default_cfg();  // 20 queues: 5-bit rr pointer
+  const RouterStateCodec codec(cfg);
+  RouterState s(cfg);
+  s.rr_ptr[2] = 40;
+  const tmsim::ContextualError e = overflow_error(codec, s);
+  EXPECT_EQ(e.context_value("field"), "arb2.rr");
+  EXPECT_EQ(e.context_value("value"), "40");
 }
 
 TEST(StateLayout, CategoriesAndOffsets) {
