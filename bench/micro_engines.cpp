@@ -5,6 +5,8 @@
 // one metric per benchmark (adjusted real time).
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "bench/bench_util.h"
 #include "core/noc_block.h"
 #include "core/sequential_simulator.h"
@@ -42,6 +44,55 @@ void BM_RouterEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouterEvaluate);
+
+/// The engine's delta cycle for one router: RouterBlock::step on its
+/// resident state — link-word decode, G, F, link-word encode — with no
+/// state word. Same registers as BM_RouterEvaluate.
+void BM_RouterStep(benchmark::State& state) {
+  const noc::NetworkConfig net = net_of(6, 6);
+  const core::RouterBlock block(
+      std::make_shared<const noc::RouterStateCodec>(net.router),
+      noc::RouterEnv{&net, noc::Coord{2, 2}});
+  noc::RouterState s(net.router);
+  s.queues[0].fifo.push(
+      noc::Flit{noc::FlitType::kHead, noc::make_head_payload(4, 2, 0, 1)});
+  noc::RouterState next(net.router);
+  const std::array<std::uint64_t, 9> in{};
+  std::array<std::uint64_t, 10> out{};
+  for (auto _ : state) {
+    block.step_state(s, in, next, out);
+    benchmark::DoNotOptimize(next);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_RouterStep);
+
+/// The same delta cycle through the word view (RouterBlock::evaluate):
+/// state-word decode → step → encode, what every evaluation paid before
+/// the engine kept router states resident.
+void BM_RouterWordEvaluate(benchmark::State& state) {
+  const noc::NetworkConfig net = net_of(6, 6);
+  const auto codec = std::make_shared<const noc::RouterStateCodec>(net.router);
+  const core::RouterBlock block(codec, noc::RouterEnv{&net, noc::Coord{2, 2}});
+  noc::RouterState s(net.router);
+  s.queues[0].fifo.push(
+      noc::Flit{noc::FlitType::kHead, noc::make_head_payload(4, 2, 0, 1)});
+  const BitVector old_word = codec->serialize(s);
+  BitVector new_word(codec->state_bits());
+  std::vector<BitVector> in;
+  std::vector<BitVector> out;
+  for (std::size_t p = 0; p < block.num_inputs(); ++p) {
+    in.emplace_back(block.input_width(p));
+  }
+  for (std::size_t p = 0; p < block.num_outputs(); ++p) {
+    out.emplace_back(block.output_width(p));
+  }
+  for (auto _ : state) {
+    block.evaluate(old_word, in, new_word, out);
+    benchmark::DoNotOptimize(new_word);
+  }
+}
+BENCHMARK(BM_RouterWordEvaluate);
 
 /// A saturated router's registers: every queue partly or fully occupied
 /// with wrapped pointers, half the routes locked, busy output VCs with
@@ -108,17 +159,23 @@ void BM_StateWordDeserialize(benchmark::State& state) {
 }
 BENCHMARK(BM_StateWordDeserialize)->ArgName("loaded")->Arg(0)->Arg(1);
 
+/// 36 resident router states per bank: carry every one over and flip —
+/// the worklist's skip path, one register copy per block.
 void BM_StateMemoryRoundTrip(benchmark::State& state) {
-  core::StateMemory mem(std::vector<std::size_t>(36, 2000));
-  const BitVector word(2000);
+  const noc::NetworkConfig net = net_of(6, 6);
+  const core::NocModel nm = core::build_noc_model(net);
+  std::vector<const core::SimBlock*> blocks;
+  for (core::BlockId b = 0; b < nm.model.num_blocks(); ++b) {
+    blocks.push_back(nm.model.block(b).logic.get());
+  }
+  core::StateMemory mem(blocks);
   for (auto _ : state) {
-    for (std::size_t b = 0; b < 36; ++b) {
-      benchmark::DoNotOptimize(mem.read_old(b));
-      mem.write_new(b, word);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      mem.carry_over(b);
     }
     mem.swap_banks();
   }
-  state.SetItemsProcessed(state.iterations() * 36);
+  state.SetItemsProcessed(state.iterations() * blocks.size());
 }
 BENCHMARK(BM_StateMemoryRoundTrip);
 
@@ -153,10 +210,17 @@ void BM_EngineLoadedStep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_EngineLoadedStep, noc::DirectNocSimulation);
-BENCHMARK_TEMPLATE(BM_EngineLoadedStep, core::SeqNocSimulation);
-BENCHMARK_TEMPLATE(BM_EngineLoadedStep, sysc::SyscNocSimulation);
-BENCHMARK_TEMPLATE(BM_EngineLoadedStep, rtlsim::RtlNocSimulation);
+// A fixed cycle count: the traffic's state moves with every step, so
+// engines timed over different iteration counts would time different
+// networks.
+BENCHMARK_TEMPLATE(BM_EngineLoadedStep, noc::DirectNocSimulation)
+    ->Iterations(2000);
+BENCHMARK_TEMPLATE(BM_EngineLoadedStep, core::SeqNocSimulation)
+    ->Iterations(2000);
+BENCHMARK_TEMPLATE(BM_EngineLoadedStep, sysc::SyscNocSimulation)
+    ->Iterations(2000);
+BENCHMARK_TEMPLATE(BM_EngineLoadedStep, rtlsim::RtlNocSimulation)
+    ->Iterations(2000);
 
 /// Console output as usual, plus one BenchMetric per finished run.
 class CollectingReporter : public benchmark::ConsoleReporter {

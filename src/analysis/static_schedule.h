@@ -26,9 +26,9 @@
 //                  tracked input is final when it runs.
 //        kDrive  — an early extra evaluation of a block whose
 //                  not-yet-final inputs provably do not feed the
-//                  outputs being finalized (the state write it also
-//                  performs is harmlessly overwritten by the later
-//                  kEval — StateMemory's new bank is write-overwrite).
+//                  outputs being finalized. The engine runs it as
+//                  SimBlock::drive — G only, every output written, no
+//                  next state — since the later kEval commits the state.
 //        kSettle — run the scoped worklist fallback on one SCC until
 //                  its links reach a fixed point (or the convergence
 //                  budget trips). Blocks whose inputs are all final

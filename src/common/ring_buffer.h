@@ -89,6 +89,10 @@ class RingBuffer {
   std::size_t read_pos() const { return read_; }
   std::size_t write_pos() const { return write_; }
 
+  /// Same capacity, pointers, occupancy and *every* physical slot — stale
+  /// slots included, as hardware (and the state word) stores them.
+  friend bool operator==(const RingBuffer&, const RingBuffer&) = default;
+
   /// Restores pointer state during deserialization from a state memory word.
   void restore(std::size_t read_pos, std::size_t write_pos,
                std::size_t size) {

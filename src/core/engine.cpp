@@ -11,6 +11,7 @@ namespace tmsim::core {
 namespace {
 
 constexpr std::size_t kNoSlot = ~std::size_t{0};
+constexpr BlockId kNoBlock = ~BlockId{0};
 // Barrier-2 contribution encoding an exception during the exchange
 // phase; far above any possible sum of unstable-block counts.
 constexpr std::uint64_t kErrorSentinel = std::uint64_t{1} << 62;
@@ -234,11 +235,19 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
   // shard's HBR bit.
   slot_of_link_.assign(model.num_links(), kNoSlot);
   link_home_.assign(model.num_links(), 0);
+  link_comb_.assign(model.num_links(), 0);
+  comb_reader_.assign(model.num_links(), kNoBlock);
   std::vector<std::size_t> slot_widths;
   std::vector<std::vector<char>> materialize(
       k, std::vector<char>(model.num_links(), 0));
   for (LinkId l = 0; l < model.num_links(); ++l) {
     const LinkInfo& info = model.link(l);
+    if (info.kind == LinkKind::kCombinational) {
+      link_comb_[l] = 1;
+      if (!info.readers.empty()) {
+        comb_reader_[l] = info.readers.front().block;  // the only reader
+      }
+    }
     // Home: the writer's shard, else the first reader's (an external
     // input), else shard 0 (an orphan link with no writer and no reader).
     const std::size_t home =
@@ -265,18 +274,25 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
   shards_.reserve(k);
   for (std::size_t s = 0; s < k; ++s) {
     const std::vector<BlockId>& blocks = part_.shards[s];
-    std::vector<std::size_t> widths;
-    widths.reserve(blocks.size());
+    // Each bank starts at the blocks' reset states (make_state).
+    std::vector<const SimBlock*> logic;
+    logic.reserve(blocks.size());
     for (const BlockId b : blocks) {
-      widths.push_back(model.block(b).logic->state_width());
+      logic.push_back(model.block(b).logic.get());
     }
-    auto sh = std::make_unique<Shard>(s, blocks, std::move(widths), model,
-                                      materialize[s]);
+    auto sh = std::make_unique<Shard>(s, blocks, logic, model, materialize[s]);
+    std::size_t max_in = 0;
+    std::size_t max_out = 0;
+    for (const BlockId b : blocks) {
+      const BlockInstance& blk = model.block(b);
+      sh->inst.push_back(&blk);
+      max_in = std::max(max_in, blk.input_links.size());
+      max_out = std::max(max_out, blk.output_links.size());
+    }
+    sh->in_words.assign(max_in, 0);
+    sh->out_words.assign(max_out, 0);
     sh->unstable.assign(blocks.size(), 0);
     sh->evaluated.assign(blocks.size(), 0);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      sh->state.load_old(i, model.block(blocks[i]).logic->reset_state());
-    }
     if (worklist_) {
       sh->worklist.reserve(blocks.size());
       sh->state_fixed.assign(blocks.size(), 0);
@@ -393,6 +409,13 @@ void Engine::worker_main(std::size_t s) {
 
 void Engine::set_external_input(LinkId link, const BitVector& value) {
   check_external_input(model_, link);
+  TMSIM_CHECK_MSG(value.width() == model_.link(link).width,
+                  "link width mismatch");
+  set_external_input(link, value.words()[0]);
+}
+
+void Engine::set_external_input(LinkId link, std::uint64_t value) {
+  check_external_input(model_, link);
   // Workers are parked at the command barrier between steps, so writing
   // every replica directly is race-free; the barrier's release/acquire
   // pair publishes the values to them. An external input has no writer,
@@ -400,8 +423,9 @@ void Engine::set_external_input(LinkId link, const BitVector& value) {
   // readers share is idempotent).
   bool changed = false;
   for (const Endpoint& reader : model_.link(link).readers) {
-    changed = shards_[part_.shard_of[reader.block]]->links.write(link, value) ||
-              changed;
+    changed =
+        shards_[part_.shard_of[reader.block]]->links.write_word(link, value) ||
+        changed;
   }
   if (changed && worklist_) {
     // Wake the quiescence fast path: the readers have fresh input, so
@@ -413,12 +437,17 @@ void Engine::set_external_input(LinkId link, const BitVector& value) {
   }
 }
 
-const BitVector& Engine::link_value(LinkId link) const {
+BitVector Engine::link_value(LinkId link) const {
   TMSIM_CHECK_MSG(link < model_.num_links(), "link index out of range");
   return shards_[link_home_[link]]->links.read(link);
 }
 
-const BitVector& Engine::block_state(BlockId block) const {
+std::uint64_t Engine::link_word(LinkId link) const {
+  TMSIM_CHECK_MSG(link < model_.num_links(), "link index out of range");
+  return shards_[link_home_[link]]->links.word(link);
+}
+
+BitVector Engine::block_state(BlockId block) const {
   TMSIM_CHECK_MSG(block < model_.num_blocks(), "block index out of range");
   return shards_[part_.shard_of[block]]->state.read_old(local_of_[block]);
 }
@@ -450,8 +479,21 @@ void Engine::load_link_value(LinkId link, const BitVector& value) {
     // stale slot version overwrite the restored replica at the next
     // poll. The delivery is idempotent — the replica already holds the
     // value, so the poll's change detection fires no destabilization.
-    mailbox_->publish(slot, value);
+    mailbox_->publish(slot, value.words()[0]);
   }
+}
+
+void Engine::clear_links() {
+  // Workers are parked at the command barrier: direct writes are
+  // race-free. Zeroed slots with zeroed versions and zeroed last-seen
+  // marks are exactly a fresh engine's exchange state.
+  for (const std::unique_ptr<Shard>& sh : shards_) {
+    sh->links.clear();
+    for (InSlot& in : sh->incoming) {
+      in.last_seen = 0;
+    }
+  }
+  mailbox_->clear();
 }
 
 SchedulerCheckpoint Engine::scheduler_checkpoint() const {
@@ -767,9 +809,11 @@ void Engine::run_program(Shard& sh) {
         return;
       }
     } else {
-      // kEval and kDrive run identically at execution time; the split
-      // only matters for the emission proof (see static_schedule.h).
-      evaluate_block(sh, local_of_[op.block], nullptr);
+      // A kDrive needs only the block's outputs (its later kEval commits
+      // the state), so it runs G alone; it still writes every output and
+      // counts as one delta cycle, exactly like a full evaluation.
+      evaluate_block(sh, local_of_[op.block], nullptr,
+                     op.kind == analysis::CompiledOpKind::kDrive);
     }
   }
 }
@@ -819,7 +863,7 @@ void Engine::settle_scc_local(Shard& sh, std::uint32_t scc_index) {
 }
 
 void Engine::evaluate_block(Shard& sh, std::size_t local,
-                                      const CompiledSettleCtx* ctx) {
+                            const CompiledSettleCtx* ctx, bool drive) {
   // Under the §4.2 pickup an evaluation marks its combinational inputs
   // read (HBR) and a changed output destabilizes its same-shard readers.
   // An op program does neither: its order already makes every input a
@@ -834,59 +878,44 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
     // external inputs) re-marks it.
     sh.pending_input[local] = 0;
   }
-  const BlockId b = sh.blocks[local];
-  const BlockInstance& blk = model_.block(b);
+  const BlockInstance& blk = *sh.inst[local];
   const SimBlock& logic = *blk.logic;
-  const std::size_t n_in = logic.num_inputs();
-  const std::size_t n_out = logic.num_outputs();
-
-  if (sh.in_scratch.size() < n_in) {
-    sh.in_scratch.resize(n_in, BitVector(0));
-  }
-  if (sh.out_scratch.size() < n_out) {
-    sh.out_scratch.resize(n_out, BitVector(0));
-  }
+  const std::size_t n_in = blk.input_links.size();
+  const std::size_t n_out = blk.output_links.size();
+  std::uint64_t* const in = sh.in_words.data();
+  std::uint64_t* const out = sh.out_words.data();
 
   // Latch inputs from the shard-local LinkMemory (cut links read the
   // local replica): a later changed write to any of them must
   // destabilize us.
   for (std::size_t p = 0; p < n_in; ++p) {
     const LinkId l = blk.input_links[p];
-    sh.in_scratch[p] = sh.links.read(l);
-    if (pickup && model_.link(l).kind == LinkKind::kCombinational) {
+    in[p] = sh.links.word(l);
+    if (pickup && link_comb_[l]) {
       sh.links.mark_read(l);
     }
   }
 
-  if (sh.state_scratch.width() != logic.state_width()) {
-    sh.state_scratch = BitVector(logic.state_width());
-  }
-  for (std::size_t p = 0; p < n_out; ++p) {
-    if (sh.out_scratch[p].width() != logic.output_width(p)) {
-      sh.out_scratch[p] = BitVector(logic.output_width(p));
+  const BlockState& old = sh.state.old_state(local);
+  if (drive) {
+    logic.drive(old, {in, n_in}, {out, n_out});
+  } else {
+    // The last evaluation of the cycle is the committing one: it leaves
+    // the block's next state in the new bank.
+    BlockState& next = sh.state.new_state(local);
+    logic.step(old, {in, n_in}, next, {out, n_out});
+    if (worklist_) {
+      // State fixed point: a pure step() that mapped old == new will
+      // reproduce this exact evaluation as long as the inputs stay put —
+      // the precondition the quiescence fast path relies on.
+      sh.state_fixed[local] = next.equals(old) ? 1 : 0;
     }
   }
 
-  logic.evaluate(sh.state.read_old(local),
-                 std::span<const BitVector>(sh.in_scratch.data(), n_in),
-                 sh.state_scratch,
-                 std::span<BitVector>(sh.out_scratch.data(), n_out));
-
-  if (worklist_) {
-    // State fixed point: a pure evaluate() that mapped old == new will
-    // reproduce this exact evaluation as long as the inputs stay put —
-    // the precondition the quiescence fast path relies on.
-    sh.state_fixed[local] =
-        sh.state_scratch == sh.state.read_old(local) ? 1 : 0;
-  }
-  // The last evaluation of the cycle is the committing one: a drive op's
-  // state write is overwritten by the block's later kEval.
-  sh.state.write_new(local, sh.state_scratch);
-
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];
-    const bool changed = sh.links.write(l, sh.out_scratch[p]);
-    if (model_.link(l).kind == LinkKind::kCombinational) {
+    const bool changed = sh.links.write_word(l, out[p]);
+    if (link_comb_[l]) {
       if (!changed) {
         continue;
       }
@@ -898,16 +927,15 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
                               Shard::kChangedLinkHistory] = l;
       if (pickup) {
         sh.links.clear_hbr(l);
-        // Same-shard readers destabilize immediately; cross-shard
-        // readers at their next exchange phase, via the mailbox.
-        for (const Endpoint& reader : model_.link(l).readers) {
-          if (part_.shard_of[reader.block] == sh.index) {
-            destabilize_local(sh, reader.block);
-          }
+        // A same-shard reader destabilizes immediately; a cross-shard
+        // reader at its next exchange phase, via the mailbox.
+        const BlockId reader = comb_reader_[l];
+        if (reader != kNoBlock && part_.shard_of[reader] == sh.index) {
+          destabilize_local(sh, reader);
         }
       } else if (ctx && sh.program->scc_of_link[l] == ctx->scc_id) {
         // Intra-SCC edge changed mid-settle: wake the (single) reader.
-        const BlockId r = model_.link(l).readers.front().block;
+        const BlockId r = comb_reader_[l];
         const auto it = std::lower_bound(ctx->scc->blocks.begin(),
                                          ctx->scc->blocks.end(), r);
         const std::size_t mi =
@@ -925,7 +953,7 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
     // destabilize (§4.1).
     const std::size_t slot = slot_of_link_[l];
     if (slot != kNoSlot) {
-      mailbox_->publish(slot, sh.out_scratch[p]);
+      mailbox_->publish(slot, out[p]);
       ++sh.stats.cut_publishes;
     }
   }
@@ -936,7 +964,7 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
   }
   ++sh.stats.delta_cycles;
   if (trace_) {
-    trace_(cycle_, sh.stats.delta_cycles - 1, b);
+    trace_(cycle_, sh.stats.delta_cycles - 1, sh.blocks[local]);
   }
 }
 
@@ -981,10 +1009,11 @@ bool Engine::exchange_round(Shard& sh) {
 
 void Engine::apply_incoming(Shard& sh) {
   for (InSlot& in : sh.incoming) {
-    if (!mailbox_->poll(in.slot, in.last_seen, sh.poll_scratch)) {
+    std::uint64_t value = 0;
+    if (!mailbox_->poll(in.slot, in.last_seen, value)) {
       continue;
     }
-    const bool changed = sh.links.write(in.link, sh.poll_scratch);
+    const bool changed = sh.links.write_word(in.link, value);
     if (in.kind == LinkKind::kCombinational && changed) {
       // The replica changed under this shard's readers: the §4.2 rule,
       // one superstep late. link_changes was already counted by the
@@ -1022,8 +1051,7 @@ void Engine::destabilize_local(Shard& sh, BlockId global) {
 bool Engine::inputs_all_read(const Shard& sh, BlockId global) const {
   const BlockInstance& blk = model_.block(global);
   for (const LinkId l : blk.input_links) {
-    if (model_.link(l).kind == LinkKind::kCombinational &&
-        !sh.links.has_been_read(l)) {
+    if (link_comb_[l] && !sh.links.has_been_read(l)) {
       return false;
     }
   }
@@ -1083,7 +1111,7 @@ std::uint64_t engine_state_digest(const Engine& eng) {
   std::uint64_t h = kFnvOffset;
   const SystemModel& model = eng.model();
   for (BlockId b = 0; b < model.num_blocks(); ++b) {
-    const BitVector& s = eng.block_state(b);
+    const BitVector s = eng.block_state(b);
     fnv_mix(h, s.width());
     for (std::uint64_t w : s.words()) {
       fnv_mix(h, w);
@@ -1183,6 +1211,9 @@ void reset_engine(Engine& eng) {
   for (BlockId b = 0; b < model.num_blocks(); ++b) {
     eng.load_block_state(b, model.block(b).logic->reset_state());
   }
+  // Power-on links: the previous tenant's link values and HBR bits would
+  // otherwise change the first cycle's delta and link-change counts.
+  eng.clear_links();
   // Power-on scheduling state too: cursors back to their seeded offsets,
   // quiescence flags cleared — a reused farm engine must not leak the
   // previous tenant's scheduling stats into the next job's stream.

@@ -326,15 +326,21 @@ class Engine {
   /// Drives an external-input link (takes effect for the next step()).
   /// Throws ContextualError when the link is block-driven or when no
   /// block reads it (a silently ignored stimulus is always a test bug).
+  /// The word form carries the link's bits low-first; bits above its
+  /// width are rejected.
   void set_external_input(LinkId link, const BitVector& value);
+  void set_external_input(LinkId link, std::uint64_t value);
 
   /// Current reader-visible value of any link. For combinational links
   /// this is the value driven during the last step(); for registered
   /// links, the value committed at its clock edge.
-  const BitVector& link_value(LinkId link) const;
+  BitVector link_value(LinkId link) const;
+  /// The same value as one word (links are at most 64 bits).
+  std::uint64_t link_word(LinkId link) const;
 
-  /// Old-bank (committed) state of a block.
-  const BitVector& block_state(BlockId block) const;
+  /// Old-bank (committed) state word of a block, built from the block's
+  /// resident state (the architectural boundary, DESIGN.md §7).
+  BitVector block_state(BlockId block) const;
 
   /// Overwrites a block's committed state (reset preloading, testing).
   void load_block_state(BlockId block, const BitVector& value);
@@ -343,6 +349,10 @@ class Engine {
   /// link (checkpoint restore), so the worklist quiescence skip — which
   /// reuses link values across cycles — sees a self-consistent snapshot.
   void load_link_value(LinkId link, const BitVector& value);
+
+  /// Returns every link value, HBR bit, cut-link replica and mailbox slot
+  /// to power-on zero (reset_engine). Only call between steps.
+  void clear_links();
 
   /// Simulates one system cycle.
   StepStats step();
@@ -402,6 +412,7 @@ class Engine {
   struct Shard {
     std::size_t index = 0;
     std::vector<BlockId> blocks;      // global ids
+    std::vector<const BlockInstance*> inst;  // model entry per local block
     StateMemory state;                // indexed by local block index
     LinkMemory links;                 // global LinkIds, subset-materialized
     std::vector<InSlot> incoming;     // cut links read by this shard
@@ -446,21 +457,19 @@ class Engine {
     // Wall-clock mark for observer superstep timing (worker-local).
     std::uint64_t mark_ns = 0;
 
-    // Scratch reused across evaluations (hot path).
-    std::vector<BitVector> in_scratch;
-    std::vector<BitVector> out_scratch;
-    BitVector state_scratch{0};
-    BitVector poll_scratch{0};
+    // Port words of the evaluation in flight, sized to the widest block.
+    std::vector<std::uint64_t> in_words;
+    std::vector<std::uint64_t> out_words;
     static constexpr std::size_t kChangedLinkHistory = 8;
     std::array<LinkId, kChangedLinkHistory> recent_changed_links{};
     std::size_t recent_changed_count = 0;
 
     Shard(std::size_t idx, std::vector<BlockId> blks,
-          std::vector<std::size_t> widths, const SystemModel& model,
+          const std::vector<const SimBlock*>& logic, const SystemModel& model,
           const std::vector<char>& materialize)
         : index(idx),
           blocks(std::move(blks)),
-          state(widths),
+          state(logic),
           links(model, materialize) {}
   };
 
@@ -475,9 +484,10 @@ class Engine {
 
   void worker_main(std::size_t s);
   void run_cycle(std::size_t s);
-  /// One evaluation. `ctx` is non-null inside a kSettle op.
+  /// One evaluation: step() the block, or under a kDrive op (`drive`)
+  /// run its G only. `ctx` is non-null inside a kSettle op.
   void evaluate_block(Shard& sh, std::size_t local,
-                      const CompiledSettleCtx* ctx);
+                      const CompiledSettleCtx* ctx, bool drive = false);
   void run_program(Shard& sh);
   void settle_scc_local(Shard& sh, std::uint32_t scc_index);
   void settle_local(Shard& sh);
@@ -502,6 +512,9 @@ class Engine {
   std::vector<std::size_t> local_of_;       // global block -> local index
   std::vector<std::size_t> link_home_;      // link -> authoritative shard
   std::vector<std::size_t> slot_of_link_;   // link -> mailbox slot (or npos)
+  std::vector<char> link_comb_;             // link -> is combinational
+  /// link -> its one reader block when combinational, ~0 otherwise.
+  std::vector<BlockId> comb_reader_;
 
   std::unique_ptr<ShardMailbox> mailbox_;
   std::unique_ptr<ShardBarrier> barrier_;
@@ -537,8 +550,10 @@ EngineCheckpoint save_checkpoint(const Engine& eng);
 void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck);
 
 /// Returns `eng` to its power-on state: every block reloaded with its
-/// reset state, counters rebased to zero. This is what makes engine
-/// instances reusable across farm jobs.
+/// reset state, every link value and HBR bit (and, sharded, every replica
+/// and mailbox slot) zeroed, scheduling state canonical, counters rebased
+/// to zero — indistinguishable from a fresh engine, StepStats included.
+/// This is what makes engine instances reusable across farm jobs.
 void reset_engine(Engine& eng);
 
 /// Initial round-robin cursor of a dynamic schedule for `schedule_seed`.

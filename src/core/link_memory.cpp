@@ -1,5 +1,7 @@
 #include "core/link_memory.h"
 
+#include <algorithm>
+
 namespace tmsim::core {
 
 LinkMemory::LinkMemory(const SystemModel& model)
@@ -10,84 +12,50 @@ LinkMemory::LinkMemory(const SystemModel& model,
   TMSIM_CHECK_MSG(model.finalized(), "model must be finalized");
   TMSIM_CHECK_MSG(materialize.size() == model.num_links(),
                   "materialize flags must cover every link");
+  const std::size_t n = model.num_links();
   materialized_ = materialize;
-  slots_.reserve(model.num_links());
-  for (LinkId l = 0; l < model.num_links(); ++l) {
+  bank_[0].assign(n, 0);
+  bank_[1].assign(n, 0);
+  mask_.reserve(n);
+  width_.reserve(n);
+  registered_.reserve(n);
+  for (LinkId l = 0; l < n; ++l) {
     const LinkInfo& info = model.link(l);
-    Slot s{info.kind, false, BitVector(0), {BitVector(0), BitVector(0)}};
-    if (materialized_[l]) {
-      if (info.kind == LinkKind::kCombinational) {
-        s.value = BitVector(info.width);
-        comb_links_.push_back(l);
-      } else {
-        s.banks[0] = BitVector(info.width);
-        s.banks[1] = BitVector(info.width);
-      }
-    }
-    slots_.push_back(std::move(s));
+    TMSIM_CHECK_MSG(info.width >= 1 && info.width <= 64,
+                    "link width must be 1..64");
+    mask_.push_back(info.width == 64 ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << info.width) - 1);
+    width_.push_back(static_cast<std::uint8_t>(info.width));
+    registered_.push_back(info.kind == LinkKind::kRegistered ? 1 : 0);
   }
+  hbr_.assign((n + 63) / 64, 0);
 }
 
-const BitVector& LinkMemory::read(LinkId l) const {
-  const Slot& s = slot(l);
-  return s.kind == LinkKind::kCombinational ? s.value : s.banks[old_bank_];
+BitVector LinkMemory::read(LinkId l) const {
+  const std::uint64_t v = word(l);
+  BitVector out(width_[l]);
+  out.store_words({&v, 1});
+  return out;
 }
 
 bool LinkMemory::write(LinkId l, const BitVector& value) {
-  Slot& s = slot(l);
-  if (s.kind == LinkKind::kCombinational) {
-    TMSIM_CHECK_MSG(value.width() == s.value.width(), "link width mismatch");
-    if (value == s.value) {
-      return false;
-    }
-    s.value = value;
-    return true;
-  }
-  BitVector& bank = s.banks[1 - old_bank_];
-  TMSIM_CHECK_MSG(value.width() == bank.width(), "link width mismatch");
-  bank = value;
-  return false;
+  check(l);
+  TMSIM_CHECK_MSG(value.width() == width_[l], "link width mismatch");
+  return write_word(l, value.words()[0]);
 }
 
-bool LinkMemory::has_been_read(LinkId l) const {
-  const Slot& s = slot(l);
-  TMSIM_CHECK_MSG(s.kind == LinkKind::kCombinational,
-                  "HBR bit exists only on combinational links");
-  return s.hbr;
+void LinkMemory::clear() {
+  std::fill(bank_[0].begin(), bank_[0].end(), 0);
+  std::fill(bank_[1].begin(), bank_[1].end(), 0);
+  reset_all_hbr();
 }
-
-void LinkMemory::mark_read(LinkId l) {
-  Slot& s = slot(l);
-  TMSIM_CHECK_MSG(s.kind == LinkKind::kCombinational,
-                  "HBR bit exists only on combinational links");
-  s.hbr = true;
-}
-
-void LinkMemory::clear_hbr(LinkId l) {
-  Slot& s = slot(l);
-  TMSIM_CHECK_MSG(s.kind == LinkKind::kCombinational,
-                  "HBR bit exists only on combinational links");
-  s.hbr = false;
-}
-
-void LinkMemory::reset_all_hbr() {
-  for (LinkId l : comb_links_) {
-    slots_[l].hbr = false;
-  }
-}
-
-void LinkMemory::swap_registered_banks() { old_bank_ = 1 - old_bank_; }
 
 std::size_t LinkMemory::total_bits() const {
   std::size_t bits = 0;
-  for (LinkId l = 0; l < slots_.size(); ++l) {
+  for (LinkId l = 0; l < width_.size(); ++l) {
     if (!materialized_[l]) continue;
-    const Slot& s = slots_[l];
-    if (s.kind == LinkKind::kCombinational) {
-      bits += s.value.width() + 1;  // value + HBR bit
-    } else {
-      bits += s.banks[0].width() * 2;
-    }
+    // Combinational: value + HBR bit; registered: two banks.
+    bits += registered_[l] ? 2u * width_[l] : width_[l] + 1u;
   }
   return bits;
 }

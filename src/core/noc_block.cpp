@@ -1,5 +1,6 @@
 #include "core/noc_block.h"
 
+#include <array>
 #include <string>
 
 namespace tmsim::core {
@@ -8,12 +9,93 @@ using noc::kForwardBits;
 using noc::kPorts;
 using noc::Port;
 
+namespace {
+
+/// A router's resident registers: the native state the engine banks.
+///
+/// It also memoizes G. Every router output is a function of the
+/// registers alone, and the old bank does not change during a system
+/// cycle, so the grants and outputs computed by a block's first
+/// evaluation (or its kDrive) serve every re-evaluation in that cycle:
+/// the router pays G once per cycle and F once per evaluation, as
+/// DirectNocSimulation does. Every write to the registers goes through
+/// this class and drops the memo.
+class RouterBlockState final : public BlockState {
+ public:
+  explicit RouterBlockState(std::shared_ptr<const noc::RouterStateCodec> codec)
+      : regs_(codec->config()), codec_(std::move(codec)) {}
+
+  BitVector to_word() const override { return codec_->serialize(regs_); }
+  void load_word(const BitVector& word) override {
+    g_valid_ = false;
+    codec_->deserialize_into(word, regs_);
+  }
+  void assign(const BlockState& other) override {
+    g_valid_ = false;
+    regs_ = cast(other).regs_;
+  }
+  bool equals(const BlockState& other) const override {
+    return regs_ == cast(other).regs_;
+  }
+
+  static const RouterBlockState& cast(const BlockState& s) {
+    return static_cast<const RouterBlockState&>(s);
+  }
+  static RouterBlockState& cast(BlockState& s) {
+    return static_cast<RouterBlockState&>(s);
+  }
+
+  const noc::RouterState& regs() const { return regs_; }
+  /// For F to overwrite; drops the memo.
+  noc::RouterState& regs_for_write() {
+    g_valid_ = false;
+    return regs_;
+  }
+
+  /// G of the registers: computed on first use, then memoized.
+  const noc::Grants& grants(const noc::RouterEnv& env) const {
+    fill_g(env);
+    return grants_;
+  }
+  const noc::RouterOutputs& outputs(const noc::RouterEnv& env) const {
+    fill_g(env);
+    return outputs_;
+  }
+
+ private:
+  void fill_g(const noc::RouterEnv& env) const {
+    if (!g_valid_) {
+      grants_ = noc::compute_grants(regs_, env);
+      outputs_ = noc::compute_outputs(regs_, grants_, env);
+      g_valid_ = true;
+    }
+  }
+
+  noc::RouterState regs_;
+  std::shared_ptr<const noc::RouterStateCodec> codec_;
+  // The memo: written only by the thread evaluating this block.
+  mutable bool g_valid_ = false;
+  mutable noc::Grants grants_;
+  mutable noc::RouterOutputs outputs_;
+};
+
+/// Output link words of G, in port order (see the header's convention).
+void encode_outputs(const noc::RouterOutputs& o,
+                    std::span<std::uint64_t> out) {
+  for (std::size_t p = 0; p < kPorts; ++p) {
+    out[p] = noc::encode_forward(o.fwd_out[p]);
+  }
+  for (std::size_t p = 1; p < kPorts; ++p) {
+    out[kPorts + p - 1] = noc::encode_credit(o.credit_out[p]);
+  }
+  out[9] = noc::encode_credit(o.credit_out[static_cast<std::size_t>(Port::kLocal)]);
+}
+
+}  // namespace
+
 RouterBlock::RouterBlock(std::shared_ptr<const noc::RouterStateCodec> codec,
                          noc::RouterEnv env)
-    : codec_(std::move(codec)),
-      env_(env),
-      scratch_old_(codec_ ? codec_->config() : noc::RouterConfig{}),
-      scratch_new_(codec_ ? codec_->config() : noc::RouterConfig{}) {
+    : codec_(std::move(codec)), env_(env) {
   TMSIM_CHECK_MSG(codec_ != nullptr, "null codec");
   TMSIM_CHECK_MSG(env_.net != nullptr, "null network config");
 }
@@ -32,50 +114,87 @@ std::size_t RouterBlock::output_width(std::size_t port) const {
 
 BitVector RouterBlock::reset_state() const { return codec_->reset_word(); }
 
+std::unique_ptr<BlockState> RouterBlock::make_state() const {
+  return std::make_unique<RouterBlockState>(codec_);
+}
+
+void RouterBlock::step_state(const noc::RouterState& s,
+                             std::span<const std::uint64_t> in,
+                             noc::RouterState& next,
+                             std::span<std::uint64_t> out) const {
+  const noc::Grants grants = noc::compute_grants(s, env_);
+  step_with_g(s, grants, noc::compute_outputs(s, grants, env_), in, next, out);
+}
+
+void RouterBlock::step_with_g(const noc::RouterState& s,
+                              const noc::Grants& grants,
+                              const noc::RouterOutputs& outs,
+                              std::span<const std::uint64_t> in,
+                              noc::RouterState& next,
+                              std::span<std::uint64_t> out) const {
+  const std::size_t num_vcs = codec_->config().num_vcs;
+  noc::RouterInputs inputs;
+  for (std::size_t p = 0; p < kPorts; ++p) {
+    inputs.fwd_in[p] = noc::decode_forward(static_cast<std::uint32_t>(in[p]));
+  }
+  // Credit inputs for the four grid output ports (NORTH..WEST).
+  for (std::size_t o = 1; o < kPorts; ++o) {
+    inputs.credit_in[o] = noc::decode_credit(
+        static_cast<std::uint32_t>(in[kPorts + o - 1]), num_vcs);
+  }
+  // Local NI echo: a flit delivered on the local output is consumed
+  // unconditionally, returning its credit in the same cycle.
+  const noc::LinkForward& delivered =
+      outs.fwd_out[static_cast<std::size_t>(Port::kLocal)];
+  if (delivered.valid) {
+    inputs.credit_in[static_cast<std::size_t>(Port::kLocal)].set(delivered.vc);
+  }
+
+  noc::compute_next_state_into(s, grants, inputs, env_, next);
+  encode_outputs(outs, out);
+}
+
+void RouterBlock::step(const BlockState& old, std::span<const std::uint64_t> in,
+                       BlockState& next, std::span<std::uint64_t> out) const {
+  const RouterBlockState& o = RouterBlockState::cast(old);
+  step_with_g(o.regs(), o.grants(env_), o.outputs(env_), in,
+              RouterBlockState::cast(next).regs_for_write(), out);
+}
+
+void RouterBlock::drive(const BlockState& old, std::span<const std::uint64_t>,
+                        std::span<std::uint64_t> out) const {
+  // Every router output is G(state) (output_depends_on_input is false).
+  encode_outputs(RouterBlockState::cast(old).outputs(env_), out);
+}
+
 void RouterBlock::evaluate(const BitVector& old_state,
                            std::span<const BitVector> inputs,
                            BitVector& new_state,
                            std::span<BitVector> outputs) const {
-  const std::size_t num_vcs = codec_->config().num_vcs;
-  codec_->deserialize_into(old_state, scratch_old_);
-  const noc::RouterState& s = scratch_old_;
-
-  noc::RouterInputs in;
-  for (std::size_t p = 0; p < kPorts; ++p) {
-    in.fwd_in[p] = noc::decode_forward(
-        static_cast<std::uint32_t>(inputs[p].get_field(0, kForwardBits)));
+  // Per-thread decode targets, rebuilt only when the router shape
+  // changes, so the word view allocates nothing per delta cycle.
+  struct Scratch {
+    noc::RouterConfig cfg;
+    noc::RouterState old;
+    noc::RouterState next;
+  };
+  thread_local std::unique_ptr<Scratch> scratch;
+  const noc::RouterConfig& cfg = codec_->config();
+  if (!scratch || !(scratch->cfg == cfg)) {
+    scratch = std::make_unique<Scratch>(Scratch{cfg, noc::RouterState(cfg),
+                                                noc::RouterState(cfg)});
   }
-  // Credit inputs for the four grid output ports (NORTH..WEST).
-  for (std::size_t o = 1; o < kPorts; ++o) {
-    in.credit_in[o] = noc::decode_credit(
-        static_cast<std::uint32_t>(inputs[kPorts + o - 1].get_field(0, num_vcs)),
-        num_vcs);
+  std::array<std::uint64_t, 9> in{};
+  std::array<std::uint64_t, 10> out{};
+  for (std::size_t p = 0; p < in.size(); ++p) {
+    in[p] = inputs[p].get_field(0, inputs[p].width());
   }
-
-  const noc::Grants grants = noc::compute_grants(s, env_);
-  const noc::RouterOutputs out = noc::compute_outputs(s, grants, env_);
-
-  // Local NI echo: a flit delivered on the local output is consumed
-  // unconditionally, returning its credit in the same cycle.
-  const noc::LinkForward& delivered =
-      out.fwd_out[static_cast<std::size_t>(Port::kLocal)];
-  if (delivered.valid) {
-    in.credit_in[static_cast<std::size_t>(Port::kLocal)].set(delivered.vc);
+  codec_->deserialize_into(old_state, scratch->old);
+  step_state(scratch->old, in, scratch->next, out);
+  codec_->serialize_into(scratch->next, new_state);
+  for (std::size_t p = 0; p < out.size(); ++p) {
+    outputs[p].set_field(0, outputs[p].width(), out[p]);
   }
-
-  noc::compute_next_state_into(s, grants, in, env_, scratch_new_);
-  codec_->serialize_into(scratch_new_, new_state);
-
-  for (std::size_t o = 0; o < kPorts; ++o) {
-    outputs[o].set_field(0, kForwardBits, noc::encode_forward(out.fwd_out[o]));
-  }
-  for (std::size_t p = 1; p < kPorts; ++p) {
-    outputs[kPorts + p - 1].set_field(0, num_vcs,
-                                      noc::encode_credit(out.credit_out[p]));
-  }
-  outputs[9].set_field(
-      0, num_vcs,
-      noc::encode_credit(out.credit_out[static_cast<std::size_t>(Port::kLocal)]));
 }
 
 NocModel build_noc_model(const noc::NetworkConfig& net) {
@@ -185,33 +304,29 @@ SeqNocSimulation::SeqNocSimulation(const noc::NetworkConfig& net,
 
 void SeqNocSimulation::set_local_input(std::size_t r,
                                        const noc::LinkForward& f) {
-  BitVector v(noc::kForwardBits);
-  v.set_field(0, noc::kForwardBits, noc::encode_forward(f));
-  sim_.set_external_input(noc_.local_fwd_in.at(r), v);
+  sim_.set_external_input(noc_.local_fwd_in.at(r),
+                          std::uint64_t{noc::encode_forward(f)});
   dirty_inputs_.push_back(r);
 }
 
 void SeqNocSimulation::step() {
   last_stats_ = sim_.step();
   // Inputs are per-cycle: reset everything that was driven back to idle.
-  const BitVector idle(noc::kForwardBits);
   for (std::size_t r : dirty_inputs_) {
-    sim_.set_external_input(noc_.local_fwd_in[r], idle);
+    sim_.set_external_input(noc_.local_fwd_in[r], std::uint64_t{0});
   }
   dirty_inputs_.clear();
 }
 
 noc::LinkForward SeqNocSimulation::local_output(std::size_t r) const {
   return noc::decode_forward(static_cast<std::uint32_t>(
-      sim_.link_value(noc_.local_fwd_out.at(r))
-          .get_field(0, noc::kForwardBits)));
+      sim_.link_word(noc_.local_fwd_out.at(r))));
 }
 
 noc::CreditWires SeqNocSimulation::local_input_credits(std::size_t r) const {
   return noc::decode_credit(
       static_cast<std::uint32_t>(
-          sim_.link_value(noc_.local_credit_out.at(r))
-              .get_field(0, net_.router.num_vcs)),
+          sim_.link_word(noc_.local_credit_out.at(r))),
       net_.router.num_vcs);
 }
 
@@ -223,9 +338,8 @@ void SeqNocSimulation::idle_all_inputs() {
   // Defensive against engine reuse: whatever the previous tenant (or an
   // interrupted cycle) left on the local stimulus links must not bleed
   // into the first resumed cycle.
-  const BitVector idle(noc::kForwardBits);
   for (const LinkId l : noc_.local_fwd_in) {
-    sim_.set_external_input(l, idle);
+    sim_.set_external_input(l, std::uint64_t{0});
   }
   dirty_inputs_.clear();
 }

@@ -20,11 +20,13 @@
 // state-memory word (Table 1 counts stimuli-interface registers in the
 // router's 2112 bits).
 //
-// All inter-router links are combinational (§4.2). Block state is the
-// serialized RouterState word; evaluation deserializes the old word, runs
-// the shared router logic (G and F together, one delta cycle), and
-// serializes the new word — the exact data path of the FPGA's router block
-// between its state-memory read and write (§5.2).
+// All inter-router links are combinational (§4.2). The engine keeps each
+// router's registers resident as a native noc::RouterState (make_state),
+// and step() runs the shared router logic on it directly — G and F
+// together, one delta cycle — with no state word in between. The word is
+// the FPGA's state-memory format (§5.2): RouterStateCodec builds it at the
+// architectural boundary (digests, checkpoints, Table 1), and evaluate()
+// is that boundary's word view: decode → step → encode.
 #pragma once
 
 #include <memory>
@@ -34,6 +36,7 @@
 #include "core/sim_block.h"
 #include "core/system_model.h"
 #include "noc/network.h"
+#include "noc/router_logic.h"
 
 namespace tmsim::core {
 
@@ -53,6 +56,11 @@ class RouterBlock : public SimBlock {
   void evaluate(const BitVector& old_state,
                 std::span<const BitVector> inputs, BitVector& new_state,
                 std::span<BitVector> outputs) const override;
+  std::unique_ptr<BlockState> make_state() const override;
+  void step(const BlockState& old, std::span<const std::uint64_t> in,
+            BlockState& next, std::span<std::uint64_t> out) const override;
+  void drive(const BlockState& old, std::span<const std::uint64_t> in,
+             std::span<std::uint64_t> out) const override;
   std::string type_name() const override { return "noc_router"; }
 
   /// §4.2 Fig. 4: every router output — forwarded flits, credit returns,
@@ -67,15 +75,21 @@ class RouterBlock : public SimBlock {
 
   const noc::RouterEnv& env() const { return env_; }
 
+  /// step() on plain router states: the typed delta cycle the engine
+  /// runs, exposed for tests and benches.
+  void step_state(const noc::RouterState& old,
+                  std::span<const std::uint64_t> in, noc::RouterState& next,
+                  std::span<std::uint64_t> out) const;
+
  private:
+  /// F, the output words and the NI echo, given G of `s`.
+  void step_with_g(const noc::RouterState& s, const noc::Grants& grants,
+                   const noc::RouterOutputs& outs,
+                   std::span<const std::uint64_t> in, noc::RouterState& next,
+                   std::span<std::uint64_t> out) const;
+
   std::shared_ptr<const noc::RouterStateCodec> codec_;
   noc::RouterEnv env_;
-  // Scratch state reused across evaluations (the FPGA works on one wide
-  // word in place; mallocing per delta cycle would misstate the method's
-  // host-side cost). evaluate() stays pure — these hold no information
-  // across calls — but it is not re-entrant: engines are single-threaded.
-  mutable noc::RouterState scratch_old_;
-  mutable noc::RouterState scratch_new_;
 };
 
 /// The SystemModel of a whole NoC plus its external link handles.

@@ -51,15 +51,17 @@ ShardMailbox::ShardMailbox(const std::vector<std::size_t>& widths)
     : num_slots_(widths.size()),
       slots_(std::make_unique<Slot[]>(widths.size())) {
   for (std::size_t i = 0; i < num_slots_; ++i) {
-    slots_[i].value = BitVector(widths[i]);
+    TMSIM_CHECK_MSG(widths[i] >= 1 && widths[i] <= 64,
+                    "mailbox slot width must be 1..64");
+    slots_[i].mask = widths[i] == 64 ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << widths[i]) - 1;
   }
 }
 
-void ShardMailbox::publish(std::size_t slot, const BitVector& value) {
+void ShardMailbox::publish(std::size_t slot, std::uint64_t value) {
   TMSIM_CHECK_MSG(slot < num_slots_, "mailbox slot out of range");
   Slot& s = slots_[slot];
-  TMSIM_CHECK_MSG(value.width() == s.value.width(),
-                  "mailbox slot width mismatch");
+  TMSIM_CHECK_MSG((value & ~s.mask) == 0, "value wider than its mailbox slot");
   s.value = value;
   s.version.fetch_add(1, std::memory_order_release);
 }
@@ -70,7 +72,7 @@ std::uint64_t ShardMailbox::version(std::size_t slot) const {
 }
 
 bool ShardMailbox::poll(std::size_t slot, std::uint64_t& last_seen,
-                        BitVector& out) const {
+                        std::uint64_t& out) const {
   TMSIM_CHECK_MSG(slot < num_slots_, "mailbox slot out of range");
   const Slot& s = slots_[slot];
   const std::uint64_t v = s.version.load(std::memory_order_acquire);
@@ -80,6 +82,13 @@ bool ShardMailbox::poll(std::size_t slot, std::uint64_t& last_seen,
   last_seen = v;
   out = s.value;
   return true;
+}
+
+void ShardMailbox::clear() {
+  for (std::size_t i = 0; i < num_slots_; ++i) {
+    slots_[i].value = 0;
+    slots_[i].version.store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace tmsim::core

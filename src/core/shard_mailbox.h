@@ -10,7 +10,7 @@
 // (std::atomic::wait), so a barrier parked between system cycles costs
 // no CPU — important when the host has fewer cores than shards.
 //
-// ShardMailbox — the boundary-link exchange. One slot per cut link,
+// ShardMailbox — the boundary-link exchange. One word slot per cut link,
 // single writer (the shard that owns the link's writer block), versioned
 // publishes. The engine's superstep protocol writes slots only between
 // two barrier syncs and reads them only after the next sync, so the
@@ -18,7 +18,9 @@
 // release version counter additionally makes every publish individually
 // visible, which is what the "no lost HBR-clear" concurrency tests
 // hammer on. A reader that polls with its last-seen version can never
-// miss a change: versions only grow, and each publish bumps exactly one.
+// miss a change: versions only grow, and each publish bumps exactly one
+// (clear(), the engine's power-on reset, rewinds slots and readers
+// together).
 #pragma once
 
 #include <atomic>
@@ -26,8 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include "common/bit_vector.h"
 
 namespace tmsim::core {
 
@@ -58,14 +58,16 @@ class ShardBarrier {
 
 class ShardMailbox {
  public:
-  /// One slot per boundary link; `widths[i]` is slot i's value width.
+  /// One slot per boundary link; `widths[i]` (1..64) is slot i's value
+  /// width. A slot holds one link word, like LinkMemory.
   explicit ShardMailbox(const std::vector<std::size_t>& widths);
 
   std::size_t num_slots() const { return num_slots_; }
 
   /// Publishes a new value (single designated producer per slot; at most
   /// one producer thread may touch a slot between two barrier rounds).
-  void publish(std::size_t slot, const BitVector& value);
+  /// Bits above the slot's width are rejected.
+  void publish(std::size_t slot, std::uint64_t value);
 
   /// Monotonic publish count of the slot.
   std::uint64_t version(std::size_t slot) const;
@@ -74,12 +76,18 @@ class ShardMailbox {
   /// copies the value into `out`, advances `last_seen` and returns true.
   /// Must only be called in a protocol phase where the producer is
   /// quiescent (after a barrier sync).
-  bool poll(std::size_t slot, std::uint64_t& last_seen, BitVector& out) const;
+  bool poll(std::size_t slot, std::uint64_t& last_seen,
+            std::uint64_t& out) const;
+
+  /// Power-on: every value and version back to zero. Only call while no
+  /// producer or consumer runs (between engine steps).
+  void clear();
 
  private:
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> version{0};
-    BitVector value{0};
+    std::uint64_t value = 0;
+    std::uint64_t mask = 0;  // low `width` bits set
   };
 
   std::size_t num_slots_ = 0;

@@ -12,15 +12,77 @@
 // every identical partition (the paper's F'_{i,j}(x)): evaluation carries
 // no per-call state, so homogeneous systems instantiate the logic once —
 // exactly what makes the FPGA approach area-efficient.
+//
+// Two views of the registers (DESIGN.md §7):
+//  - The *state word* (a BitVector, §5.2) is the architectural format:
+//    what the FPGA stores in block RAM, what Table 1 counts, and what
+//    digests, checkpoints and waveforms see. evaluate() works on it.
+//  - The *BlockState* is the engine's resident format: whatever native
+//    representation the block keeps in StateMemory's banks. The engine
+//    evaluates through step() / drive() on BlockStates and builds a word
+//    only at the architectural boundary (BlockState::to_word).
+// A block that overrides nothing gets WordState — the word itself — and
+// step()/drive() call evaluate(), so every block runs on the engine's one
+// evaluation path. A block with a native state (RouterBlock) overrides
+// make_state(), step() and drive() together.
+//
+// Link values cross step()/drive() as one uint64_t per port, low bits
+// first: SystemModel caps link widths at 64 bits.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/bit_vector.h"
 
 namespace tmsim::core {
+
+class SimBlock;
+
+/// One block's resident register file (one bank of StateMemory). Every
+/// implementation must keep to_word/load_word a bijection with the
+/// block's state words, and equals() in exact agreement with equality of
+/// the words — the worklist's fixed-point test and the digests rely on
+/// both.
+class BlockState {
+ public:
+  virtual ~BlockState() = default;
+
+  /// The state-memory word: the architectural view, built on demand.
+  virtual BitVector to_word() const = 0;
+  /// Loads a state word (reset, checkpoint restore, preloading); throws
+  /// on a width mismatch.
+  virtual void load_word(const BitVector& word) = 0;
+  /// Copies another state of the same block (the worklist's carry-over).
+  virtual void assign(const BlockState& other) = 0;
+  /// Register equality; agrees exactly with to_word() equality.
+  virtual bool equals(const BlockState& other) const = 0;
+};
+
+/// The default BlockState: the state word itself, plus the scratch the
+/// word adapter needs to call evaluate() (port BitVectors and a throwaway
+/// next-state word for drive()). The scratch is per state, never shared
+/// between blocks, and holds no information across calls.
+class WordState final : public BlockState {
+ public:
+  explicit WordState(const SimBlock& block);
+
+  BitVector to_word() const override { return word; }
+  void load_word(const BitVector& w) override;
+  void assign(const BlockState& other) override;
+  bool equals(const BlockState& other) const override;
+
+  BitVector word;
+
+  // Adapter scratch (see SimBlock::step).
+  mutable std::vector<BitVector> in;
+  mutable std::vector<BitVector> out;
+  mutable BitVector drive_next;
+};
 
 /// Pure combinational view of one design partition.
 class SimBlock {
@@ -41,9 +103,9 @@ class SimBlock {
   /// Initial (reset) contents of the state word.
   virtual BitVector reset_state() const = 0;
 
-  /// One delta cycle: evaluate F (next state) and G (outputs) together,
-  /// as the FPGA does ("F(x) and G(x) of a single router will be evaluated
-  /// in parallel", §4.2).
+  /// One delta cycle on state words: evaluate F (next state) and G
+  /// (outputs) together, as the FPGA does ("F(x) and G(x) of a single
+  /// router will be evaluated in parallel", §4.2).
   ///
   /// Must be pure: same (old_state, inputs) → same (new_state, outputs).
   /// The dynamic scheduler relies on this to make re-evaluation safe.
@@ -51,6 +113,25 @@ class SimBlock {
                         std::span<const BitVector> inputs,
                         BitVector& new_state,
                         std::span<BitVector> outputs) const = 0;
+
+  /// A fresh resident state holding reset_state(). The default is a
+  /// WordState; a block overriding this must override step() and
+  /// drive() as well (the defaults only understand WordState).
+  virtual std::unique_ptr<BlockState> make_state() const;
+
+  /// One delta cycle on resident states — what the engine calls: next
+  /// state into `next`, every output port into `out`. The default runs
+  /// evaluate() through the WordState adapter.
+  virtual void step(const BlockState& old, std::span<const std::uint64_t> in,
+                    BlockState& next, std::span<std::uint64_t> out) const;
+
+  /// G only: every output port for `old` and the current inputs, no next
+  /// state — what the compiled program's kDrive calls. Must write the
+  /// same outputs step() would. The default runs evaluate() into
+  /// scratch and discards the state; a block whose outputs depend on
+  /// registered state alone ignores `in`.
+  virtual void drive(const BlockState& old, std::span<const std::uint64_t> in,
+                     std::span<std::uint64_t> out) const;
 
   /// Human-readable type name for traces and error messages.
   virtual std::string type_name() const = 0;

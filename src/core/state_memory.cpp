@@ -4,24 +4,19 @@
 
 namespace tmsim::core {
 
-StateMemory::StateMemory(const std::vector<std::size_t>& widths)
-    : num_blocks_(widths.size()) {
-  TMSIM_CHECK_MSG(!widths.empty(), "state memory needs at least one block");
-  words_.reserve(2 * num_blocks_);
+StateMemory::StateMemory(const std::vector<const SimBlock*>& blocks)
+    : num_blocks_(blocks.size()) {
+  TMSIM_CHECK_MSG(!blocks.empty(), "state memory needs at least one block");
+  states_.reserve(2 * num_blocks_);
   for (int bank = 0; bank < 2; ++bank) {
-    for (std::size_t w : widths) {
-      words_.emplace_back(w);
+    for (const SimBlock* b : blocks) {
+      states_.push_back(b->make_state());
     }
   }
-  word_width_ = *std::max_element(widths.begin(), widths.end());
-}
-
-std::size_t StateMemory::total_bits() const {
-  std::size_t bits = 0;
-  for (const auto& w : words_) {
-    bits += w.width();
+  for (const SimBlock* b : blocks) {
+    word_width_ = std::max(word_width_, b->state_width());
+    bank_bits_ += b->state_width();
   }
-  return bits;
 }
 
 }  // namespace tmsim::core

@@ -4,61 +4,69 @@
 //  stored [...] this copy action is performed by switching the offset
 //  pointer of the current state and new state."
 //
-// One word per block per bank; the bank swap is a pointer flip, never a
-// copy (even system cycles read bank 0 / write bank 1, odd cycles the
-// reverse). Heterogeneous blocks store words of different widths; the
-// word_width() accessor reports the widest word, which is what the FPGA
-// implementation must provision (§7.1) and what the resource model uses.
+// One resident BlockState per block per bank, made by the block itself
+// (SimBlock::make_state): a RouterBlock keeps its registers as a native
+// noc::RouterState, any other block as its state word (WordState). The
+// bank swap is a pointer flip, never a copy (even system cycles read
+// bank 0 / write bank 1, odd cycles the reverse). The state word — what
+// the FPGA's block RAM holds — is built from a bank only at the
+// architectural boundary (read_old); evaluations never touch it.
+// Heterogeneous blocks have words of different widths; word_width()
+// reports the widest, which is what the FPGA implementation must
+// provision (§7.1) and what the resource model uses.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/bit_vector.h"
 #include "common/error.h"
+#include "core/sim_block.h"
 
 namespace tmsim::core {
 
 class StateMemory {
  public:
-  /// `widths[b]` is the register-file width of block b.
-  explicit StateMemory(const std::vector<std::size_t>& widths);
+  /// One state per bank for each of `blocks`, in order, holding its reset
+  /// state. The blocks are only used here, not retained.
+  explicit StateMemory(const std::vector<const SimBlock*>& blocks);
 
   std::size_t num_blocks() const { return num_blocks_; }
   /// Widest word — the physical memory width the FPGA would provision.
   std::size_t word_width() const { return word_width_; }
-  /// Total bits held (both banks).
-  std::size_t total_bits() const;
+  /// Total bits held (both banks), counted as state words.
+  std::size_t total_bits() const { return 2 * bank_bits_; }
 
   /// Current ("old") state of block b — what evaluations read.
-  const BitVector& read_old(std::size_t block) const {
-    return words_[old_offset_ + check_block(block)];
+  const BlockState& old_state(std::size_t block) const {
+    return *states_[old_offset_ + check_block(block)];
   }
 
   /// Next ("new") state slot of block b — what evaluations write.
   /// Re-evaluation overwrites the slot; the old bank is untouched, which
   /// is exactly why re-evaluation is safe ("the router's old state is
   /// available during the whole system cycle", §4.2).
-  void write_new(std::size_t block, const BitVector& word) {
-    BitVector& slot = words_[new_offset() + check_block(block)];
-    TMSIM_CHECK_MSG(slot.width() == word.width(), "state word width mismatch");
-    slot = word;
+  BlockState& new_state(std::size_t block) {
+    return *states_[new_offset() + check_block(block)];
   }
 
-  /// Copies block b's old-bank word into its new-bank slot — what the
+  /// Copies block b's old state into its new-bank slot — what the
   /// worklist scheduler's quiescence fast path does instead of a full
   /// evaluation, so the global bank swap cannot rot a skipped block's
-  /// state. A word copy, far cheaper than any real block's evaluate().
+  /// state. A register copy, far cheaper than any real block's step().
   void carry_over(std::size_t block) {
-    const std::size_t b = check_block(block);
-    words_[new_offset() + b] = words_[old_offset_ + b];
+    new_state(block).assign(old_state(block));
+  }
+
+  /// The old bank's state word of block b (the architectural boundary).
+  BitVector read_old(std::size_t block) const {
+    return old_state(block).to_word();
   }
 
   /// Direct initialization of the old bank (reset / test preloading).
   void load_old(std::size_t block, const BitVector& word) {
-    BitVector& slot = words_[old_offset_ + check_block(block)];
-    TMSIM_CHECK_MSG(slot.width() == word.width(), "state word width mismatch");
-    slot = word;
+    states_[old_offset_ + check_block(block)]->load_word(word);
   }
 
   /// End of system cycle: flip the offset pointer. O(1), no data moves.
@@ -79,8 +87,9 @@ class StateMemory {
 
   std::size_t num_blocks_ = 0;
   std::size_t word_width_ = 0;
+  std::size_t bank_bits_ = 0;
   std::size_t old_offset_ = 0;
-  std::vector<BitVector> words_;  // [2 * num_blocks]
+  std::vector<std::unique_ptr<BlockState>> states_;  // [2 * num_blocks]
 };
 
 }  // namespace tmsim::core

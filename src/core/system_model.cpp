@@ -23,6 +23,14 @@ LinkId SystemModel::add_link(std::string name, std::size_t width,
                              LinkKind kind) {
   TMSIM_CHECK_MSG(!finalized_, "model already finalized");
   TMSIM_CHECK_MSG(width >= 1, "link width must be positive");
+  if (width > kMaxLinkWidth) {
+    // LinkMemory holds every link in one 64-bit word.
+    throw ContextualError(
+        "link '" + name + "' is " + std::to_string(width) +
+            " bits wide; links are at most " + std::to_string(kMaxLinkWidth) +
+            " bits",
+        {{"link", name}, {"width", std::to_string(width)}});
+  }
   LinkInfo info;
   info.name = std::move(name);
   info.width = width;

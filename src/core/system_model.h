@@ -65,7 +65,11 @@ class SystemModel {
   /// blocks (homogeneous system — one implementation, many states).
   BlockId add_block(std::shared_ptr<const SimBlock> logic, std::string name);
 
-  /// Declares a link of `width` bits.
+  /// Widest link the engine's flat link memory holds (one machine word).
+  static constexpr std::size_t kMaxLinkWidth = 64;
+
+  /// Declares a link of 1..kMaxLinkWidth bits; a wider link throws a
+  /// ContextualError naming it.
   LinkId add_link(std::string name, std::size_t width, LinkKind kind);
 
   /// Binds block output / input ports to links. Each output port drives

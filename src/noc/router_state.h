@@ -34,8 +34,11 @@ struct QueueState {
   RingBuffer<Flit> fifo;
   /// True while a packet (HEAD seen, TAIL not yet forwarded) holds a route.
   bool locked = false;
-  /// Output port of the locked route; meaningless when !locked.
+  /// Output port of the locked route; meaningless when !locked (but
+  /// still a register, so compared and serialized).
   Port out_port = Port::kLocal;
+
+  friend bool operator==(const QueueState&, const QueueState&) = default;
 };
 
 /// Per output-port, per-VC state.
@@ -58,6 +61,12 @@ struct RouterState {
   std::vector<QueueState> queues;    ///< kPorts × num_vcs
   std::vector<OutVcState> out_vcs;   ///< kPorts × num_vcs
   std::vector<std::uint8_t> rr_ptr;  ///< per output port, indexes queues
+
+  /// Register equality. Agrees exactly with equality of the serialized
+  /// words: every field the codec stores is compared, stale queue slots
+  /// included, and the codec is a bijection on reachable states
+  /// (tests/noc/router_state_test.cpp, TypedWordAgreement).
+  friend bool operator==(const RouterState&, const RouterState&) = default;
 
   /// Queue / output-VC index for (port, vc).
   static std::size_t index(const RouterConfig& cfg, Port port,

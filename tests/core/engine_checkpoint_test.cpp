@@ -12,8 +12,10 @@
 
 #include "core/engine.h"
 #include "core/example_blocks.h"
+#include "core/noc_block.h"
 #include "core/sequential_simulator.h"
 #include "core/system_model.h"
+#include "traffic/harness.h"
 
 namespace tmsim::core {
 namespace {
@@ -146,6 +148,52 @@ TEST(EngineCheckpoint, ResetEngineReturnsToPowerOn) {
   drive(sim, chain, 12);
   drive(fresh, fresh_chain, 12);
   EXPECT_EQ(engine_state_digest(sim), engine_state_digest(fresh));
+}
+
+/// A reused farm engine must be indistinguishable from a fresh one, down
+/// to the StepStats stream: a previous tenant's link values (and, sharded,
+/// its cut-link replicas and mailbox slots) would otherwise change the
+/// first cycle's delta and link-change counts even though the committed
+/// states — and so the digests — agree.
+TEST(EngineReset, ReusedEngineReplaysAFreshEnginesStepStats) {
+  noc::NetworkConfig net;
+  net.width = 4;
+  net.height = 4;
+  net.topology = noc::Topology::kMesh;
+  const auto lanes = {
+      EngineOptions{.scheduler = SchedulerKind::kRoundRobin},
+      EngineOptions{.scheduler = SchedulerKind::kWorklist},
+      EngineOptions{.scheduler = SchedulerKind::kCompiled},
+      EngineOptions{.num_shards = 2, .scheduler = SchedulerKind::kRoundRobin},
+  };
+  for (const EngineOptions& opts : lanes) {
+    SCOPED_TRACE(std::string(scheduler_kind_name(opts.scheduler)) +
+                 " shards=" + std::to_string(opts.num_shards));
+    SeqNocSimulation used(net, opts);
+    {
+      traffic::TrafficHarness h(used, {.seed = 5});
+      h.set_be_load(0.30);
+      h.run(200);
+    }
+    used.reset();
+    SeqNocSimulation fresh(net, opts);
+    traffic::TrafficHarness hu(used, {.seed = 9});
+    traffic::TrafficHarness hf(fresh, {.seed = 9});
+    hu.set_be_load(0.30);
+    hf.set_be_load(0.30);
+    for (int c = 0; c < 40; ++c) {
+      hu.run(1);
+      hf.run(1);
+      StepStats a = used.last_step_stats();
+      StepStats b = fresh.last_step_stats();
+      a.barrier_spins = b.barrier_spins = 0;  // wall-clock noise (sharded)
+      ASSERT_EQ(a, b) << "cycle " << c << ": deltas " << a.delta_cycles
+                      << " vs " << b.delta_cycles << ", link changes "
+                      << a.link_changes << " vs " << b.link_changes;
+    }
+    EXPECT_EQ(engine_state_digest(used.engine()),
+              engine_state_digest(fresh.engine()));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/bit_vector.h"
+#include "common/error.h"
 #include "core/shard_mailbox.h"
 
 namespace tmsim::core {
@@ -98,9 +98,7 @@ TEST(ShardMailbox, PollSeesExactlyThePublishedSequence) {
   std::thread producer([&] {
     for (std::uint64_t r = 0; r < kRounds; ++r) {
       if (r % 3 != 0) {  // publish on 2 of 3 rounds: polls must miss none
-        BitVector v(64);
-        v.set_field(0, 64, 0x0101010101010101ull * (r & 0xff) + r);
-        mbox.publish(0, v);
+        mbox.publish(0, 0x0101010101010101ull * (r & 0xff) + r);
       }
       barrier.sync(0);
       barrier.sync(0);  // consumer polls between these two syncs
@@ -111,12 +109,12 @@ TEST(ShardMailbox, PollSeesExactlyThePublishedSequence) {
   bool torn = false;
   std::thread consumer([&] {
     std::uint64_t last_seen = 0;
-    BitVector out(64);
+    std::uint64_t out = 0;
     for (std::uint64_t r = 0; r < kRounds; ++r) {
       barrier.sync(0);
       if (mbox.poll(0, last_seen, out)) {
         ++seen;
-        last_value = out.get_field(0, 64);
+        last_value = out;
         const std::uint64_t expect = 0x0101010101010101ull * (r & 0xff) + r;
         torn = torn || (last_value != expect);
       }
@@ -156,9 +154,7 @@ TEST(ShardMailbox, NoLostUpdateUnderFreeRunningContention) {
     observed_max = last;
   });
   for (std::uint64_t i = 1; i <= kPublishes; ++i) {
-    BitVector v(32);
-    v.set_field(0, 32, i & 0xffffffffu);
-    mbox.publish(0, v);
+    mbox.publish(0, i & 0xffffffffu);
   }
   done.store(true, std::memory_order_release);
   observer.join();
@@ -166,36 +162,34 @@ TEST(ShardMailbox, NoLostUpdateUnderFreeRunningContention) {
   EXPECT_LE(observed_max, kPublishes);
   // join() synchronized: the producer is quiescent, polling is legal.
   std::uint64_t last_seen = 0;
-  BitVector out(32);
+  std::uint64_t out = 0;
   ASSERT_TRUE(mbox.poll(0, last_seen, out));
   EXPECT_EQ(last_seen, kPublishes);
-  EXPECT_EQ(out.get_field(0, 32), kPublishes & 0xffffffffu);
+  EXPECT_EQ(out, kPublishes & 0xffffffffu);
   EXPECT_FALSE(mbox.poll(0, last_seen, out));
 }
 
 TEST(ShardMailbox, SlotsAreIndependent) {
   ShardMailbox mbox(std::vector<std::size_t>{8, 16});
-  BitVector a(8);
-  a.set_field(0, 8, 0xab);
-  mbox.publish(0, a);
+  mbox.publish(0, 0xab);
   EXPECT_EQ(mbox.version(0), 1u);
   EXPECT_EQ(mbox.version(1), 0u);
   std::uint64_t seen1 = 0;
-  BitVector out(16);
+  std::uint64_t out = 0;
   EXPECT_FALSE(mbox.poll(1, seen1, out));
   std::uint64_t seen0 = 0;
-  BitVector out0(8);
+  std::uint64_t out0 = 0;
   ASSERT_TRUE(mbox.poll(0, seen0, out0));
-  EXPECT_EQ(out0.get_field(0, 8), 0xabu);
+  EXPECT_EQ(out0, 0xabu);
   EXPECT_FALSE(mbox.poll(0, seen0, out0));
 }
 
 TEST(ShardMailbox, RejectsWidthMismatchAndBadSlot) {
   ShardMailbox mbox(std::vector<std::size_t>{8});
-  EXPECT_THROW(mbox.publish(0, BitVector(16)), Error);
-  EXPECT_THROW(mbox.publish(1, BitVector(8)), Error);
+  EXPECT_THROW(mbox.publish(0, 0x100), Error);  // bit 8 is above the width
+  EXPECT_THROW(mbox.publish(1, 0), Error);
   std::uint64_t seen = 0;
-  BitVector out(8);
+  std::uint64_t out = 0;
   EXPECT_THROW(mbox.poll(1, seen, out), Error);
 }
 

@@ -67,6 +67,21 @@ TEST(SystemModel, RejectsWidthMismatch) {
   EXPECT_THROW(m.bind_input(a, 0, l), Error);
 }
 
+TEST(SystemModel, RejectsLinksWiderThanOneWord) {
+  // The engine's link memory holds each link in one 64-bit word.
+  SystemModel m;
+  EXPECT_NO_THROW(m.add_link("widest", 64, LinkKind::kCombinational));
+  try {
+    m.add_link("bus", 65, LinkKind::kRegistered);
+    FAIL() << "a 65-bit link was accepted";
+  } catch (const ContextualError& e) {
+    EXPECT_EQ(e.context_value("link"), "bus");
+    EXPECT_EQ(e.context_value("width"), "65");
+    EXPECT_NE(std::string(e.what()).find("'bus'"), std::string::npos);
+  }
+  EXPECT_EQ(m.num_links(), 1u);  // the rejected link was not added
+}
+
 TEST(SystemModel, RejectsSecondReaderOnCombinationalLink) {
   // One HBR bit per link position implies a single reader (§4.2).
   SystemModel m;

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/noc_block.h"
+#include "noc/network.h"
+#include "noc/router_logic.h"
+#include "traffic/harness.h"
 
 namespace tmsim::noc {
 namespace {
@@ -306,6 +313,127 @@ TEST(RouterStateCodecShapes, DeserializeAgreesWithLayoutOnArbitraryWords) {
   }
   EXPECT_GT(rejected, 100u);
   EXPECT_GT(accepted, 100u);
+}
+
+// ---------------------------------------------------------------------------
+// Typed state vs state word (DESIGN.md §7). The engine keeps router
+// registers resident as RouterState and never encodes them per delta
+// cycle, so three facts must hold on every shape for that to lose
+// nothing: the word round-trips through the resident state, the typed
+// fixed-point compare the worklist uses is exactly word equality, and no
+// transient evaluation produces a state the codec would refuse.
+// ---------------------------------------------------------------------------
+
+/// Committed router states of a 3x3 mesh of shape `cfg` under uniform
+/// best-effort traffic on every VC, sampled every few cycles.
+std::vector<RouterState> traffic_states(const RouterConfig& cfg,
+                                        std::uint64_t seed) {
+  NetworkConfig net;
+  net.width = 3;
+  net.height = 3;
+  net.topology = Topology::kMesh;
+  net.router = cfg;
+  DirectNocSimulation sim(net);
+  tmsim::traffic::TrafficHarness h(sim, {.seed = seed});
+  std::vector<unsigned> vcs;
+  for (unsigned v = 0; v < cfg.num_vcs; ++v) {
+    vcs.push_back(v);
+  }
+  h.set_be_load(0.45, vcs);
+  std::vector<RouterState> out;
+  for (int round = 0; round < 12; ++round) {
+    h.run(7);
+    for (std::size_t r = 0; r < net.num_routers(); ++r) {
+      out.push_back(sim.state(r));
+    }
+  }
+  return out;
+}
+
+/// A flit the links can carry: any non-idle type, any payload.
+LinkForward random_forward(const RouterConfig& cfg, tmsim::SplitMix64& rng) {
+  if (rng.next_below(3) == 0) {
+    return idle_forward();
+  }
+  return LinkForward{true, static_cast<std::uint8_t>(rng.next_below(cfg.num_vcs)),
+                     Flit{static_cast<FlitType>(1 + rng.next_below(3)),
+                          static_cast<std::uint16_t>(rng.next())}};
+}
+
+TEST(RouterStateCodecShapes, TypedWordAgreement) {
+  tmsim::SplitMix64 rng(0x7e9ed);
+  std::size_t stale_pairs = 0;
+  std::size_t transients = 0;
+  for (const std::size_t vcs : kShapeVcs) {
+    for (const std::size_t depth : kShapeDepths) {
+      SCOPED_TRACE("vcs=" + std::to_string(vcs) +
+                   " depth=" + std::to_string(depth));
+      const RouterConfig cfg = shape(vcs, depth);
+      const auto codec = std::make_shared<const RouterStateCodec>(cfg);
+      NetworkConfig net;
+      net.width = 3;
+      net.height = 3;
+      net.topology = Topology::kMesh;
+      net.router = cfg;
+      const tmsim::core::RouterBlock block(codec,
+                                           RouterEnv{&net, Coord{1, 1}});
+      const std::unique_ptr<tmsim::core::BlockState> a = block.make_state();
+      const std::unique_ptr<tmsim::core::BlockState> b = block.make_state();
+      const std::vector<RouterState> states = traffic_states(cfg, vcs * 31 + depth);
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        const RouterState& s = states[i];
+        const BitVector w = codec->serialize(s);
+
+        // 1. The word survives the resident state: to_word(from_word(w)).
+        a->load_word(w);
+        ASSERT_EQ(a->to_word(), w);
+
+        // 2. Typed equality is word equality, against an unrelated state
+        //    and against a copy differing only in one stale queue slot.
+        const RouterState& other = states[(i * 7 + 3) % states.size()];
+        b->load_word(codec->serialize(other));
+        ASSERT_EQ(s == other, w == codec->serialize(other));
+        ASSERT_EQ(a->equals(*b), w == codec->serialize(other));
+        ASSERT_TRUE(s == codec->deserialize(w));
+        for (std::size_t q = 0; q < s.queues.size(); ++q) {
+          const QueueState& qs = s.queues[q];
+          if (qs.fifo.full()) {
+            continue;
+          }
+          RouterState stale = s;  // rewrite the first dead slot
+          Flit& dead = stale.queues[q].fifo.slot(qs.fifo.write_pos());
+          dead.payload = static_cast<std::uint16_t>(dead.payload ^ 0x2a5);
+          const BitVector sw = codec->serialize(stale);
+          b->load_word(sw);
+          ASSERT_NE(sw, w);
+          ASSERT_FALSE(stale == s);
+          ASSERT_FALSE(a->equals(*b));
+          ++stale_pairs;
+          break;
+        }
+
+        // 3. Transient evaluations against stale forward and credit
+        //    inputs — what the dynamic schedule does before a block's
+        //    inputs settle — leave states the codec encodes.
+        for (int t = 0; t < 4; ++t) {
+          std::array<std::uint64_t, 9> in{};
+          for (std::size_t p = 0; p < kPorts; ++p) {
+            in[p] = encode_forward(random_forward(cfg, rng));
+          }
+          for (std::size_t p = kPorts; p < in.size(); ++p) {
+            in[p] = rng.next_below(std::uint64_t{1} << vcs);
+          }
+          std::array<std::uint64_t, 10> out{};
+          RouterState next(cfg);
+          block.step_state(s, in, next, out);
+          ASSERT_NO_THROW(codec->serialize(next));
+          ++transients;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stale_pairs, 1000u);
+  EXPECT_GT(transients, 10000u);
 }
 
 /// Encodes `s` and returns the ContextualError it raises.
