@@ -95,9 +95,11 @@ void BM_RouterWordEvaluate(benchmark::State& state) {
 BENCHMARK(BM_RouterWordEvaluate);
 
 /// A saturated router's registers: every queue partly or fully occupied
-/// with wrapped pointers, half the routes locked, busy output VCs with
-/// varied credits, scattered arbiter pointers. The reset word is all-zero
-/// slots and empty queues, which is not what a loaded network decodes.
+/// with wrapped pointers, half the routes locked (with a BODY at the head,
+/// as the arbiter requires) and the other half holding a HEAD bound for a
+/// router of the 6×6 networks below, busy output VCs with varied credits,
+/// scattered arbiter pointers. The reset word is all-zero slots and empty
+/// queues, which is not what a loaded network decodes.
 noc::RouterState loaded_state(const noc::RouterConfig& cfg) {
   noc::RouterState s(cfg);
   for (std::size_t q = 0; q < cfg.num_queues(); ++q) {
@@ -107,12 +109,19 @@ noc::RouterState loaded_state(const noc::RouterConfig& cfg) {
       qs.fifo.pop();
     }
     const std::size_t fill = 1 + q % cfg.queue_depth;
-    for (std::size_t i = 0; i < fill; ++i) {
-      qs.fifo.push(noc::Flit{i == 0 ? noc::FlitType::kHead
-                                    : noc::FlitType::kBody,
-                             static_cast<std::uint16_t>(0x9e37 * (q + i))});
-    }
     qs.locked = q % 2 == 0;
+    for (std::size_t i = 0; i < fill; ++i) {
+      const auto bits = static_cast<std::uint16_t>(0x9e37 * (q + i));
+      if (i == 0 && !qs.locked) {
+        const noc::HeadFields h = noc::decode_head(bits);
+        qs.fifo.push(noc::Flit{noc::FlitType::kHead,
+                               noc::make_head_payload(h.dest_x % 6,
+                                                      h.dest_y % 6, h.vc,
+                                                      h.seq)});
+      } else {
+        qs.fifo.push(noc::Flit{noc::FlitType::kBody, bits});
+      }
+    }
     qs.out_port = static_cast<noc::Port>(q % noc::kPorts);
   }
   for (std::size_t o = 0; o < cfg.num_queues(); ++o) {
@@ -132,6 +141,18 @@ noc::RouterState codec_bench_state(const benchmark::State& state,
                                    const noc::RouterConfig& cfg) {
   return state.range(0) == 0 ? noc::RouterState(cfg) : loaded_state(cfg);
 }
+
+/// The five crossbar arbiters alone (compute_grants) on the reset state
+/// (arg 0) and on loaded_state() (arg 1), a 6×6 torus router at (2,2).
+void BM_RouterGrants(benchmark::State& state) {
+  const noc::NetworkConfig net = net_of(6, 6);
+  const noc::RouterEnv env{&net, noc::Coord{2, 2}};
+  const noc::RouterState s = codec_bench_state(state, net.router);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compute_grants(s, env));
+  }
+}
+BENCHMARK(BM_RouterGrants)->ArgName("loaded")->Arg(0)->Arg(1);
 
 void BM_StateWordSerialize(benchmark::State& state) {
   const noc::RouterConfig cfg;

@@ -1,5 +1,8 @@
 #include "noc/router_logic.h"
 
+#include <bit>
+#include <cstdint>
+
 namespace tmsim::noc {
 
 namespace {
@@ -14,62 +17,81 @@ std::size_t vc_of(std::size_t q, const RouterConfig& cfg) {
 
 }  // namespace
 
-std::optional<Port> queue_request(const RouterState& s, std::size_t q,
-                                  const RouterEnv& env) {
-  const QueueState& qs = s.queues[q];
-  if (qs.fifo.empty()) {
-    return std::nullopt;
-  }
+QueueRequest request_of(const RouterState& s, std::size_t p, std::size_t v,
+                        const RouterEnv& env) {
+  const RouterConfig& cfg = env.net->router;
+  const QueueState& qs = s.queues[p * cfg.num_vcs + v];
   const Flit& head = qs.fifo.front();
+  // Mid-packet: the route is held until the TAIL passes.
+  Port o = qs.out_port;
   if (qs.locked) {
-    // Mid-packet: the route is held until the TAIL passes.
     TMSIM_CHECK_MSG(head.type == FlitType::kBody || head.type == FlitType::kTail,
                     "locked queue must hold BODY/TAIL at its head");
-    return qs.out_port;
+    TMSIM_CHECK_MSG(static_cast<std::size_t>(o) < kPorts,
+                    "locked queue routes to a nonexistent output port");
+  } else {
+    TMSIM_CHECK_MSG(head.type == FlitType::kHead,
+                    "unlocked queue must hold a HEAD at its head");
+    const HeadFields h = decode_head(head.payload);
+    o = route_xy(*env.net, env.coord, Coord{h.dest_x, h.dest_y});
   }
-  TMSIM_CHECK_MSG(head.type == FlitType::kHead,
-                  "unlocked queue must hold a HEAD at its head");
-  const HeadFields h = decode_head(head.payload);
-  return route_xy(*env.net, env.coord, Coord{h.dest_x, h.dest_y});
+  const OutVcState& ovc = s.out_vcs[RouterState::index(cfg, o, v)];
+  // Mid-packet flits flow only while this queue owns the output VC; a
+  // HEAD may only claim a free one.
+  const bool lock_ok = qs.locked ? ovc.busy && ovc.owner_port == p : !ovc.busy;
+  return QueueRequest{o, ovc.credits != 0 && lock_ok};
+}
+
+std::optional<Port> queue_request(const RouterState& s, std::size_t q,
+                                  const RouterEnv& env) {
+  if (s.queues[q].fifo.empty()) {
+    return std::nullopt;
+  }
+  const RouterConfig& cfg = env.net->router;
+  return request_of(s, in_port_of(q, cfg), vc_of(q, cfg), env).port;
 }
 
 bool queue_eligible(const RouterState& s, std::size_t q,
                     const RouterEnv& env) {
-  const std::optional<Port> req = queue_request(s, q, env);
-  if (!req.has_value()) {
+  if (s.queues[q].fifo.empty()) {
     return false;
   }
   const RouterConfig& cfg = env.net->router;
-  const std::size_t v = vc_of(q, cfg);
-  const OutVcState& ovc = s.out_vcs[RouterState::index(cfg, *req, v)];
-  if (ovc.credits == 0) {
-    return false;
-  }
-  if (s.queues[q].locked) {
-    // Mid-packet flits flow only while this queue owns the output VC.
-    return ovc.busy && ovc.owner_port == in_port_of(q, cfg);
-  }
-  // A HEAD may only claim a free output VC.
-  return !ovc.busy;
+  return request_of(s, in_port_of(q, cfg), vc_of(q, cfg), env).eligible;
 }
 
 int arbiter_grant(const RouterState& s, Port o, const RouterEnv& env) {
-  const RouterConfig& cfg = env.net->router;
-  const std::size_t nq = cfg.num_queues();
-  const std::size_t start = s.rr_ptr[static_cast<std::size_t>(o)];
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t q = (start + i) % nq;
-    if (queue_eligible(s, q, env) && *queue_request(s, q, env) == o) {
-      return static_cast<int>(q);
-    }
-  }
-  return -1;
+  return compute_grants(s, env).granted[static_cast<std::size_t>(o)];
 }
 
 Grants compute_grants(const RouterState& s, const RouterEnv& env) {
+  const RouterConfig& cfg = env.net->router;
+  const std::size_t nq = cfg.num_queues();
+  // Pass 1: bit q of req[o] is set when queue q requests port o and may
+  // be granted.
+  std::array<std::uint32_t, kPorts> req{};
+  std::size_t q = 0;
+  for (std::size_t p = 0; p < kPorts; ++p) {
+    for (std::size_t v = 0; v < cfg.num_vcs; ++v, ++q) {
+      if (s.queues[q].fifo.empty()) {
+        continue;
+      }
+      const QueueRequest r = request_of(s, p, v, env);
+      req[static_cast<std::size_t>(r.port)] |= std::uint32_t{r.eligible} << q;
+    }
+  }
+  // Pass 2: the first requester at or after rr_ptr, wrapping around.
   Grants g;
   for (std::size_t o = 0; o < kPorts; ++o) {
-    g.granted[o] = arbiter_grant(s, static_cast<Port>(o), env);
+    if (req[o] == 0) {
+      continue;
+    }
+    // A decoded pointer may exceed the queue count.
+    const std::size_t start = s.rr_ptr[o] % nq;
+    const std::uint32_t from_start = req[o] >> start;
+    g.granted[o] = from_start != 0
+                       ? static_cast<int>(start) + std::countr_zero(from_start)
+                       : std::countr_zero(req[o]);
   }
   return g;
 }
@@ -141,7 +163,7 @@ void compute_next_state_into(const RouterState& s, const Grants& grants,
                     "flit forwarded without a credit");
     --next.out_vcs[ovc_idx].credits;
     next.rr_ptr[o] =
-        static_cast<std::uint8_t>((q + 1) % cfg.num_queues());
+        static_cast<std::uint8_t>(q + 1 == cfg.num_queues() ? 0 : q + 1);
   }
 
   // 2. Credit returns from downstream routers. The counter wraps at its

@@ -72,21 +72,42 @@ struct Grants {
   friend bool operator==(const Grants&, const Grants&) = default;
 };
 
-/// Output port requested by queue `q`'s head flit: the locked route while a
-/// packet is in flight, otherwise the XY route of the HEAD flit. nullopt
-/// when the queue is empty.
+/// One input queue's line into the crossbar: the output port its head flit
+/// requests and whether the request may be granted this cycle.
+struct QueueRequest {
+  Port port = Port::kLocal;
+  bool eligible = false;
+};
+
+/// The request of the non-empty queue on (input port `p`, VC `v`): the
+/// locked route while a packet is in flight, otherwise the XY route of the
+/// HEAD flit. It is eligible when the requested output VC has a credit and
+/// the wormhole lock allows it (a free VC for a HEAD, the VC this queue
+/// owns for BODY/TAIL). This is the only per-queue arbitration logic:
+/// compute_grants evaluates it once per queue, and queue_request /
+/// queue_eligible wrap it. Throws when the head flit contradicts the lock
+/// or a locked route names a port that does not exist (a decoded word can
+/// hold out_port 5..7 in its 3-bit field).
+QueueRequest request_of(const RouterState& s, std::size_t p, std::size_t v,
+                        const RouterEnv& env);
+
+/// Output port requested by queue `q`'s head flit (request_of's port);
+/// nullopt when the queue is empty.
 std::optional<Port> queue_request(const RouterState& s, std::size_t q,
                                   const RouterEnv& env);
 
-/// True when queue `q` may send this cycle: it has a flit, the requested
-/// output VC has a credit, and the wormhole lock allows it (free VC for a
-/// HEAD, owned VC for BODY/TAIL).
+/// True when queue `q` may send this cycle: it has a flit and request_of
+/// finds it eligible.
 bool queue_eligible(const RouterState& s, std::size_t q, const RouterEnv& env);
 
-/// Round-robin arbitration for output port `o` over all queues.
+/// Round-robin arbitration for output port `o`: compute_grants(s,
+/// env).granted[o].
 int arbiter_grant(const RouterState& s, Port o, const RouterEnv& env);
 
-/// All five arbiters.
+/// All five arbiters, evaluated as the FPGA's request vectors and priority
+/// encoders: one request_of per non-empty queue sets bit q of its port's
+/// request mask, and each port grants the first set bit at or after its
+/// round-robin pointer (taken mod the queue count), wrapping around.
 Grants compute_grants(const RouterState& s, const RouterEnv& env);
 
 /// G(state): the link values driven by the router, given `grants`

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace tmsim::noc {
 namespace {
 
@@ -172,6 +174,27 @@ TEST(RouterLogic, DistinctOutputsGrantInParallel) {
   EXPECT_GE(g.granted[static_cast<std::size_t>(Port::kEast)], 0);
   EXPECT_GE(g.granted[static_cast<std::size_t>(Port::kWest)], 0);
   EXPECT_GE(g.granted[static_cast<std::size_t>(Port::kSouth)], 0);
+}
+
+TEST(RouterLogic, DecodedLockedRouteBeyondPortsThrows) {
+  // out_port is a 3-bit field, so a decoded word can lock a queue to port
+  // 5, 6 or 7. The arbiter must reject it rather than index the output-VC
+  // registers past their end.
+  Fixture fx;
+  const RouterStateCodec codec(fx.net.router);
+  for (unsigned bad = kPorts; bad < 8; ++bad) {
+    SCOPED_TRACE("out_port=" + std::to_string(bad));
+    RouterState s(fx.net.router);
+    const std::size_t q = RouterState::index(fx.net.router, Port::kNorth, 1);
+    s.queues[q].fifo.push(Flit{FlitType::kBody, 0x1234});
+    s.queues[q].locked = true;
+    s.queues[q].out_port = static_cast<Port>(bad);
+    const RouterState decoded = codec.deserialize(codec.serialize(s));
+    ASSERT_EQ(static_cast<unsigned>(decoded.queues[q].out_port), bad);
+    EXPECT_THROW(compute_grants(decoded, fx.env), tmsim::Error);
+    EXPECT_THROW(compute_outputs(decoded, fx.env), tmsim::Error);
+    EXPECT_THROW(queue_eligible(decoded, q, fx.env), tmsim::Error);
+  }
 }
 
 TEST(RouterLogic, IncomingFlitIsQueued) {

@@ -12,7 +12,7 @@
 #include "core/noc_block.h"
 #include "noc/network.h"
 #include "noc/router_logic.h"
-#include "traffic/harness.h"
+#include "router_shapes.h"
 
 namespace tmsim::noc {
 namespace {
@@ -141,15 +141,10 @@ TEST(RouterStateCodec, RejectsWrongWidthWord) {
 
 // --- The codec against StateLayout, over every router shape ------------
 
-constexpr std::size_t kShapeVcs[] = {1, 2, 3, 4};
-constexpr std::size_t kShapeDepths[] = {1, 2, 3, 4, 5, 8, 15};
-
-RouterConfig shape(std::size_t vcs, std::size_t depth) {
-  RouterConfig cfg;
-  cfg.num_vcs = vcs;
-  cfg.queue_depth = depth;
-  return cfg;
-}
+using test::kShapeDepths;
+using test::kShapeVcs;
+using test::shape;
+using test::traffic_states;
 
 /// A random reachable state: every queue's pointers are rotated by a
 /// random number of push/pop pairs first, so they wrap and the dead slots
@@ -324,32 +319,6 @@ TEST(RouterStateCodecShapes, DeserializeAgreesWithLayoutOnArbitraryWords) {
 // transient evaluation produces a state the codec would refuse.
 // ---------------------------------------------------------------------------
 
-/// Committed router states of a 3x3 mesh of shape `cfg` under uniform
-/// best-effort traffic on every VC, sampled every few cycles.
-std::vector<RouterState> traffic_states(const RouterConfig& cfg,
-                                        std::uint64_t seed) {
-  NetworkConfig net;
-  net.width = 3;
-  net.height = 3;
-  net.topology = Topology::kMesh;
-  net.router = cfg;
-  DirectNocSimulation sim(net);
-  tmsim::traffic::TrafficHarness h(sim, {.seed = seed});
-  std::vector<unsigned> vcs;
-  for (unsigned v = 0; v < cfg.num_vcs; ++v) {
-    vcs.push_back(v);
-  }
-  h.set_be_load(0.45, vcs);
-  std::vector<RouterState> out;
-  for (int round = 0; round < 12; ++round) {
-    h.run(7);
-    for (std::size_t r = 0; r < net.num_routers(); ++r) {
-      out.push_back(sim.state(r));
-    }
-  }
-  return out;
-}
-
 /// A flit the links can carry: any non-idle type, any payload.
 LinkForward random_forward(const RouterConfig& cfg, tmsim::SplitMix64& rng) {
   if (rng.next_below(3) == 0) {
@@ -370,11 +339,7 @@ TEST(RouterStateCodecShapes, TypedWordAgreement) {
                    " depth=" + std::to_string(depth));
       const RouterConfig cfg = shape(vcs, depth);
       const auto codec = std::make_shared<const RouterStateCodec>(cfg);
-      NetworkConfig net;
-      net.width = 3;
-      net.height = 3;
-      net.topology = Topology::kMesh;
-      net.router = cfg;
+      const NetworkConfig net = test::mesh3x3(cfg);
       const tmsim::core::RouterBlock block(codec,
                                            RouterEnv{&net, Coord{1, 1}});
       const std::unique_ptr<tmsim::core::BlockState> a = block.make_state();
