@@ -1,5 +1,6 @@
 // Worklist-scheduler speedup (DESIGN.md §12): event-driven worklist vs
-// the paper's dense §4.2 round-robin sweep, on both host engines.
+// the paper's dense §4.2 round-robin sweep, on the one-shard engine (the
+// only one that runs the worklist).
 //
 // The dense sweep pays one evaluation per block per system cycle even
 // when the network is completely idle ("it is guaranteed that all
@@ -16,9 +17,8 @@
 //   saturated — 50% injection: everything active, the fast path's
 //               worst case (must not be materially slower than dense)
 //
-// Rows for the sequential engine and the 4-shard bulk-synchronous
-// engine; per-cycle evaluation/skip counts come from the engine.sched.*
-// registry rows so the speedup can be read against the work elided.
+// Per-cycle evaluation/skip counts come from the engine.sched.* registry
+// rows so the speedup can be read against the work elided.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -43,10 +43,9 @@ struct Row {
   double skipped_per_cycle = 0;  ///< quiescence-fast-path skips per cycle
 };
 
-Row measure(const noc::NetworkConfig& net, std::size_t shards,
-            core::SchedulerKind sched, double load, std::size_t cycles) {
+Row measure(const noc::NetworkConfig& net, core::SchedulerKind sched,
+            double load, std::size_t cycles) {
   core::EngineOptions opts;
-  opts.num_shards = shards;
   opts.scheduler = sched;
   core::SeqNocSimulation sim(net, opts);
   obs::MetricsRegistry registry;
@@ -167,34 +166,30 @@ int main() {
     double load;
   } kLoads[] = {{"idle", 0.0}, {"sparse", 0.02}, {"saturated", 0.5}};
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    const char* eng = shards == 1 ? "seq" : "sharded";
-    std::printf("\n%s engine (shards=%zu):\n", eng, shards);
-    std::printf("  %-10s %12s %12s %8s %11s %11s\n", "load", "rr cyc/s",
-                "wl cyc/s", "speedup", "wl evals/c", "wl skips/c");
-    for (const auto& l : kLoads) {
-      const std::size_t cycles = (l.load >= 0.5 ? 400 : 1200) / scale;
-      const Row rr = measure(net, shards, core::SchedulerKind::kRoundRobin,
-                             l.load, cycles);
-      const Row wl = measure(net, shards, core::SchedulerKind::kWorklist,
-                             l.load, cycles);
-      const double speedup = wl.cps / rr.cps;
-      std::printf("  %-10s %12.0f %12.0f %7.2fx %11.1f %11.1f\n", l.name,
-                  rr.cps, wl.cps, speedup, wl.evals_per_cycle,
-                  wl.skipped_per_cycle);
-      const std::string tag = std::string(eng) + "." + l.name;
-      metrics.push_back({"sched.speedup." + tag, speedup, "ratio"});
-      metrics.push_back({"sched.wl_evals_per_cycle." + tag,
-                         wl.evals_per_cycle, "count"});
-      metrics.push_back({"sched.wl_skips_per_cycle." + tag,
-                         wl.skipped_per_cycle, "count"});
-      metrics.push_back({"sched.rr_evals_per_cycle." + tag,
-                         rr.evals_per_cycle, "count"});
-      if (shards == 1 && l.load > 0.0 && l.load <= 0.1) {
-        // The headline acceptance metric: worklist vs round-robin on a
-        // sparse (≤10% injection) workload, sequential engine.
-        metrics.push_back({"sched.speedup.sparse", speedup, "ratio"});
-      }
+  std::printf("\nseq engine (shards=1):\n");
+  std::printf("  %-10s %12s %12s %8s %11s %11s\n", "load", "rr cyc/s",
+              "wl cyc/s", "speedup", "wl evals/c", "wl skips/c");
+  for (const auto& l : kLoads) {
+    const std::size_t cycles = (l.load >= 0.5 ? 400 : 1200) / scale;
+    const Row rr =
+        measure(net, core::SchedulerKind::kRoundRobin, l.load, cycles);
+    const Row wl = measure(net, core::SchedulerKind::kWorklist, l.load, cycles);
+    const double speedup = wl.cps / rr.cps;
+    std::printf("  %-10s %12.0f %12.0f %7.2fx %11.1f %11.1f\n", l.name,
+                rr.cps, wl.cps, speedup, wl.evals_per_cycle,
+                wl.skipped_per_cycle);
+    const std::string tag = std::string("seq.") + l.name;
+    metrics.push_back({"sched.speedup." + tag, speedup, "ratio"});
+    metrics.push_back({"sched.wl_evals_per_cycle." + tag,
+                       wl.evals_per_cycle, "count"});
+    metrics.push_back({"sched.wl_skips_per_cycle." + tag,
+                       wl.skipped_per_cycle, "count"});
+    metrics.push_back({"sched.rr_evals_per_cycle." + tag,
+                       rr.evals_per_cycle, "count"});
+    if (l.load > 0.0 && l.load <= 0.1) {
+      // The headline acceptance metric: worklist vs round-robin on a
+      // sparse (≤10% injection) workload.
+      metrics.push_back({"sched.speedup.sparse", speedup, "ratio"});
     }
   }
   std::printf("\n");
@@ -255,10 +250,8 @@ int main() {
               "cp/wl");
   for (const auto& l : kLoads) {
     const std::size_t cycles = (l.load >= 0.5 ? 400 : 1200) / scale;
-    const Row wl =
-        measure(net, 1, core::SchedulerKind::kWorklist, l.load, cycles);
-    const Row cp =
-        measure(net, 1, core::SchedulerKind::kCompiled, l.load, cycles);
+    const Row wl = measure(net, core::SchedulerKind::kWorklist, l.load, cycles);
+    const Row cp = measure(net, core::SchedulerKind::kCompiled, l.load, cycles);
     std::printf("  %-10s %12.0f %12.0f %7.2fx\n", l.name, wl.cps, cp.cps,
                 cp.cps / wl.cps);
     cmetrics.push_back({"compiled.noc_cps.worklist." + std::string(l.name),

@@ -5,8 +5,9 @@
 // (DESIGN.md §9). Two questions, answered separately and honestly:
 //
 //   1. What does it do on *this host*? Measured wall-clock cycles per
-//      second for shards ∈ {1, 2, 4, 8} on a 4×4 and an 8×8 mesh, per
-//      partition policy. Thread-level speedup needs hardware threads:
+//      second for shards ∈ {1, 2, 4, 8} on a 4×4 and an 8×8 mesh, with
+//      the links the min-cut partition cuts at each shard count.
+//      Thread-level speedup needs hardware threads:
 //      on a single-core host the barrier protocol is pure overhead and
 //      every sharded row will be *slower* than sequential — the bench
 //      prints the host's hardware_concurrency so that reading is
@@ -57,9 +58,8 @@ Measured measure(const noc::NetworkConfig& net, const core::EngineOptions& opts,
 }
 
 /// Max-over-min shard population: the model's `imbalance` knob.
-double imbalance_of(const core::SystemModel& model, std::size_t shards,
-                    core::PartitionPolicy pol) {
-  const core::Partition p = core::partition_blocks(model, shards, pol);
+double imbalance_of(const core::SystemModel& model, std::size_t shards) {
+  const core::Partition p = core::partition_blocks(model, shards);
   std::size_t lo = model.num_blocks(), hi = 0;
   for (const auto& s : p.shards) {
     lo = std::min(lo, s.size());
@@ -80,9 +80,6 @@ int main() {
                         "synchronization overhead, not speedup)"
                       : "");
 
-  const core::PartitionPolicy policies[] = {
-      core::PartitionPolicy::kRoundRobin, core::PartitionPolicy::kContiguous,
-      core::PartitionPolicy::kMinCutGreedy};
   const std::size_t shard_counts[] = {2, 4, 8};
 
   for (const std::size_t side : {std::size_t{4}, std::size_t{8}}) {
@@ -99,30 +96,26 @@ int main() {
                        seq.cps, "cycles/s"});
     std::printf("\n%zux%zu mesh, %zu cycles — sequential: %.0f cycles/s\n",
                 side, side, cycles, seq.cps);
-    std::printf("  %-14s %6s %10s %9s %8s %11s\n", "partition", "shards",
-                "cycles/s", "vs seq", "cut", "steps/cyc");
-    for (const core::PartitionPolicy pol : policies) {
-      for (const std::size_t k : shard_counts) {
-        core::EngineOptions opts;
-        opts.num_shards = k;
-        opts.partition = pol;
-        const Measured m = measure(net, opts, cycles);
-        metrics.push_back({std::string("speedup.") +
-                               core::partition_policy_name(pol) + "." +
-                               std::to_string(side) + "x" +
-                               std::to_string(side) + ".shards=" +
-                               std::to_string(k),
-                           m.cps / seq.cps, "ratio"});
-        std::printf("  %-14s %6zu %10.0f %8.2fx %8zu %11.2f\n",
-                    core::partition_policy_name(pol), k, m.cps, m.cps / seq.cps,
-                    m.cut_links, m.supersteps);
-      }
+    std::printf("  %6s %10s %9s %8s %11s\n", "shards", "cycles/s",
+                "vs seq", "cut", "steps/cyc");
+    for (const std::size_t k : shard_counts) {
+      core::EngineOptions opts;
+      opts.num_shards = k;
+      const Measured m = measure(net, opts, cycles);
+      const std::string tag = std::to_string(side) + "x" +
+                              std::to_string(side) + ".shards=" +
+                              std::to_string(k);
+      metrics.push_back({"speedup." + tag, m.cps / seq.cps, "ratio"});
+      metrics.push_back({"cut_links." + tag,
+                         static_cast<double>(m.cut_links), "count"});
+      std::printf("  %6zu %10.0f %8.2fx %8zu %11.2f\n", k, m.cps,
+                  m.cps / seq.cps, m.cut_links, m.supersteps);
     }
   }
 
   // Modeled FPGA scaling: counts from a hardened ArmHost run on the 8×8
   // mesh, supersteps/cycle and imbalance measured from the matching
-  // min-cut-greedy sharded runs above (re-derived here cheaply).
+  // sharded runs above (re-derived here cheaply).
   std::printf("\nmodeled parallel FPGA engine (8x8 mesh, paper clocks):\n");
   fpga::FpgaDesign design{fpga::FpgaBuildConfig{}};
   fpga::ArmHost::Workload wl;
@@ -149,8 +142,7 @@ int main() {
     opts.num_shards = k;
     const Measured m = measure(net8, opts, 120 / scale + 30);
     core::SeqNocSimulation probe(net8, opts);
-    const double imb = imbalance_of(probe.engine().model(), k,
-                                    core::PartitionPolicy::kMinCutGreedy);
+    const double imb = imbalance_of(probe.engine().model(), k);
     const fpga::ShardedEstimate est = model.sharded_simulate_estimate(
         host.counts(), k, imb, 4.0, std::max(m.supersteps, 1.0));
     std::printf("  %6zu %12.3f %8.2fx %12.0f\n", k, est.simulate_raw,

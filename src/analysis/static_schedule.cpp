@@ -20,39 +20,22 @@ constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
 
 /// Everything the emission pass needs about the pruned link graph.
 struct LinkGraph {
-  std::vector<char> included;            // per block
   std::vector<std::uint32_t> node_of;    // per link; kNoNode if untracked
   std::vector<LinkId> link_of;           // per node
   std::vector<std::vector<std::uint32_t>> adj;  // pruned edges, per node
   std::vector<char> self_edge;           // per node
-  std::size_t included_blocks = 0;
 };
 
-LinkGraph build_link_graph(const SystemModel& model,
-                           const StaticScheduleOptions& options) {
+LinkGraph build_link_graph(const SystemModel& model) {
   LinkGraph g;
   const std::size_t n = model.num_blocks();
-  g.included.assign(n, 1);
-  if (options.include_blocks != nullptr) {
-    TMSIM_CHECK_MSG(options.include_blocks->size() == n,
-                    "include_blocks filter does not match the model");
-    g.included = *options.include_blocks;
-  }
-  for (BlockId b = 0; b < n; ++b) {
-    g.included_blocks += g.included[b] != 0;
-  }
-  // Tracked links: combinational, block-driven, block-read, and wholly
-  // inside the included set. Everything else — registered links,
-  // external links, mailbox cut links — is final at cycle start.
+  // Tracked links: combinational, block-driven and block-read. Everything
+  // else — registered links, external links — is final at cycle start.
   g.node_of.assign(model.num_links(), kNoNode);
   for (LinkId l = 0; l < model.num_links(); ++l) {
     const LinkInfo& info = model.link(l);
     if (info.kind != LinkKind::kCombinational || !info.writer.has_value() ||
         info.readers.empty()) {
-      continue;
-    }
-    if (!g.included[info.writer->block] ||
-        !g.included[info.readers.front().block]) {
       continue;
     }
     g.node_of[l] = static_cast<std::uint32_t>(g.link_of.size());
@@ -63,9 +46,6 @@ LinkGraph build_link_graph(const SystemModel& model,
   // Pruned edges: li→lo when a block reads li on port p, writes lo on
   // port q, and the block's dependency metadata keeps (q, p).
   for (BlockId b = 0; b < n; ++b) {
-    if (!g.included[b]) {
-      continue;
-    }
     const core::BlockInstance& inst = model.block(b);
     for (std::size_t p = 0; p < inst.input_links.size(); ++p) {
       const std::uint32_t src = g.node_of[inst.input_links[p]];
@@ -192,9 +172,6 @@ std::vector<BlockId> drive_plan(const SystemModel& model, const LinkGraph& g,
   std::vector<BlockId> dfs;
   std::vector<char> seen(n, 0);
   for (BlockId b = 0; b < n; ++b) {
-    if (!g.included[b]) {
-      continue;
-    }
     if (!has_edges[b]) {
       kept[b] = 1;  // isolated in the read graph: can never close a cycle
       continue;
@@ -240,14 +217,13 @@ std::vector<BlockId> drive_plan(const SystemModel& model, const LinkGraph& g,
 
 }  // namespace
 
-CompiledSchedule build_compiled_schedule(const SystemModel& model,
-                                         const StaticScheduleOptions& options) {
+CompiledSchedule build_compiled_schedule(const SystemModel& model) {
   TMSIM_CHECK_MSG(model.finalized(), "model must be finalized");
-  const LinkGraph g = build_link_graph(model, options);
+  const LinkGraph g = build_link_graph(model);
   const std::size_t n = model.num_blocks();
 
   CompiledSchedule sched;
-  sched.num_blocks = g.included_blocks;
+  sched.num_blocks = n;
   sched.scc_of_link.assign(model.num_links(), 0);
 
   const std::vector<std::vector<std::uint32_t>> comps = cyclic_sccs(g);
@@ -289,9 +265,6 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
     }
   }
   for (BlockId b = 0; b < n; ++b) {
-    if (!g.included[b]) {
-      continue;
-    }
     for (LinkId li : model.block(b).input_links) {
       if (g.node_of[li] != kNoNode) {
         ++inputs_pending[b];
@@ -301,7 +274,7 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
 
   std::priority_queue<BlockId, std::vector<BlockId>, std::greater<>> ready;
   for (BlockId b = 0; b < n; ++b) {
-    if (g.included[b] && inputs_pending[b] == 0) {
+    if (inputs_pending[b] == 0) {
       ready.push(b);
     }
   }
@@ -356,7 +329,7 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
 
   const std::vector<BlockId> plan = drive_plan(model, g, sched.scc_of_link);
   std::vector<char> settled(sched.sccs.size(), 0);
-  std::size_t remaining = g.included_blocks;
+  std::size_t remaining = n;
 
   while (remaining > 0) {
     // 1. Commit every ready block, lowest id first.
@@ -412,7 +385,7 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
     }
     if (drive == n) {
       for (BlockId b = 0; b < n && drive == n; ++b) {
-        if (g.included[b] && !committed[b] && has_driveable_output(b)) {
+        if (!committed[b] && has_driveable_output(b)) {
           drive = b;
         }
       }

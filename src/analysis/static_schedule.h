@@ -11,9 +11,9 @@
 // compiled RTL — PAPERS.md) therefore compile the schedule once:
 //
 //   1. Build the dependency graph over *tracked* combinational links
-//      (internal links whose writer and reader are both inside the
-//      scheduled block set). An edge li→lo exists when some block reads
-//      li on input port p, writes lo on output port q, and
+//      (internal links: a block writes them and a block reads them). An
+//      edge li→lo exists when some block reads li on input port p,
+//      writes lo on output port q, and
 //      SimBlock::output_depends_on_input(q, p) says the value actually
 //      flows through. Router-shaped blocks (outputs = G(state)) cut all
 //      such edges, which is what turns the NoC's apparent cycles into
@@ -81,24 +81,15 @@ struct CompiledSchedule {
   /// Per link: index into sccs + 1, or 0 when the link is not part of a
   /// cyclic SCC. Sized num_links.
   std::vector<std::uint32_t> scc_of_link;
-  std::size_t num_blocks = 0;  ///< blocks included in the schedule
+  std::size_t num_blocks = 0;  ///< blocks in the schedule
   std::size_t num_evals = 0;   ///< kEval ops
   std::size_t num_drives = 0;  ///< kDrive ops
 
   bool acyclic() const { return sccs.empty(); }
 };
 
-struct StaticScheduleOptions {
-  /// Per-block include filter (sized num_blocks); null schedules every
-  /// block. The sharded engine passes its shard's membership here —
-  /// links crossing the filter boundary (mailbox cut links) are treated
-  /// like registered edges: final at cycle start, never tracked.
-  const std::vector<char>* include_blocks = nullptr;
-};
-
 /// Builds the compiled schedule for `model` (which must be finalized).
-/// Deterministic: same model + options → identical schedule.
-CompiledSchedule build_compiled_schedule(
-    const core::SystemModel& model, const StaticScheduleOptions& options = {});
+/// Deterministic: same model → identical schedule.
+CompiledSchedule build_compiled_schedule(const core::SystemModel& model);
 
 }  // namespace tmsim::analysis

@@ -5,6 +5,7 @@
 #include <span>
 #include <utility>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 
 namespace tmsim::core {
@@ -34,23 +35,19 @@ ContextualError::Context convergence_context(const ConvergenceReport& r) {
   return ctx;
 }
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
+/// Folds one state word (width, then its words) into an FNV-1a digest.
+std::uint64_t digest_word(std::uint64_t h, const BitVector& s) {
+  h = fnv1a_word(h, s.width());
+  for (const std::uint64_t w : s.words()) {
+    h = fnv1a_word(h, w);
   }
+  return h;
 }
 
 std::uint64_t states_digest(const std::vector<BitVector>& states) {
   std::uint64_t h = kFnvOffset;
   for (const BitVector& s : states) {
-    fnv_mix(h, s.width());
-    for (std::uint64_t w : s.words()) {
-      fnv_mix(h, w);
-    }
+    h = digest_word(h, s);
   }
   return h;
 }
@@ -218,8 +215,22 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
 
   const std::size_t n = model.num_blocks();
   opts_.num_shards = std::min(opts_.num_shards, n);
-  part_ = partition_blocks(model, opts_.num_shards, opts_.partition);
+  if (opts_.num_shards > 1 && opts_.scheduler != SchedulerKind::kRoundRobin) {
+    // The sharded engine is one configuration: the §4.2 round-robin
+    // pickup over min-cut regions. The worklist and the op program run
+    // one shard (DESIGN.md §9 has the measurements behind this).
+    throw ContextualError(
+        "more than one shard needs the round_robin scheduler",
+        {{"shards", std::to_string(opts_.num_shards)},
+         {"scheduler", scheduler_kind_name(opts_.scheduler)}});
+  }
+  part_ = partition_blocks(model, opts_.num_shards);
   const std::size_t k = part_.num_shards();
+  if (opts_.scheduler == SchedulerKind::kCompiled) {
+    // A registered-only model compiles to every block once in ascending
+    // ids — the §4.1 Fig. 3 schedule.
+    program_.emplace(analysis::build_compiled_schedule(model));
+  }
 
   local_of_.assign(n, 0);
   for (std::size_t s = 0; s < k; ++s) {
@@ -326,22 +337,6 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
       sh->rr_next = schedule_rr_offset(seed, blocks.size());
       sh->rr_init = sh->rr_next;
     }
-    if (opts_.scheduler == SchedulerKind::kCompiled) {
-      // Per-shard op program over the link graph restricted to this
-      // shard's membership. Cut links have one endpoint elsewhere, so
-      // they drop out of the tracked set and the emitted order treats
-      // them as registered edges; the superstep loop in run_cycle
-      // reconciles them through the mailbox. A registered-only model
-      // compiles to every block once in ascending ids — the §4.1 Fig. 3
-      // schedule.
-      std::vector<char> member(n, 0);
-      for (const BlockId b : blocks) {
-        member[b] = 1;
-      }
-      analysis::StaticScheduleOptions opt;
-      opt.include_blocks = &member;
-      sh->program.emplace(analysis::build_compiled_schedule(model, opt));
-    }
     shards_.push_back(std::move(sh));
   }
 
@@ -361,23 +356,6 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
       }
       subscribed[rs] = 1;
       shards_[rs]->incoming.push_back(InSlot{l, slot, 0, info.kind});
-    }
-    if (worklist_ &&
-        std::none_of(subscribed.begin(), subscribed.end(),
-                     [](char c) { return c != 0; })) {
-      // A mailbox slot with no subscribing shard means the link's reader
-      // set dissolved under partitioning: change events would be
-      // published that no worklist ever receives, and the scheduler
-      // would sit at the delta budget waiting for a wakeup that never
-      // comes. Structurally unreachable today (a link only gets a slot
-      // because some cross-shard reader exists, and that reader's shard
-      // subscribes), but cheap to refuse outright instead of hanging.
-      throw ContextualError(
-          "cut link '" + info.name +
-              "' has an empty reader set after partitioning",
-          {{"link", std::to_string(l)},
-           {"name", info.name},
-           {"scheduler", scheduler_kind_name(opts_.scheduler)}});
     }
   }
 
@@ -498,7 +476,7 @@ void Engine::clear_links() {
 
 SchedulerCheckpoint Engine::scheduler_checkpoint() const {
   SchedulerCheckpoint s;
-  if (shards_[0]->program) {
+  if (program_) {
     return s;  // an op program carries no dynamic scheduling state
   }
   s.rr_cursors.reserve(shards_.size());
@@ -656,7 +634,7 @@ void Engine::run_cycle(std::size_t s) {
   if (observer_ && shards_.size() > 1) {
     sh.mark_ns = steady_ns();
   }
-  if (!sh.program) {
+  if (!program_) {
     // "Every system cycle is started by resetting all status bits to
     //  zero. [...] it is guaranteed that all routers are evaluated at
     //  least once" — under the worklist, every block that lacks a
@@ -678,18 +656,7 @@ void Engine::run_cycle(std::size_t s) {
       opts_.max_evals_per_block * model_.num_blocks();
   do {
     guarded(sh, [&] {
-      if (sh.program) {
-        // An op program replays in full against the latest replica
-        // values — no HBR bits, no per-block destabilization across the
-        // cut. Phase B's deliveries mark readers unstable purely so
-        // barrier 2 can agree on "someone received a changed cut value";
-        // the next replay clears the marks and re-runs everything.
-        // Cross-shard combinational chains converge in one extra
-        // superstep per cut depth (a block-Jacobi sweep toward the same
-        // fixed point the one-shard schedule reaches); a genuinely
-        // oscillating cross-shard loop ping-pongs to the superstep cap.
-        std::fill(sh.unstable.begin(), sh.unstable.end(), 0);
-        sh.unstable_count = 0;
+      if (program_) {
         run_program(sh);
       } else {
         settle_local(sh);
@@ -707,6 +674,11 @@ void Engine::run_cycle(std::size_t s) {
     sh.links.swap_registered_banks();
   } else {
     fill_report(sh);
+    if (program_) {
+      // The report mirror of the SCC that tripped is consumed; the op
+      // program sets it afresh in every settle.
+      std::fill(sh.unstable.begin(), sh.unstable.end(), 0);
+    }
   }
   barrier_->sync(0);  // cycle complete; the coordinator aggregates next
 }
@@ -795,14 +767,14 @@ void Engine::settle_local(Shard& sh) {
   }
   if (worklist_) {
     // Fully drained: recycle the storage so the FIFO never grows beyond
-    // the cycle's event count (phase B refills it for the next superstep).
+    // the cycle's event count.
     sh.worklist.clear();
     sh.wl_head = 0;
   }
 }
 
 void Engine::run_program(Shard& sh) {
-  for (const analysis::CompiledOp& op : sh.program->ops) {
+  for (const analysis::CompiledOp& op : program_->ops) {
     if (op.kind == analysis::CompiledOpKind::kSettle) {
       settle_scc_local(sh, op.scc);
       if (sh.diverged) {
@@ -819,12 +791,10 @@ void Engine::run_program(Shard& sh) {
 }
 
 void Engine::settle_scc_local(Shard& sh, std::uint32_t scc_index) {
-  // Scoped worklist over one strongly connected component, confined to
-  // this shard (tracked links need both endpoints in the shard, so an
-  // SCC can never straddle the cut), with the cooperative divergence
-  // protocol: on a trip the members' unstable bits stay set for the
-  // merged report.
-  const analysis::CompiledScc& scc = sh.program->sccs[scc_index];
+  // Scoped worklist over one strongly connected component, with the
+  // cooperative divergence protocol: on a trip the members' unstable
+  // bits stay set for the report.
+  const analysis::CompiledScc& scc = program_->sccs[scc_index];
   const std::size_t m = scc.blocks.size();
   sh.scc_unstable.assign(m, 1);
   std::size_t remaining = m;
@@ -867,15 +837,13 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
   // Under the §4.2 pickup an evaluation marks its combinational inputs
   // read (HBR) and a changed output destabilizes its same-shard readers.
   // An op program does neither: its order already makes every input a
-  // committing evaluation consumes final, and marking same-shard readers
-  // would keep unstable_count nonzero forever (an endless superstep
-  // loop). Inside a kSettle only the SCC's own readers are re-flagged.
-  // Cut publication is the same either way.
-  const bool pickup = !sh.program;
+  // committing evaluation consumes final, and marking readers would keep
+  // unstable_count nonzero forever. Inside a kSettle only the SCC's own
+  // readers are re-flagged.
+  const bool pickup = !program_;
   if (worklist_) {
     // Everything pending is consumed by this evaluation; activity that
-    // arrives later (same-shard writes below, phase B deliveries,
-    // external inputs) re-marks it.
+    // arrives later (writes below, external inputs) re-marks it.
     sh.pending_input[local] = 0;
   }
   const BlockInstance& blk = *sh.inst[local];
@@ -933,7 +901,7 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
         if (reader != kNoBlock && part_.shard_of[reader] == sh.index) {
           destabilize_local(sh, reader);
         }
-      } else if (ctx && sh.program->scc_of_link[l] == ctx->scc_id) {
+      } else if (ctx && program_->scc_of_link[l] == ctx->scc_id) {
         // Intra-SCC edge changed mid-settle: wake the (single) reader.
         const BlockId r = comb_reader_[l];
         const auto it = std::lower_bound(ctx->scc->blocks.begin(),
@@ -1109,13 +1077,8 @@ void Engine::guarded(Shard& sh, F&& f) {
 
 std::uint64_t engine_state_digest(const Engine& eng) {
   std::uint64_t h = kFnvOffset;
-  const SystemModel& model = eng.model();
-  for (BlockId b = 0; b < model.num_blocks(); ++b) {
-    const BitVector s = eng.block_state(b);
-    fnv_mix(h, s.width());
-    for (std::uint64_t w : s.words()) {
-      fnv_mix(h, w);
-    }
+  for (BlockId b = 0; b < eng.model().num_blocks(); ++b) {
+    h = digest_word(h, eng.block_state(b));
   }
   return h;
 }

@@ -14,6 +14,22 @@
 // simulated parallel design; a *delta cycle* is one block evaluation and
 // does not advance simulated time.
 //
+// EngineOptions::scheduler resolves once, at construction, to one of two
+// schedules:
+//
+//  - kCompiled: an op program (analysis/static_schedule.h) over the
+//    whole model, replayed in full every system cycle — the
+//    SCC-condensed topological order of the blocks. For a
+//    registered-only model it is every block once in ascending ids, the
+//    paper's §4.1 static schedule (Fig. 3), which is how
+//    SequentialSimulator runs SchedulePolicy::kStatic;
+//  - kRoundRobin / kWorklist: the §4.2 pickup — all HBR bits cleared at
+//    cycle start, non-stable blocks picked by the round-robin cursor or
+//    the event worklist, a changed link write destabilizing its readers.
+//
+// kWorklist and kCompiled run on one shard only; more shards means the
+// round-robin pickup, and the constructor rejects anything else.
+//
 // Every shard owns a shard-local double-banked StateMemory and a
 // shard-local LinkMemory materializing exactly the links its blocks
 // touch; one worker thread runs each shard beyond the first (the
@@ -22,18 +38,6 @@
 // the reader's shard keeps a replica (for evaluation and its HBR bit),
 // and the two are reconciled through a versioned single-writer mailbox
 // slot at every superstep barrier.
-//
-// EngineOptions::scheduler resolves once, at construction, to one of two
-// per-shard schedules:
-//
-//  - kCompiled: an op program (analysis/static_schedule.h), replayed in
-//    full every superstep — the SCC-condensed topological order of the
-//    shard's blocks. For a registered-only model it is every block once
-//    in ascending ids, the paper's §4.1 static schedule (Fig. 3), which
-//    is how SequentialSimulator runs SchedulePolicy::kStatic;
-//  - kRoundRobin / kWorklist: the §4.2 pickup — all HBR bits cleared at
-//    cycle start, non-stable blocks picked by the round-robin cursor or
-//    the event worklist, a changed link write destabilizing its readers.
 //
 // One system cycle is a sequence of *supersteps*:
 //
@@ -85,7 +89,8 @@ namespace tmsim::core {
 
 /// The engine's one schedule setting: how the next block to evaluate is
 /// found. The paper's §4.1 / §4.2 vocabulary (SchedulePolicy) lives only
-/// in the one-shard SequentialSimulator adapter.
+/// in the one-shard SequentialSimulator adapter. kWorklist and kCompiled
+/// need a one-shard engine.
 ///
 ///  - kRoundRobin: the paper's Fig. 5 scheduler — a dense sweep over the
 ///    unstable bitmap. O(num_blocks) scan work per delta sweep even when
@@ -122,10 +127,9 @@ const char* scheduler_kind_name(SchedulerKind k);
 /// the FPGA design model and the farm's JobSpec all carry this struct.
 struct EngineOptions {
   /// Shard (worker) count; clamped to the model's block count. 1 is the
-  /// sequential engine, run on the calling thread.
+  /// sequential engine, run on the calling thread; more shards are
+  /// min-cut regions (core/partition.h) run by the round-robin pickup.
   std::size_t num_shards = 1;
-  /// Block-to-shard assignment policy when num_shards > 1.
-  PartitionPolicy partition = PartitionPolicy::kMinCutGreedy;
   /// Rotates each shard's starting round-robin cursor (dynamic
   /// schedule). Seed 1 is canonical (cursor 0 everywhere); shard 0 starts
   /// at schedule_rr_offset(seed, size), the other shards at
@@ -133,10 +137,9 @@ struct EngineOptions {
   /// can only change StepStats.
   std::uint64_t seed = 1;
   /// The schedule: kRoundRobin is the dense §4.2 sweep, kWorklist the
-  /// event-driven scheduler with the quiescence fast path, kCompiled a
-  /// per-shard build-time op program (cut links are treated as registered
-  /// edges: each superstep re-runs the full shard program against the
-  /// latest replica values until the exchange reports quiescence).
+  /// event-driven scheduler with the quiescence fast path, kCompiled the
+  /// build-time op program. The last two need num_shards == 1 (after the
+  /// clamp); the constructor throws a ContextualError otherwise.
   /// Bit-identical results in every case; only StepStats may differ.
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
   /// Per-cycle evaluation budget per block and superstep bound;
@@ -317,6 +320,8 @@ struct EngineCheckpoint {
 /// only StepStats (how much work the schedule did) may differ.
 class Engine {
  public:
+  /// Throws ContextualError (context `shards`, `scheduler`) when more
+  /// than one shard, after the clamp, comes with kWorklist or kCompiled.
   Engine(const SystemModel& model, const EngineOptions& opts);
   ~Engine();
 
@@ -388,10 +393,10 @@ class Engine {
   std::uint64_t total_supersteps() const { return total_supersteps_; }
 
  protected:
-  /// The op program shard `s` replays each superstep, or null under the
+  /// The op program replayed every system cycle, or null under the
   /// round-robin/worklist pickup.
-  const analysis::CompiledSchedule* program(std::size_t s) const {
-    return shards_[s]->program ? &*shards_[s]->program : nullptr;
+  const analysis::CompiledSchedule* program() const {
+    return program_ ? &*program_ : nullptr;
   }
 
   /// Called once per delta cycle with (system cycle, delta index within
@@ -418,8 +423,8 @@ class Engine {
     std::vector<InSlot> incoming;     // cut links read by this shard
 
     // Unstable-block bookkeeping (local block indices): the §4.2 pickup's
-    // work set, the worklist's dedup flag, and under an op program the
-    // exchange's "received a changed cut value" vote.
+    // work set and the worklist's dedup flag; under an op program, the
+    // report mirror of a settling SCC.
     std::vector<char> unstable;
     std::size_t unstable_count = 0;
     std::size_t rr_next = 0;
@@ -431,16 +436,10 @@ class Engine {
     std::vector<char> evaluated;
     std::size_t first_evals = 0;
 
-    // Per-shard op program (kCompiled only): the model's link graph
-    // restricted to this shard's blocks. Cut links fall out of the tracked
-    // set (one endpoint is elsewhere), so the program treats them exactly
-    // like registered edges — pre-final for the superstep.
-    std::optional<analysis::CompiledSchedule> program;
-    std::vector<char> scc_unstable;  // scratch, sized per settling SCC
+    std::vector<char> scc_unstable;  // kCompiled scratch, per settling SCC
 
-    // Worklist-scheduler bookkeeping (local indices; empty otherwise).
-    // The FIFO persists across the cycle's supersteps: phase B pushes
-    // cross-shard events onto it for the next phase A.
+    // Worklist-scheduler bookkeeping (one shard, so local indices are
+    // block ids; empty under the other schedulers).
     std::vector<std::size_t> worklist;  // consumed prefix [0, wl_head)
     std::size_t wl_head = 0;
     std::vector<char> skippable;        // static: all links combinational
@@ -507,6 +506,8 @@ class Engine {
   EngineOptions opts_;
   /// opts_.scheduler == kWorklist, resolved once for the hot path.
   bool worklist_ = false;
+  /// The op program (kCompiled only), built once over the whole model.
+  std::optional<analysis::CompiledSchedule> program_;
   Partition part_;
   std::size_t boundary_links_ = 0;
   std::vector<std::size_t> local_of_;       // global block -> local index

@@ -7,15 +7,6 @@
 
 namespace tmsim::core {
 
-const char* partition_policy_name(PartitionPolicy policy) {
-  switch (policy) {
-    case PartitionPolicy::kRoundRobin: return "round_robin";
-    case PartitionPolicy::kContiguous: return "contiguous";
-    case PartitionPolicy::kMinCutGreedy: return "min_cut_greedy";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Balanced shard sizes: the first n mod N shards get one extra block.
@@ -53,22 +44,6 @@ std::vector<std::vector<std::pair<BlockId, std::size_t>>> affinity(
     }
   }
   return adj;
-}
-
-void fill_round_robin(Partition& p, std::size_t n, std::size_t num_shards) {
-  for (BlockId b = 0; b < n; ++b) {
-    p.shard_of[b] = b % num_shards;
-  }
-}
-
-void fill_contiguous(Partition& p, std::size_t n, std::size_t num_shards) {
-  const std::vector<std::size_t> sizes = target_sizes(n, num_shards);
-  BlockId b = 0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (std::size_t i = 0; i < sizes[s]; ++i) {
-      p.shard_of[b++] = s;
-    }
-  }
 }
 
 void fill_min_cut_greedy(const SystemModel& model, Partition& p,
@@ -114,8 +89,7 @@ void fill_min_cut_greedy(const SystemModel& model, Partition& p,
 
 }  // namespace
 
-Partition partition_blocks(const SystemModel& model, std::size_t num_shards,
-                           PartitionPolicy policy) {
+Partition partition_blocks(const SystemModel& model, std::size_t num_shards) {
   TMSIM_CHECK_MSG(model.finalized(), "model must be finalized");
   const std::size_t n = model.num_blocks();
   TMSIM_CHECK_MSG(num_shards >= 1, "need at least one shard");
@@ -125,17 +99,7 @@ Partition partition_blocks(const SystemModel& model, std::size_t num_shards,
   Partition p;
   p.shard_of.assign(n, 0);  // already the one-shard partition
   if (num_shards > 1) {
-    switch (policy) {
-      case PartitionPolicy::kRoundRobin:
-        fill_round_robin(p, n, num_shards);
-        break;
-      case PartitionPolicy::kContiguous:
-        fill_contiguous(p, n, num_shards);
-        break;
-      case PartitionPolicy::kMinCutGreedy:
-        fill_min_cut_greedy(model, p, n, num_shards);
-        break;
-    }
+    fill_min_cut_greedy(model, p, n, num_shards);
   }
 
   p.shards.assign(num_shards, {});

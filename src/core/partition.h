@@ -8,38 +8,22 @@
 // (GSIM's observation that graph partitioning is the scaling lever for
 // parallel cycle-accurate simulation).
 //
-// Three policies:
-//  - kRoundRobin: block b → shard b mod N. The pessimal-but-trivial
-//    baseline; on grid topologies it scatters neighbours deliberately.
-//  - kContiguous: blocks in id order, split into N near-equal runs.
-//    Because builders emit blocks in scan order (build_noc_model emits
-//    row-major), this is the "stripes" partition.
-//  - kMinCutGreedy: grows each shard around a seed by repeatedly
-//    absorbing the unassigned block with the strongest link affinity to
-//    the shard (ties to the lowest id). On rings, meshes and tori this
-//    yields connected regions and never cuts more links than
-//    round-robin (property-tested in tests/core/partition_test.cpp).
-//
-// All policies are deterministic: the same (model, num_shards, policy)
-// always yields the same partition — a prerequisite for the replayable
-// differential tests.
+// One partitioner, min-cut greedy: it grows each shard around a seed by
+// repeatedly absorbing the unassigned block with the strongest link
+// affinity to the shard (ties to the lowest id). On rings, meshes and
+// tori this yields connected regions that cut no more links than the
+// round-robin (b mod N) or stripe baselines (property-tested in
+// tests/core/partition_test.cpp). It is deterministic: the same
+// (model, num_shards) always yields the same partition — a prerequisite
+// for the replayable differential tests.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/system_model.h"
 
 namespace tmsim::core {
-
-enum class PartitionPolicy : std::uint8_t {
-  kRoundRobin = 0,
-  kContiguous = 1,
-  kMinCutGreedy = 2,
-};
-
-const char* partition_policy_name(PartitionPolicy policy);
 
 struct Partition {
   /// Block ids per shard, ascending within each shard. Every block of
@@ -54,8 +38,7 @@ struct Partition {
 /// Partitions the model's blocks into `num_shards` shards
 /// (1 <= num_shards <= num_blocks). Shard sizes are balanced: every
 /// shard holds floor(n/N) or ceil(n/N) blocks.
-Partition partition_blocks(const SystemModel& model, std::size_t num_shards,
-                           PartitionPolicy policy);
+Partition partition_blocks(const SystemModel& model, std::size_t num_shards);
 
 /// Number of links whose writer block and at least one reader block live
 /// in different shards — the boundary the sharded engine must exchange

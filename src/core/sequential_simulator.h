@@ -75,7 +75,7 @@ class SequentialSimulator : public Engine {
   /// kCompiled; null under the round-robin and worklist pickups) —
   /// exposed for tests and schedule inspection.
   const analysis::CompiledSchedule* compiled_schedule() const {
-    return program(0);
+    return program();
   }
 
   /// Called once per delta cycle with (system cycle, delta index within

@@ -8,23 +8,12 @@
 #include <sstream>
 #include <utility>
 
+#include "common/fnv.h"
 #include "traffic/workloads.h"
 
 namespace tmsim::farm {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::string fmt_double(double v) {
   char buf[64];
@@ -77,15 +66,6 @@ const char* topology_name(noc::Topology t) {
   return t == noc::Topology::kTorus ? "torus" : "mesh";
 }
 
-const char* partition_name(core::PartitionPolicy p) {
-  switch (p) {
-    case core::PartitionPolicy::kRoundRobin: return "round_robin";
-    case core::PartitionPolicy::kContiguous: return "contiguous";
-    case core::PartitionPolicy::kMinCutGreedy: return "min_cut";
-  }
-  return "?";
-}
-
 }  // namespace
 
 const char* job_kind_name(JobKind k) {
@@ -114,7 +94,6 @@ std::string JobSpec::serialize() const {
   os << " topology=" << topology_name(net.topology);
   os << " vcs=" << net.router.num_vcs << " qdepth=" << net.router.queue_depth;
   os << " shards=" << engine.num_shards;
-  os << " partition=" << partition_name(engine.partition);
   os << " engine_seed=" << engine.seed;
   os << " scheduler=" << core::scheduler_kind_name(engine.scheduler);
   os << " be_load=" << fmt_double(workload.be_load);
@@ -220,13 +199,11 @@ JobSpec JobSpec::deserialize(const std::string& text) {
     } else if (key == "shards") {
       spec.engine.num_shards = parse_u64(val);
     } else if (key == "partition") {
-      if (val == "round_robin") {
-        spec.engine.partition = core::PartitionPolicy::kRoundRobin;
-      } else if (val == "contiguous") {
-        spec.engine.partition = core::PartitionPolicy::kContiguous;
-      } else if (val == "min_cut") {
-        spec.engine.partition = core::PartitionPolicy::kMinCutGreedy;
-      } else {
+      // No longer emitted: the sharded engine has one partitioner. Spill
+      // segments written by an older daemon still carry one of the three
+      // policies it offered; the partition never changed results, so all
+      // of them decode to the same spec.
+      if (val != "round_robin" && val != "contiguous" && val != "min_cut") {
         throw ContextualError("unknown partition policy", {{"partition", val}});
       }
     } else if (key == "engine_seed") {
@@ -302,8 +279,7 @@ JobSpec JobSpec::deserialize(const std::string& text) {
 }
 
 std::uint64_t JobSpec::fingerprint() const {
-  const std::string s = serialize();
-  return fnv1a(kFnvOffset, s.data(), s.size());
+  return fnv1a_bytes(kFnvOffset, serialize());
 }
 
 std::vector<traffic::GtStream> JobSpec::resolved_gt_streams() const {
@@ -325,9 +301,17 @@ void JobSpec::validate() const {
   }
   net.validate();
   TMSIM_CHECK_MSG(cycles >= 1, "job must simulate at least one cycle");
-  if (engine.num_shards == 0) {
-    throw ContextualError("an engine needs at least one shard",
-                          {{"shards", "0"}});
+  if (engine.num_shards == 0 || engine.num_shards > kMaxShards) {
+    throw ContextualError(
+        "an engine runs 1.." + std::to_string(kMaxShards) + " shards",
+        {{"shards", std::to_string(engine.num_shards)}});
+  }
+  if (engine.num_shards > 1 &&
+      engine.scheduler != core::SchedulerKind::kRoundRobin) {
+    throw ContextualError(
+        "the sharded engine runs the round_robin scheduler only",
+        {{"shards", std::to_string(engine.num_shards)},
+         {"scheduler", core::scheduler_kind_name(engine.scheduler)}});
   }
   TMSIM_CHECK_MSG(max_retries <= 64,
                   "max_retries above 64 is a crash-loop, not a retry policy");
@@ -395,13 +379,8 @@ void JobSpec::validate() const {
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::string_view domain) {
-  std::uint64_t h = kFnvOffset;
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>(base >> (8 * i));
-  }
-  h = fnv1a(h, bytes, sizeof bytes);
-  h = fnv1a(h, domain.data(), domain.size());
+  const std::uint64_t h =
+      fnv1a_bytes(fnv1a_word(kFnvOffset, base), domain);
   return h == 0 ? kFnvOffset : h;
 }
 

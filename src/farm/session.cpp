@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/fnv.h"
 #include "fpga/arm_host.h"
 #include "fpga/faulty_bus.h"
 #include "fpga/fpga_design.h"
@@ -26,19 +27,13 @@ std::string engine_cache_key(const JobSpec& spec) {
   os << spec.net.width << "x" << spec.net.height << ":"
      << static_cast<int>(spec.net.topology) << ":" << spec.net.router.num_vcs
      << ":" << spec.net.router.queue_depth << ":" << opts.num_shards << ":"
-     << static_cast<int>(opts.partition) << ":"
      << static_cast<int>(opts.scheduler);
   return os.str();
 }
 
 std::uint64_t engine_cache_key_hash(const JobSpec& spec) {
-  const std::string key = engine_cache_key(spec);
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a, as in fingerprint()
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h == 0 ? 0xcbf29ce484222325ull : h;
+  const std::uint64_t h = fnv1a_bytes(kFnvOffset, engine_cache_key(spec));
+  return h == 0 ? kFnvOffset : h;
 }
 
 SimSession::SimSession(const JobSpec& spec) : spec_(spec) {

@@ -1,8 +1,7 @@
 // Unit tests for the static-schedule analysis pass (DESIGN.md §17):
 // SCC condensation on hand-built link graphs, the Eval/Drive/Settle op
-// mix, determinism, and the include-filter semantics the sharded engine
-// relies on. These pin the *structure* of the emitted schedule; the
-// engines' bit-identity over these shapes is proved by
+// mix and determinism. These pin the *structure* of the emitted
+// schedule; the engines' bit-identity over these shapes is proved by
 // tests/integration/compiled_equivalence_test.cpp.
 #include "analysis/static_schedule.h"
 
@@ -218,44 +217,6 @@ TEST(StaticSchedule, TopologicalOrderBeatsBlockIdOrder) {
   EXPECT_EQ(s.ops[0].block, b2);
   EXPECT_EQ(s.ops[1].block, b1);
   EXPECT_EQ(s.ops[2].block, b0);
-}
-
-TEST(StaticSchedule, IncludeFilterTreatsCutLinksAsRegistered) {
-  // Chain a -> b -> c, scheduling only {b} (the sharded engine's view of
-  // a one-block shard). Both of b's links cross the filter boundary, so
-  // neither is tracked: b is immediately ready and the schedule is a
-  // single kEval.
-  SystemModel model;
-  const BlockId a =
-      model.add_block(std::make_shared<CombAdderBlock>(8, 1), "a");
-  const BlockId b =
-      model.add_block(std::make_shared<CombAdderBlock>(8, 2), "b");
-  const BlockId c =
-      model.add_block(std::make_shared<CombAdderBlock>(8, 3), "c");
-  const LinkId ext = model.add_link("ext", 8, LinkKind::kCombinational);
-  const LinkId ab = model.add_link("ab", 8, LinkKind::kCombinational);
-  const LinkId bc = model.add_link("bc", 8, LinkKind::kCombinational);
-  const LinkId out = model.add_link("out", 8, LinkKind::kCombinational);
-  model.bind_input(a, 0, ext);
-  model.bind_output(a, 0, ab);
-  model.bind_input(b, 0, ab);
-  model.bind_output(b, 0, bc);
-  model.bind_input(c, 0, bc);
-  model.bind_output(c, 0, out);
-  model.finalize();
-
-  std::vector<char> member(model.num_blocks(), 0);
-  member[b] = 1;
-  StaticScheduleOptions opt;
-  opt.include_blocks = &member;
-  const CompiledSchedule s = build_compiled_schedule(model, opt);
-  EXPECT_TRUE(s.acyclic());
-  EXPECT_EQ(s.num_blocks, 1u);
-  EXPECT_EQ(s.num_evals, 1u);
-  EXPECT_EQ(s.num_drives, 0u);
-  ASSERT_EQ(s.ops.size(), 1u);
-  EXPECT_EQ(s.ops[0].kind, CompiledOpKind::kEval);
-  EXPECT_EQ(s.ops[0].block, b);
 }
 
 /// Three RegAdder blocks in a ring of registered links (Fig. 2a).

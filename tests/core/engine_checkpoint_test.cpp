@@ -256,44 +256,38 @@ TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
 }
 
 TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
-        SchedulerKind::kCompiled}) {
-    SCOPED_TRACE(scheduler_kind_name(kind));
-    EngineOptions cfg;
-    cfg.num_shards = 2;
-    cfg.scheduler = kind;
-    PipeChain a_chain;
-    Engine a(a_chain.model, cfg);
-    drive_recording(a, a_chain, 9, stimulus);
-    const EngineCheckpoint ck = save_checkpoint(a);
-    const std::vector<StepStats> ref =
-        drive_recording(a, a_chain, 8, stimulus);
+  EngineOptions cfg;
+  cfg.num_shards = 2;  // the sharded engine runs round-robin only
+  PipeChain a_chain;
+  Engine a(a_chain.model, cfg);
+  drive_recording(a, a_chain, 9, stimulus);
+  const EngineCheckpoint ck = save_checkpoint(a);
+  const std::vector<StepStats> ref =
+      drive_recording(a, a_chain, 8, stimulus);
 
-    PipeChain b_chain;
-    Engine b(b_chain.model, cfg);
-    drive_recording(b, b_chain, 5, other_stimulus);
-    restore_checkpoint(b, ck);
-    const std::vector<StepStats> got =
-        drive_recording(b, b_chain, 8, stimulus);
+  PipeChain b_chain;
+  Engine b(b_chain.model, cfg);
+  drive_recording(b, b_chain, 5, other_stimulus);
+  restore_checkpoint(b, ck);
+  const std::vector<StepStats> got =
+      drive_recording(b, b_chain, 8, stimulus);
 
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      // barrier_spins is wall-clock noise; every other field is a
-      // deterministic function of model, schedule state, and stimulus.
-      EXPECT_EQ(got[i].delta_cycles, ref[i].delta_cycles) << "cycle " << i;
-      EXPECT_EQ(got[i].re_evaluations, ref[i].re_evaluations)
-          << "cycle " << i;
-      EXPECT_EQ(got[i].link_changes, ref[i].link_changes) << "cycle " << i;
-      EXPECT_EQ(got[i].cut_publishes, ref[i].cut_publishes) << "cycle " << i;
-      EXPECT_EQ(got[i].skipped_blocks, ref[i].skipped_blocks)
-          << "cycle " << i;
-      EXPECT_EQ(got[i].settle_rounds, ref[i].settle_rounds) << "cycle " << i;
-      EXPECT_EQ(got[i].worklist_high_water, ref[i].worklist_high_water)
-          << "cycle " << i;
-    }
-    EXPECT_EQ(engine_state_digest(b), engine_state_digest(a));
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    // barrier_spins is wall-clock noise; every other field is a
+    // deterministic function of model, schedule state, and stimulus.
+    EXPECT_EQ(got[i].delta_cycles, ref[i].delta_cycles) << "cycle " << i;
+    EXPECT_EQ(got[i].re_evaluations, ref[i].re_evaluations)
+        << "cycle " << i;
+    EXPECT_EQ(got[i].link_changes, ref[i].link_changes) << "cycle " << i;
+    EXPECT_EQ(got[i].cut_publishes, ref[i].cut_publishes) << "cycle " << i;
+    EXPECT_EQ(got[i].skipped_blocks, ref[i].skipped_blocks)
+        << "cycle " << i;
+    EXPECT_EQ(got[i].settle_rounds, ref[i].settle_rounds) << "cycle " << i;
+    EXPECT_EQ(got[i].worklist_high_water, ref[i].worklist_high_water)
+        << "cycle " << i;
   }
+  EXPECT_EQ(engine_state_digest(b), engine_state_digest(a));
 }
 
 TEST(SchedulerCheckpoint, TamperedLinkSnapshotIsRejected) {

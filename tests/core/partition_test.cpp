@@ -1,8 +1,8 @@
-// Property tests of the block-graph partitioner: every policy must
-// produce a balanced, complete, disjoint cover of the blocks, and the
-// min-cut-greedy policy must never cut more links than blind
-// round-robin on the structured graphs it is meant for (rings, meshes,
-// tori).
+// Property tests of the block-graph partitioner: it must produce a
+// balanced, complete, disjoint cover of the blocks, and it must never cut
+// more links than the two trivial partitions kept here as baselines —
+// blind round-robin (b mod N) and contiguous stripes — on the structured
+// graphs it is meant for (rings, meshes, tori).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +19,6 @@ namespace {
 
 using examples::PipeBlock;
 
-constexpr PartitionPolicy kAllPolicies[] = {PartitionPolicy::kRoundRobin,
-                                            PartitionPolicy::kContiguous,
-                                            PartitionPolicy::kMinCutGreedy};
 
 /// n PipeBlocks in a directed combinational ring (output depends on
 /// registered state, so the ring settles — and the partitioner only
@@ -41,6 +38,42 @@ SystemModel make_ring(std::size_t n) {
   }
   m.finalize();
   return m;
+}
+
+/// Builds a Partition from a block -> shard map.
+Partition from_shard_of(std::vector<std::size_t> shard_of,
+                        std::size_t num_shards) {
+  Partition p;
+  p.shards.assign(num_shards, {});
+  for (BlockId b = 0; b < shard_of.size(); ++b) {
+    p.shards[shard_of[b]].push_back(b);
+  }
+  p.shard_of = std::move(shard_of);
+  return p;
+}
+
+/// Baseline: block b -> shard b mod N. Scatters grid neighbours.
+Partition round_robin_baseline(const SystemModel& m, std::size_t k) {
+  std::vector<std::size_t> shard_of(m.num_blocks());
+  for (BlockId b = 0; b < m.num_blocks(); ++b) {
+    shard_of[b] = b % k;
+  }
+  return from_shard_of(std::move(shard_of), k);
+}
+
+/// Baseline: blocks in id order split into k near-equal runs — stripes,
+/// since the NoC builder emits routers row-major.
+Partition stripes_baseline(const SystemModel& m, std::size_t k) {
+  const std::size_t n = m.num_blocks();
+  std::vector<std::size_t> shard_of(n);
+  BlockId b = 0;
+  for (std::size_t s = 0; s < k; ++s) {
+    const std::size_t size = n / k + (s < n % k ? 1 : 0);
+    for (std::size_t i = 0; i < size; ++i) {
+      shard_of[b++] = s;
+    }
+  }
+  return from_shard_of(std::move(shard_of), k);
 }
 
 void check_cover(const SystemModel& model, const Partition& p,
@@ -69,16 +102,13 @@ void check_cover(const SystemModel& model, const Partition& p,
   }
 }
 
-void check_all_policies_cover(const SystemModel& m) {
+void check_covers(const SystemModel& m) {
   for (const std::size_t k : {1u, 2u, 3u, 4u, 7u}) {
     if (k > m.num_blocks()) {
       continue;
     }
-    for (const PartitionPolicy pol : kAllPolicies) {
-      SCOPED_TRACE(std::string(partition_policy_name(pol)) + " k=" +
-                   std::to_string(k));
-      check_cover(m, partition_blocks(m, k, pol), k);
-    }
+    SCOPED_TRACE("k=" + std::to_string(k));
+    check_cover(m, partition_blocks(m, k), k);
   }
 }
 
@@ -88,7 +118,7 @@ TEST(Partition, EveryPolicyCoversMesh) {
   net.height = 4;
   net.topology = noc::Topology::kMesh;
   const NocModel nm = build_noc_model(net);
-  check_all_policies_cover(nm.model);
+  check_covers(nm.model);
 }
 
 TEST(Partition, EveryPolicyCoversAsymmetricTorus) {
@@ -97,12 +127,12 @@ TEST(Partition, EveryPolicyCoversAsymmetricTorus) {
   net.height = 3;
   net.topology = noc::Topology::kTorus;
   const NocModel nm = build_noc_model(net);
-  check_all_policies_cover(nm.model);
+  check_covers(nm.model);
 }
 
 TEST(Partition, EveryPolicyCoversRing) {
   const SystemModel ring = make_ring(17);
-  check_all_policies_cover(ring);
+  check_covers(ring);
 }
 
 TEST(Partition, SingleShardCutsNothing) {
@@ -111,10 +141,7 @@ TEST(Partition, SingleShardCutsNothing) {
   net.height = 3;
   net.topology = noc::Topology::kTorus;
   const NocModel nm = build_noc_model(net);
-  for (const PartitionPolicy pol : kAllPolicies) {
-    const Partition p = partition_blocks(nm.model, 1, pol);
-    EXPECT_EQ(count_cut_links(nm.model, p), 0u);
-  }
+  EXPECT_EQ(count_cut_links(nm.model, partition_blocks(nm.model, 1)), 0u);
 }
 
 TEST(Partition, ExternalLinksNeverCountAsCut) {
@@ -127,8 +154,7 @@ TEST(Partition, ExternalLinksNeverCountAsCut) {
   net.height = 2;
   net.topology = noc::Topology::kMesh;
   const NocModel nm = build_noc_model(net);
-  const Partition p =
-      partition_blocks(nm.model, 4, PartitionPolicy::kRoundRobin);
+  const Partition p = partition_blocks(nm.model, 4);
   std::size_t internal = 0;
   for (LinkId l = 0; l < nm.model.num_links(); ++l) {
     const LinkInfo& info = nm.model.link(l);
@@ -146,7 +172,9 @@ TEST(Partition, GreedyCutsNoMoreThanRoundRobinOnNocs) {
   };
   const Spec specs[] = {{4, 4, noc::Topology::kMesh},
                         {4, 4, noc::Topology::kTorus},
-                        {8, 8, noc::Topology::kMesh}};
+                        {8, 8, noc::Topology::kMesh},
+                        {8, 8, noc::Topology::kTorus},
+                        {5, 3, noc::Topology::kTorus}};
   for (const Spec& spec : specs) {
     noc::NetworkConfig net;
     net.width = spec.w;
@@ -154,16 +182,17 @@ TEST(Partition, GreedyCutsNoMoreThanRoundRobinOnNocs) {
     net.topology = spec.topo;
     const NocModel nm = build_noc_model(net);
     for (const std::size_t k : {2u, 4u, 8u}) {
-      const std::size_t rr = count_cut_links(
-          nm.model,
-          partition_blocks(nm.model, k, PartitionPolicy::kRoundRobin));
-      const std::size_t greedy = count_cut_links(
-          nm.model,
-          partition_blocks(nm.model, k, PartitionPolicy::kMinCutGreedy));
-      EXPECT_LE(greedy, rr)
-          << spec.w << "x" << spec.h
-          << (spec.topo == noc::Topology::kMesh ? " mesh" : " torus")
-          << " k=" << k;
+      const std::size_t greedy =
+          count_cut_links(nm.model, partition_blocks(nm.model, k));
+      const std::size_t rr =
+          count_cut_links(nm.model, round_robin_baseline(nm.model, k));
+      const std::size_t stripes =
+          count_cut_links(nm.model, stripes_baseline(nm.model, k));
+      SCOPED_TRACE(std::to_string(spec.w) + "x" + std::to_string(spec.h) +
+                   (spec.topo == noc::Topology::kMesh ? " mesh" : " torus") +
+                   " k=" + std::to_string(k));
+      EXPECT_LE(greedy, rr);
+      EXPECT_LE(greedy, stripes);
     }
   }
 }
@@ -173,18 +202,19 @@ TEST(Partition, GreedyCutsNoMoreThanRoundRobinOnRing) {
   // grower should keep runs together and cut only ~k of them. This
   // pins the policy actually doing its job, not just tying.
   const SystemModel ring = make_ring(24);
-  const std::size_t rr = count_cut_links(
-      ring, partition_blocks(ring, 4, PartitionPolicy::kRoundRobin));
-  const std::size_t greedy = count_cut_links(
-      ring, partition_blocks(ring, 4, PartitionPolicy::kMinCutGreedy));
+  const std::size_t rr = count_cut_links(ring, round_robin_baseline(ring, 4));
+  const std::size_t stripes =
+      count_cut_links(ring, stripes_baseline(ring, 4));
+  const std::size_t greedy = count_cut_links(ring, partition_blocks(ring, 4));
   EXPECT_EQ(rr, 24u);
   EXPECT_LE(greedy, 8u);
+  EXPECT_LE(greedy, stripes);
 }
 
 TEST(Partition, RejectsBadShardCounts) {
   const SystemModel ring = make_ring(4);
-  EXPECT_THROW(partition_blocks(ring, 0, PartitionPolicy::kRoundRobin), Error);
-  EXPECT_THROW(partition_blocks(ring, 5, PartitionPolicy::kRoundRobin), Error);
+  EXPECT_THROW(partition_blocks(ring, 0), Error);
+  EXPECT_THROW(partition_blocks(ring, 5), Error);
 }
 
 }  // namespace

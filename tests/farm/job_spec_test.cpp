@@ -240,6 +240,66 @@ TEST(JobSpec, ValidateRejectsZeroShards) {
   EXPECT_EQ(rejected_field(s, "shards"), "accepted");
 }
 
+TEST(JobSpec, DecodeAcceptsLegacyPartitionTokens) {
+  // The sharded engine has one partitioner, so the partition token is no
+  // longer emitted. Spill segments written before that carry one of the
+  // three policies an older daemon offered; the partition never changed
+  // results, so each decodes to the same spec. Unknown values still throw.
+  const JobSpec spec = rich_spec();
+  const std::string text = spec.serialize();
+  EXPECT_EQ(text.find("partition="), std::string::npos) << text;
+  for (const char* partition : {"round_robin", "contiguous", "min_cut"}) {
+    EXPECT_EQ(JobSpec::deserialize(text + " partition=" + partition), spec)
+        << partition;
+  }
+  for (const char* partition : {"min_cut_greedy", "stripes", ""}) {
+    try {
+      JobSpec::deserialize(text + " partition=" + partition);
+      ADD_FAILURE() << "partition=" << partition << " accepted";
+    } catch (const ContextualError& e) {
+      EXPECT_EQ(e.context_value("partition"), partition);
+    }
+  }
+}
+
+TEST(JobSpec, ValidateRejectsShardedWorklistAndCompiled) {
+  // More than one shard runs the round-robin pickup only; one shard runs
+  // every scheduler.
+  for (const core::SchedulerKind sched :
+       {core::SchedulerKind::kWorklist, core::SchedulerKind::kCompiled}) {
+    JobSpec s;
+    s.engine.scheduler = sched;
+    s.engine.num_shards = 2;
+    EXPECT_EQ(rejected_field(s, "scheduler"), core::scheduler_kind_name(sched));
+    EXPECT_EQ(rejected_field(s, "shards"), "2");
+    s.engine.num_shards = 1;
+    EXPECT_EQ(rejected_field(s, "scheduler"), "accepted");
+  }
+  JobSpec rr;
+  rr.engine.num_shards = 2;
+  EXPECT_EQ(rejected_field(rr, "shards"), "accepted");
+  // The same rule holds for a spec that arrives as text.
+  JobSpec wire;
+  wire.engine.num_shards = 2;
+  wire.engine.scheduler = core::SchedulerKind::kCompiled;
+  EXPECT_THROW(JobSpec::deserialize(wire.serialize()).validate(),
+               ContextualError);
+}
+
+TEST(JobSpec, ValidateRejectsShardsAboveTheBound) {
+  // Each shard beyond the first is a worker thread, so the shard count a
+  // remote spec may ask for is bounded. Checked on the spec alone: no
+  // engine is built here.
+  JobSpec s;
+  s.engine.num_shards = kMaxShards;
+  EXPECT_EQ(rejected_field(s, "shards"), "accepted");
+  s.engine.num_shards = kMaxShards + 1;
+  EXPECT_EQ(rejected_field(s, "shards"), std::to_string(kMaxShards + 1));
+  const JobSpec wire =
+      JobSpec::deserialize("v=1 width=16 height=16 shards=256");
+  EXPECT_EQ(rejected_field(wire, "shards"), "256");
+}
+
 TEST(JobSpec, ValidateRejectsBeVcsTheRoutersDoNotHave) {
   for (const JobKind kind : {JobKind::kCoreTraffic, JobKind::kHostedFpga}) {
     JobSpec s;
@@ -390,7 +450,6 @@ TEST(JobSpec, HostileNumericTokensAreRefusedOrRun) {
   core_job.net.router.queue_depth = 2;
   core_job.engine.num_shards = 2;
   core_job.engine.seed = 3;
-  core_job.engine.scheduler = core::SchedulerKind::kCompiled;
   core_job.workload.be_load = 0.2;
   core_job.workload.be_vcs = {1, 2};
   traffic::GtStream s;

@@ -2,8 +2,8 @@
 // contract on the topologies the static schedule treats specially:
 //
 //  * a true combinational cycle (an OR latch), where the compiled
-//    schedule runs its scoped kSettle fallback — sequential — and its
-//    per-shard Jacobi supersteps when a partition cuts the cycle;
+//    schedule runs its scoped kSettle fallback, checked against the
+//    sharded round-robin engine with and without the cycle cut;
 //  * a non-settling cycle (a NOT self-loop), where compiled must fail
 //    with the same structured ConvergenceError as the reference
 //    scheduler, while the worklist scheduler rejects the shape at
@@ -95,20 +95,18 @@ TEST(CompiledEquivalence, OrLatchSccIsBitIdenticalAcrossAllEngines) {
   EXPECT_EQ(cp.compiled_schedule()->sccs[0].blocks,
             (std::vector<BlockId>{m.a, m.b}));
 
-  // Sharded compiled, both with a cut-friendly partition and with a
-  // round-robin partition that forces the SCC's two blocks into
-  // *different* shards: the cycle then runs as cross-shard Jacobi
-  // supersteps instead of a local settle, and must still agree.
+  // The sharded round-robin engine, both on two min-cut shards and with
+  // one block per shard, which forces the SCC's two blocks into
+  // *different* shards: the cycle then settles through the mailbox one
+  // superstep late, and must still agree.
   EngineOptions cut_cfg;
   cut_cfg.num_shards = 2;
-  cut_cfg.scheduler = SchedulerKind::kCompiled;
   Engine sh_cut(m.model, cut_cfg);
 
   EngineOptions split_cfg;
-  split_cfg.num_shards = 2;
-  split_cfg.partition = PartitionPolicy::kRoundRobin;
-  split_cfg.scheduler = SchedulerKind::kCompiled;
+  split_cfg.num_shards = m.model.num_blocks();
   Engine sh_split(m.model, split_cfg);
+  ASSERT_GT(sh_split.num_boundary_links(), 0u);
 
   std::vector<Engine*> engines = {&ref, &cp, &sh_cut, &sh_split};
 

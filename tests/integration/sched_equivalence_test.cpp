@@ -1,9 +1,10 @@
 // Differential proof of the worklist scheduler (DESIGN.md §12): for any
-// topology, workload, seed, engine (sequential or sharded) and shard
-// count, SchedulerKind::kWorklist must produce results bit-identical to
-// the reference round-robin sweep — every local output, every credit
-// wire, every register bit, every cycle (LockstepNocSimulation throws
-// on the first divergence), every link value at the end.
+// topology, workload and seed, the one-shard worklist and compiled
+// schedulers and the sharded round-robin engine must produce results
+// bit-identical to the one-shard round-robin sweep — every local output,
+// every credit wire, every register bit, every cycle
+// (LockstepNocSimulation throws on the first divergence), every link
+// value at the end.
 //
 // Also here: the quiescence fast-path accounting, the degenerate-
 // topology rejections (combinational self-loops, external links with no
@@ -35,7 +36,6 @@ namespace tmsim {
 namespace {
 
 using core::EngineOptions;
-using core::PartitionPolicy;
 using core::SchedulePolicy;
 using core::SchedulerKind;
 using core::SeqNocSimulation;
@@ -51,7 +51,6 @@ struct RandomConfig {
   std::uint64_t traffic_seed;
   std::size_t cycles;
   std::size_t num_shards;
-  PartitionPolicy partition;
 
   std::string replay_tuple(std::uint64_t index) const {
     return "replay{index=" + std::to_string(index) + ", net=" +
@@ -61,8 +60,7 @@ struct RandomConfig {
            ", be_load=" + std::to_string(be_load) +
            ", traffic_seed=" + std::to_string(traffic_seed) +
            ", cycles=" + std::to_string(cycles) +
-           ", num_shards=" + std::to_string(num_shards) + ", partition=" +
-           core::partition_policy_name(partition) + "}";
+           ", num_shards=" + std::to_string(num_shards) + "}";
   }
 };
 
@@ -91,10 +89,6 @@ RandomConfig derive_config(std::uint64_t index) {
   if (c.num_shards > routers) {
     c.num_shards = routers;
   }
-  static constexpr PartitionPolicy kPolicies[] = {
-      PartitionPolicy::kRoundRobin, PartitionPolicy::kContiguous,
-      PartitionPolicy::kMinCutGreedy};
-  c.partition = kPolicies[rng.next_below(3)];
   return c;
 }
 
@@ -107,11 +101,9 @@ NetworkConfig make_net(const RandomConfig& c) {
   return net;
 }
 
-EngineOptions make_opts(const RandomConfig& c, std::size_t shards,
-                        SchedulerKind sched) {
+EngineOptions make_opts(std::size_t shards, SchedulerKind sched) {
   EngineOptions o;
   o.num_shards = shards;
-  o.partition = c.partition;
   o.scheduler = sched;
   return o;
 }
@@ -124,20 +116,19 @@ TEST_P(SchedRandomized, SchedulersBitIdenticalAcrossEngines) {
   SCOPED_TRACE(cfg.replay_tuple(index));
   const NetworkConfig net = make_net(cfg);
 
-  // {round_robin, worklist, compiled} × {sequential, sharded}, all in
-  // lockstep: the round-robin sequential engine is the reference every
-  // other combination must match cycle for cycle.
+  // {round_robin, worklist, compiled} on one shard plus the sharded
+  // round-robin engine, all in lockstep: the round-robin sequential
+  // engine is the reference every other lane must match cycle for cycle.
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   std::vector<const SeqNocSimulation*> raw;
-  for (const std::size_t shards : {std::size_t{1}, cfg.num_shards}) {
-    for (const SchedulerKind sched :
-         {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
-          SchedulerKind::kCompiled}) {
-      auto sim = std::make_unique<SeqNocSimulation>(
-          net, make_opts(cfg, shards, sched));
-      raw.push_back(sim.get());
-      sims.push_back(std::move(sim));
-    }
+  for (const EngineOptions& o :
+       {make_opts(1, SchedulerKind::kRoundRobin),
+        make_opts(1, SchedulerKind::kWorklist),
+        make_opts(1, SchedulerKind::kCompiled),
+        make_opts(cfg.num_shards, SchedulerKind::kRoundRobin)}) {
+    auto sim = std::make_unique<SeqNocSimulation>(net, o);
+    raw.push_back(sim.get());
+    sims.push_back(std::move(sim));
   }
   noc::LockstepNocSimulation lockstep(std::move(sims));
 
@@ -173,7 +164,8 @@ TEST(SchedQuiescence, IdleNocIsSkippedEntirelyByBothEngines) {
   // A NoC with no traffic settles to a fixed point within a few warmup
   // cycles (idle routers stop rotating their arbiter pointers); from
   // then on the worklist scheduler must evaluate nothing at all while
-  // the round-robin reference still pays one pass per cycle.
+  // the round-robin reference, one shard or four, still pays one pass
+  // per cycle.
   NetworkConfig net;
   net.width = 4;
   net.height = 4;
@@ -181,7 +173,7 @@ TEST(SchedQuiescence, IdleNocIsSkippedEntirelyByBothEngines) {
   const std::size_t n = net.num_routers();
 
   auto idle_stats = [&](std::size_t shards, SchedulerKind sched) {
-    SeqNocSimulation sim(net, make_opts(derive_config(0), shards, sched));
+    SeqNocSimulation sim(net, make_opts(shards, sched));
     for (int i = 0; i < 6; ++i) {
       sim.step();  // warmup: reset transients settle
     }
@@ -194,11 +186,11 @@ TEST(SchedQuiescence, IdleNocIsSkippedEntirelyByBothEngines) {
         idle_stats(shards, SchedulerKind::kRoundRobin);
     EXPECT_EQ(rr.delta_cycles, n) << "shards=" << shards;
     EXPECT_EQ(rr.skipped_blocks, 0u) << "shards=" << shards;
-    const core::StepStats wl = idle_stats(shards, SchedulerKind::kWorklist);
-    EXPECT_EQ(wl.delta_cycles, 0u) << "shards=" << shards;
-    EXPECT_EQ(wl.skipped_blocks, n) << "shards=" << shards;
-    EXPECT_EQ(wl.worklist_high_water, 0u) << "shards=" << shards;
   }
+  const core::StepStats wl = idle_stats(1, SchedulerKind::kWorklist);
+  EXPECT_EQ(wl.delta_cycles, 0u);
+  EXPECT_EQ(wl.skipped_blocks, n);
+  EXPECT_EQ(wl.worklist_high_water, 0u);
 }
 
 TEST(SchedMetrics, WorklistCountersReachTheRegistry) {
@@ -208,8 +200,7 @@ TEST(SchedMetrics, WorklistCountersReachTheRegistry) {
   net.topology = Topology::kMesh;
   obs::MetricsRegistry registry;
   obs::EngineMetricsSink sink(registry);
-  SeqNocSimulation sim(
-      net, make_opts(derive_config(1), 1, SchedulerKind::kWorklist));
+  SeqNocSimulation sim(net, make_opts(1, SchedulerKind::kWorklist));
   sim.set_observer(&sink);
   for (int i = 0; i < 10; ++i) {
     sim.step();
@@ -326,27 +317,21 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
   core::SequentialSimulator seq_wl(m, SchedulePolicy::kDynamic, 16, 1,
                                    SchedulerKind::kWorklist);
   // Compiled: the whole ring condenses into one SCC whose scoped settle
-  // trips the same per-SCC budget (sequential), or — split one inverter
-  // per shard — a cut loop that ping-pongs to the superstep cap.
+  // trips the same per-SCC budget.
   core::SequentialSimulator seq_cp(m, SchedulePolicy::kDynamic, 16, 1,
                                    SchedulerKind::kCompiled);
   core::EngineOptions cfg;
   cfg.num_shards = 5;  // one inverter per shard: purely cross-shard loop
   cfg.max_evals_per_block = 16;
-  cfg.scheduler = SchedulerKind::kWorklist;
-  core::Engine sh_wl(m, cfg);
-  core::EngineOptions cp_cfg = cfg;
-  cp_cfg.scheduler = SchedulerKind::kCompiled;
-  core::Engine sh_cp(m, cp_cfg);
+  core::Engine sh_rr(m, cfg);
 
   const core::ConvergenceReport a = trip(seq_rr);
   const core::ConvergenceReport b = trip(seq_wl);
-  const core::ConvergenceReport c = trip(sh_wl);
+  const core::ConvergenceReport c = trip(sh_rr);
   const core::ConvergenceReport d = trip(seq_cp);
-  const core::ConvergenceReport e = trip(sh_cp);
 
   // Size/limit fields agree across all engine/scheduler combinations.
-  for (const core::ConvergenceReport* r : {&a, &b, &c, &d, &e}) {
+  for (const core::ConvergenceReport* r : {&a, &b, &c, &d}) {
     EXPECT_EQ(r->num_blocks, m.num_blocks());
     EXPECT_EQ(r->limit, 16u * m.num_blocks());
     ASSERT_FALSE(r->oscillating_blocks.empty());
@@ -381,7 +366,6 @@ TEST(SchedConvergence, MergedShardedReportIsDeterministic) {
     core::EngineOptions cfg;
     cfg.num_shards = 3;
     cfg.max_evals_per_block = 16;
-    cfg.scheduler = SchedulerKind::kWorklist;
     core::Engine sim(m, cfg);
     return trip(sim);
   };
@@ -394,10 +378,9 @@ TEST(SchedConvergence, MergedShardedReportIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Saturated-worklist stress — high load keeps every shard's FIFO busy
-// while results stay bit-identical. Runs under the tsan preset (the
-// `sched` label is in its filter), making this the data-race check for
-// the worklist fields on the shard structs.
+// Saturated-worklist stress — high load keeps the FIFO busy while results
+// stay bit-identical to the sharded round-robin engine in lockstep. Runs
+// under the tsan preset (the `sched` label is in its filter).
 // ---------------------------------------------------------------------------
 
 TEST(SchedStress, SaturatedWorklistStaysBitIdenticalUnderLoad) {
@@ -405,13 +388,11 @@ TEST(SchedStress, SaturatedWorklistStaysBitIdenticalUnderLoad) {
   net.width = 4;
   net.height = 4;
   net.topology = Topology::kTorus;
-  const RandomConfig cfg = derive_config(3);
 
   auto seq = std::make_unique<SeqNocSimulation>(
-      net, make_opts(cfg, 1, SchedulerKind::kWorklist));
+      net, make_opts(1, SchedulerKind::kWorklist));
   auto sharded = std::make_unique<SeqNocSimulation>(
-      net, make_opts(cfg, 4, SchedulerKind::kWorklist));
-  const SeqNocSimulation* sharded_ptr = sharded.get();
+      net, make_opts(4, SchedulerKind::kRoundRobin));
 
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   sims.push_back(std::move(seq));
@@ -430,12 +411,11 @@ TEST(SchedStress, SaturatedWorklistStaysBitIdenticalUnderLoad) {
 
   // Under saturation the FIFO really was exercised: the high-water mark
   // is a per-cycle stat, so probe it mid-load on a fresh run.
-  SeqNocSimulation probe(net, make_opts(cfg, 4, SchedulerKind::kWorklist));
+  SeqNocSimulation probe(net, make_opts(1, SchedulerKind::kWorklist));
   traffic::TrafficHarness hp(probe, opts);
   hp.set_be_load(0.9, {0, 1, 2, 3});
   hp.run(50);
   EXPECT_GT(probe.last_step_stats().worklist_high_water, 0u);
-  (void)sharded_ptr;
 }
 
 }  // namespace

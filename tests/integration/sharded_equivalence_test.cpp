@@ -1,7 +1,8 @@
 // Randomized differential proof of the sharded engine: for any
-// topology, workload, seed, shard count and partition policy, the
-// N-shard engine must be bit-identical to the one-shard (sequential §4)
-// engine and to the struct-state DirectNocSimulation golden model —
+// topology, workload, seed and shard count, the N-shard engine (the
+// round-robin pickup over min-cut regions) must be bit-identical to the
+// one-shard (sequential §4) engine and to the struct-state
+// DirectNocSimulation golden model —
 // every local output, every credit wire, every register bit, every
 // cycle (LockstepNocSimulation throws on the first divergence), every
 // link value at the end, and the full monitor statistics of a
@@ -33,7 +34,6 @@ namespace tmsim {
 namespace {
 
 using core::EngineOptions;
-using core::PartitionPolicy;
 using core::SchedulePolicy;
 using core::SchedulerKind;
 using core::SeqNocSimulation;
@@ -49,8 +49,8 @@ struct RandomConfig {
   std::uint64_t traffic_seed;
   std::size_t cycles;
   std::size_t num_shards;
-  PartitionPolicy partition;
-  SchedulerKind scheduler;
+  /// The one-shard lane's scheduler; the sharded lane runs round-robin.
+  SchedulerKind seq_scheduler;
 
   std::string replay_tuple(std::uint64_t index) const {
     return "replay{index=" + std::to_string(index) + ", net=" +
@@ -60,9 +60,9 @@ struct RandomConfig {
            ", be_load=" + std::to_string(be_load) +
            ", traffic_seed=" + std::to_string(traffic_seed) +
            ", cycles=" + std::to_string(cycles) +
-           ", num_shards=" + std::to_string(num_shards) + ", partition=" +
-           core::partition_policy_name(partition) + ", scheduler=" +
-           core::scheduler_kind_name(scheduler) + "}";
+           ", num_shards=" + std::to_string(num_shards) +
+           ", seq_scheduler=" + core::scheduler_kind_name(seq_scheduler) +
+           "}";
   }
 };
 
@@ -88,14 +88,11 @@ RandomConfig derive_config(std::uint64_t index) {
   if (c.num_shards > routers) {
     c.num_shards = routers;
   }
-  static constexpr PartitionPolicy kPolicies[] = {
-      PartitionPolicy::kRoundRobin, PartitionPolicy::kContiguous,
-      PartitionPolicy::kMinCutGreedy};
-  c.partition = kPolicies[rng.next_below(3)];
+  rng.next_below(3);  // spare draw: keeps every index's later fields put
   // Mostly the reference round-robin pickup; the compiled op program
-  // rides along to prove the engine is schedule-agnostic.
-  c.scheduler = rng.next_below(6) == 0 ? SchedulerKind::kCompiled
-                                       : SchedulerKind::kRoundRobin;
+  // rides along on the one-shard lane.
+  c.seq_scheduler = rng.next_below(6) == 0 ? SchedulerKind::kCompiled
+                                           : SchedulerKind::kRoundRobin;
   return c;
 }
 
@@ -110,9 +107,7 @@ NetworkConfig make_net(const RandomConfig& c) {
 
 EngineOptions sharded_opts(const RandomConfig& c) {
   EngineOptions o;
-  o.scheduler = c.scheduler;
   o.num_shards = c.num_shards;
-  o.partition = c.partition;
   return o;
 }
 
@@ -125,8 +120,7 @@ TEST_P(ShardedRandomized, BitIdenticalToSequential) {
   const NetworkConfig net = make_net(cfg);
 
   auto seq = std::make_unique<SeqNocSimulation>(
-      net, EngineOptions{.partition = cfg.partition,
-                         .scheduler = cfg.scheduler});
+      net, EngineOptions{.scheduler = cfg.seq_scheduler});
   auto sharded = std::make_unique<SeqNocSimulation>(net, sharded_opts(cfg));
   const SeqNocSimulation* seq_ptr = seq.get();
   const SeqNocSimulation* sharded_ptr = sharded.get();
@@ -192,8 +186,7 @@ TEST_P(ShardedStats, MonitorStatisticsMatchSequential) {
     return r;
   };
 
-  const auto a = run(EngineOptions{.partition = cfg.partition,
-                                   .scheduler = cfg.scheduler});
+  const auto a = run(EngineOptions{.scheduler = cfg.seq_scheduler});
   const auto b = run(sharded_opts(cfg));
   EXPECT_EQ(a.injected, b.injected);
   EXPECT_EQ(a.delivered, b.delivered);
@@ -247,6 +240,51 @@ TEST(ShardedClamp, MoreShardsThanBlocksClampsAndStaysExact) {
   traffic::TrafficHarness h(lockstep, opts);
   h.set_be_load(0.2, {0, 1, 2, 3});
   h.run(200);
+}
+
+// The sharded engine is one configuration: the round-robin pickup over
+// min-cut regions. The worklist and the op program need one shard,
+// counted after the clamp to the block count.
+TEST(ShardedSchedulers, WorklistAndCompiledNeedOneShard) {
+  NetworkConfig net;
+  net.width = 2;
+  net.height = 2;
+  net.topology = Topology::kMesh;
+  const core::NocModel nm = core::build_noc_model(net);
+  for (const SchedulerKind sched :
+       {SchedulerKind::kWorklist, SchedulerKind::kCompiled}) {
+    SCOPED_TRACE(core::scheduler_kind_name(sched));
+    EngineOptions o;
+    o.num_shards = 2;
+    o.scheduler = sched;
+    try {
+      core::Engine eng(nm.model, o);
+      ADD_FAILURE() << "a sharded engine accepted a non-round-robin scheduler";
+    } catch (const ContextualError& e) {
+      EXPECT_EQ(e.context_value("shards"), "2");
+      EXPECT_EQ(e.context_value("scheduler"), core::scheduler_kind_name(sched));
+    }
+    o.num_shards = 1;
+    EXPECT_NO_THROW(core::Engine(nm.model, o));
+  }
+
+  // One block clamps any shard count to one, so every scheduler runs.
+  core::SystemModel m;
+  const core::BlockId b = m.add_block(
+      std::make_shared<core::examples::PipeBlock>(8, 1), "pipe");
+  const core::LinkId in = m.add_link("in", 8, core::LinkKind::kCombinational);
+  const core::LinkId out =
+      m.add_link("out", 8, core::LinkKind::kCombinational);
+  m.bind_input(b, 0, in);
+  m.bind_output(b, 0, out);
+  m.finalize();
+  for (const SchedulerKind sched :
+       {SchedulerKind::kWorklist, SchedulerKind::kCompiled}) {
+    EngineOptions o;
+    o.num_shards = 4;
+    o.scheduler = sched;
+    EXPECT_NO_THROW(core::Engine(m, o)) << core::scheduler_kind_name(sched);
+  }
 }
 
 // A combinational oscillator split across shards must be detected like
@@ -308,7 +346,8 @@ TEST(ShardedConvergence, CrossShardOscillatorThrowsLikeSequential) {
 
 // The static §4.1 schedule on a registered-boundary model: the sharded
 // engine must agree with the sequential engine there too (the NoC can't
-// exercise static — its inter-router links are combinational).
+// exercise static — its inter-router links are combinational). One
+// block per shard cuts every link.
 TEST(ShardedStatic, RegisteredPipelineMatchesSequential) {
   core::SystemModel m;
   std::vector<core::BlockId> blocks;
@@ -332,10 +371,9 @@ TEST(ShardedStatic, RegisteredPipelineMatchesSequential) {
 
   core::SequentialSimulator seq(m, SchedulePolicy::kStatic);
   core::EngineOptions cfg;
-  cfg.num_shards = 3;
-  cfg.scheduler = SchedulerKind::kCompiled;  // what kStatic runs
-  cfg.partition = PartitionPolicy::kRoundRobin;  // worst case: all links cut
+  cfg.num_shards = m.num_blocks();  // worst case: all links cut
   core::Engine sharded(m, cfg);
+  ASSERT_EQ(sharded.num_boundary_links(), 6u);
 
   SplitMix64 rng(123);
   for (int cycle = 0; cycle < 50; ++cycle) {
