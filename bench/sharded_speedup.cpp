@@ -1,23 +1,14 @@
-// Sharded-engine speedup: measured host scaling + modeled FPGA scaling.
+// Sharded-engine speedup, measured on this host.
 //
 // The sharded bulk-synchronous engine partitions the block graph over N
 // worker threads and synchronizes cut links at delta-cycle barriers
-// (DESIGN.md §9). Two questions, answered separately and honestly:
-//
-//   1. What does it do on *this host*? Measured wall-clock cycles per
-//      second for shards ∈ {1, 2, 4, 8} on a 4×4 and an 8×8 mesh, with
-//      the links the min-cut partition cuts at each shard count.
-//      Thread-level speedup needs hardware threads:
-//      on a single-core host the barrier protocol is pure overhead and
-//      every sharded row will be *slower* than sequential — the bench
-//      prints the host's hardware_concurrency so that reading is
-//      unambiguous.
-//
-//   2. What would it do on the paper's platform? N copies of the §5.2
-//      evaluation pipeline each walk ~1/N of the delta work between
-//      barrier rounds; TimingModel::sharded_simulate_estimate prices
-//      that with the measured supersteps/cycle and partition imbalance
-//      from the same runs, at the paper's 6.6 MHz logic clock.
+// (DESIGN.md §9). The bench measures wall-clock cycles per second for
+// shards ∈ {1, 2, 4, 8} on a 4×4 and an 8×8 mesh, with the links the
+// min-cut partition cuts at each shard count. Thread-level speedup needs
+// hardware threads: on a single-core host the barrier protocol is pure
+// overhead and every sharded row will be *slower* than sequential — the
+// bench prints the host's hardware_concurrency so that reading is
+// unambiguous.
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -25,10 +16,6 @@
 #include "bench/bench_util.h"
 #include "core/engine.h"
 #include "core/noc_block.h"
-#include "core/partition.h"
-#include "fpga/arm_host.h"
-#include "fpga/fpga_design.h"
-#include "fpga/timing_model.h"
 #include "traffic/harness.h"
 
 namespace {
@@ -57,21 +44,10 @@ Measured measure(const noc::NetworkConfig& net, const core::EngineOptions& opts,
   return m;
 }
 
-/// Max-over-min shard population: the model's `imbalance` knob.
-double imbalance_of(const core::SystemModel& model, std::size_t shards) {
-  const core::Partition p = core::partition_blocks(model, shards);
-  std::size_t lo = model.num_blocks(), hi = 0;
-  for (const auto& s : p.shards) {
-    lo = std::min(lo, s.size());
-    hi = std::max(hi, s.size());
-  }
-  return lo == 0 ? 1.0 : static_cast<double>(hi) / static_cast<double>(lo);
-}
-
 }  // namespace
 
 int main() {
-  bench::print_header("Sharded engine", "measured host scaling + modeled FPGA scaling");
+  bench::print_header("Sharded engine", "measured host scaling");
   std::vector<bench::BenchMetric> metrics;
   const std::size_t scale = bench::quick_mode() ? 4 : 1;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -111,44 +87,6 @@ int main() {
       std::printf("  %6zu %10.0f %8.2fx %8zu %11.2f\n", k, m.cps,
                   m.cps / seq.cps, m.cut_links, m.supersteps);
     }
-  }
-
-  // Modeled FPGA scaling: counts from a hardened ArmHost run on the 8×8
-  // mesh, supersteps/cycle and imbalance measured from the matching
-  // sharded runs above (re-derived here cheaply).
-  std::printf("\nmodeled parallel FPGA engine (8x8 mesh, paper clocks):\n");
-  fpga::FpgaDesign design{fpga::FpgaBuildConfig{}};
-  fpga::ArmHost::Workload wl;
-  wl.be_load = 0.10;
-  fpga::ArmHost host(design, wl);
-  host.configure_network(8, 8, noc::Topology::kMesh);
-  host.run(600 / scale);
-  const fpga::TimingModel model;
-  const fpga::PhaseTimes seq_times = model.evaluate(host.counts());
-  std::printf("  sequential: simulate %.3fs, %.0f cycles/s\n",
-              seq_times.simulate_raw, seq_times.cycles_per_second);
-
-  noc::NetworkConfig net8;
-  net8.width = 8;
-  net8.height = 8;
-  net8.topology = noc::Topology::kMesh;
-  net8.router.queue_depth = 4;
-  std::printf("  %6s %12s %9s %12s\n", "shards", "simulate(s)", "speedup",
-              "cycles/s");
-  for (const std::size_t k : shard_counts) {
-    // Supersteps/cycle from a short real sharded run of the same mesh;
-    // imbalance from the partition itself.
-    core::EngineOptions opts;
-    opts.num_shards = k;
-    const Measured m = measure(net8, opts, 120 / scale + 30);
-    core::SeqNocSimulation probe(net8, opts);
-    const double imb = imbalance_of(probe.engine().model(), k);
-    const fpga::ShardedEstimate est = model.sharded_simulate_estimate(
-        host.counts(), k, imb, 4.0, std::max(m.supersteps, 1.0));
-    std::printf("  %6zu %12.3f %8.2fx %12.0f\n", k, est.simulate_raw,
-                est.speedup, est.cycles_per_second);
-    metrics.push_back({"modeled.speedup.shards=" + std::to_string(k),
-                       est.speedup, "ratio"});
   }
   std::printf("\n");
 

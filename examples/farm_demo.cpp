@@ -9,8 +9,9 @@
 // feed, and writes:
 //   farm_metrics.json   — farm.* admission/queue/worker counters plus
 //                         the per-worker utilization gauges
-//   farm_timeline.json  — chrome://tracing view of the per-worker job
-//                         slices and preemption instants
+//   farm_timeline.json  — chrome://tracing view of every job's span
+//                         tree (submit, queue, per-worker exec/slice
+//                         spans, publish), exported from the tracer
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "farm/farm.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 int main() {
   using namespace tmsim;
@@ -28,14 +30,14 @@ int main() {
   using farm::Priority;
 
   obs::MetricsRegistry metrics;
-  obs::ChromeTrace timeline;
+  obs::Tracer tracer;
 
   farm::FarmOptions opt;
   opt.num_workers = 2;
   opt.queue_capacity = 64;
   opt.preempt_quantum = 256;
   opt.metrics = &metrics;
-  opt.timeline = &timeline;
+  opt.tracer = &tracer;
   farm::SimFarm farm(opt);
 
   // --- Submit the sweep -----------------------------------------------------
@@ -113,6 +115,12 @@ int main() {
     std::ofstream os("farm_metrics.json");
     metrics.write_json(os, {{"example", "farm_demo"}});
   }
+  obs::ChromeTrace timeline;
+  for (std::size_t w = 0; w < opt.num_workers; ++w) {
+    timeline.name_thread(static_cast<std::uint32_t>(100 + w),
+                         "farm.worker" + std::to_string(w));
+  }
+  tracer.export_chrome(timeline);
   {
     std::ofstream os("farm_timeline.json");
     timeline.write_json(os);

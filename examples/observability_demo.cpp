@@ -8,8 +8,8 @@
 //                        delta-cycle counters
 //   obs_trace.vcd      — GTKWave-viewable waveform of the r0.* router
 //                        links plus the sim.delta_cycles bookkeeping
-//   obs_timeline.json  — chrome://tracing timeline: the ARM host's
-//                        five-phase loop and per-worker superstep spans
+//   obs_timeline.json  — chrome://tracing timeline of the ARM host's
+//                        five-phase loop
 #include <cstdio>
 #include <fstream>
 
@@ -52,27 +52,23 @@ int main() {
   const fpga::TimingModel model;
   host.export_metrics(registry, model);
 
-  // --- Part 2: the sharded engine, traced -----------------------------------
-  // Two worker shards over a 3x3 mesh; the VCD tracer streams router 0's
-  // links, the timeline sink records each worker's supersteps.
+  // --- Part 2: the engine, traced ------------------------------------------
+  // A 3x3 mesh; the VCD tracer streams router 0's links, the metrics
+  // sink counts delta cycles.
   noc::NetworkConfig net;
   net.width = 3;
   net.height = 3;
   net.topology = noc::Topology::kMesh;
   net.router.queue_depth = 2;
-  core::EngineOptions eopts;
-  eopts.num_shards = 2;
-  core::SeqNocSimulation sim(net, eopts);
+  core::SeqNocSimulation sim(net);
 
   obs::EngineMetricsSink engine_metrics(registry);
-  obs::TimelineSink superstep_sink(timeline);
   std::ofstream vcd_os("obs_trace.vcd");
   obs::VcdTracerOptions vopts;
   vopts.link_glob = "r0.*";
   obs::VcdTracer tracer(sim.engine().model(), vcd_os, vopts);
   obs::MultiObserver fan;
   fan.add(&engine_metrics);
-  fan.add(&superstep_sink);
   fan.add(&tracer);
   sim.set_observer(&fan);
 
@@ -80,7 +76,7 @@ int main() {
   topts.seed = 7;
   traffic::TrafficHarness harness(sim, topts);
   harness.set_be_load(0.12);
-  std::printf("running 256 sharded cycles with VCD tracing on r0.*...\n");
+  std::printf("running 256 cycles with VCD tracing on r0.*...\n");
   harness.run(256);
   vcd_os.close();
 

@@ -70,15 +70,16 @@ void check_checkpointable(const SystemModel& model) {
   }
 }
 
-/// The links a checkpoint's link snapshot carries: every internal
-/// combinational link, ascending. save_checkpoint emits exactly this list
+/// The links a checkpoint's link snapshot carries: every block-driven
+/// combinational link, ascending — internal links and primary outputs
+/// alike, since a block the worklist skips rewrites neither, and the
+/// testbench reads the outputs. save_checkpoint emits exactly this list
 /// and restore_checkpoint accepts nothing else.
 std::vector<LinkId> snapshot_links(const SystemModel& model) {
   std::vector<LinkId> ids;
   for (LinkId l = 0; l < model.num_links(); ++l) {
     const LinkInfo& info = model.link(l);
-    if (info.kind == LinkKind::kCombinational && info.writer.has_value() &&
-        !info.readers.empty()) {
+    if (info.kind == LinkKind::kCombinational && info.writer.has_value()) {
       ids.push_back(l);
     }
   }
@@ -1136,7 +1137,7 @@ void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck) {
   // the model: exactly the list save_checkpoint emits, or nothing loads.
   if (has_link_snapshot && ck.link_ids != snapshot_links(model)) {
     throw ContextualError(
-        "checkpoint link snapshot does not name the model's internal "
+        "checkpoint link snapshot does not name the model's block-driven "
         "combinational links in ascending order",
         {{"cycle", std::to_string(ck.cycle)},
          {"checkpoint_links", std::to_string(ck.link_ids.size())}});

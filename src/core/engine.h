@@ -301,13 +301,14 @@ struct EngineCheckpoint {
   std::vector<BitVector> block_states;  ///< one per block, model order
   std::uint64_t digest = 0;             ///< FNV-1a over the states
   SchedulerCheckpoint sched;            ///< stats-stream resume state
-  /// Committed values of the internal combinational links (ids ascending,
-  /// values parallel). Derived state — recomputable from block states by
-  /// one settle — but carried so the worklist quiescence flags in `sched`
-  /// stay sound after a restore: a skipped block does not rewrite its
-  /// outputs, so the restored engine must already hold them. Guarded by
-  /// its own digest; excluded from `digest`, which stays the pure
-  /// architectural-state witness the differential harnesses compare.
+  /// Committed values of the block-driven combinational links, internal
+  /// links and primary outputs (ids ascending, values parallel). Derived
+  /// state — recomputable from block states by one settle — but carried
+  /// so the worklist quiescence flags in `sched` stay sound after a
+  /// restore: a skipped block does not rewrite its outputs, so the
+  /// restored engine must already hold them. Guarded by its own digest;
+  /// excluded from `digest`, which stays the pure architectural-state
+  /// witness the differential harnesses compare.
   std::vector<LinkId> link_ids;
   std::vector<BitVector> link_values;
   std::uint64_t link_digest = 0;
@@ -350,7 +351,7 @@ class Engine {
   /// Overwrites a block's committed state (reset preloading, testing).
   void load_block_state(BlockId block, const BitVector& value);
 
-  /// Overwrites the reader-visible value of an internal combinational
+  /// Overwrites the reader-visible value of a block-driven combinational
   /// link (checkpoint restore), so the worklist quiescence skip — which
   /// reuses link values across cycles — sees a self-consistent snapshot.
   void load_link_value(LinkId link, const BitVector& value);
@@ -544,10 +545,11 @@ EngineCheckpoint save_checkpoint(const Engine& eng);
 /// Loads `ck` into `eng` (same model shape required) and rebases the
 /// cycle counters. Verifies the digest after the load, and that a link
 /// snapshot names exactly the links save_checkpoint emits for this model
-/// (internal combinational links, ascending), throwing ContextualError on
-/// any mismatch. `eng` may be a different instance — with a different
-/// shard count or schedule — than the one that produced `ck`; external
-/// inputs are NOT restored (drive them for the next cycle as usual).
+/// (block-driven combinational links, ascending), throwing
+/// ContextualError on any mismatch. `eng` may be a different instance —
+/// with a different shard count or schedule — than the one that produced
+/// `ck`; external inputs are NOT restored (drive them for the next cycle
+/// as usual).
 void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck);
 
 /// Returns `eng` to its power-on state: every block reloaded with its

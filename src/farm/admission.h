@@ -159,7 +159,7 @@ class AdmissionQueue {
   /// `max_job_cycles` is the per-job cycle ceiling (kTooLarge above it).
   /// `now_fn` supplies the clock `not_before_us` stamps are compared
   /// against (defaults to a steady µs clock; the farm passes its own so
-  /// queue time and timeline time share an epoch). `num_shards` is the
+  /// queue time and trace span time share an epoch). `num_shards` is the
   /// per-class shard count; `batch_key_fn` enables pop_batch_blocking.
   /// A non-null `tracer` samples submissions and records the
   /// enqueue/dequeue spans of sampled jobs (span timestamps come from

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -21,8 +20,8 @@ constexpr std::size_t kAdmissionShards = 4;
 /// same-class jobs sharing an engine-cache key and runs them back-to-back
 /// on one warm engine.
 constexpr std::size_t kBatchMaxJobs = 4;
-/// Engines a worker keeps warm, LRU-evicted (keyed by topology + engine
-/// options with the canonical schedule seed).
+/// Engines a worker keeps warm, LRU-evicted (keyed by topology +
+/// scheduler; every cached engine runs the canonical schedule seed).
 constexpr std::size_t kEngineCachePerWorker = 2;
 
 std::string worker_label(std::size_t w) {
@@ -74,12 +73,6 @@ SimFarm::SimFarm(FarmOptions opt)
     recorder_ = std::make_unique<obs::FlightRecorder>(
         opt_.num_workers + 1, opt_.flight_recorder_depth);
   }
-  if (opt_.timeline) {
-    for (std::size_t w = 0; w < opt_.num_workers; ++w) {
-      opt_.timeline->name_thread(static_cast<std::uint32_t>(100 + w),
-                                 "farm.worker" + std::to_string(w));
-    }
-  }
   for (std::size_t w = 0; w < opt_.num_workers; ++w) {
     workers_[w]->thread = std::thread([this, w] { worker_main(w); });
   }
@@ -94,9 +87,6 @@ SimFarm::SimFarm(FarmOptions opt)
 SimFarm::~SimFarm() { shutdown(); }
 
 double SimFarm::now_us() const {
-  if (opt_.timeline) {
-    return opt_.timeline->now_us();
-  }
   return static_cast<double>(steady_now_ns()) * 1e-3;
 }
 
@@ -589,10 +579,6 @@ bool SimFarm::run_job(std::size_t w, QueuedJob job) {
         } else if (job.session->attached()) {
           job.session->detach();  // graceful: consistent checkpoint survives
         }
-        if (opt_.timeline) {
-          opt_.timeline->instant("farm.worker.die", now_us(), tid,
-                                 {{"job", job.spec.name}});
-        }
         flight(w, job, obs::FlightEventKind::kKill, lost ? 1 : 0, 0);
         close_exec_span(w, job, "killed");
         worker.current_job.store(0, std::memory_order_relaxed);
@@ -628,12 +614,6 @@ bool SimFarm::run_job(std::size_t w, QueuedJob job) {
         }
         worker.slices_counter->add();
       }
-      if (opt_.timeline) {
-        opt_.timeline->span(
-            "farm.slice", t0, t1 - t0, tid,
-            {{"job", job.spec.name},
-             {"cycles", std::to_string(advanced)}});
-      }
       if (opt_.tracer != nullptr && job.trace.sampled()) {
         opt_.tracer->span(
             job.trace, opt_.tracer->alloc_span_id(), job.exec_span,
@@ -650,10 +630,6 @@ bool SimFarm::run_job(std::size_t w, QueuedJob job) {
       if (opt_.force_preempt || queue_.has_higher_than(job.spec.priority)) {
         if (job.session->attached()) {
           job.session->detach();
-        }
-        if (opt_.timeline) {
-          opt_.timeline->instant("farm.preempt", now_us(), tid,
-                                 {{"job", job.spec.name}});
         }
         ++job.preemptions;
         flight(w, job, obs::FlightEventKind::kPreempt,

@@ -84,8 +84,8 @@
 //   farm.worker.{slices,jobs,busy_us}{worker=i} counters — busy_us
 //   bills *every* executed slice, including slices of jobs that later
 //   fail or get cancelled — and a farm.worker.utilization gauge at
-//   shutdown; plus farm.slice spans on per-worker ChromeTrace tracks
-//   (tid 100+worker) with farm.preempt instants.
+//   shutdown. Slice spans and preempt/kill events come from the tracer
+//   and the flight recorder below.
 //
 // Distributed tracing + flight recorder + introspection (DESIGN.md
 // §15, all off by default and provably free when off):
@@ -127,7 +127,6 @@
 #include "obs/flight_recorder.h"
 
 namespace tmsim::obs {
-class ChromeTrace;
 class Counter;
 class MetricsRegistry;
 }  // namespace tmsim::obs
@@ -223,7 +222,6 @@ struct FarmOptions {
   bool paranoid_resume = false;
   /// Observability sinks (borrowed; must outlive the farm).
   obs::MetricsRegistry* metrics = nullptr;
-  obs::ChromeTrace* timeline = nullptr;
   /// Distributed tracing (DESIGN.md §15; borrowed, must outlive the
   /// farm). Sampling rate and span bounds live in the Tracer's own
   /// options; null (the default) costs one branch per site.

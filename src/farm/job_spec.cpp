@@ -93,9 +93,7 @@ std::string JobSpec::serialize() const {
   os << " width=" << net.width << " height=" << net.height;
   os << " topology=" << topology_name(net.topology);
   os << " vcs=" << net.router.num_vcs << " qdepth=" << net.router.queue_depth;
-  os << " shards=" << engine.num_shards;
-  os << " engine_seed=" << engine.seed;
-  os << " scheduler=" << core::scheduler_kind_name(engine.scheduler);
+  os << " scheduler=" << core::scheduler_kind_name(scheduler);
   os << " be_load=" << fmt_double(workload.be_load);
   os << " be_vcs=";
   for (std::size_t i = 0; i < workload.be_vcs.size(); ++i) {
@@ -196,25 +194,27 @@ JobSpec JobSpec::deserialize(const std::string& text) {
             "are combinational",
             {{"policy", val}});
       }
-    } else if (key == "shards") {
-      spec.engine.num_shards = parse_u64(val);
+    } else if (key == "shards" || key == "engine_seed") {
+      // No longer emitted: every job runs one shard under a derived
+      // schedule seed. Older clients and spill segments still send both;
+      // neither ever changed results, so any count or seed decodes to
+      // the same spec.
+      (void)parse_u64(val);
     } else if (key == "partition") {
-      // No longer emitted: the sharded engine has one partitioner. Spill
-      // segments written by an older daemon still carry one of the three
-      // policies it offered; the partition never changed results, so all
-      // of them decode to the same spec.
+      // No longer emitted: a one-shard engine has nothing to partition.
+      // Spill segments written by an older daemon still carry one of the
+      // three policies it offered; the partition never changed results,
+      // so all of them decode to the same spec.
       if (val != "round_robin" && val != "contiguous" && val != "min_cut") {
         throw ContextualError("unknown partition policy", {{"partition", val}});
       }
-    } else if (key == "engine_seed") {
-      spec.engine.seed = parse_u64(val);
     } else if (key == "scheduler") {
       if (val == "round_robin") {
-        spec.engine.scheduler = core::SchedulerKind::kRoundRobin;
+        spec.scheduler = core::SchedulerKind::kRoundRobin;
       } else if (val == "worklist") {
-        spec.engine.scheduler = core::SchedulerKind::kWorklist;
+        spec.scheduler = core::SchedulerKind::kWorklist;
       } else if (val == "compiled") {
-        spec.engine.scheduler = core::SchedulerKind::kCompiled;
+        spec.scheduler = core::SchedulerKind::kCompiled;
       } else {
         throw ContextualError("unknown scheduler kind", {{"scheduler", val}});
       }
@@ -301,18 +301,6 @@ void JobSpec::validate() const {
   }
   net.validate();
   TMSIM_CHECK_MSG(cycles >= 1, "job must simulate at least one cycle");
-  if (engine.num_shards == 0 || engine.num_shards > kMaxShards) {
-    throw ContextualError(
-        "an engine runs 1.." + std::to_string(kMaxShards) + " shards",
-        {{"shards", std::to_string(engine.num_shards)}});
-  }
-  if (engine.num_shards > 1 &&
-      engine.scheduler != core::SchedulerKind::kRoundRobin) {
-    throw ContextualError(
-        "the sharded engine runs the round_robin scheduler only",
-        {{"shards", std::to_string(engine.num_shards)},
-         {"scheduler", core::scheduler_kind_name(engine.scheduler)}});
-  }
   TMSIM_CHECK_MSG(max_retries <= 64,
                   "max_retries above 64 is a crash-loop, not a retry policy");
   TMSIM_CHECK_MSG(!(workload.fig1_gt && !workload.gt_streams.empty()),
@@ -340,14 +328,6 @@ void JobSpec::validate() const {
   const std::vector<traffic::GtStream> streams = resolved_gt_streams();
   if (!streams.empty()) {
     traffic::TrafficHarness::validate_gt_streams(net, streams);
-  }
-  // The wire format carries no evaluation budget, so a spec that set one
-  // would lose it in serialize() and run a different engine remotely.
-  if (engine.max_evals_per_block != core::EngineOptions{}.max_evals_per_block) {
-    throw ContextualError(
-        "max_evals_per_block is not part of the job spec; leave it at the "
-        "default",
-        {{"max_evals_per_block", std::to_string(engine.max_evals_per_block)}});
   }
   for (const auto& [key, rate] :
        {std::pair{"f_read_flip", faults.read_flip},

@@ -58,12 +58,6 @@ const char* priority_name(Priority p);
 /// half-parses a spec written by a future release.
 inline constexpr std::uint64_t kSpecFormatVersion = 1;
 
-/// Most shards a job may ask for. Each shard beyond the first is a
-/// worker thread, and every farm worker caches engines, so the bound
-/// caps the threads one remote spec can make a daemon start. Twice the
-/// largest count any bench runs.
-inline constexpr std::size_t kMaxShards = 16;
-
 /// The traffic offered to the network (a declarative superset of what
 /// TrafficHarness / ArmHost::Workload configure imperatively).
 struct WorkloadSpec {
@@ -93,13 +87,11 @@ struct JobSpec {
   Priority priority = Priority::kNormal;
   noc::NetworkConfig net;
   WorkloadSpec workload;
-  /// Engine choice. `engine.seed` is advisory: the farm canonicalizes it
-  /// (schedule seeds cannot change results, only evaluation order), so
-  /// it does not participate in worker-side engine-cache identity.
-  /// `engine.max_evals_per_block` must stay at its default: the wire
-  /// format does not carry it (validate() rejects anything else). More
-  /// than one shard needs the round-robin scheduler.
-  core::EngineOptions engine;
+  /// The engine's schedule. Every job runs on a one-shard engine with
+  /// the default evaluation budget; the schedule seed is derived, never
+  /// part of the spec (see effective_engine_options). Results do not
+  /// depend on the scheduler, only StepStats do.
+  core::SchedulerKind scheduler = core::SchedulerKind::kRoundRobin;
   /// The job's one true seed (see derive_seed).
   std::uint64_t seed = 1;
   /// System cycles to simulate.
@@ -131,8 +123,7 @@ struct JobSpec {
   std::uint64_t fingerprint() const;
 
   /// Throws ContextualError on an unsatisfiable spec: invalid network,
-  /// zero cycles, bad name charset, a shard count outside 1..kMaxShards
-  /// or a sharded engine with a scheduler other than round-robin, GT streams that violate the one-
+  /// zero cycles, bad name charset, GT streams that violate the one-
   /// stream-per-VC rule, packets outside 1..traffic::kMaxPacketBytes,
   /// or hosted-job options the ArmHost stack cannot honour (warmup,
   /// payload verification, faults on a core job).

@@ -12,22 +12,18 @@ namespace tmsim::farm {
 
 core::EngineOptions effective_engine_options(const JobSpec& spec,
                                              bool canonical_seed) {
-  core::EngineOptions opts = spec.engine;
-  if (canonical_seed) {
-    opts.seed = 1;
-  } else if (opts.seed == 1) {
-    opts.seed = derive_seed(spec.seed, "schedule");
-  }
+  core::EngineOptions opts;
+  opts.scheduler = spec.scheduler;
+  opts.seed = canonical_seed ? 1 : derive_seed(spec.seed, "schedule");
   return opts;
 }
 
 std::string engine_cache_key(const JobSpec& spec) {
-  const core::EngineOptions opts = effective_engine_options(spec, true);
   std::ostringstream os;
   os << spec.net.width << "x" << spec.net.height << ":"
      << static_cast<int>(spec.net.topology) << ":" << spec.net.router.num_vcs
-     << ":" << spec.net.router.queue_depth << ":" << opts.num_shards << ":"
-     << static_cast<int>(opts.scheduler);
+     << ":" << spec.net.router.queue_depth << ":"
+     << static_cast<int>(spec.scheduler);
   return os.str();
 }
 

@@ -38,21 +38,22 @@ class FpgaDesign;
 
 namespace tmsim::farm {
 
-/// The engine options a job actually runs with. When `canonical_seed` is
-/// true the schedule seed is forced to 1 — what farm workers use, so
-/// cached engines are reusable across jobs regardless of job seeds. When
-/// false (standalone runs) the seed derives from the job seed, which
-/// perturbs the evaluation order; the differential tests comparing the
-/// two paths are therefore also an empirical proof that schedule seeds
-/// never leak into results.
+/// The engine options a job actually runs with: one shard, the default
+/// evaluation budget and the spec's scheduler. When `canonical_seed` is
+/// true the schedule seed is 1 — what farm workers use, so cached
+/// engines are reusable across jobs regardless of job seeds. When false
+/// (standalone runs) the seed derives from the job seed, which perturbs
+/// the evaluation order; the differential tests comparing the two paths
+/// are therefore also an empirical proof that schedule seeds never leak
+/// into results.
 core::EngineOptions effective_engine_options(const JobSpec& spec,
                                              bool canonical_seed);
 
 /// Canonical engine-cache identity of a job: two jobs with equal keys can
 /// run on the same cached engine instance (equal topology/sizing and
-/// engine options under the canonical schedule seed). This is also the
-/// farm's *batch compatibility* rule — a worker only runs jobs
-/// back-to-back without re-attach when their keys match.
+/// scheduler). This is also the farm's *batch compatibility* rule — a
+/// worker only runs jobs back-to-back without re-attach when their keys
+/// match.
 std::string engine_cache_key(const JobSpec& spec);
 
 /// FNV-1a hash of engine_cache_key(), never 0 (0 marks "unbatchable" in

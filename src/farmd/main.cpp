@@ -3,13 +3,10 @@
 // drains gracefully on SIGINT/SIGTERM — every accepted job resolves and
 // connected subscribers receive their remaining results before exit.
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <semaphore>
-#include <string>
 
+#include "farmd/cli.h"
 #include "farmd/server.h"
 #include "obs/metrics.h"
 
@@ -21,41 +18,18 @@ std::binary_semaphore g_stop{0};
 
 void on_signal(int) { g_stop.release(); }
 
-void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--port N] [--workers N] [--queue N] "
-               "[--spill-dir PATH]\n"
-               "  --port N       listen port on 127.0.0.1 (default 0 = "
-               "ephemeral)\n"
-               "  --workers N    farm worker threads (default 2)\n"
-               "  --queue N      admission queue capacity (default 64)\n"
-               "  --spill-dir P  spill segment directory (default "
-               "farmd_spill)\n",
-               argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  tmsim::farmd::FarmdOptions opt;
-  opt.farm.num_workers = 2;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_val = i + 1 < argc;
-    if (arg == "--port" && has_val) {
-      opt.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else if (arg == "--workers" && has_val) {
-      opt.farm.num_workers = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--queue" && has_val) {
-      opt.farm.queue_capacity =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--spill-dir" && has_val) {
-      opt.spill_dir = argv[++i];
-    } else {
-      usage(argv[0]);
-      return arg == "--help" || arg == "-h" ? 0 : 2;
+  const tmsim::farmd::CliArgs cli = tmsim::farmd::parse_cli(argc, argv);
+  if (cli.action != tmsim::farmd::CliArgs::Action::kRun) {
+    if (!cli.error.empty()) {
+      std::fprintf(stderr, "tmsim-farmd: %s\n", cli.error.c_str());
     }
+    std::fputs(tmsim::farmd::usage_text(argv[0]).c_str(), stderr);
+    return cli.action == tmsim::farmd::CliArgs::Action::kHelp ? 0 : 2;
   }
+  tmsim::farmd::FarmdOptions opt = cli.options;
 
   tmsim::obs::MetricsRegistry metrics;
   opt.farm.metrics = &metrics;

@@ -62,33 +62,4 @@ PhaseTimes TimingModel::evaluate(const PhaseCounts& c) const {
   return t;
 }
 
-ShardedEstimate TimingModel::sharded_simulate_estimate(
-    const PhaseCounts& c, std::size_t num_shards, double imbalance,
-    double sync_fpga_cycles, double supersteps_per_cycle) const {
-  ShardedEstimate e;
-  const double seq_raw =
-      static_cast<double>(c.fpga_clock_cycles) / clocks_.fpga_logic_hz;
-  if (num_shards <= 1 || c.fpga_clock_cycles == 0) {
-    e.simulate_raw = seq_raw;
-    e.speedup = 1.0;
-  } else {
-    const double shard_cycles =
-        static_cast<double>(c.fpga_clock_cycles) /
-            static_cast<double>(num_shards) * imbalance +
-        static_cast<double>(c.system_cycles) * supersteps_per_cycle *
-            sync_fpga_cycles;
-    e.simulate_raw = shard_cycles / clocks_.fpga_logic_hz;
-    e.speedup = e.simulate_raw > 0 ? seq_raw / e.simulate_raw : 1.0;
-  }
-  // Re-run the Fig. 8 overlap with the shortened simulate phase: the ARM
-  // phases are untouched, so the headline rate only improves while the
-  // run is simulate-bound.
-  PhaseTimes seq = evaluate(c);
-  const double arm_total = seq.arm_total;
-  const double wall = std::max(arm_total, e.simulate_raw);
-  e.cycles_per_second =
-      wall > 0 ? static_cast<double>(c.system_cycles) / wall : 0.0;
-  return e;
-}
-
 }  // namespace tmsim::fpga

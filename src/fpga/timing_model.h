@@ -95,15 +95,6 @@ struct PhaseTimes {
   double share_verify() const { return verify / wall; }
 };
 
-/// First-order estimate of the sharded (parallel) engine's simulate
-/// phase — what N copies of the §5.2 pipeline working on a partition of
-/// the routers would do to the FPGA busy time.
-struct ShardedEstimate {
-  double simulate_raw = 0;      ///< estimated FPGA busy seconds
-  double speedup = 1.0;         ///< sequential simulate_raw / sharded
-  double cycles_per_second = 0; ///< headline rate with the overlap model
-};
-
 class TimingModel {
  public:
   TimingModel() = default;
@@ -115,16 +106,6 @@ class TimingModel {
   const SoftwareCostModel& costs() const { return costs_; }
 
   PhaseTimes evaluate(const PhaseCounts& c) const;
-
-  /// Parallel-engine estimate: the critical shard executes
-  /// ~fpga_clock_cycles / num_shards of the delta work, inflated by
-  /// `imbalance` (partition skew), plus `sync_fpga_cycles` FPGA clock
-  /// cycles per barrier round and `supersteps_per_cycle` rounds per
-  /// system cycle. ARM-side phase costs are unchanged — they overlap the
-  /// (now shorter) FPGA busy time exactly as in Fig. 8.
-  ShardedEstimate sharded_simulate_estimate(
-      const PhaseCounts& c, std::size_t num_shards, double imbalance = 1.1,
-      double sync_fpga_cycles = 4.0, double supersteps_per_cycle = 2.0) const;
 
   /// The §6 theoretical ceiling: delta rate / minimum deltas per system
   /// cycle ("3.3e6/36 = 91.6 kHz for a 6-by-6 network").

@@ -2,9 +2,10 @@
 //
 // The third pillar of the observability layer: wall-clock spans from
 // the ArmHost 5-phase loop (generate/load/simulate/retrieve/analyze —
-// Table 4 as a timeline instead of a table), per-worker supersteps from
-// the sharded engine, and fault/retry episodes from the PR-1 bus layer,
-// all in the JSON the `chrome://tracing` / Perfetto UI loads directly:
+// Table 4 as a timeline instead of a table), fault/retry episodes from
+// the PR-1 bus layer, and the farm's job span trees exported from an
+// obs::Tracer, all in the JSON the `chrome://tracing` / Perfetto UI
+// loads directly:
 //
 //   {"traceEvents":[{"name":"simulate","ph":"X","ts":12.0,"dur":340.5,
 //                    "pid":0,"tid":0,"args":{...}}, ...]}
@@ -12,10 +13,18 @@
 // Span taxonomy (the `name` field):
 //   host.generate / host.load / host.simulate / host.retrieve /
 //   host.analyze                 — one span per system-cycle batch, tid 0
-//   shard.superstep              — one span per superstep, tid = shard+1
-//   shard.barrier                — barrier-wait tail of a superstep
+//                                  (ArmHost::set_timeline)
 //   fault.<kind>                 — instant events ("i") for retry /
-//                                  replay / watchdog episodes
+//                                  replay / watchdog episodes, tid 0
+//   farm.job / farm.submit /
+//   admission.enqueue /
+//   admission.dequeue /
+//   farm.exec / farm.attach /
+//   farm.slice / farm.retry /
+//   farm.reclaim / farm.publish  — a farm Tracer's spans
+//                                  (Tracer::export_chrome), worker spans
+//                                  on tid 100+worker, plus one `farm.job`
+//                                  async bracket and flow chain per trace
 //
 // Timestamps are microseconds of wall-clock time since the trace was
 // constructed (Chrome's native unit). Events may be recorded from any

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/chrome_trace.h"
-
 namespace tmsim::obs {
 
 // ---------------------------------------------------------------------------
@@ -11,8 +9,7 @@ namespace tmsim::obs {
 // ---------------------------------------------------------------------------
 
 EngineMetricsSink::EngineMetricsSink(MetricsRegistry& registry)
-    : registry_(registry),
-      cycles_(registry.counter("engine.cycles")),
+    : cycles_(registry.counter("engine.cycles")),
       delta_cycles_(registry.counter("engine.delta_cycles")),
       re_evaluations_(registry.counter("engine.re_evaluations")),
       link_changes_(registry.counter("engine.link_changes")),
@@ -51,26 +48,6 @@ void EngineMetricsSink::on_cycle_commit(const core::Engine& eng,
   }
   deltas_per_cycle_.observe(static_cast<double>(stats.delta_cycles));
   settle_rounds_.observe(static_cast<double>(stats.settle_rounds));
-}
-
-void EngineMetricsSink::on_superstep(std::size_t shard, std::uint64_t superstep,
-                                     std::uint64_t settle_ns,
-                                     std::uint64_t barrier_ns) {
-  (void)superstep;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (shard >= shards_.size()) {
-    shards_.resize(shard + 1);
-  }
-  ShardRow& row = shards_[shard];
-  if (!row.supersteps) {
-    const std::string label = "shard=" + std::to_string(shard);
-    row.supersteps = &registry_.counter("engine.shard.supersteps", label);
-    row.settle_ns = &registry_.counter("engine.shard.settle_ns", label);
-    row.barrier_ns = &registry_.counter("engine.shard.barrier_ns", label);
-  }
-  row.supersteps->add(1);
-  row.settle_ns->add(settle_ns);
-  row.barrier_ns->add(barrier_ns);
 }
 
 void EngineMetricsSink::on_convergence_failure(
@@ -192,44 +169,6 @@ void VcdTracer::flush() {
     write_sample_stream(s);
   }
   os_.flush();
-}
-
-// ---------------------------------------------------------------------------
-// TimelineSink
-// ---------------------------------------------------------------------------
-
-TimelineSink::TimelineSink(ChromeTrace& trace) : trace_(trace) {}
-
-void TimelineSink::on_superstep(std::size_t shard, std::uint64_t superstep,
-                                std::uint64_t settle_ns,
-                                std::uint64_t barrier_ns) {
-  const std::uint32_t tid = static_cast<std::uint32_t>(shard + 1);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (named_.size() <= shard) {
-      named_.resize(shard + 1, 0);
-    }
-    if (!named_[shard]) {
-      named_[shard] = 1;
-      trace_.name_thread(tid, "shard " + std::to_string(shard));
-    }
-  }
-  const double end_us = trace_.now_us();
-  const double settle_us = static_cast<double>(settle_ns) / 1000.0;
-  const double barrier_us = static_cast<double>(barrier_ns) / 1000.0;
-  const double start_us = end_us - settle_us - barrier_us;
-  trace_.span("shard.superstep", start_us, settle_us + barrier_us, tid,
-              {{"superstep", std::to_string(superstep)}});
-  trace_.span("shard.barrier", end_us - barrier_us, barrier_us, tid);
-}
-
-void TimelineSink::on_convergence_failure(
-    const core::Engine& eng, const core::ConvergenceReport& report) {
-  (void)eng;
-  trace_.instant("engine.convergence_failure", trace_.now_us(), 0,
-                 {{"cycle", std::to_string(report.cycle)},
-                  {"unstable_blocks",
-                   std::to_string(report.oscillating_blocks.size())}});
 }
 
 // ---------------------------------------------------------------------------

@@ -2,15 +2,12 @@
 // three observability pillars (DESIGN.md §10):
 //
 //   EngineMetricsSink — harvests StepStats into a MetricsRegistry
-//                       (counters + per-cycle histograms, per-shard
-//                       superstep rows);
+//                       (counters + per-cycle histograms);
 //   VcdTracer         — samples selected links / block state at every
 //                       bank-swap commit point into a VCD waveform,
 //                       either streaming or as a last-N-cycles ring
 //                       that is flushed automatically on a
 //                       ConvergenceReport abort;
-//   TimelineSink      — turns per-worker supersteps into Chrome-trace
-//                       spans (one track per shard);
 //   MultiObserver     — fan-out, since Engine holds one observer slot.
 //
 // All of these are passive: attach with Engine::set_observer() (or
@@ -23,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -34,8 +30,6 @@
 
 namespace tmsim::obs {
 
-class ChromeTrace;
-
 /// Registry rows written (names under `engine.`):
 ///   counters   engine.cycles, engine.delta_cycles,
 ///              engine.re_evaluations, engine.link_changes,
@@ -45,22 +39,16 @@ class ChromeTrace;
 ///   gauges     engine.sched.worklist_high_water (running max over the
 ///              attached engine's cycles; stays 0 under round_robin)
 ///   histograms engine.deltas_per_cycle, engine.settle_rounds
-///   per shard  engine.shard.supersteps / .settle_ns / .barrier_ns
-///              with labels "shard=<i>"
 class EngineMetricsSink : public core::SimObserver {
  public:
   explicit EngineMetricsSink(MetricsRegistry& registry);
 
   void on_cycle_commit(const core::Engine& eng,
                        const core::StepStats& stats) override;
-  void on_superstep(std::size_t shard, std::uint64_t superstep,
-                    std::uint64_t settle_ns,
-                    std::uint64_t barrier_ns) override;
   void on_convergence_failure(const core::Engine& eng,
                               const core::ConvergenceReport& report) override;
 
  private:
-  MetricsRegistry& registry_;
   Counter& cycles_;
   Counter& delta_cycles_;
   Counter& re_evaluations_;
@@ -75,14 +63,6 @@ class EngineMetricsSink : public core::SimObserver {
   std::uint64_t worklist_high_water_max_ = 0;
   HistogramMetric& deltas_per_cycle_;
   HistogramMetric& settle_rounds_;
-
-  struct ShardRow {
-    Counter* supersteps = nullptr;
-    Counter* settle_ns = nullptr;
-    Counter* barrier_ns = nullptr;
-  };
-  std::mutex mu_;  // guards shards_ (on_superstep is concurrent)
-  std::vector<ShardRow> shards_;
 };
 
 struct VcdTracerOptions {
@@ -144,25 +124,6 @@ class VcdTracer : public core::SimObserver {
   VcdWriter::SignalId rounds_sig_ = 0;
   std::deque<Sample> ring_;
   bool flushed_ = false;
-};
-
-/// Chrome-trace spans per sharded worker: `shard.superstep` (whole
-/// superstep) with a nested `shard.barrier` tail, on track tid=shard+1
-/// (tid 0 is the host). Emits an instant on convergence failure.
-class TimelineSink : public core::SimObserver {
- public:
-  explicit TimelineSink(ChromeTrace& trace);
-
-  void on_superstep(std::size_t shard, std::uint64_t superstep,
-                    std::uint64_t settle_ns,
-                    std::uint64_t barrier_ns) override;
-  void on_convergence_failure(const core::Engine& eng,
-                              const core::ConvergenceReport& report) override;
-
- private:
-  ChromeTrace& trace_;
-  std::mutex mu_;
-  std::vector<char> named_;  // tids already given a thread_name
 };
 
 /// Fans one Engine observer slot out to several sinks, in order.

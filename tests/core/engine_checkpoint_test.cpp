@@ -255,6 +255,44 @@ TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
   }
 }
 
+TEST(SchedulerCheckpoint, RestoredEngineHoldsTheSkippedBlocksOutputs) {
+  // A quiescent chain: the worklist skips every block whose inputs did
+  // not move, so their output links keep whatever the engine last held.
+  // L3 is a primary output (no block reads it, the testbench does). A
+  // restore onto an engine that ran another workload must bring it back
+  // too, or the testbench reads the other tenant's value.
+  const auto hold = [](std::uint64_t v) {
+    return [v](Engine& sim, const PipeChain& chain, SystemCycle cycles) {
+      for (SystemCycle i = 0; i < cycles; ++i) {
+        sim.set_external_input(chain.x, val(16, v));
+        sim.step();
+      }
+    };
+  };
+  for (const SchedulerKind kind :
+       {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
+        SchedulerKind::kCompiled}) {
+    SCOPED_TRACE(scheduler_kind_name(kind));
+    PipeChain a_chain;
+    SequentialSimulator a(a_chain.model, SchedulePolicy::kDynamic, 64, 1,
+                          kind);
+    hold(0x111)(a, a_chain, 6);
+    const EngineCheckpoint ck = save_checkpoint(a);
+
+    PipeChain b_chain;
+    SequentialSimulator b(b_chain.model, SchedulePolicy::kDynamic, 64, 1,
+                          kind);
+    hold(0x222)(b, b_chain, 6);
+    restore_checkpoint(b, ck);
+    hold(0x111)(a, a_chain, 2);
+    hold(0x111)(b, b_chain, 2);
+    for (const LinkId link : {b_chain.l1, b_chain.l2, b_chain.l3}) {
+      EXPECT_EQ(b.link_word(link), a.link_word(link))
+          << b_chain.model.link(link).name;
+    }
+  }
+}
+
 TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
   EngineOptions cfg;
   cfg.num_shards = 2;  // the sharded engine runs round-robin only
@@ -312,7 +350,8 @@ void expect_link_ids_rejected(void (*damage)(EngineCheckpoint&,
                           SchedulerKind::kWorklist);
   drive(sim, chain, 5);
   EngineCheckpoint ck = save_checkpoint(sim);
-  ASSERT_EQ(ck.link_ids, (std::vector<LinkId>{chain.l1, chain.l2}));
+  ASSERT_EQ(ck.link_ids,
+            (std::vector<LinkId>{chain.l1, chain.l2, chain.l3}));
   damage(ck, chain);
   SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
                             SchedulerKind::kWorklist);

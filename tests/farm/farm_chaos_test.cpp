@@ -41,14 +41,10 @@ JobSpec random_spec(std::uint64_t index) {
   spec.priority = static_cast<Priority>(rng.next_below(kNumPriorities));
   spec.seed = rng.next();
   spec.cycles = 60 + rng.next_below(141);
-  spec.engine.num_shards = 1 + rng.next_below(2);
-  spec.engine.scheduler =
-      static_cast<core::SchedulerKind>(rng.next_below(3));
-  if (spec.engine.num_shards > 1) {
-    // The sharded engine runs round-robin only. The scheduler is still
-    // drawn, so every later draw, and every other field, is unchanged.
-    spec.engine.scheduler = core::SchedulerKind::kRoundRobin;
-  }
+  // Spare draw (the shard count specs once carried), so every later
+  // draw, and every other field, is unchanged.
+  (void)rng.next_below(2);
+  spec.scheduler = static_cast<core::SchedulerKind>(rng.next_below(3));
   spec.workload.be_load = 0.05 * static_cast<double>(rng.next_below(5));
   spec.max_retries = 2;
   if (rng.next_below(4) == 0) {

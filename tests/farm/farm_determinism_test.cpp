@@ -25,7 +25,7 @@ namespace tmsim::farm {
 namespace {
 
 /// Randomized small spec: 2x2..3x3 meshes, 60..200 cycles, mixed BE/GT
-/// workloads, 1-2 shards, ~1 in 4 hosted (some with a faulty bus).
+/// workloads, ~1 in 4 hosted (some with a faulty bus).
 JobSpec random_spec(std::uint64_t index) {
   SplitMix64 rng(0xfa4111ull + index);
   JobSpec spec;
@@ -37,8 +37,10 @@ JobSpec random_spec(std::uint64_t index) {
   spec.priority = static_cast<Priority>(rng.next_below(kNumPriorities));
   spec.seed = rng.next();
   spec.cycles = 60 + rng.next_below(141);
-  spec.engine.num_shards = 1 + rng.next_below(2);
-  spec.engine.seed = rng.next();  // advisory; must never matter
+  // Spare draws (the shard count and schedule seed specs once carried),
+  // so every later draw, and every other field, is unchanged.
+  (void)rng.next_below(2);
+  (void)rng.next();
   spec.workload.be_load = 0.05 * static_cast<double>(rng.next_below(5));
 
   const bool hosted = rng.next_below(4) == 0;

@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/chrome_trace.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace tmsim::farm {
 namespace {
@@ -131,14 +131,14 @@ TEST(SimFarm, BackpressureRejectsWithoutBlockingSubmitters) {
 
 TEST(SimFarm, ForcedPreemptionIsAccountedAndInvisibleInResults) {
   obs::MetricsRegistry metrics;
-  obs::ChromeTrace timeline;
+  obs::Tracer tracer;
   FarmOptions opt;
   opt.num_workers = 2;
   opt.preempt_quantum = 32;  // 200-cycle jobs → ~6 slices each
   opt.force_preempt = true;
   opt.paranoid_resume = true;
   opt.metrics = &metrics;
-  opt.timeline = &timeline;
+  opt.tracer = &tracer;
   SimFarm farm(opt);
 
   std::vector<std::uint64_t> ids;
@@ -150,11 +150,13 @@ TEST(SimFarm, ForcedPreemptionIsAccountedAndInvisibleInResults) {
     ids.push_back(out.job_id);
   }
   farm.drain();
+  std::size_t slices = 0;
   for (const auto id : ids) {
     const JobResult r = farm.results().get(id).value();
     EXPECT_EQ(r.status, JobStatus::kDone) << r.error;
     EXPECT_GT(r.preemptions, 0u);
     EXPECT_GT(r.slices, r.preemptions);
+    slices += r.slices;
   }
   farm.shutdown();
 
@@ -164,7 +166,17 @@ TEST(SimFarm, ForcedPreemptionIsAccountedAndInvisibleInResults) {
   EXPECT_EQ(metrics.counter_value("farm.resumes"),
             metrics.counter_value("farm.preemptions"));
   EXPECT_EQ(metrics.counter_value("farm.jobs.completed"), 6u);
-  EXPECT_GT(timeline.size(), 0u);  // farm.slice spans + farm.preempt instants
+  // The tracer saw every slice, and every preemption closed an exec
+  // segment as "preempted".
+  std::size_t slice_spans = 0;
+  std::uint64_t preempted_execs = 0;
+  for (const obs::SpanRecord& s : tracer.snapshot()) {
+    slice_spans += s.name == "farm.slice";
+    preempted_execs += s.name == "farm.exec" &&
+                       s.args_json.find("\"preempted\"") != std::string::npos;
+  }
+  EXPECT_EQ(slice_spans, slices);
+  EXPECT_EQ(preempted_execs, metrics.counter_value("farm.preemptions"));
 }
 
 TEST(SimFarm, WaitingInteractiveWorkPreemptsRunningBatchJob) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "farm/farm.h"
 #include "farm/session.h"
 
 namespace tmsim::farm {
@@ -42,7 +43,7 @@ JobSpec rich_spec() {
   spec.workload.gt_streams.push_back(s);
   spec.workload.stop_on_overload = false;
   spec.workload.overload_threshold = 4096;
-  spec.engine.num_shards = 2;
+  spec.scheduler = core::SchedulerKind::kCompiled;
   spec.seed = 0xdeadbeefcafeull;
   spec.cycles = 4242;
   spec.faults.read_flip = 0.25;
@@ -195,21 +196,6 @@ TEST(JobSpec, DecodeRejectsSchedulePoliciesTheStackCannotRun) {
   }
 }
 
-TEST(JobSpec, ValidateRejectsAnEvaluationBudgetTheWireCannotCarry) {
-  // serialize() has no max_evals_per_block token, so a non-default
-  // budget would silently revert to 64 on the far side of the wire.
-  JobSpec s;
-  s.engine.max_evals_per_block = 32;
-  try {
-    s.validate();
-    FAIL() << "non-default max_evals_per_block accepted";
-  } catch (const ContextualError& e) {
-    EXPECT_EQ(e.context_value("max_evals_per_block"), "32");
-  }
-  s.engine.max_evals_per_block = 64;
-  EXPECT_NO_THROW(s.validate());
-}
-
 /// The context value `key` of the ContextualError validate() throws, or
 /// "accepted" when it does not throw.
 std::string rejected_field(const JobSpec& s, const std::string& key) {
@@ -230,14 +216,6 @@ TEST(JobSpec, ValidateRejectsZeroFig1GtPeriod) {
   EXPECT_THROW(s.validate(), Error);
   s.workload.gt_period = 1;
   EXPECT_NO_THROW(s.validate());
-}
-
-TEST(JobSpec, ValidateRejectsZeroShards) {
-  JobSpec s;
-  s.engine.num_shards = 0;
-  EXPECT_EQ(rejected_field(s, "shards"), "0");
-  s.engine.num_shards = 1;
-  EXPECT_EQ(rejected_field(s, "shards"), "accepted");
 }
 
 TEST(JobSpec, DecodeAcceptsLegacyPartitionTokens) {
@@ -262,42 +240,71 @@ TEST(JobSpec, DecodeAcceptsLegacyPartitionTokens) {
   }
 }
 
-TEST(JobSpec, ValidateRejectsShardedWorklistAndCompiled) {
-  // More than one shard runs the round-robin pickup only; one shard runs
-  // every scheduler.
-  for (const core::SchedulerKind sched :
-       {core::SchedulerKind::kWorklist, core::SchedulerKind::kCompiled}) {
-    JobSpec s;
-    s.engine.scheduler = sched;
-    s.engine.num_shards = 2;
-    EXPECT_EQ(rejected_field(s, "scheduler"), core::scheduler_kind_name(sched));
-    EXPECT_EQ(rejected_field(s, "shards"), "2");
-    s.engine.num_shards = 1;
-    EXPECT_EQ(rejected_field(s, "scheduler"), "accepted");
+TEST(JobSpec, DecodeIgnoresLegacyShardAndEngineSeedTokens) {
+  // Every job runs one shard under a derived schedule seed, so neither
+  // token is emitted any more. Older clients and spill segments still
+  // carry them, with any u64 value; each decodes to the same spec, with
+  // the same fingerprint. A value that is not a u64 is still refused.
+  const JobSpec spec = rich_spec();
+  const std::string text = spec.serialize();
+  EXPECT_EQ(text.find("shards="), std::string::npos) << text;
+  EXPECT_EQ(text.find("engine_seed="), std::string::npos) << text;
+  for (const char* token : {"shards=0", "shards=1", "shards=256",
+                            "shards=4294967296", "engine_seed=9",
+                            "engine_seed=18446744073709551615"}) {
+    const JobSpec back = JobSpec::deserialize(text + " " + token);
+    EXPECT_EQ(back, spec) << token;
+    EXPECT_EQ(back.fingerprint(), spec.fingerprint()) << token;
   }
-  JobSpec rr;
-  rr.engine.num_shards = 2;
-  EXPECT_EQ(rejected_field(rr, "shards"), "accepted");
-  // The same rule holds for a spec that arrives as text.
-  JobSpec wire;
-  wire.engine.num_shards = 2;
-  wire.engine.scheduler = core::SchedulerKind::kCompiled;
-  EXPECT_THROW(JobSpec::deserialize(wire.serialize()).validate(),
-               ContextualError);
+  for (const char* token :
+       {"shards=four", "shards=", "shards=4x", "engine_seed=0x9"}) {
+    EXPECT_THROW(JobSpec::deserialize(text + " " + token), Error) << token;
+  }
 }
 
-TEST(JobSpec, ValidateRejectsShardsAboveTheBound) {
-  // Each shard beyond the first is a worker thread, so the shard count a
-  // remote spec may ask for is bounded. Checked on the spec alone: no
-  // engine is built here.
-  JobSpec s;
-  s.engine.num_shards = kMaxShards;
-  EXPECT_EQ(rejected_field(s, "shards"), "accepted");
-  s.engine.num_shards = kMaxShards + 1;
-  EXPECT_EQ(rejected_field(s, "shards"), std::to_string(kMaxShards + 1));
-  const JobSpec wire =
-      JobSpec::deserialize("v=1 width=16 height=16 shards=256");
-  EXPECT_EQ(rejected_field(wire, "shards"), "256");
+TEST(JobSpec, EngineCacheKeyIgnoresLegacyShardCounts) {
+  // A shard count on the wire once reached the engine-cache key, so
+  // identical engines got separate cache entries and never batched.
+  const std::string base = "v=1 width=2 height=2";
+  const std::string key = engine_cache_key(JobSpec::deserialize(base));
+  EXPECT_EQ(engine_cache_key(JobSpec::deserialize(base + " shards=4")), key);
+  EXPECT_EQ(engine_cache_key(JobSpec::deserialize(base + " shards=8")), key);
+  EXPECT_EQ(engine_cache_key_hash(JobSpec::deserialize(base + " shards=8")),
+            engine_cache_key_hash(JobSpec::deserialize(base)));
+  // The scheduler is part of the engine's identity.
+  EXPECT_NE(
+      engine_cache_key(JobSpec::deserialize(base + " scheduler=compiled")),
+      key);
+}
+
+TEST(JobSpec, LegacyShardTokenDoesNotChangeResults) {
+  // The same 2x2 job with and without `shards=4`: equal results both
+  // standalone and through a farm.
+  const std::string base =
+      "v=1 name=legacy width=2 height=2 be_load=0.2 be_vcs=2,3 seed=5 "
+      "cycles=120";
+  const JobSpec plain = JobSpec::deserialize(base);
+  const JobSpec sharded = JobSpec::deserialize(base + " shards=4");
+  const JobResult standalone = run_job_standalone(plain);
+  ASSERT_EQ(standalone.status, JobStatus::kDone) << standalone.error;
+  std::string why;
+  EXPECT_TRUE(
+      results_equivalent(standalone, run_job_standalone(sharded), &why))
+      << why;
+
+  FarmOptions opt;
+  opt.num_workers = 1;
+  SimFarm farm(opt);
+  const auto a = farm.submit(plain);
+  const auto b = farm.submit(sharded);
+  ASSERT_TRUE(a.accepted);
+  ASSERT_TRUE(b.accepted);
+  farm.drain();
+  for (const std::uint64_t id : {a.job_id, b.job_id}) {
+    EXPECT_TRUE(
+        results_equivalent(standalone, farm.results().get(id).value(), &why))
+        << why;
+  }
 }
 
 TEST(JobSpec, ValidateRejectsBeVcsTheRoutersDoNotHave) {
@@ -448,8 +455,7 @@ TEST(JobSpec, HostileNumericTokensAreRefusedOrRun) {
   core_job.net.height = 3;
   core_job.net.topology = noc::Topology::kMesh;
   core_job.net.router.queue_depth = 2;
-  core_job.engine.num_shards = 2;
-  core_job.engine.seed = 3;
+  core_job.scheduler = core::SchedulerKind::kWorklist;
   core_job.workload.be_load = 0.2;
   core_job.workload.be_vcs = {1, 2};
   traffic::GtStream s;

@@ -195,43 +195,6 @@ TEST(TimingModel, RepresentativeWorkloadLandsInPaperRanges) {
   EXPECT_NEAR(model.max_simulation_hz(36), 91.6e3, 1e3);
 }
 
-TEST(TimingModel, ShardedEstimateScalesAndChargesSyncCost) {
-  FpgaDesign fpga{FpgaBuildConfig{}};
-  ArmHost::Workload wl;
-  wl.be_load = 0.10;
-  ArmHost host(fpga, wl);
-  host.configure_network(6, 6, noc::Topology::kMesh);
-  host.run(2000);
-
-  const TimingModel model;
-  const PhaseTimes seq = model.evaluate(host.counts());
-  const ShardedEstimate one =
-      model.sharded_simulate_estimate(host.counts(), 1, /*imbalance=*/1.0,
-                                      /*sync_fpga_cycles=*/0.0);
-  // One shard with no barrier cost is exactly the sequential engine.
-  EXPECT_NEAR(one.simulate_raw, seq.simulate_raw, 1e-12);
-  EXPECT_NEAR(one.speedup, 1.0, 1e-9);
-
-  const ShardedEstimate two = model.sharded_simulate_estimate(host.counts(), 2);
-  const ShardedEstimate four =
-      model.sharded_simulate_estimate(host.counts(), 4);
-  // More shards shorten the simulate phase, sublinearly (imbalance and
-  // per-superstep barrier cost are charged).
-  EXPECT_LT(two.simulate_raw, seq.simulate_raw);
-  EXPECT_LT(four.simulate_raw, two.simulate_raw);
-  EXPECT_GT(two.speedup, 1.0);
-  EXPECT_GT(four.speedup, two.speedup);
-  EXPECT_LT(four.speedup, 4.0);
-  // The headline rate obeys the Fig. 8 overlap: ARM-bound workloads see
-  // no wall-clock gain from a faster simulate phase.
-  EXPECT_GE(four.cycles_per_second, seq.cycles_per_second - 1e-9);
-  // Barrier rounds cost: charging more supersteps per cycle must slow
-  // the estimate.
-  const ShardedEstimate chatty = model.sharded_simulate_estimate(
-      host.counts(), 4, 1.1, 4.0, /*supersteps_per_cycle=*/8.0);
-  EXPECT_GT(chatty.simulate_raw, four.simulate_raw);
-}
-
 TEST(TimingModel, SoftwareRandSlowsGenerationLikeThePaperSays) {
   // §8: offloading random numbers to the FPGA "gave an extra 50%
   // simulation speed" — i.e. software rand() costs roughly half of the
