@@ -70,16 +70,20 @@ void check_checkpointable(const SystemModel& model) {
   }
 }
 
-/// The links a checkpoint's link snapshot carries: every block-driven
-/// combinational link, ascending — internal links and primary outputs
-/// alike, since a block the worklist skips rewrites neither, and the
-/// testbench reads the outputs. save_checkpoint emits exactly this list
+/// The links a checkpoint's link snapshot carries: every combinational
+/// link a block writes or reads, ascending. A block the quiescence skip
+/// passes over (worklist or gated op program) rewrites neither its
+/// internal links nor the primary outputs the testbench reads, and its
+/// quiescence flags hold only for the external-input values it last
+/// read: a testbench that drives the restored engine's stale value
+/// again raises no change event. save_checkpoint emits exactly this list
 /// and restore_checkpoint accepts nothing else.
 std::vector<LinkId> snapshot_links(const SystemModel& model) {
   std::vector<LinkId> ids;
   for (LinkId l = 0; l < model.num_links(); ++l) {
     const LinkInfo& info = model.link(l);
-    if (info.kind == LinkKind::kCombinational && info.writer.has_value()) {
+    if (info.kind == LinkKind::kCombinational &&
+        (info.writer.has_value() || !info.readers.empty())) {
       ids.push_back(l);
     }
   }
@@ -115,9 +119,10 @@ void check_external_input(const SystemModel& model, LinkId link) {
 ///    worklist would silently drop it (check_external_input catches the
 ///    drive; this catches the model).
 /// No-op for kRoundRobin (the dense sweep tolerates both shapes, at
-/// delta-budget cost) and for kCompiled (a self-loop becomes a scoped
-/// settle region, and a program evaluates every block whether or not a
-/// stimulus arrived).
+/// delta-budget cost) and for kCompiled: a self-loop becomes a scoped
+/// settle region whose members are never skipped, and the program runs
+/// every op in a fixed order, so an unread stimulus wakes nobody and is
+/// simply never consumed.
 void check_scheduler_topology(const SystemModel& model, SchedulerKind kind) {
   if (kind != SchedulerKind::kWorklist) {
     return;
@@ -213,6 +218,7 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
   TMSIM_CHECK_MSG(opts.max_evals_per_block >= 1, "eval limit must be positive");
   check_scheduler_topology(model, opts_.scheduler);
   worklist_ = opts_.scheduler == SchedulerKind::kWorklist;
+  gated_ = worklist_ || opts_.scheduler == SchedulerKind::kCompiled;
 
   const std::size_t n = model.num_blocks();
   opts_.num_shards = std::min(opts_.num_shards, n);
@@ -307,11 +313,16 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
     sh->evaluated.assign(blocks.size(), 0);
     if (worklist_) {
       sh->worklist.reserve(blocks.size());
+    }
+    if (gated_) {
       sh->state_fixed.assign(blocks.size(), 0);
       sh->pending_input.assign(blocks.size(), 0);
       // A block is skippable only when every link it touches is
-      // combinational: registered banks would rot behind the pointer
-      // flip, and registered inputs change without a change event.
+      // combinational: registered link banks flip globally, so a skipped
+      // writer's would rot, and registered inputs change without a
+      // change event. Under the op program the members of a settle
+      // region are never skipped either: kSettle runs them to a fixed
+      // point every cycle.
       sh->skippable.assign(blocks.size(), 1);
       for (std::size_t i = 0; i < blocks.size(); ++i) {
         const BlockInstance& blk = model.block(blocks[i]);
@@ -323,6 +334,13 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
         for (const LinkId l : blk.output_links) {
           if (model.link(l).kind != LinkKind::kCombinational) {
             sh->skippable[i] = 0;
+          }
+        }
+      }
+      if (program_) {
+        for (const analysis::CompiledScc& scc : program_->sccs) {
+          for (const BlockId b : scc.blocks) {
+            sh->skippable[local_of_[b]] = 0;
           }
         }
       }
@@ -406,9 +424,9 @@ void Engine::set_external_input(LinkId link, std::uint64_t value) {
         shards_[part_.shard_of[reader.block]]->links.write_word(link, value) ||
         changed;
   }
-  if (changed && worklist_) {
+  if (changed && gated_) {
     // Wake the quiescence fast path: the readers have fresh input, so
-    // the next cycle's seeding must not skip them.
+    // the next cycle must not skip them.
     for (const Endpoint& reader : model_.link(link).readers) {
       shards_[part_.shard_of[reader.block]]
           ->pending_input[local_of_[reader.block]] = 1;
@@ -435,7 +453,7 @@ void Engine::load_block_state(BlockId block, const BitVector& value) {
   TMSIM_CHECK_MSG(block < model_.num_blocks(), "block index out of range");
   Shard& sh = *shards_[part_.shard_of[block]];
   sh.state.load_old(local_of_[block], value);
-  if (worklist_) {
+  if (gated_) {
     // The committed state changed behind the block's back: any cached
     // fixed-point claim is stale, so force a re-evaluation next cycle.
     sh.state_fixed[local_of_[block]] = 0;
@@ -477,14 +495,14 @@ void Engine::clear_links() {
 
 SchedulerCheckpoint Engine::scheduler_checkpoint() const {
   SchedulerCheckpoint s;
-  if (program_) {
-    return s;  // an op program carries no dynamic scheduling state
+  if (!program_) {
+    // An op program never moves a cursor.
+    s.rr_cursors.reserve(shards_.size());
+    for (const std::unique_ptr<Shard>& sh : shards_) {
+      s.rr_cursors.push_back(sh->rr_next);
+    }
   }
-  s.rr_cursors.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& sh : shards_) {
-    s.rr_cursors.push_back(sh->rr_next);
-  }
-  if (worklist_) {
+  if (gated_) {
     // Scatter the per-shard quiescence flags back to model block order so
     // the snapshot is partition-independent.
     s.state_fixed.assign(model_.num_blocks(), 0);
@@ -516,7 +534,7 @@ void Engine::restore_scheduler_state(
     sh.rr_next = (cursors_ok && ln > 0 && sched.rr_cursors[si] < ln)
                      ? sched.rr_cursors[si]
                      : sh.rr_init;
-    if (worklist_) {
+    if (gated_) {
       for (std::size_t i = 0; i < ln; ++i) {
         sh.state_fixed[i] = flags_ok ? sched.state_fixed[sh.blocks[i]] : 0;
         sh.pending_input[i] = flags_ok ? sched.pending_input[sh.blocks[i]] : 0;
@@ -668,10 +686,16 @@ void Engine::run_cycle(std::size_t s) {
     }
   } while (exchange_round(sh));
   if (!sh.cycle_failed) {
-    // End of system cycle, shard-locally: pointer-flip the state banks
-    // and registered link banks (§4.1). A failed cycle leaves the banks
-    // un-flipped, holding the unsettled values the report describes.
-    sh.state.swap_banks();
+    // End of system cycle, shard-locally: flip the state pointer of every
+    // block evaluated this cycle, and the registered link banks (§4.1).
+    // A skipped block is not committed: its old slot already holds its
+    // next state. A failed cycle flips nothing, leaving the unsettled
+    // values the report describes in the new slots.
+    for (std::size_t i = 0; i < sh.evaluated.size(); ++i) {
+      if (sh.evaluated[i]) {
+        sh.state.commit(i);
+      }
+    }
     sh.links.swap_registered_banks();
   } else {
     fill_report(sh);
@@ -686,11 +710,11 @@ void Engine::run_cycle(std::size_t s) {
 
 void Engine::seed_worklist_cycle(Shard& sh) {
   // Worklist analogue of the dense cycle seeding: instead of marking
-  // every block unstable, a block whose links are all combinational,
-  // whose last committed evaluation was a state fixed point, and whose
-  // inputs carry no pending activity is *skipped* — its old-bank word is
-  // carried over so the end-of-cycle bank flip cannot rot it, and it is
-  // never pushed. A skipped block is still woken mid-cycle the moment
+  // every block unstable, a quiescent block — all links combinational,
+  // last evaluation a state fixed point, no pending input activity — is
+  // *skipped*: it is never pushed, and since it is not committed at the
+  // end of the cycle its old slot stays its state, with nothing copied.
+  // A skipped block is still woken mid-cycle the moment
   // any input changes (destabilize_local pushes it), so the fixed point
   // reached is the same one the dense sweep reaches — the quiescence
   // fast path only elides evaluations whose outputs are already final.
@@ -701,8 +725,7 @@ void Engine::seed_worklist_cycle(Shard& sh) {
   sh.unstable_count = 0;
   const std::size_t ln = sh.blocks.size();
   for (std::size_t i = 0; i < ln; ++i) {
-    if (sh.skippable[i] && sh.state_fixed[i] && !sh.pending_input[i]) {
-      sh.state.carry_over(i);
+    if (sh.quiescent(i)) {
       ++sh.stats.skipped_blocks;
       sh.unstable[i] = 0;
     } else {
@@ -781,13 +804,25 @@ void Engine::run_program(Shard& sh) {
       if (sh.diverged) {
         return;
       }
-    } else {
-      // A kDrive needs only the block's outputs (its later kEval commits
-      // the state), so it runs G alone; it still writes every output and
-      // counts as one delta cycle, exactly like a full evaluation.
-      evaluate_block(sh, local_of_[op.block], nullptr,
-                     op.kind == analysis::CompiledOpKind::kDrive);
+      continue;
     }
+    const std::size_t i = local_of_[op.block];
+    const bool drive = op.kind == analysis::CompiledOpKind::kDrive;
+    if (sh.quiescent(i)) {
+      // The activity gate: evaluating a quiescent block would rewrite its
+      // outputs with the values they hold and reproduce its old state, so
+      // the op is skipped and the block is not committed. Only a
+      // committing evaluation clears pending_input or sets state_fixed,
+      // so between a block's kDrive and its kEval the block can stop
+      // being quiescent but never become so: a block whose drive ran
+      // always runs its kEval too.
+      sh.stats.skipped_blocks += drive ? 0 : 1;
+      continue;
+    }
+    // A kDrive needs only the block's outputs (its later kEval commits
+    // the state), so it runs G alone; it still writes every output and
+    // counts as one delta cycle, exactly like a full evaluation.
+    evaluate_block(sh, i, nullptr, drive);
   }
 }
 
@@ -842,11 +877,7 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
   // unstable_count nonzero forever. Inside a kSettle only the SCC's own
   // readers are re-flagged.
   const bool pickup = !program_;
-  if (worklist_) {
-    // Everything pending is consumed by this evaluation; activity that
-    // arrives later (writes below, external inputs) re-marks it.
-    sh.pending_input[local] = 0;
-  }
+  const bool inputs_changed = gated_ && sh.pending_input[local];
   const BlockInstance& blk = *sh.inst[local];
   const SimBlock& logic = *blk.logic;
   const std::size_t n_in = blk.input_links.size();
@@ -870,17 +901,17 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
     logic.drive(old, {in, n_in}, {out, n_out});
   } else {
     // The last evaluation of the cycle is the committing one: it leaves
-    // the block's next state in the new bank.
-    BlockState& next = sh.state.new_state(local);
-    logic.step(old, {in, n_in}, next, {out, n_out});
-    if (worklist_) {
-      // State fixed point: a pure step() that mapped old == new will
-      // reproduce this exact evaluation as long as the inputs stay put —
-      // the precondition the quiescence fast path relies on.
-      sh.state_fixed[local] = next.equals(old) ? 1 : 0;
+    // the block's next state in its new slot.
+    logic.step(old, {in, n_in}, sh.state.new_state(local), {out, n_out});
+    if (gated_) {
+      // Everything pending is consumed by this committing evaluation;
+      // activity that arrives later (writes below, external inputs)
+      // re-marks it. A kDrive consumes nothing, so its kEval still runs.
+      sh.pending_input[local] = 0;
     }
   }
 
+  bool outputs_changed = false;
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];
     const bool changed = sh.links.write_word(l, out[p]);
@@ -888,6 +919,7 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
       if (!changed) {
         continue;
       }
+      outputs_changed = true;
       // "if the router writes a value to a link, which is not equal to
       //  the current value in the memory, it will reset this link's
       //  status bit to zero" — destabilizing the reader.
@@ -902,7 +934,10 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
         if (reader != kNoBlock && part_.shard_of[reader] == sh.index) {
           destabilize_local(sh, reader);
         }
-      } else if (ctx && program_->scc_of_link[l] == ctx->scc_id) {
+      } else if (comb_reader_[l] != kNoBlock && gated_) {
+        sh.pending_input[local_of_[comb_reader_[l]]] = 1;  // wake its gate
+      }
+      if (ctx && program_->scc_of_link[l] == ctx->scc_id) {
         // Intra-SCC edge changed mid-settle: wake the (single) reader.
         const BlockId r = comb_reader_[l];
         const auto it = std::lower_bound(ctx->scc->blocks.begin(),
@@ -927,6 +962,18 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
     }
   }
 
+  if (gated_ && !drive) {
+    // State fixed point: a pure step() that mapped old == new will
+    // reproduce this exact evaluation as long as the inputs stay put —
+    // the precondition of the quiescence skip. The op program compares
+    // only when the evaluation saw no new input and moved no output: a
+    // block with activity on its ports is rarely at a fixed point, and a
+    // missed one costs one more evaluation, not correctness
+    // (state_fixed == 0 never skips anything).
+    sh.state_fixed[local] =
+        (worklist_ || !(inputs_changed || outputs_changed)) &&
+        sh.state.new_state(local).equals(old);
+  }
   if (!sh.evaluated[local]) {
     sh.evaluated[local] = 1;
     ++sh.first_evals;
@@ -1096,9 +1143,9 @@ EngineCheckpoint save_checkpoint(const Engine& eng) {
   }
   ck.digest = states_digest(ck.block_states);
   ck.sched = eng.scheduler_checkpoint();
-  // Internal combinational link values ride along (ascending link id) so
-  // the scheduler's quiescence flags stay sound after the restore — a
-  // block the fast path skips never rewrites its outputs.
+  // The combinational link values ride along (ascending link id) so the
+  // scheduler's quiescence flags stay sound after the restore — see
+  // snapshot_links.
   ck.link_ids = snapshot_links(model);
   ck.link_values.reserve(ck.link_ids.size());
   for (const LinkId l : ck.link_ids) {
@@ -1137,7 +1184,7 @@ void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck) {
   // the model: exactly the list save_checkpoint emits, or nothing loads.
   if (has_link_snapshot && ck.link_ids != snapshot_links(model)) {
     throw ContextualError(
-        "checkpoint link snapshot does not name the model's block-driven "
+        "checkpoint link snapshot does not name the model's connected "
         "combinational links in ascending order",
         {{"cycle", std::to_string(ck.cycle)},
          {"checkpoint_links", std::to_string(ck.link_ids.size())}});

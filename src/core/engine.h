@@ -18,11 +18,13 @@
 // schedules:
 //
 //  - kCompiled: an op program (analysis/static_schedule.h) over the
-//    whole model, replayed in full every system cycle — the
-//    SCC-condensed topological order of the blocks. For a
-//    registered-only model it is every block once in ascending ids, the
-//    paper's §4.1 static schedule (Fig. 3), which is how
-//    SequentialSimulator runs SchedulePolicy::kStatic;
+//    whole model, replayed every system cycle — the SCC-condensed
+//    topological order of the blocks — with each op gated by the
+//    worklist's quiescence test, so a block with no new input and a
+//    fixed-point state costs one flag test. For a registered-only model
+//    it is every block once in ascending ids, the paper's §4.1 static
+//    schedule (Fig. 3), which is how SequentialSimulator runs
+//    SchedulePolicy::kStatic (registered links are never gated);
 //  - kRoundRobin / kWorklist: the §4.2 pickup — all HBR bits cleared at
 //    cycle start, non-stable blocks picked by the round-robin cursor or
 //    the event worklist, a changed link write destabilizing its readers.
@@ -30,7 +32,8 @@
 // kWorklist and kCompiled run on one shard only; more shards means the
 // round-robin pickup, and the constructor rejects anything else.
 //
-// Every shard owns a shard-local double-banked StateMemory and a
+// Every shard owns a shard-local double-banked StateMemory (one bank
+// pointer per block, flipped only for the blocks evaluated) and a
 // shard-local LinkMemory materializing exactly the links its blocks
 // touch; one worker thread runs each shard beyond the first (the
 // constructing thread runs shard 0). Cut links are *mirrored*: the
@@ -108,13 +111,16 @@ namespace tmsim::core {
 ///  - kCompiled: static. A build-time analysis pass
 ///    (src/analysis/static_schedule.h) condenses the combinational link
 ///    graph's strongly-connected components, topologically orders the
-///    condensation, and emits an op program executed verbatim every
+///    condensation, and emits an op program replayed in order every
 ///    system cycle — no HBR bookkeeping, no unstable bitmap, no
 ///    worklist for acyclic regions; true combinational cycles settle in
 ///    a scoped worklist confined to their SCC under the usual
-///    convergence budget. Bit-identical to the dynamic schedulers by
-///    the same differential proof (plus the 3-way `ctest -L compiled`
-///    suite); only StepStats may differ.
+///    convergence budget. Each kEval/kDrive is gated by the worklist's
+///    quiescence predicate (GSIM's "evaluate a node only when an input
+///    changed"), so a quiescent block is skipped, not evaluated.
+///    Bit-identical to the dynamic schedulers by the same differential
+///    proof (plus the 3-way `ctest -L compiled` suite); only StepStats
+///    may differ.
 enum class SchedulerKind : std::uint8_t {
   kRoundRobin = 0,
   kWorklist = 1,
@@ -188,11 +194,11 @@ struct StepStats {
   DeltaCycle delta_cycles = 0;
   /// delta_cycles minus the blocks evaluated at least once this cycle:
   /// the §4.2 re-evaluation overhead. For the round-robin scheduler the
-  /// subtrahend is num_blocks; the worklist scheduler's quiescence fast
-  /// path can evaluate fewer (see skipped_blocks).
+  /// subtrahend is num_blocks; the worklist's and the op program's
+  /// quiescence skip can evaluate fewer (see skipped_blocks).
   DeltaCycle re_evaluations = 0;
-  /// Blocks the worklist scheduler's quiescence fast path did not
-  /// evaluate at all this cycle (0 under round-robin).
+  /// Blocks the quiescence skip (worklist, or the gated op program) did
+  /// not evaluate at all this cycle (0 under round-robin).
   std::uint64_t skipped_blocks = 0;
   /// Deepest worklist occupancy seen this cycle (0 under round-robin).
   std::uint64_t worklist_high_water = 0;
@@ -261,25 +267,24 @@ class SimObserver {
 /// Scheduler-canonical bookkeeping carried alongside the architectural
 /// state (DESIGN.md §17). None of it can affect results — that is the
 /// engine contract — but it does affect *StepStats*: the round-robin
-/// cursor persists across cycles, and the worklist's quiescence flags
-/// decide which blocks get skipped. A farm job preempted on one worker
-/// and resumed on another must replay the same scheduling stats stream
-/// it would have produced uninterrupted, so checkpoints carry this too.
-/// Deliberately excluded from the checkpoint digest: it is not
-/// architectural state.
+/// cursor persists across cycles, and the quiescence flags (worklist and
+/// op program alike) decide which blocks get skipped. A farm job
+/// preempted on one worker and resumed on another must replay the same
+/// scheduling stats stream it would have produced uninterrupted, so
+/// checkpoints carry this too. Deliberately excluded from the checkpoint
+/// digest: it is not architectural state.
 ///
 /// The encoding is shard-count-agnostic: one cursor per shard (the
-/// sequential engine has one) and the quiescence flags in model block
-/// order. A restore into an engine whose shape does not match — or from
-/// a default-constructed (empty) snapshot — canonicalizes instead:
-/// cursors back to their seeded initial offsets, flags cleared. The
-/// compiled op program has no entry here at all: it carries zero dynamic
-/// scheduling state, which is what makes its preemption trivially
-/// invisible.
+/// sequential engine has one; an op program moves none and saves none)
+/// and the quiescence flags in model block order. A restore into an
+/// engine whose shape does not match — or from a default-constructed
+/// (empty) snapshot — canonicalizes instead: cursors back to their
+/// seeded initial offsets, flags cleared, so the first resumed cycle
+/// evaluates every block.
 struct SchedulerCheckpoint {
-  std::vector<std::size_t> rr_cursors;  ///< one per shard
-  std::vector<char> state_fixed;        ///< worklist flags, model order
-  std::vector<char> pending_input;      ///< worklist flags, model order
+  std::vector<std::size_t> rr_cursors;  ///< one per shard (pickup only)
+  std::vector<char> state_fixed;        ///< quiescence flags, model order
+  std::vector<char> pending_input;      ///< quiescence flags, model order
 
   bool empty() const {
     return rr_cursors.empty() && state_fixed.empty() && pending_input.empty();
@@ -301,12 +306,14 @@ struct EngineCheckpoint {
   std::vector<BitVector> block_states;  ///< one per block, model order
   std::uint64_t digest = 0;             ///< FNV-1a over the states
   SchedulerCheckpoint sched;            ///< stats-stream resume state
-  /// Committed values of the block-driven combinational links, internal
-  /// links and primary outputs (ids ascending, values parallel). Derived
-  /// state — recomputable from block states by one settle — but carried
-  /// so the worklist quiescence flags in `sched` stay sound after a
-  /// restore: a skipped block does not rewrite its outputs, so the
-  /// restored engine must already hold them. Guarded by its own digest;
+  /// Values of every combinational link a block writes or reads —
+  /// internal links, primary outputs and external inputs (ids
+  /// ascending, values parallel). The driven ones are derived state,
+  /// recomputable from block states by one settle, but all are carried
+  /// so the quiescence flags in `sched` stay sound after a restore: a
+  /// skipped block does not rewrite its outputs, so the restored engine
+  /// must already hold them, and its flags were proven against the
+  /// external-input values it read. Guarded by its own digest;
   /// excluded from `digest`, which stays the pure architectural-state
   /// witness the differential harnesses compare.
   std::vector<LinkId> link_ids;
@@ -351,9 +358,10 @@ class Engine {
   /// Overwrites a block's committed state (reset preloading, testing).
   void load_block_state(BlockId block, const BitVector& value);
 
-  /// Overwrites the reader-visible value of a block-driven combinational
-  /// link (checkpoint restore), so the worklist quiescence skip — which
-  /// reuses link values across cycles — sees a self-consistent snapshot.
+  /// Overwrites the reader-visible value of a combinational link
+  /// (checkpoint restore), so the quiescence skip — which reuses link
+  /// values across cycles — sees a self-consistent snapshot. Raises no
+  /// change event.
   void load_link_value(LinkId link, const BitVector& value);
 
   /// Returns every link value, HBR bit, cut-link replica and mailbox slot
@@ -373,8 +381,7 @@ class Engine {
   void rebase(SystemCycle cycle, DeltaCycle total_deltas);
 
   /// Snapshot of the scheduler-canonical bookkeeping (cursors, quiescence
-  /// flags) in the shard-count-agnostic SchedulerCheckpoint encoding;
-  /// empty under an op program.
+  /// flags) in the shard-count-agnostic SchedulerCheckpoint encoding.
   SchedulerCheckpoint scheduler_checkpoint() const;
 
   /// Restores (or canonicalizes, for an empty/mismatched snapshot) the
@@ -439,13 +446,20 @@ class Engine {
 
     std::vector<char> scc_unstable;  // kCompiled scratch, per settling SCC
 
-    // Worklist-scheduler bookkeeping (one shard, so local indices are
-    // block ids; empty under the other schedulers).
+    // Worklist FIFO (kWorklist only).
     std::vector<std::size_t> worklist;  // consumed prefix [0, wl_head)
     std::size_t wl_head = 0;
-    std::vector<char> skippable;        // static: all links combinational
-    std::vector<char> state_fixed;      // last committed eval: old == new
-    std::vector<char> pending_input;    // input changed since last eval
+    // Quiescence flags of the worklist and the gated op program (one
+    // shard, so local indices are block ids; empty under round-robin).
+    std::vector<char> skippable;      // static: may ever be skipped
+    std::vector<char> state_fixed;    // last committing eval: old == new
+    std::vector<char> pending_input;  // input changed since that eval
+
+    /// Evaluating block i now would rewrite its outputs with the values
+    /// they hold and reproduce its old state, so it may be skipped.
+    bool quiescent(std::size_t i) const {
+      return skippable[i] && state_fixed[i] && !pending_input[i];
+    }
 
     // Per-cycle outcome, read by the coordinator after the final barrier.
     StepStats stats;
@@ -507,6 +521,8 @@ class Engine {
   EngineOptions opts_;
   /// opts_.scheduler == kWorklist, resolved once for the hot path.
   bool worklist_ = false;
+  /// kWorklist or kCompiled: the schedules that keep quiescence flags.
+  bool gated_ = false;
   /// The op program (kCompiled only), built once over the whole model.
   std::optional<analysis::CompiledSchedule> program_;
   Partition part_;
@@ -545,11 +561,11 @@ EngineCheckpoint save_checkpoint(const Engine& eng);
 /// Loads `ck` into `eng` (same model shape required) and rebases the
 /// cycle counters. Verifies the digest after the load, and that a link
 /// snapshot names exactly the links save_checkpoint emits for this model
-/// (block-driven combinational links, ascending), throwing
-/// ContextualError on any mismatch. `eng` may be a different instance —
-/// with a different shard count or schedule — than the one that produced
-/// `ck`; external inputs are NOT restored (drive them for the next cycle
-/// as usual).
+/// (connected combinational links, ascending), throwing ContextualError
+/// on any mismatch. `eng` may be a different instance — with a different
+/// shard count or schedule — than the one that produced `ck`. External
+/// inputs come back holding the values last driven before the snapshot;
+/// drive them for the next cycle as usual.
 void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck);
 
 /// Returns `eng` to its power-on state: every block reloaded with its

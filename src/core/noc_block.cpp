@@ -14,12 +14,13 @@ namespace {
 /// A router's resident registers: the native state the engine banks.
 ///
 /// It also memoizes G. Every router output is a function of the
-/// registers alone, and the old bank does not change during a system
-/// cycle, so the grants and outputs computed by a block's first
-/// evaluation (or its kDrive) serve every re-evaluation in that cycle:
-/// the router pays G once per cycle and F once per evaluation, as
-/// DirectNocSimulation does. Every write to the registers goes through
-/// this class and drops the memo.
+/// registers alone, and a block's old slot does not change until the
+/// block is committed, so the grants and outputs computed by a block's
+/// first evaluation (or its kDrive) serve every re-evaluation in that
+/// cycle — and, while the block is skipped, every later cycle too: the
+/// router pays G at most once per committed state and F once per
+/// evaluation, as DirectNocSimulation does. Every write to the registers
+/// goes through this class and drops the memo.
 class RouterBlockState final : public BlockState {
  public:
   explicit RouterBlockState(std::shared_ptr<const noc::RouterStateCodec> codec)
@@ -29,10 +30,6 @@ class RouterBlockState final : public BlockState {
   void load_word(const BitVector& word) override {
     g_valid_ = false;
     codec_->deserialize_into(word, regs_);
-  }
-  void assign(const BlockState& other) override {
-    g_valid_ = false;
-    regs_ = cast(other).regs_;
   }
   bool equals(const BlockState& other) const override {
     return regs_ == cast(other).regs_;

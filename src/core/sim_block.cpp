@@ -43,10 +43,6 @@ void WordState::load_word(const BitVector& w) {
   word = w;
 }
 
-void WordState::assign(const BlockState& other) {
-  word = word_state(other).word;
-}
-
 bool WordState::equals(const BlockState& other) const {
   return word == word_state(other).word;
 }

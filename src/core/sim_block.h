@@ -57,8 +57,6 @@ class BlockState {
   /// Loads a state word (reset, checkpoint restore, preloading); throws
   /// on a width mismatch.
   virtual void load_word(const BitVector& word) = 0;
-  /// Copies another state of the same block (the worklist's carry-over).
-  virtual void assign(const BlockState& other) = 0;
   /// Register equality; agrees exactly with to_word() equality.
   virtual bool equals(const BlockState& other) const = 0;
 };
@@ -73,7 +71,6 @@ class WordState final : public BlockState {
 
   BitVector to_word() const override { return word; }
   void load_word(const BitVector& w) override;
-  void assign(const BlockState& other) override;
   bool equals(const BlockState& other) const override;
 
   BitVector word;

@@ -7,9 +7,13 @@
 // One resident BlockState per block per bank, made by the block itself
 // (SimBlock::make_state): a RouterBlock keeps its registers as a native
 // noc::RouterState, any other block as its state word (WordState). The
-// bank swap is a pointer flip, never a copy (even system cycles read
-// bank 0 / write bank 1, odd cycles the reverse). The state word — what
-// the FPGA's block RAM holds — is built from a bank only at the
+// offset pointer is kept per block: one parity bit says which of the
+// block's two slots holds its old state. An evaluation writes the other
+// slot, and committing the block at the end of the system cycle flips
+// its bit — the paper's pointer switch, never a copy. A block that was
+// not evaluated in a cycle is simply not committed: its old slot stays
+// old, so skipping it costs nothing (DESIGN.md §7). The state word —
+// what the FPGA's block RAM holds — is built from a slot only at the
 // architectural boundary (read_old); evaluations never touch it.
 // Heterogeneous blocks have words of different widths; word_width()
 // reports the widest, which is what the FPGA implementation must
@@ -40,46 +44,38 @@ class StateMemory {
 
   /// Current ("old") state of block b — what evaluations read.
   const BlockState& old_state(std::size_t block) const {
-    return *states_[old_offset_ + check_block(block)];
+    return *states_[2 * check_block(block) + parity_[block]];
   }
 
   /// Next ("new") state slot of block b — what evaluations write.
-  /// Re-evaluation overwrites the slot; the old bank is untouched, which
+  /// Re-evaluation overwrites the slot; the old slot is untouched, which
   /// is exactly why re-evaluation is safe ("the router's old state is
   /// available during the whole system cycle", §4.2).
   BlockState& new_state(std::size_t block) {
-    return *states_[new_offset() + check_block(block)];
+    return *states_[2 * check_block(block) + (parity_[block] ^ 1)];
   }
 
-  /// Copies block b's old state into its new-bank slot — what the
-  /// worklist scheduler's quiescence fast path does instead of a full
-  /// evaluation, so the global bank swap cannot rot a skipped block's
-  /// state. A register copy, far cheaper than any real block's step().
-  void carry_over(std::size_t block) {
-    new_state(block).assign(old_state(block));
+  /// End of system cycle for block b: its new slot becomes its old one.
+  /// Flips b's pointer only; no data moves and no other block changes.
+  void commit(std::size_t block) { parity_[check_block(block)] ^= 1; }
+
+  /// Which of block b's two slots holds its old state (0 or 1) — exposed
+  /// so tests can verify the per-block pointer switch.
+  unsigned parity(std::size_t block) const {
+    return parity_[check_block(block)];
   }
 
-  /// The old bank's state word of block b (the architectural boundary).
+  /// The old slot's state word of block b (the architectural boundary).
   BitVector read_old(std::size_t block) const {
     return old_state(block).to_word();
   }
 
-  /// Direct initialization of the old bank (reset / test preloading).
+  /// Direct initialization of the old slot (reset / test preloading).
   void load_old(std::size_t block, const BitVector& word) {
-    states_[old_offset_ + check_block(block)]->load_word(word);
+    states_[2 * check_block(block) + parity_[block]]->load_word(word);
   }
-
-  /// End of system cycle: flip the offset pointer. O(1), no data moves.
-  void swap_banks() { old_offset_ = new_offset(); }
-
-  /// Offset of the bank currently holding old state (0 or num_blocks) —
-  /// exposed so tests can verify the pointer-swap mechanism.
-  std::size_t old_offset() const { return old_offset_; }
 
  private:
-  std::size_t new_offset() const {
-    return old_offset_ == 0 ? num_blocks_ : 0;
-  }
   std::size_t check_block(std::size_t block) const {
     TMSIM_CHECK_MSG(block < num_blocks_, "block index out of range");
     return block;
@@ -88,7 +84,7 @@ class StateMemory {
   std::size_t num_blocks_ = 0;
   std::size_t word_width_ = 0;
   std::size_t bank_bits_ = 0;
-  std::size_t old_offset_ = 0;
+  std::vector<unsigned char> parity_;                // [num_blocks]
   std::vector<std::unique_ptr<BlockState>> states_;  // [2 * num_blocks]
 };
 

@@ -5,10 +5,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "common/fnv.h"
+#include "common/parse.h"
 #include "traffic/workloads.h"
 
 namespace tmsim::farm {
@@ -29,11 +31,9 @@ double parse_double(const std::string& v) {
 }
 
 std::uint64_t parse_u64(const std::string& v) {
-  char* end = nullptr;
-  const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-  TMSIM_CHECK_MSG(end && *end == '\0' && !v.empty(),
-                  "malformed integer in job spec");
-  return u;
+  const std::optional<std::uint64_t> u = parse_decimal(v);
+  TMSIM_CHECK_MSG(u.has_value(), "malformed integer in job spec");
+  return *u;
 }
 
 /// parse_u64 for 32-bit fields: a value that does not fit is rejected,

@@ -1,30 +1,12 @@
 #include "farmd/cli.h"
 
-#include <charconv>
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <string_view>
 #include <utility>
 
+#include "common/parse.h"
+
 namespace tmsim::farmd {
-
-namespace {
-
-/// `text` as a decimal in [lo, hi], or nullopt. std::from_chars takes
-/// no sign, whitespace or prefix, so "", "-1", " 1" and "0x1" all fail.
-std::optional<std::uint64_t> parse_decimal(std::string_view text,
-                                           std::uint64_t lo, std::uint64_t hi) {
-  std::uint64_t v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
-    return std::nullopt;
-  }
-  return v;
-}
-
-}  // namespace
 
 CliArgs parse_cli(int argc, const char* const* argv) {
   CliArgs out;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace tmsim::obs {
 
@@ -225,9 +228,9 @@ std::optional<std::string> parse_vcd(std::istream& is, ParsedVcd& out) {
           return "truncated $var declaration";
         }
         const std::string& width_tok = tokens[i + 2];
-        char* end = nullptr;
-        const unsigned long long w = std::strtoull(width_tok.c_str(), &end, 10);
-        if (end == width_tok.c_str() || *end != '\0' || w == 0) {
+        const std::optional<std::uint64_t> w = parse_decimal(
+            width_tok, 1, std::numeric_limits<std::size_t>::max());
+        if (!w) {
           return "bad $var width '" + width_tok + "'";
         }
         const std::string& code = tokens[i + 3];
@@ -246,7 +249,7 @@ std::optional<std::string> parse_vcd(std::istream& is, ParsedVcd& out) {
           return "duplicate identifier code '" + code + "'";
         }
         out.vars[code] =
-            ParsedVcd::Var{name, static_cast<std::size_t>(w)};
+            ParsedVcd::Var{name, static_cast<std::size_t>(*w)};
       } else if (t == "$enddefinitions") {
         ++i;
         if (auto err = skip_to_end("$enddefinitions")) {
@@ -279,11 +282,12 @@ std::optional<std::string> parse_vcd(std::istream& is, ParsedVcd& out) {
         return err;
       }
     } else if (t[0] == '#') {
-      char* end = nullptr;
-      const unsigned long long ts = std::strtoull(t.c_str() + 1, &end, 10);
-      if (end == t.c_str() + 1 || *end != '\0') {
+      const std::optional<std::uint64_t> parsed =
+          parse_decimal(std::string_view(t).substr(1));
+      if (!parsed) {
         return "bad timestep '" + t + "'";
       }
+      const std::uint64_t ts = *parsed;
       if (have_time && ts <= time) {
         return "timesteps not strictly increasing at '" + t + "'";
       }

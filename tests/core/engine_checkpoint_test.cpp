@@ -5,6 +5,7 @@
 // schedule_rr_offset behaviour the farm's engine cache relies on.
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -58,6 +59,24 @@ struct PipeChain {
 
 /// The deterministic stimulus both halves of every test replay.
 std::uint64_t stimulus(SystemCycle cycle) { return (7 * cycle + 3) & 0xffff; }
+
+/// stimulus() held for four cycles at a time: the chain goes quiescent
+/// between changes, so the worklist and the gated op program skip blocks.
+std::uint64_t held_stimulus(SystemCycle cycle) {
+  return stimulus(cycle - cycle % 4);
+}
+
+bool keeps_quiescence_flags(SchedulerKind kind) {
+  return kind != SchedulerKind::kRoundRobin;
+}
+
+std::uint64_t skipped_total(const std::vector<StepStats>& stats) {
+  std::uint64_t n = 0;
+  for (const StepStats& s : stats) {
+    n += s.skipped_blocks;
+  }
+  return n;
+}
 
 void drive(SequentialSimulator& sim, const PipeChain& chain,
            SystemCycle cycles) {
@@ -191,6 +210,21 @@ TEST(EngineReset, ReusedEngineReplaysAFreshEnginesStepStats) {
                       << " vs " << b.delta_cycles << ", link changes "
                       << a.link_changes << " vs " << b.link_changes;
     }
+    // Drain: routers go quiescent one by one, so the worklist and the
+    // gated op program skip blocks on flags the reset must have cleared.
+    hu.set_be_load(0.0);
+    hf.set_be_load(0.0);
+    std::uint64_t skipped = 0;
+    for (int c = 0; c < 60; ++c) {
+      hu.run(1);
+      hf.run(1);
+      StepStats a = used.last_step_stats();
+      StepStats b = fresh.last_step_stats();
+      a.barrier_spins = b.barrier_spins = 0;
+      ASSERT_EQ(a, b) << "drain cycle " << c;
+      skipped += a.skipped_blocks;
+    }
+    EXPECT_EQ(skipped > 0, opts.scheduler != SchedulerKind::kRoundRobin);
     EXPECT_EQ(engine_state_digest(used.engine()),
               engine_state_digest(fresh.engine()));
   }
@@ -227,31 +261,36 @@ TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
   for (const SchedulerKind kind :
        {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
         SchedulerKind::kCompiled}) {
-    SCOPED_TRACE(scheduler_kind_name(kind));
-    PipeChain a_chain;
-    SequentialSimulator a(a_chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          kind);
-    drive_recording(a, a_chain, 9, stimulus);
-    const EngineCheckpoint ck = save_checkpoint(a);
-    const std::vector<StepStats> ref =
-        drive_recording(a, a_chain, 8, stimulus);
+    for (auto* const stim : {stimulus, held_stimulus}) {
+      SCOPED_TRACE(std::string(scheduler_kind_name(kind)) +
+                   (stim == stimulus ? " stimulus" : " held_stimulus"));
+      PipeChain a_chain;
+      SequentialSimulator a(a_chain.model, SchedulePolicy::kDynamic, 64, 1,
+                            kind);
+      drive_recording(a, a_chain, 9, stim);
+      const EngineCheckpoint ck = save_checkpoint(a);
+      const std::vector<StepStats> ref = drive_recording(a, a_chain, 8, stim);
+      if (stim == held_stimulus && keeps_quiescence_flags(kind)) {
+        // The restored flags are what the resumed stream depends on.
+        EXPECT_GT(skipped_total(ref), 0u);
+      }
 
-    // The resumed-onto engine first ran a different workload, so its
-    // cursor, quiescence flags, and link values are all foreign.
-    PipeChain b_chain;
-    SequentialSimulator b(b_chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          kind);
-    drive_recording(b, b_chain, 5, other_stimulus);
-    restore_checkpoint(b, ck);
-    EXPECT_EQ(engine_state_digest(b), ck.digest);
-    const std::vector<StepStats> got =
-        drive_recording(b, b_chain, 8, stimulus);
+      // The resumed-onto engine first ran a different workload, so its
+      // cursor, quiescence flags, and link values are all foreign.
+      PipeChain b_chain;
+      SequentialSimulator b(b_chain.model, SchedulePolicy::kDynamic, 64, 1,
+                            kind);
+      drive_recording(b, b_chain, 5, other_stimulus);
+      restore_checkpoint(b, ck);
+      EXPECT_EQ(engine_state_digest(b), ck.digest);
+      const std::vector<StepStats> got = drive_recording(b, b_chain, 8, stim);
 
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i], ref[i]) << "cycle " << 9 + i;
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(got[i], ref[i]) << "cycle " << 9 + i;
+      }
+      EXPECT_EQ(engine_state_digest(b), engine_state_digest(a));
     }
-    EXPECT_EQ(engine_state_digest(b), engine_state_digest(a));
   }
 }
 
@@ -263,10 +302,12 @@ TEST(SchedulerCheckpoint, RestoredEngineHoldsTheSkippedBlocksOutputs) {
   // too, or the testbench reads the other tenant's value.
   const auto hold = [](std::uint64_t v) {
     return [v](Engine& sim, const PipeChain& chain, SystemCycle cycles) {
+      std::uint64_t skipped = 0;
       for (SystemCycle i = 0; i < cycles; ++i) {
         sim.set_external_input(chain.x, val(16, v));
-        sim.step();
+        skipped += sim.step().skipped_blocks;
       }
+      return skipped;
     };
   };
   for (const SchedulerKind kind :
@@ -285,11 +326,53 @@ TEST(SchedulerCheckpoint, RestoredEngineHoldsTheSkippedBlocksOutputs) {
     hold(0x222)(b, b_chain, 6);
     restore_checkpoint(b, ck);
     hold(0x111)(a, a_chain, 2);
-    hold(0x111)(b, b_chain, 2);
+    const std::uint64_t skipped = hold(0x111)(b, b_chain, 2);
+    if (keeps_quiescence_flags(kind)) {
+      // The restored engine really did skip blocks (P2 and P3: only P1's
+      // input moved, back from 0x222), so the links below are the
+      // restored snapshot, not a re-evaluation.
+      EXPECT_GT(skipped, 0u);
+    }
     for (const LinkId link : {b_chain.l1, b_chain.l2, b_chain.l3}) {
       EXPECT_EQ(b.link_word(link), a.link_word(link))
           << b_chain.model.link(link).name;
     }
+  }
+}
+
+TEST(SchedulerCheckpoint, RestoredEngineHoldsTheExternalInputs) {
+  // P1's quiescence flags were proven against X = 0x111. The engine
+  // restored onto last held X = 0x222; if it kept that value, driving
+  // 0x222 again would raise no change event there, the gate would skip
+  // P1, and P1 would keep 0x111 where the uninterrupted run moves to
+  // 0x222. The snapshot carries X, so both runs see the change.
+  for (const SchedulerKind kind :
+       {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
+        SchedulerKind::kCompiled}) {
+    SCOPED_TRACE(scheduler_kind_name(kind));
+    const auto hold = [](Engine& sim, const PipeChain& chain,
+                         std::uint64_t v, SystemCycle cycles) {
+      for (SystemCycle i = 0; i < cycles; ++i) {
+        sim.set_external_input(chain.x, val(16, v));
+        sim.step();
+      }
+    };
+    PipeChain a_chain;
+    SequentialSimulator a(a_chain.model, SchedulePolicy::kDynamic, 64, 1,
+                          kind);
+    hold(a, a_chain, 0x111, 6);
+    const EngineCheckpoint ck = save_checkpoint(a);
+
+    PipeChain b_chain;
+    SequentialSimulator b(b_chain.model, SchedulePolicy::kDynamic, 64, 1,
+                          kind);
+    hold(b, b_chain, 0x222, 6);
+    restore_checkpoint(b, ck);
+    EXPECT_EQ(b.link_word(b_chain.x), 0x111u);
+    hold(a, a_chain, 0x222, 3);
+    hold(b, b_chain, 0x222, 3);
+    EXPECT_EQ(engine_state_digest(b), engine_state_digest(a));
+    EXPECT_EQ(b.block_state(0).get_field(0, 16), 0x222u);
   }
 }
 
@@ -351,7 +434,7 @@ void expect_link_ids_rejected(void (*damage)(EngineCheckpoint&,
   drive(sim, chain, 5);
   EngineCheckpoint ck = save_checkpoint(sim);
   ASSERT_EQ(ck.link_ids,
-            (std::vector<LinkId>{chain.l1, chain.l2, chain.l3}));
+            (std::vector<LinkId>{chain.x, chain.l1, chain.l2, chain.l3}));
   damage(ck, chain);
   SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
                             SchedulerKind::kWorklist);
@@ -377,25 +460,46 @@ TEST(SchedulerCheckpoint, LegacyCheckpointWithoutSnapshotCanonicalizes) {
   // A hand-built checkpoint (no link snapshot, no scheduler state) must
   // restore like a power-on engine at that state: accepted, and the
   // scheduler starts from canonical cursors/flags.
-  PipeChain chain;
-  SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          SchedulerKind::kWorklist);
-  drive(sim, chain, 6);
-  EngineCheckpoint ck = save_checkpoint(sim);
-  ck.link_ids.clear();
-  ck.link_values.clear();
-  ck.link_digest = 0;
-  ck.sched = SchedulerCheckpoint{};
-  SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                            SchedulerKind::kWorklist);
-  restore_checkpoint(fresh, ck);  // must not throw
-  EXPECT_EQ(fresh.cycle(), 6u);
-  // Without restored link values the quiescence flags were cleared, so
-  // the first resumed cycle re-evaluates everything — and results stay
-  // bit-identical to the uninterrupted run.
-  drive(sim, chain, 4);
-  drive(fresh, chain, 4);
-  EXPECT_EQ(engine_state_digest(fresh), engine_state_digest(sim));
+  for (const SchedulerKind kind :
+       {SchedulerKind::kWorklist, SchedulerKind::kCompiled}) {
+    SCOPED_TRACE(scheduler_kind_name(kind));
+    PipeChain chain;
+    SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
+                            kind);
+    // A held input: by the checkpoint every block is quiescent.
+    const auto hold = [&](Engine& e, SystemCycle cycles) {
+      StepStats last;
+      for (SystemCycle i = 0; i < cycles; ++i) {
+        e.set_external_input(chain.x, val(16, 0x123));
+        last = e.step();
+      }
+      return last;
+    };
+    ASSERT_EQ(hold(sim, 6).skipped_blocks, 3u);
+    EngineCheckpoint ck = save_checkpoint(sim);
+    ck.link_ids.clear();
+    ck.link_values.clear();
+    ck.link_digest = 0;
+    ck.sched = SchedulerCheckpoint{};
+    SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
+                              kind);
+    restore_checkpoint(fresh, ck);  // must not throw
+    EXPECT_EQ(fresh.cycle(), 6u);
+    // Without restored link values the quiescence flags were cleared, so
+    // the first resumed cycle evaluates every block, skipping none,
+    // where the uninterrupted run skips all three — and results stay
+    // bit-identical to the uninterrupted run.
+    EXPECT_EQ(hold(sim, 1).skipped_blocks, 3u);
+    const StepStats first = hold(fresh, 1);
+    EXPECT_EQ(first.skipped_blocks, 0u);
+    EXPECT_GE(first.delta_cycles, 3u);
+    for (const LinkId link : {chain.l1, chain.l2, chain.l3}) {
+      EXPECT_EQ(fresh.link_word(link), sim.link_word(link));
+    }
+    drive(sim, chain, 4);
+    drive(fresh, chain, 4);
+    EXPECT_EQ(engine_state_digest(fresh), engine_state_digest(sim));
+  }
 }
 
 TEST(EngineCheckpoint, ScheduleRrOffsetCanonicalBehaviour) {

@@ -45,25 +45,57 @@ TEST(StateMemory, WriteGoesToNewBankOnly) {
   const Blocks blocks{8};
   StateMemory mem(blocks.ptrs);
   mem.new_state(0).load_word(val8(0xab));
-  // Old bank still reset.
+  // Old slot still reset.
   EXPECT_EQ(mem.read_old(0).get_field(0, 8), 0u);
-  mem.swap_banks();
+  mem.commit(0);
   EXPECT_EQ(mem.read_old(0).get_field(0, 8), 0xabu);
 }
 
-TEST(StateMemory, BankSwapIsAPointerFlip) {
-  // §4.1: "this copy action is performed by switching the offset pointer".
-  const Blocks blocks{4, 4};
+TEST(StateMemory, CommitFlipsOnlyThatBlocksPointer) {
+  // §4.1: "this copy action is performed by switching the offset
+  // pointer" — one pointer per block, so committing block 0 leaves
+  // block 1's parity and old state exactly where they were.
+  const Blocks blocks{8, 8};
   StateMemory mem(blocks.ptrs);
-  EXPECT_EQ(mem.old_offset(), 0u);
-  mem.swap_banks();
-  EXPECT_EQ(mem.old_offset(), 2u);
-  mem.swap_banks();
-  EXPECT_EQ(mem.old_offset(), 0u);
+  mem.load_old(1, val8(0x77));
+  mem.new_state(0).load_word(val8(0x01));
+  mem.new_state(1).load_word(val8(0x02));  // written, never committed
+  EXPECT_EQ(mem.parity(0), 0u);
+  EXPECT_EQ(mem.parity(1), 0u);
+  mem.commit(0);
+  EXPECT_EQ(mem.parity(0), 1u);
+  EXPECT_EQ(mem.parity(1), 0u);
+  EXPECT_EQ(mem.read_old(0).get_field(0, 8), 0x01u);
+  EXPECT_EQ(mem.read_old(1).get_field(0, 8), 0x77u);
+  mem.commit(0);
+  EXPECT_EQ(mem.parity(0), 0u);
+  EXPECT_EQ(mem.parity(1), 0u);
+  EXPECT_EQ(mem.read_old(1).get_field(0, 8), 0x77u);
+}
+
+TEST(StateMemory, UncommittedBlockKeepsItsOldStateAcrossCycles) {
+  // A block the schedule skips is never committed: however many cycles
+  // pass while its neighbour commits, and whatever lands in its new slot,
+  // it reads the same old state without any copy.
+  const Blocks blocks{8, 8};
+  StateMemory mem(blocks.ptrs);
+  mem.load_old(0, val8(0x5a));
+  const BlockState* const old_slot = &mem.old_state(0);
+  for (std::uint64_t cycle = 0; cycle < 7; ++cycle) {
+    mem.new_state(1).load_word(val8(cycle));
+    mem.commit(1);
+    if (cycle % 2 == 0) {
+      mem.new_state(0).load_word(val8(0xf0 + cycle));  // discarded
+    }
+    EXPECT_EQ(&mem.old_state(0), old_slot) << "cycle " << cycle;
+    EXPECT_EQ(mem.read_old(0).get_field(0, 8), 0x5au) << "cycle " << cycle;
+    EXPECT_EQ(mem.parity(0), 0u);
+    EXPECT_EQ(mem.read_old(1).get_field(0, 8), cycle);
+  }
 }
 
 TEST(StateMemory, ReEvaluationOverwritesNewSlotSafely) {
-  // The old bank must survive any number of re-writes to the new slot —
+  // The old slot must survive any number of re-writes to the new slot —
   // the §4.2 re-evaluation guarantee.
   const Blocks blocks{8};
   StateMemory mem(blocks.ptrs);
@@ -72,7 +104,7 @@ TEST(StateMemory, ReEvaluationOverwritesNewSlotSafely) {
     mem.new_state(0).load_word(val8(0x20 + i));
     EXPECT_EQ(mem.read_old(0).get_field(0, 8), 0x11u);
   }
-  mem.swap_banks();
+  mem.commit(0);
   EXPECT_EQ(mem.read_old(0).get_field(0, 8), 0x24u);  // last write wins
 }
 
@@ -81,27 +113,20 @@ TEST(StateMemory, AlternatingBanksKeepIndependentData) {
   StateMemory mem(blocks.ptrs);
   for (std::uint64_t cycle = 0; cycle < 6; ++cycle) {
     mem.new_state(0).load_word(val8(cycle + 1));
-    mem.swap_banks();
+    mem.commit(0);
     EXPECT_EQ(mem.read_old(0).get_field(0, 8), cycle + 1);
+    // The slot just vacated still holds the previous cycle's state.
+    if (cycle > 0) {
+      EXPECT_EQ(mem.new_state(0).to_word().get_field(0, 8), cycle);
+    }
   }
-}
-
-TEST(StateMemory, CarryOverCopiesOldIntoNew) {
-  const Blocks blocks{8};
-  StateMemory mem(blocks.ptrs);
-  mem.load_old(0, val8(0x5a));
-  mem.new_state(0).load_word(val8(0x01));
-  EXPECT_FALSE(mem.new_state(0).equals(mem.old_state(0)));
-  mem.carry_over(0);
-  EXPECT_TRUE(mem.new_state(0).equals(mem.old_state(0)));
-  mem.swap_banks();
-  EXPECT_EQ(mem.read_old(0).get_field(0, 8), 0x5au);
 }
 
 TEST(StateMemory, RejectsBadUsage) {
   const Blocks blocks{8};
   StateMemory mem(blocks.ptrs);
   EXPECT_THROW(mem.read_old(1), Error);
+  EXPECT_THROW(mem.commit(1), Error);
   EXPECT_THROW(mem.new_state(0).load_word(BitVector(9)), Error);
   EXPECT_THROW(mem.load_old(0, BitVector(7)), Error);
   EXPECT_THROW(StateMemory({}), Error);

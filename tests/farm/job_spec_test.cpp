@@ -496,6 +496,25 @@ TEST(JobSpec, HostileNumericTokensAreRefusedOrRun) {
   hosted_job.workload.gt_streams = {s};
   hosted_job.workload.gt_streams[0].vc = 1;
   sweep_tokens(hosted_job);
+
+  // A sign or an overflowing value is never a number of the field: each
+  // of these once decoded to a different seed than it spells (-1 to
+  // 2^64 - 1, +1 to 1, 2^64 saturated to 2^64 - 1) and must be refused.
+  const std::string text = core_job.serialize();
+  std::size_t seeds = 0;
+  for (const NumericField& f : numeric_fields(text)) {
+    if (f.key != "seed") {
+      continue;
+    }
+    ++seeds;
+    for (const char* value : {"-1", "+1", "18446744073709551616"}) {
+      const std::string hostile =
+          text.substr(0, f.begin) + value + text.substr(f.end);
+      SCOPED_TRACE(hostile);
+      EXPECT_THROW(JobSpec::deserialize(hostile), std::exception);
+    }
+  }
+  EXPECT_EQ(seeds, 1u);
 }
 
 TEST(JobSpec, DeriveSeedSeparatesDomains) {

@@ -9,12 +9,17 @@
 //    scheduler, while the worklist scheduler rejects the shape at
 //    construction time.
 //
+//  * the activity gate on a model with both kinds of block it must never
+//    skip — the members of a settle region and the blocks on a
+//    registered link — next to blocks it does skip.
+//
 // OR is monotone and every settled cycle ends with the latch halves
 // equal, so the per-cycle fixed point is evaluation-order independent:
 // every engine/scheduler pair must produce bit-identical link values and
 // block states, cycle by cycle.
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +38,7 @@ using examples::CombAdderBlock;
 using examples::NotBlock;
 using examples::Or2Block;
 using examples::PipeBlock;
+using examples::RegAdderBlock;
 
 BitVector val(std::size_t width, std::uint64_t v) {
   BitVector bv(width);
@@ -43,8 +49,10 @@ BitVector val(std::size_t width, std::uint64_t v) {
 /// Two Or2 blocks latched head-to-tail (a true combinational SCC), each
 /// seeded through a PipeBlock from an external input, with a CombAdder
 /// hanging off the latch so the settled value must also flow onward.
+/// With `register_stage`, c's output also feeds r, which drives the
+/// registered link lr into the pipe q.
 struct OrLatchModel {
-  OrLatchModel() {
+  explicit OrLatchModel(bool register_stage = false) {
     p0 = model.add_block(std::make_shared<PipeBlock>(16, 0), "p0");
     p1 = model.add_block(std::make_shared<PipeBlock>(16, 0), "p1");
     a = model.add_block(std::make_shared<Or2Block>(16), "a");
@@ -73,12 +81,22 @@ struct OrLatchModel {
     model.bind_output(b, 1, lb1);
     model.bind_input(c, 0, la1);
     model.bind_output(c, 0, lc);
+    if (register_stage) {
+      r = model.add_block(std::make_shared<RegAdderBlock>(16, 3), "r");
+      q = model.add_block(std::make_shared<PipeBlock>(16, 7), "q");
+      lr = model.add_link("lr", 16, LinkKind::kRegistered);
+      lq = model.add_link("lq", 16, LinkKind::kCombinational);
+      model.bind_input(r, 0, lc);
+      model.bind_output(r, 0, lr);
+      model.bind_input(q, 0, lr);
+      model.bind_output(q, 0, lq);
+    }
     model.finalize();
   }
   SystemModel model;
-  BlockId p0 = 0, p1 = 0, a = 0, b = 0, c = 0;
+  BlockId p0 = 0, p1 = 0, a = 0, b = 0, c = 0, r = 0, q = 0;
   LinkId ext0 = 0, ext1 = 0, pa = 0, pb = 0;
-  LinkId lab = 0, lba = 0, la1 = 0, lc = 0, lb1 = 0;
+  LinkId lab = 0, lba = 0, la1 = 0, lc = 0, lb1 = 0, lr = 0, lq = 0;
 };
 
 TEST(CompiledEquivalence, OrLatchSccIsBitIdenticalAcrossAllEngines) {
@@ -130,6 +148,51 @@ TEST(CompiledEquivalence, OrLatchSccIsBitIdenticalAcrossAllEngines) {
           << "cycle " << cycle;
     }
   }
+}
+
+TEST(CompiledEquivalence, GateNeverSkipsSettleOrRegisteredBlocks) {
+  // Inputs hold for several cycles at a time, so the pipes p0/p1 and the
+  // adder c go quiescent and the gate skips them. The latch members a
+  // and b settle every cycle, and r and q touch the registered link lr,
+  // so those four are evaluated every cycle whatever the flags say.
+  OrLatchModel m(/*register_stage=*/true);
+  SequentialSimulator ref(m.model, SchedulePolicy::kDynamic);
+  SequentialSimulator cp(m.model, SchedulePolicy::kDynamic, 64, 1,
+                         SchedulerKind::kCompiled);
+  ASSERT_EQ(cp.compiled_schedule()->sccs.size(), 1u);
+  std::set<BlockId> evaluated;
+  cp.set_trace_hook([&](SystemCycle, DeltaCycle, BlockId blk) {
+    evaluated.insert(blk);
+  });
+
+  SplitMix64 rng(0x9a7e);
+  std::uint64_t s0 = 0, s1 = 0, skipped = 0;
+  for (int cycle = 0; cycle < 60; ++cycle) {
+    if (cycle % 6 == 0) {
+      s0 = rng.next() & 0xffff;
+      s1 = rng.next() & 0xffff;
+    }
+    evaluated.clear();
+    for (SequentialSimulator* e : {&ref, &cp}) {
+      e->set_external_input(m.ext0, val(16, s0));
+      e->set_external_input(m.ext1, val(16, s1));
+    }
+    ref.step();
+    skipped += cp.step().skipped_blocks;
+    for (const BlockId blk : {m.a, m.b, m.r, m.q}) {
+      EXPECT_TRUE(evaluated.count(blk))
+          << "cycle " << cycle << ": " << m.model.block(blk).name
+          << " skipped";
+    }
+    for (LinkId l = 0; l < m.model.num_links(); ++l) {
+      EXPECT_EQ(cp.link_value(l), ref.link_value(l))
+          << "cycle " << cycle << " link " << m.model.link(l).name;
+    }
+    EXPECT_EQ(engine_state_digest(cp), engine_state_digest(ref))
+        << "cycle " << cycle;
+  }
+  // The gate did fire — on p0, p1 and c, the only blocks it may skip.
+  EXPECT_GT(skipped, 0u);
 }
 
 TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {

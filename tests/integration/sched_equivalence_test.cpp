@@ -191,6 +191,47 @@ TEST(SchedQuiescence, IdleNocIsSkippedEntirelyByBothEngines) {
   EXPECT_EQ(wl.delta_cycles, 0u);
   EXPECT_EQ(wl.skipped_blocks, n);
   EXPECT_EQ(wl.worklist_high_water, 0u);
+  // The gated op program: every kEval and kDrive is a flag test.
+  const core::StepStats cp = idle_stats(1, SchedulerKind::kCompiled);
+  EXPECT_EQ(cp.delta_cycles, 0u);
+  EXPECT_EQ(cp.skipped_blocks, n);
+}
+
+TEST(SchedQuiescence, GatedProgramSkipsIdleAndSparseNocsBitIdentically) {
+  // The activity gate on the randomized configs' shapes at idle and
+  // sparse load: the compiled program must skip blocks, and its
+  // committed state must equal the round-robin reference's after every
+  // cycle, not just at the end.
+  std::size_t configs = 0;
+  for (std::uint64_t index = 0; index < 120 && configs < 12; ++index) {
+    const RandomConfig cfg = derive_config(index);
+    if (cfg.be_load > 0.05) {
+      continue;
+    }
+    ++configs;
+    SCOPED_TRACE(cfg.replay_tuple(index));
+    const NetworkConfig net = make_net(cfg);
+    SeqNocSimulation rr(net, make_opts(1, SchedulerKind::kRoundRobin));
+    SeqNocSimulation cp(net, make_opts(1, SchedulerKind::kCompiled));
+    traffic::TrafficHarness::Options opts;
+    opts.seed = cfg.traffic_seed;
+    traffic::TrafficHarness hr(rr, opts);
+    traffic::TrafficHarness hc(cp, opts);
+    hr.set_be_load(cfg.be_load, {0, 1, 2, 3});
+    hc.set_be_load(cfg.be_load, {0, 1, 2, 3});
+    std::uint64_t skipped = 0;
+    for (std::size_t c = 0; c < cfg.cycles; ++c) {
+      hr.run(1);
+      hc.run(1);
+      ASSERT_EQ(core::engine_state_digest(cp.engine()),
+                core::engine_state_digest(rr.engine()))
+          << "cycle " << c;
+      skipped += cp.last_step_stats().skipped_blocks;
+    }
+    EXPECT_EQ(hc.flits_delivered(), hr.flits_delivered());
+    EXPECT_GT(skipped, 0u);
+  }
+  EXPECT_EQ(configs, 12u);
 }
 
 TEST(SchedMetrics, WorklistCountersReachTheRegistry) {

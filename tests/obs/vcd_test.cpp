@@ -78,6 +78,24 @@ TEST(VcdValidate, RejectsMalformedStreams) {
         "#5\n1!\n#5\n0!\n");
     EXPECT_TRUE(vcd_validate(is).has_value());
   }
+  // Signed or overflowing numbers: a width of -1 or +1, a timestep of
+  // -1 or 2^64 would otherwise decode to a different number than the
+  // file spells.
+  for (const char* width : {"-1", "+1", "18446744073709551616"}) {
+    SCOPED_TRACE(width);
+    std::istringstream is(std::string("$scope module top $end\n$var wire ") +
+                          width + " ! clk $end\n$upscope $end\n"
+                                  "$enddefinitions $end\n#0\n1!\n");
+    EXPECT_TRUE(vcd_validate(is).has_value());
+  }
+  for (const char* step : {"#-1", "#+1", "#18446744073709551616"}) {
+    SCOPED_TRACE(step);
+    std::istringstream is(std::string("$scope module top $end\n"
+                                      "$var wire 1 ! clk $end\n$upscope $end\n"
+                                      "$enddefinitions $end\n") +
+                          step + "\n1!\n");
+    EXPECT_TRUE(vcd_validate(is).has_value());
+  }
 }
 
 TEST(VcdDiff, IdenticalStreamsDoNotDiverge) {
