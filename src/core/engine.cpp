@@ -120,7 +120,7 @@ void check_external_input(const SystemModel& model, LinkId link) {
 ///    drive; this catches the model).
 /// No-op for kRoundRobin (the dense sweep tolerates both shapes, at
 /// delta-budget cost) and for kCompiled: a self-loop becomes a scoped
-/// settle region whose members are never skipped, and the program runs
+/// settle region that runs to a fixed point every cycle, and the program runs
 /// every op in a fixed order, so an unread stimulus wakes nobody and is
 /// simply never consumed.
 void check_scheduler_topology(const SystemModel& model, SchedulerKind kind) {
@@ -320,9 +320,9 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
       // A block is skippable only when every link it touches is
       // combinational: registered link banks flip globally, so a skipped
       // writer's would rot, and registered inputs change without a
-      // change event. Under the op program the members of a settle
-      // region are never skipped either: kSettle runs them to a fixed
-      // point every cycle.
+      // change event. (Under the op program kSettle never consults the
+      // gate; a settle member's own later kEval is gated like any other,
+      // since its last settle evaluation already consumed its inputs.)
       sh->skippable.assign(blocks.size(), 1);
       for (std::size_t i = 0; i < blocks.size(); ++i) {
         const BlockInstance& blk = model.block(blocks[i]);
@@ -334,13 +334,6 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
         for (const LinkId l : blk.output_links) {
           if (model.link(l).kind != LinkKind::kCombinational) {
             sh->skippable[i] = 0;
-          }
-        }
-      }
-      if (program_) {
-        for (const analysis::CompiledScc& scc : program_->sccs) {
-          for (const BlockId b : scc.blocks) {
-            sh->skippable[local_of_[b]] = 0;
           }
         }
       }
@@ -427,6 +420,7 @@ void Engine::set_external_input(LinkId link, std::uint64_t value) {
   if (changed && gated_) {
     // Wake the quiescence fast path: the readers have fresh input, so
     // the next cycle must not skip them.
+    settled_ = false;
     for (const Endpoint& reader : model_.link(link).readers) {
       shards_[part_.shard_of[reader.block]]
           ->pending_input[local_of_[reader.block]] = 1;
@@ -453,6 +447,7 @@ void Engine::load_block_state(BlockId block, const BitVector& value) {
   TMSIM_CHECK_MSG(block < model_.num_blocks(), "block index out of range");
   Shard& sh = *shards_[part_.shard_of[block]];
   sh.state.load_old(local_of_[block], value);
+  settled_ = false;
   if (gated_) {
     // The committed state changed behind the block's back: any cached
     // fixed-point claim is stale, so force a re-evaluation next cycle.
@@ -462,6 +457,7 @@ void Engine::load_block_state(BlockId block, const BitVector& value) {
 
 void Engine::load_link_value(LinkId link, const BitVector& value) {
   TMSIM_CHECK_MSG(link < model_.num_links(), "link index out of range");
+  settled_ = false;
   // Workers are parked at the command barrier, so writing the
   // authoritative copy and every reader replica directly is race-free
   // (and idempotent where they share a shard).
@@ -484,6 +480,7 @@ void Engine::clear_links() {
   // Workers are parked at the command barrier: direct writes are
   // race-free. Zeroed slots with zeroed versions and zeroed last-seen
   // marks are exactly a fresh engine's exchange state.
+  settled_ = false;
   for (const std::unique_ptr<Shard>& sh : shards_) {
     sh->links.clear();
     for (InSlot& in : sh->incoming) {
@@ -524,6 +521,7 @@ void Engine::restore_scheduler_state(
   // count, different model, or empty) canonicalizes: cursors back to
   // their seeded offsets, flags cleared — committed results cannot
   // depend on this by the engine contract, only StepStats can.
+  settled_ = false;
   const bool cursors_ok = sched.rr_cursors.size() == shards_.size();
   const bool flags_ok =
       sched.state_fixed.size() == model_.num_blocks() &&
@@ -544,6 +542,9 @@ void Engine::restore_scheduler_state(
 }
 
 StepStats Engine::step() {
+  // Cleared up front so that a cycle that throws (an evaluation error or
+  // a ConvergenceError) leaves the engine unsettled.
+  settled_ = false;
   barrier_->sync(0);  // release the workers into this cycle
   run_cycle(0);
   // run_cycle ends with a barrier, so every shard is quiescent and its
@@ -628,10 +629,34 @@ StepStats Engine::step() {
   total_delta_cycles_ += total.delta_cycles;
   total_supersteps_ += shards_[0]->supersteps;
   ++cycle_;
+  if (gated_ && total.delta_cycles == 0) {
+    // No block evaluated: every block was quiescent, so no link and no
+    // state moved and no flag changed — the next cycle is this one again.
+    settled_ = true;
+    idle_stats_ = total;
+  }
   if (observer_) {
     observer_->on_cycle_commit(*this, total);
   }
   return total;
+}
+
+std::uint64_t Engine::advance_idle(std::uint64_t max) {
+  if (!settled_) {
+    return 0;
+  }
+  skipped_cycles_ += max;
+  if (observer_ == nullptr) {
+    cycle_ += max;
+    total_supersteps_ += max * idle_stats_.settle_rounds;
+    return max;
+  }
+  for (std::uint64_t k = 0; k < max; ++k) {
+    ++cycle_;
+    total_supersteps_ += idle_stats_.settle_rounds;
+    observer_->on_cycle_commit(*this, idle_stats_);
+  }
+  return max;
 }
 
 void Engine::rebase(SystemCycle cycle, DeltaCycle total_deltas) {

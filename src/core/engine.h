@@ -60,6 +60,16 @@
 // differentially against the one-shard engine and the struct-state
 // DirectNocSimulation. Only StepStats may differ.
 //
+// Idle-cycle skip (DESIGN.md §17): a cycle in which a gated schedule
+// (worklist or compiled) evaluated no block is the identity on both
+// banks and every link, and so is every following cycle until something
+// between steps changes an input, a block state, a link value or the
+// scheduler flags. The engine then remembers it is *settled*, and
+// advance_idle(k) moves the cycle counter k cycles in O(1) — notifying
+// an attached observer once per skipped cycle, so metrics, VCD and the
+// stats stream are exactly what k step() calls would have produced.
+// The round-robin reference never settles.
+//
 // Divergence (an oscillating combinational loop) is detected
 // cooperatively: per-shard evaluation budgets and a superstep bound are
 // reduced through the barrier so every worker abandons the cycle at the
@@ -371,6 +381,22 @@ class Engine {
   /// Simulates one system cycle.
   StepStats step();
 
+  /// Skips up to `max` provably idle cycles and returns how many it
+  /// skipped: `max` when the last step() of a gated schedule evaluated
+  /// no block and nothing changed since (the engine is settled), else 0.
+  /// A skipped cycle is bit-identical to a step(): the counters move as
+  /// step() would move them (total_delta_cycles stays, an idle cycle
+  /// has no delta cycles) and an attached observer sees one
+  /// on_cycle_commit per skipped cycle with that idle cycle's stats.
+  /// A changed set_external_input, load_block_state, load_link_value,
+  /// clear_links, restore_scheduler_state or a failed cycle unsettles
+  /// the engine. Only call between steps.
+  std::uint64_t advance_idle(std::uint64_t max);
+
+  /// Cycles advance_idle skipped so far (cumulative, never reset): how a
+  /// test sees that a skip happened.
+  std::uint64_t skipped_cycles() const { return skipped_cycles_; }
+
   SystemCycle cycle() const { return cycle_; }
   DeltaCycle total_delta_cycles() const { return total_delta_cycles_; }
   const SystemModel& model() const { return model_; }
@@ -544,6 +570,11 @@ class Engine {
   SystemCycle cycle_ = 0;
   DeltaCycle total_delta_cycles_ = 0;
   std::uint64_t total_supersteps_ = 0;
+  /// The last step() of a gated schedule evaluated no block and nothing
+  /// has changed since: every further cycle repeats it (advance_idle).
+  bool settled_ = false;
+  StepStats idle_stats_;  ///< that idle cycle's stats
+  std::uint64_t skipped_cycles_ = 0;
 };
 
 /// FNV-1a digest over every block's committed state — the cheap

@@ -315,6 +315,15 @@ void SeqNocSimulation::step() {
   dirty_inputs_.clear();
 }
 
+std::uint64_t SeqNocSimulation::advance_idle(std::uint64_t max) {
+  if (!dirty_inputs_.empty()) {
+    return 0;
+  }
+  // A settled engine's last step() was the idle cycle, so last_stats_
+  // already holds the stats of every cycle skipped here.
+  return sim_.advance_idle(max);
+}
+
 noc::LinkForward SeqNocSimulation::local_output(std::size_t r) const {
   return noc::decode_forward(static_cast<std::uint32_t>(
       sim_.link_word(noc_.local_fwd_out.at(r))));

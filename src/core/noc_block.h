@@ -120,6 +120,9 @@ class SeqNocSimulation : public noc::NocSimulation {
   const noc::NetworkConfig& config() const override { return net_; }
   void set_local_input(std::size_t r, const noc::LinkForward& f) override;
   void step() override;
+  /// Forwards to Engine::advance_idle; skips nothing while a local input
+  /// is driven (step() would reset it to idle).
+  std::uint64_t advance_idle(std::uint64_t max) override;
   noc::LinkForward local_output(std::size_t r) const override;
   noc::CreditWires local_input_credits(std::size_t r) const override;
   BitVector router_state_word(std::size_t r) const override;

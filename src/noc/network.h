@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -58,6 +59,16 @@ class NocSimulation {
 
   /// Advances one system cycle.
   virtual void step() = 0;
+
+  /// Skips up to `max` cycles that provably repeat the last step() —
+  /// no input driven since, and a simulation that knows its state,
+  /// links and outputs are a fixed point — and returns how many it
+  /// skipped (each counts as one step()). The default skips nothing;
+  /// the gated engines override it (core/noc_block.h).
+  virtual std::uint64_t advance_idle(std::uint64_t max) {
+    (void)max;
+    return 0;
+  }
 
   /// Flit delivered on router `r`'s local output during the last step().
   virtual LinkForward local_output(std::size_t r) const = 0;

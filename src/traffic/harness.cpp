@@ -1,5 +1,6 @@
 #include "traffic/harness.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -58,6 +59,12 @@ void TrafficHarness::rebind(noc::NocSimulation& sim) {
 void TrafficHarness::add_gt_stream(const GtStream& s) {
   check_gt_stream(net_, s);
   gt_streams_.push_back(s);
+  gt_due_from_ = kNever;  // recompute at the next cycle
+}
+
+void TrafficHarness::clear_gt_streams() {
+  gt_streams_.clear();
+  gt_due_from_ = kNever;
 }
 
 void TrafficHarness::set_be_load(double load, std::vector<unsigned> vcs,
@@ -100,6 +107,7 @@ std::size_t TrafficHarness::submit_packet(PacketClass cls, std::size_t src,
   // The sequence tag is allocated at injection time (see inject()).
   nodes_[src].src_q[vc].push_back(
       PendingPacket{id, dst, vc, payload_flits, rec.fill});
+  backlog_ += rec.flits;
   return id;
 }
 
@@ -110,13 +118,37 @@ noc::Flit TrafficHarness::flit_of(const PendingPacket& p, unsigned seq,
                      p.vc, seq, p.payload_flits, p.fill, i);
 }
 
+SystemCycle TrafficHarness::next_gt_submission(SystemCycle now) {
+  if (now < gt_due_from_ || now > next_gt_due_) {
+    // A stream submits at phase + k * period, k >= 0.
+    gt_due_.resize(gt_streams_.size());
+    next_gt_due_ = kNever;
+    for (std::size_t i = 0; i < gt_streams_.size(); ++i) {
+      const GtStream& s = gt_streams_[i];
+      const SystemCycle periods =
+          now <= s.phase ? 0 : (now - s.phase + s.period - 1) / s.period;
+      gt_due_[i] = s.phase + periods * s.period;
+      next_gt_due_ = std::min(next_gt_due_, gt_due_[i]);
+    }
+    gt_due_from_ = now;
+  }
+  return next_gt_due_;
+}
+
 void TrafficHarness::generate(SystemCycle cycle) {
-  for (const GtStream& s : gt_streams_) {
-    if (cycle >= s.phase && (cycle - s.phase) % s.period == 0) {
-      submit_packet(PacketClass::kGuaranteedThroughput, s.src, s.dst, s.vc,
-                    payload_flits_for_bytes(s.bytes));
+  if (next_gt_submission(cycle) == cycle) {
+    next_gt_due_ = kNever;
+    for (std::size_t i = 0; i < gt_streams_.size(); ++i) {
+      const GtStream& s = gt_streams_[i];
+      if (gt_due_[i] == cycle) {
+        submit_packet(PacketClass::kGuaranteedThroughput, s.src, s.dst, s.vc,
+                      payload_flits_for_bytes(s.bytes));
+        gt_due_[i] += s.period;
+      }
+      next_gt_due_ = std::min(next_gt_due_, gt_due_[i]);
     }
   }
+  gt_due_from_ = cycle + 1;
   if (be_load_ > 0.0) {
     const noc::NetworkConfig& net = net_;
     const std::size_t n = net.num_routers();
@@ -140,6 +172,9 @@ void TrafficHarness::generate(SystemCycle cycle) {
 }
 
 void TrafficHarness::inject() {
+  if (backlog_ == 0) {
+    return;
+  }
   const std::size_t vcs = net_.router.num_vcs;
   for (std::size_t r = 0; r < nodes_.size(); ++r) {
     Node& node = nodes_[r];
@@ -197,6 +232,7 @@ void TrafficHarness::inject() {
       sim_->set_local_input(
           r, LinkForward{true, static_cast<std::uint8_t>(vc), flit});
       ++flits_injected_;
+      --backlog_;
       break;
     }
   }
@@ -204,6 +240,7 @@ void TrafficHarness::inject() {
 
 void TrafficHarness::retrieve() {
   const std::size_t vcs = net_.router.num_vcs;
+  retrieve_quiet_ = true;
   for (std::size_t r = 0; r < nodes_.size(); ++r) {
     Node& node = nodes_[r];
     // Credits the router returned for its local input queues.
@@ -213,6 +250,7 @@ void TrafficHarness::retrieve() {
         TMSIM_CHECK_MSG(node.credits[vc] < net_.router.queue_depth,
                         "NI credit counter overflow");
         ++node.credits[vc];
+        retrieve_quiet_ = false;
       }
     }
     // Delivered flit, if any.
@@ -220,6 +258,7 @@ void TrafficHarness::retrieve() {
     if (!f.valid) {
       continue;
     }
+    retrieve_quiet_ = false;
     ++flits_delivered_;
     const unsigned vc = f.vc;
     if (f.flit.type == noc::FlitType::kHead) {
@@ -269,35 +308,37 @@ void TrafficHarness::retrieve() {
 }
 
 void TrafficHarness::run(std::size_t cycles) {
-  for (std::size_t i = 0; i < cycles; ++i) {
+  for (std::size_t i = 0; i < cycles;) {
     if (overloaded_ && opt_.stop_on_overload) {
       return;
     }
-    cycle_ = sim_->cycle();
+    const SystemCycle now = sim_->cycle();
+    if (retrieve_quiet_ && backlog_ == 0 && be_load_ == 0.0 &&
+        generators_.empty()) {
+      // Until the next GT submission every generate, inject and retrieve
+      // would do nothing, so the stretch is idle on this side; the
+      // simulation skips it if it can prove the same of its own side.
+      const SystemCycle due = next_gt_submission(now);
+      if (due > now) {
+        const std::uint64_t skipped = sim_->advance_idle(
+            std::min<std::uint64_t>(due - now, cycles - i));
+        if (skipped > 0) {
+          i += skipped;
+          cycle_ = sim_->cycle() - 1;  // the last skipped cycle, as stepping
+          continue;
+        }
+      }
+    }
+    cycle_ = now;
     generate(cycle_);
     inject();
     sim_->step();
     retrieve();
-    if (!overloaded_ && source_backlog() > opt_.overload_threshold) {
+    if (!overloaded_ && backlog_ > opt_.overload_threshold) {
       overloaded_ = true;
     }
+    ++i;
   }
-}
-
-std::size_t TrafficHarness::source_backlog() const {
-  std::size_t total = 0;
-  for (const Node& node : nodes_) {
-    for (std::size_t vc = 0; vc < node.src_q.size(); ++vc) {
-      for (const PendingPacket& p : node.src_q[vc]) {
-        total += p.payload_flits + 1;
-      }
-      if (node.sending[vc]) {
-        total += records_[node.send_record[vc]].flits - 1 -
-                 node.send_pos[vc];
-      }
-    }
-  }
-  return total;
 }
 
 LatencySummary TrafficHarness::summarize(PacketClass cls) const {

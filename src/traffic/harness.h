@@ -16,10 +16,20 @@
 // Overload: the paper aborts when the network refuses traffic for too long
 // (§5.3). The harness records an `overloaded()` flag once any source queue
 // exceeds a threshold and can optionally stop.
+//
+// Idle jump (DESIGN.md §17): with no BE load, no generators and an empty
+// backlog, a cycle whose retrieve saw no flit and no credit does nothing
+// on the harness side until the next GT submission. run() then asks the
+// simulation to skip that stretch (NocSimulation::advance_idle), clamped
+// to the cycles left in the call, so a slice boundary falls exactly where
+// it would when stepping. A simulation that cannot prove the stretch idle
+// skips nothing and the harness steps as before; either way every record,
+// counter and committed state is bit-identical.
 #pragma once
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -82,7 +92,7 @@ class TrafficHarness {
   void add_gt_stream(const GtStream& stream);
 
   /// Stops all GT streams (already-submitted packets still drain).
-  void clear_gt_streams() { gt_streams_.clear(); }
+  void clear_gt_streams();
 
   /// Uniform-random best-effort traffic: every node independently submits
   /// `load` flits per cycle on average (fraction of channel capacity,
@@ -111,7 +121,7 @@ class TrafficHarness {
   std::size_t flits_injected() const { return flits_injected_; }
   std::size_t flits_delivered() const { return flits_delivered_; }
   /// Flits currently waiting in source queues (backlog).
-  std::size_t source_backlog() const;
+  std::size_t source_backlog() const { return backlog_; }
   SystemCycle current_cycle() const { return cycle_; }
 
   /// Checks each stream's endpoints, VC, period and payload, and that no
@@ -153,6 +163,10 @@ class TrafficHarness {
   noc::Flit flit_of(const PendingPacket& p, unsigned seq,
                     std::size_t i) const;
 
+  /// First GT submission cycle at or after `now` (kNever without
+  /// streams). Kept per stream and recomputed only when `now` leaves the
+  /// range the kept values were computed for.
+  SystemCycle next_gt_submission(SystemCycle now);
   void generate(SystemCycle cycle);
   void inject();
   void retrieve();
@@ -169,6 +183,12 @@ class TrafficHarness {
   std::vector<Node> nodes_;
   std::vector<PacketRecord> records_;
   std::vector<GtStream> gt_streams_;
+  static constexpr SystemCycle kNever = std::numeric_limits<SystemCycle>::max();
+  // gt_due_[i]: stream i's first submission at or after gt_due_from_;
+  // valid for every cycle in [gt_due_from_, next_gt_due_ == min(gt_due_)].
+  std::vector<SystemCycle> gt_due_;
+  SystemCycle gt_due_from_ = kNever;
+  SystemCycle next_gt_due_ = kNever;
   std::vector<Generator> generators_;
   double be_load_ = 0.0;
   std::vector<unsigned> be_vcs_;
@@ -180,6 +200,9 @@ class TrafficHarness {
   std::unordered_map<std::size_t, std::pair<std::uint16_t, unsigned>>
       expected_;
   bool overloaded_ = false;
+  std::size_t backlog_ = 0;  // flits submitted and not yet injected
+  // The last retrieve() saw no delivered flit and no returned credit.
+  bool retrieve_quiet_ = false;
   std::size_t flits_injected_ = 0;
   std::size_t flits_delivered_ = 0;
   SystemCycle cycle_ = 0;

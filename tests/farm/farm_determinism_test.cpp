@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/noc_block.h"
 #include "farm/farm.h"
 #include "farm/session.h"
 
@@ -137,6 +138,90 @@ TEST(FarmDeterminism, StandaloneVsFarmVsPreemptedFarmBitIdentical) {
   }
   // The (c) runs must actually have exercised the resume path, hard.
   EXPECT_GT(total_preemptions, kSpecs);
+}
+
+/// A GT-only job on the gated compiled engine: the harness jumps over
+/// the stretch between the last delivery and the next submission.
+JobSpec gt_only_spec(core::SchedulerKind scheduler, std::uint64_t seed) {
+  JobSpec spec;
+  spec.name = std::string("gt-only-") + core::scheduler_kind_name(scheduler);
+  spec.name += '-';
+  spec.name += std::to_string(seed);
+  spec.net.width = 4;
+  spec.net.height = 4;
+  spec.net.topology = noc::Topology::kMesh;
+  spec.scheduler = scheduler;
+  spec.seed = seed;
+  spec.cycles = 3000;
+  spec.workload.fig1_gt = true;
+  spec.workload.gt_period = 1200;
+  spec.workload.verify_payload = true;
+  return spec;
+}
+
+TEST(FarmDeterminism, GtOnlyJobPreemptedInsideAnIdleStretchResumesExactly) {
+  const JobSpec spec = gt_only_spec(core::SchedulerKind::kCompiled, 11);
+  const JobResult standalone = run_job_standalone(spec);
+  ASSERT_EQ(standalone.status, JobStatus::kDone) << standalone.error;
+
+  // The engine the job resumes on is a cached one that ran another job.
+  core::SeqNocSimulation first(spec.net, effective_engine_options(spec, true));
+  core::SeqNocSimulation second(spec.net, effective_engine_options(spec, true));
+  {
+    JobSpec other = gt_only_spec(core::SchedulerKind::kCompiled, 5);
+    other.workload.fig1_gt = false;
+    other.workload.be_load = 0.1;
+    SimSession tenant(other);
+    tenant.attach(second);
+    tenant.advance(400);
+    tenant.detach();
+  }
+
+  // Preempt at cycle 1000: the last 100 cycles of the slice were skipped,
+  // so the cut falls inside an idle stretch (the next submissions start
+  // at 1200).
+  SimSession session(spec);
+  session.attach(first);
+  ASSERT_EQ(session.advance(900), 900u);
+  const std::uint64_t skipped_before = first.engine().skipped_cycles();
+  ASSERT_EQ(session.advance(100), 100u);
+  EXPECT_EQ(first.engine().skipped_cycles() - skipped_before, 100u);
+  session.detach();
+
+  const std::uint64_t second_before = second.engine().skipped_cycles();
+  session.attach(second, /*paranoid=*/true);
+  while (!session.done()) {
+    session.advance(spec.cycles);
+  }
+  EXPECT_GT(second.engine().skipped_cycles(), second_before);
+  JobResult resumed;
+  session.finalize(resumed);
+  resumed.status = JobStatus::kDone;  // as run_job_standalone marks it
+  std::string why;
+  EXPECT_TRUE(results_equivalent(standalone, resumed, &why)) << why;
+  EXPECT_GT(resumed.gt.delivered, 0u);
+}
+
+TEST(FarmDeterminism, GtOnlyJobsOnAPreemptingFarmMatchStandalone) {
+  // Forced preemption every 450 cycles lands slice boundaries both in
+  // busy and in skipped stretches, on whichever cached engine is free.
+  std::vector<JobSpec> specs;
+  for (const core::SchedulerKind k :
+       {core::SchedulerKind::kCompiled, core::SchedulerKind::kWorklist,
+        core::SchedulerKind::kRoundRobin}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      specs.push_back(gt_only_spec(k, seed));
+    }
+  }
+  const auto farm = run_on_farm(specs, 2, /*force_preempt=*/true, 450);
+  ASSERT_EQ(farm.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const JobResult standalone = run_job_standalone(specs[i]);
+    std::string why;
+    EXPECT_TRUE(results_equivalent(standalone, farm[i], &why))
+        << specs[i].name << ": " << why;
+    EXPECT_GT(farm[i].preemptions, 0u) << specs[i].name;
+  }
 }
 
 }  // namespace

@@ -9,14 +9,18 @@
 //    scheduler, while the worklist scheduler rejects the shape at
 //    construction time.
 //
-//  * the activity gate on a model with both kinds of block it must never
-//    skip — the members of a settle region and the blocks on a
-//    registered link — next to blocks it does skip.
+//  * the activity gate on a model with a settle region and a registered
+//    stage — the settle runs its members every cycle and the gate never
+//    skips a block on a registered link — next to blocks it does skip;
+//  * a settle-region member with its own later kEval (an input from
+//    downstream of the region), whose kEval the gate skips only while
+//    that input holds.
 //
 // OR is monotone and every settled cycle ends with the latch halves
 // equal, so the per-cycle fixed point is evaluation-order independent:
 // every engine/scheduler pair must produce bit-identical link values and
 // block states, cycle by cycle.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -39,6 +43,7 @@ using examples::NotBlock;
 using examples::Or2Block;
 using examples::PipeBlock;
 using examples::RegAdderBlock;
+using examples::Xor2Block;
 
 BitVector val(std::size_t width, std::uint64_t v) {
   BitVector bv(width);
@@ -193,6 +198,137 @@ TEST(CompiledEquivalence, GateNeverSkipsSettleOrRegisteredBlocks) {
   }
   // The gate did fire — on p0, p1 and c, the only blocks it may skip.
   EXPECT_GT(skipped, 0u);
+}
+
+/// An OR-latch half that also captures a third input into its state:
+/// out0 = out1 = in0 | in1 (the latch), out2 = state, state' = in2. G
+/// never reads in2, so a block downstream of the latch can drive in2
+/// without joining the cycle, which gives this latch member its own
+/// kEval after the settle.
+class LatchCaptureBlock : public SimBlock {
+ public:
+  std::size_t state_width() const override { return 16; }
+  std::size_t num_inputs() const override { return 3; }
+  std::size_t input_width(std::size_t) const override { return 16; }
+  std::size_t num_outputs() const override { return 3; }
+  std::size_t output_width(std::size_t) const override { return 16; }
+  BitVector reset_state() const override { return BitVector(16); }
+
+  void evaluate(const BitVector& old_state, std::span<const BitVector> in,
+                BitVector& new_state,
+                std::span<BitVector> out) const override {
+    const std::uint64_t v = in[0].get_field(0, 16) | in[1].get_field(0, 16);
+    out[0].set_field(0, 16, v);
+    out[1].set_field(0, 16, v);
+    out[2].set_field(0, 16, old_state.get_field(0, 16));
+    new_state.set_field(0, 16, in[2].get_field(0, 16));
+  }
+  std::string type_name() const override { return "latch_capture"; }
+
+  bool output_depends_on_input(std::size_t out, std::size_t in) const override {
+    return out < 2 && in < 2;
+  }
+};
+
+TEST(CompiledEquivalence, SettleMemberWithALaterEvalIsGatedSoundly) {
+  // The latch {a, b} settles first; c, downstream of it, mixes the
+  // latch with the external ext2 and drives a's capture input lc, so a
+  // is not committed by the settle and gets a kEval after c. While the
+  // inputs hold, that kEval is skipped like any other; when ext2 changes
+  // lc changes after the settle and the kEval must run, or a commits the
+  // stale capture its settle evaluation saw.
+  SystemModel model;
+  const BlockId p0 = model.add_block(std::make_shared<PipeBlock>(16, 0), "p0");
+  const BlockId p1 = model.add_block(std::make_shared<PipeBlock>(16, 0), "p1");
+  const BlockId a = model.add_block(std::make_shared<LatchCaptureBlock>(), "a");
+  const BlockId b = model.add_block(std::make_shared<Or2Block>(16), "b");
+  const BlockId c = model.add_block(std::make_shared<Xor2Block>(16, 0x5a5a), "c");
+  const auto link = [&](const char* name) {
+    return model.add_link(name, 16, LinkKind::kCombinational);
+  };
+  const LinkId ext0 = link("ext0"), ext1 = link("ext1"), ext2 = link("ext2");
+  const LinkId pa = link("pa"), pb = link("pb"), lab = link("lab");
+  const LinkId lba = link("lba"), la1 = link("la1"), ls = link("ls");
+  const LinkId lb1 = link("lb1"), lc = link("lc"), lc1 = link("lc1");
+  model.bind_input(p0, 0, ext0);
+  model.bind_output(p0, 0, pa);
+  model.bind_input(p1, 0, ext1);
+  model.bind_output(p1, 0, pb);
+  model.bind_input(a, 0, lba);
+  model.bind_input(a, 1, pa);
+  model.bind_input(a, 2, lc);
+  model.bind_output(a, 0, lab);
+  model.bind_output(a, 1, la1);
+  model.bind_output(a, 2, ls);
+  model.bind_input(b, 0, lab);
+  model.bind_input(b, 1, pb);
+  model.bind_output(b, 0, lba);
+  model.bind_output(b, 1, lb1);
+  model.bind_input(c, 0, la1);
+  model.bind_input(c, 1, ext2);
+  model.bind_output(c, 0, lc);
+  model.bind_output(c, 1, lc1);
+  model.finalize();
+
+  SequentialSimulator ref(model, SchedulePolicy::kDynamic);
+  SequentialSimulator cp(model, SchedulePolicy::kDynamic, 64, 1,
+                         SchedulerKind::kCompiled);
+  const analysis::CompiledSchedule& prog = *cp.compiled_schedule();
+  ASSERT_EQ(prog.sccs.size(), 1u);
+  EXPECT_EQ(prog.sccs[0].blocks, (std::vector<BlockId>{a, b}));
+  EXPECT_EQ(prog.sccs[0].committed_blocks, (std::vector<BlockId>{b}));
+  // a's own kEval comes after the settle and after c's kEval.
+  std::size_t settle_at = prog.ops.size(), c_at = prog.ops.size();
+  std::size_t a_at = prog.ops.size();
+  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+    const analysis::CompiledOp& op = prog.ops[i];
+    if (op.kind == analysis::CompiledOpKind::kSettle) {
+      settle_at = i;
+    } else if (op.kind == analysis::CompiledOpKind::kEval) {
+      c_at = op.block == c ? i : c_at;
+      a_at = op.block == a ? i : a_at;
+    }
+  }
+  ASSERT_LT(a_at, prog.ops.size());
+  EXPECT_LT(settle_at, c_at);
+  EXPECT_LT(c_at, a_at);
+
+  SplitMix64 rng(0x5e77);
+  std::uint64_t s0 = 0, s1 = 0, s2 = 0;
+  std::size_t all_skipped = 0, a_ran_after_c = 0;
+  for (int cycle = 0; cycle < 80; ++cycle) {
+    if (cycle % 5 == 0) {
+      // Sparse latch seeds, so the latch does not saturate at once.
+      s0 = std::uint64_t{1} << rng.next_below(16);
+      s1 = cycle % 20 == 0 ? std::uint64_t{1} << rng.next_below(16) : s1;
+      s2 = rng.next() & 0xffff;
+    }
+    std::vector<BlockId> order;
+    cp.set_trace_hook([&](SystemCycle, DeltaCycle, BlockId blk) {
+      order.push_back(blk);
+    });
+    for (SequentialSimulator* e : {&ref, &cp}) {
+      e->set_external_input(ext0, val(16, s0));
+      e->set_external_input(ext1, val(16, s1));
+      e->set_external_input(ext2, val(16, s2));
+    }
+    ref.step();
+    const StepStats st = cp.step();
+    all_skipped += st.skipped_blocks == prog.num_evals ? 1 : 0;
+    const auto c_pos = std::find(order.begin(), order.end(), c);
+    a_ran_after_c += c_pos != order.end() &&
+                     std::find(c_pos, order.end(), a) != order.end();
+    for (LinkId l = 0; l < model.num_links(); ++l) {
+      EXPECT_EQ(cp.link_value(l), ref.link_value(l))
+          << "cycle " << cycle << " link " << model.link(l).name;
+    }
+    EXPECT_EQ(engine_state_digest(cp), engine_state_digest(ref))
+        << "cycle " << cycle;
+  }
+  // Both sides of the gate were exercised: cycles where every kEval,
+  // a's included, was skipped, and cycles where a's kEval ran after c.
+  EXPECT_GT(all_skipped, 0u);
+  EXPECT_GT(a_ran_after_c, 0u);
 }
 
 TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {

@@ -10,7 +10,8 @@
 // topology rejections (combinational self-loops, external links with no
 // readers), the ConvergenceReport parity between engines, a saturated-
 // worklist stress (runs under the tsan preset via the `sched` label),
-// and the engine.sched.* metrics rows.
+// the engine.sched.* metrics rows, and the idle-cycle skip differentials
+// (GT-only traffic, the harness jumping with a settled gated engine).
 //
 // Every randomized case derives its whole configuration from one index,
 // printed as a replay tuple via SCOPED_TRACE on failure: rerun with
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,7 +32,9 @@
 #include "core/sequential_simulator.h"
 #include "noc/lockstep.h"
 #include "obs/engine_sinks.h"
+#include "obs/vcd.h"
 #include "traffic/harness.h"
+#include "traffic/workloads.h"
 
 namespace tmsim {
 namespace {
@@ -457,6 +461,260 @@ TEST(SchedStress, SaturatedWorklistStaysBitIdenticalUnderLoad) {
   hp.set_be_load(0.9, {0, 1, 2, 3});
   hp.run(50);
   EXPECT_GT(probe.last_step_stats().worklist_high_water, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Idle-cycle skip (DESIGN.md §17): on GT-only traffic the harness jumps
+// to its next submission and a settled gated engine skips the stretch.
+// Every observable must equal the round-robin reference, which never
+// skips, and a run must not depend on how it is cut into run() calls.
+// ---------------------------------------------------------------------------
+
+struct GtOnlyConfig {
+  std::size_t size;
+  Topology topology;
+  SystemCycle period;
+  std::size_t cycles;
+
+  std::string name() const {
+    return std::to_string(size) + "x" + std::to_string(size) +
+           (topology == Topology::kTorus ? " torus" : " mesh") +
+           " period " + std::to_string(period);
+  }
+  NetworkConfig net() const {
+    NetworkConfig n;
+    n.width = size;
+    n.height = size;
+    n.topology = topology;
+    return n;
+  }
+};
+
+std::vector<GtOnlyConfig> gt_only_configs() {
+  std::vector<GtOnlyConfig> out;
+  for (const std::size_t size : {std::size_t{4}, std::size_t{6}}) {
+    for (const Topology t : {Topology::kMesh, Topology::kTorus}) {
+      // Periods long enough that every stream drains before the next
+      // submission (the Fig. 1 streams' phases span ~600 cycles on 6x6).
+      for (const SystemCycle period : {SystemCycle{1200}, SystemCycle{1800},
+                                       SystemCycle{2400}}) {
+        out.push_back({size, t, period, 2 * period + 500});
+      }
+    }
+  }
+  return out;
+}
+
+void add_fig1_streams(traffic::TrafficHarness& h, const NetworkConfig& net,
+                      SystemCycle period) {
+  for (const traffic::GtStream& s : traffic::fig1_gt_streams(net, period)) {
+    h.add_gt_stream(s);
+  }
+}
+
+void expect_same_records(const traffic::TrafficHarness& a,
+                         const traffic::TrafficHarness& b) {
+  ASSERT_EQ(a.records().size(), b.records().size());
+  for (std::size_t i = 0; i < a.records().size(); ++i) {
+    const traffic::PacketRecord& x = a.records()[i];
+    const traffic::PacketRecord& y = b.records()[i];
+    EXPECT_TRUE(x.cls == y.cls && x.src == y.src && x.dst == y.dst &&
+                x.vc == y.vc && x.seq == y.seq && x.fill == y.fill &&
+                x.flits == y.flits && x.created == y.created &&
+                x.injected_head == y.injected_head &&
+                x.delivered_tail == y.delivered_tail &&
+                x.injected == y.injected && x.delivered == y.delivered)
+        << "record " << i;
+  }
+  EXPECT_EQ(a.flits_injected(), b.flits_injected());
+  EXPECT_EQ(a.flits_delivered(), b.flits_delivered());
+  EXPECT_EQ(a.current_cycle(), b.current_cycle());
+}
+
+TEST(IdleSkip, GtOnlyRunsMatchRoundRobinAtEveryRunBoundary) {
+  for (const GtOnlyConfig& cfg : gt_only_configs()) {
+    SCOPED_TRACE(cfg.name());
+    const NetworkConfig net = cfg.net();
+    SeqNocSimulation rr(net, make_opts(1, SchedulerKind::kRoundRobin));
+    SeqNocSimulation wl(net, make_opts(1, SchedulerKind::kWorklist));
+    SeqNocSimulation cp(net, make_opts(1, SchedulerKind::kCompiled));
+    traffic::TrafficHarness::Options opts;
+    opts.seed = 0x1d1e;
+    opts.verify_payload = true;
+    traffic::TrafficHarness hr(rr, opts), hw(wl, opts), hc(cp, opts);
+    for (traffic::TrafficHarness* h : {&hr, &hw, &hc}) {
+      add_fig1_streams(*h, net, cfg.period);
+    }
+    SplitMix64 rng(cfg.period * 31 + cfg.size);
+    std::size_t done = 0;
+    while (done < cfg.cycles) {
+      const std::size_t q =
+          std::min<std::size_t>(1 + rng.next_below(300), cfg.cycles - done);
+      for (traffic::TrafficHarness* h : {&hr, &hw, &hc}) {
+        h->run(q);
+      }
+      done += q;
+      ASSERT_EQ(wl.cycle(), rr.cycle());
+      ASSERT_EQ(cp.cycle(), rr.cycle());
+      const std::uint64_t ref = core::engine_state_digest(rr.engine());
+      ASSERT_EQ(core::engine_state_digest(wl.engine()), ref) << "cycle " << done;
+      ASSERT_EQ(core::engine_state_digest(cp.engine()), ref) << "cycle " << done;
+      ASSERT_EQ(hw.flits_delivered(), hr.flits_delivered());
+      ASSERT_EQ(hc.flits_delivered(), hr.flits_delivered());
+      for (const SeqNocSimulation* s : {&rr, &wl, &cp}) {
+        noc::check_credit_invariant(*s);
+      }
+    }
+    expect_same_records(hw, hr);
+    expect_same_records(hc, hr);
+    EXPECT_GT(hr.flits_delivered(), 0u);
+    EXPECT_EQ(rr.engine().skipped_cycles(), 0u);
+    EXPECT_GT(wl.engine().skipped_cycles(), 0u);
+    EXPECT_GT(cp.engine().skipped_cycles(), 0u);
+  }
+}
+
+/// Every committed cycle as an observer sees it.
+class CommitLog : public core::SimObserver {
+ public:
+  void on_cycle_commit(const core::Engine& eng,
+                       const core::StepStats& stats) override {
+    cycles.push_back(eng.cycle());
+    stats_stream.push_back(stats);
+  }
+  std::vector<SystemCycle> cycles;
+  std::vector<core::StepStats> stats_stream;
+};
+
+TEST(IdleSkip, StatsStreamDoesNotDependOnRunQuanta) {
+  // Four compiled lanes over one GT-only workload: run(N), run(1) N
+  // times, random quanta, and a lane behind a decorator that does not
+  // forward advance_idle, so it steps every cycle. Each observer must see
+  // one commit per cycle, and all four streams must be equal.
+  NetworkConfig net;
+  net.width = 4;
+  net.height = 4;
+  net.topology = Topology::kMesh;
+  constexpr std::size_t kCycles = 1700;
+  std::vector<SeqNocSimulation*> engines;
+  std::vector<std::unique_ptr<SeqNocSimulation>> owned;
+  for (int i = 0; i < 3; ++i) {
+    owned.push_back(std::make_unique<SeqNocSimulation>(
+        net, make_opts(1, SchedulerKind::kCompiled)));
+    engines.push_back(owned.back().get());
+  }
+  auto stepped_owned = std::make_unique<SeqNocSimulation>(
+      net, make_opts(1, SchedulerKind::kCompiled));
+  SeqNocSimulation* stepped = stepped_owned.get();
+  std::vector<std::unique_ptr<noc::NocSimulation>> one;
+  one.push_back(std::move(stepped_owned));
+  noc::LockstepNocSimulation stepping_only(std::move(one));
+  engines.push_back(stepped);
+
+  std::vector<CommitLog> logs(engines.size());
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    engines[i]->set_observer(&logs[i]);
+  }
+  traffic::TrafficHarness::Options opts;
+  opts.seed = 77;
+  std::vector<std::unique_ptr<traffic::TrafficHarness>> hs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    hs.push_back(std::make_unique<traffic::TrafficHarness>(*engines[i], opts));
+  }
+  hs.push_back(std::make_unique<traffic::TrafficHarness>(stepping_only, opts));
+  for (auto& h : hs) {
+    add_fig1_streams(*h, net, 700);
+  }
+
+  hs[0]->run(kCycles);
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    hs[1]->run(1);
+  }
+  SplitMix64 rng(5);
+  for (std::size_t done = 0; done < kCycles;) {
+    const std::size_t q =
+        std::min<std::size_t>(1 + rng.next_below(200), kCycles - done);
+    hs[2]->run(q);
+    done += q;
+  }
+  hs[3]->run(kCycles);
+
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    SCOPED_TRACE("lane " + std::to_string(i));
+    EXPECT_EQ(logs[i].cycles.size(), kCycles);
+    EXPECT_EQ(logs[i].cycles, logs[3].cycles);
+    EXPECT_EQ(logs[i].stats_stream, logs[3].stats_stream);
+    EXPECT_EQ(core::engine_state_digest(engines[i]->engine()),
+              core::engine_state_digest(stepped->engine()));
+    expect_same_records(*hs[i], *hs[3]);
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_GT(engines[i]->engine().skipped_cycles(), 0u) << "lane " << i;
+  }
+  EXPECT_EQ(stepped->engine().skipped_cycles(), 0u);
+  for (SeqNocSimulation* e : engines) {
+    e->set_observer(nullptr);
+  }
+}
+
+/// The per-cycle delta count is scheduler bookkeeping, not design state:
+/// renamed per lane, vcd_diff leaves it out of the compared set.
+std::string rename_delta_signal(std::string dump, const std::string& lane) {
+  const std::string from = " sim.delta_cycles $end";
+  const std::size_t at = dump.find(from);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) {
+    dump.replace(at, from.size(), " sim.delta_cycles_" + lane + " $end");
+  }
+  return dump;
+}
+
+TEST(IdleSkip, CompiledVcdEqualsRoundRobinVcd) {
+  // Waveforms of every link and router state over a GT-only run: the
+  // skipping compiled engine must dump byte for byte what the same
+  // engine dumps when stepped every cycle, and what the round-robin
+  // reference dumps, up to the per-cycle delta count.
+  NetworkConfig net;
+  net.width = 4;
+  net.height = 4;
+  net.topology = Topology::kTorus;
+  SeqNocSimulation rr(net, make_opts(1, SchedulerKind::kRoundRobin));
+  SeqNocSimulation cp(net, make_opts(1, SchedulerKind::kCompiled));
+  auto stepped_owned = std::make_unique<SeqNocSimulation>(
+      net, make_opts(1, SchedulerKind::kCompiled));
+  SeqNocSimulation& stepped = *stepped_owned;
+  std::vector<std::unique_ptr<noc::NocSimulation>> one;
+  one.push_back(std::move(stepped_owned));
+  noc::LockstepNocSimulation stepping_only(std::move(one));
+
+  obs::VcdTracerOptions vopts;
+  vopts.block_glob = "*";
+  std::ostringstream os_rr, os_cp, os_step;
+  obs::VcdTracer t_rr(rr.engine().model(), os_rr, vopts);
+  obs::VcdTracer t_cp(cp.engine().model(), os_cp, vopts);
+  obs::VcdTracer t_step(stepped.engine().model(), os_step, vopts);
+  rr.set_observer(&t_rr);
+  cp.set_observer(&t_cp);
+  stepped.set_observer(&t_step);
+  traffic::TrafficHarness hr(rr), hc(cp), hs(stepping_only);
+  for (traffic::TrafficHarness* h : {&hr, &hc, &hs}) {
+    add_fig1_streams(*h, net, 600);
+    h->run(1400);
+  }
+  rr.set_observer(nullptr);
+  cp.set_observer(nullptr);
+  stepped.set_observer(nullptr);
+  EXPECT_GT(cp.engine().skipped_cycles(), 0u);
+  EXPECT_EQ(stepped.engine().skipped_cycles(), 0u);
+
+  EXPECT_EQ(os_cp.str(), os_step.str());
+  std::istringstream a(rename_delta_signal(os_rr.str(), "rr")),
+      b(rename_delta_signal(os_cp.str(), "compiled"));
+  const obs::VcdDivergence d = obs::vcd_diff(a, b);
+  EXPECT_FALSE(d.diverged) << d.summary();
+  EXPECT_EQ(d.only_in_a, std::vector<std::string>{"sim.delta_cycles_rr"});
+  EXPECT_EQ(d.only_in_b,
+            std::vector<std::string>{"sim.delta_cycles_compiled"});
 }
 
 }  // namespace
