@@ -1,24 +1,28 @@
-// Worklist-scheduler speedup (DESIGN.md §12): event-driven worklist vs
-// the paper's dense §4.2 round-robin sweep, on the one-shard engine (the
-// only one that runs the worklist).
+// Compiled-schedule speedup (DESIGN.md §17): the gated op program vs the
+// paper's dense §4.2 round-robin sweep, on the one-shard engine (the only
+// one that runs the program).
 //
 // The dense sweep pays one evaluation per block per system cycle even
 // when the network is completely idle ("it is guaranteed that all
 // routers are evaluated at least once") plus an O(num_blocks) scan to
-// find the non-stable ones. The worklist scheduler replaces the scan
-// with a dedup'd FIFO fed by link-change events and skips quiescent
-// blocks outright (the state-fixed-point fast path), so its per-cycle
-// cost tracks *activity*, not network size. The differential suite
-// (tests/integration/sched_equivalence_test.cpp) proves the results
-// bit-identical; this bench prices the difference:
+// find the non-stable ones. The compiled program replays a topological
+// op list instead, and its quiescence gate skips every block with no new
+// input whose last evaluation was a state fixed point, so its per-cycle
+// cost tracks *activity*, not network size. The differential suites
+// (tests/integration/sched_equivalence_test.cpp, `ctest -L compiled`)
+// prove the results bit-identical; this bench prices the difference on
+// a 12x12 mesh:
 //
-//   idle      — no traffic at all: the fast path's best case
-//   sparse    — 2% injection: the regime the scheduler targets
-//   saturated — 50% injection: everything active, the fast path's
-//               worst case (must not be materially slower than dense)
+//   idle      — no traffic at all: the gate's best case
+//   sparse    — 2% injection: mostly quiescent routers
+//   saturated — 50% injection: everything active, the gate's worst case
+//
+// plus an anti-topological XOR chain, where the sweep chases the change
+// wavefront against the dataflow and the program does one pass.
 //
 // Per-cycle evaluation/skip counts come from the engine.sched.* registry
-// rows so the speedup can be read against the work elided.
+// rows so the speedup can be read against the work elided. The record is
+// BENCH_compiled_speedup.json; bench_schema_test gates it.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -40,7 +44,7 @@ using namespace tmsim;
 struct Row {
   double cps = 0;                ///< wall-clock simulated cycles per second
   double evals_per_cycle = 0;    ///< delta evaluations per system cycle
-  double skipped_per_cycle = 0;  ///< quiescence-fast-path skips per cycle
+  double skipped_per_cycle = 0;  ///< quiescence-gate skips per cycle
 };
 
 Row measure(const noc::NetworkConfig& net, core::SchedulerKind sched,
@@ -71,15 +75,13 @@ Row measure(const noc::NetworkConfig& net, core::SchedulerKind sched,
 }
 
 // ---------------------------------------------------------------------------
-// Compiled static-schedule sweep (DESIGN.md §17).
-//
 // The acyclic-region-dominated adversary: an XOR chain whose block ids
 // run *against* the dataflow, with every block also fed by its own
-// changing external input. Each cycle the event-driven worklist seeds
-// all n blocks in id order — the wrong order — so the change wavefront
-// crosses the FIFO against the dataflow and the fixed point costs
-// ~n²/2 evaluations per cycle. The compiled schedule evaluates the
-// same chain in topological order: exactly n evaluations, every cycle.
+// changing external input. Each cycle the round-robin sweep visits all n
+// blocks in id order — the wrong order — so the change wavefront crosses
+// the sweep against the dataflow and the fixed point costs ~n²/2
+// evaluations per cycle. The compiled schedule evaluates the same chain
+// in topological order: exactly n evaluations, every cycle.
 // ---------------------------------------------------------------------------
 
 /// b[i] (XOR) reads its own external link and b[i+1]'s output; b[n-1]
@@ -106,7 +108,7 @@ struct ChainModel {
         model.add_link("head_in", 16, LinkKind::kCombinational);
     ext.push_back(head_in);
     // chain[i+1] feeds b[i].in1, so chain values flow head -> tail
-    // while ids (and the worklist's seed order) run tail -> head.
+    // while ids (and the round-robin sweep order) run tail -> head.
     for (std::size_t i = 0; i < n; ++i) {
       model.bind_input(b[i], 0, ext[i]);
       model.bind_input(b[i], 1, i + 1 < n ? chain[i + 1] : head_in);
@@ -147,8 +149,8 @@ Row measure_chain(const core::SystemModel& model,
 }  // namespace
 
 int main() {
-  bench::print_header("Worklist scheduler",
-                      "event-driven worklist vs dense round-robin sweep");
+  bench::print_header("Compiled schedule",
+                      "gated op program vs dense round-robin sweep");
   std::vector<bench::BenchMetric> metrics;
   const std::size_t scale = bench::quick_mode() ? 4 : 1;
 
@@ -166,109 +168,66 @@ int main() {
     double load;
   } kLoads[] = {{"idle", 0.0}, {"sparse", 0.02}, {"saturated", 0.5}};
 
-  std::printf("\nseq engine (shards=1):\n");
+  std::printf("\nNoC (seq engine):\n");
   std::printf("  %-10s %12s %12s %8s %11s %11s\n", "load", "rr cyc/s",
-              "wl cyc/s", "speedup", "wl evals/c", "wl skips/c");
+              "cp cyc/s", "cp/rr", "cp evals/c", "cp skips/c");
   for (const auto& l : kLoads) {
     const std::size_t cycles = (l.load >= 0.5 ? 400 : 1200) / scale;
     const Row rr =
         measure(net, core::SchedulerKind::kRoundRobin, l.load, cycles);
-    const Row wl = measure(net, core::SchedulerKind::kWorklist, l.load, cycles);
-    const double speedup = wl.cps / rr.cps;
+    const Row cp = measure(net, core::SchedulerKind::kCompiled, l.load, cycles);
     std::printf("  %-10s %12.0f %12.0f %7.2fx %11.1f %11.1f\n", l.name,
-                rr.cps, wl.cps, speedup, wl.evals_per_cycle,
-                wl.skipped_per_cycle);
-    const std::string tag = std::string("seq.") + l.name;
-    metrics.push_back({"sched.speedup." + tag, speedup, "ratio"});
-    metrics.push_back({"sched.wl_evals_per_cycle." + tag,
-                       wl.evals_per_cycle, "count"});
-    metrics.push_back({"sched.wl_skips_per_cycle." + tag,
-                       wl.skipped_per_cycle, "count"});
-    metrics.push_back({"sched.rr_evals_per_cycle." + tag,
+                rr.cps, cp.cps, cp.cps / rr.cps, cp.evals_per_cycle,
+                cp.skipped_per_cycle);
+    const std::string load = l.name;
+    metrics.push_back({"compiled.noc_cps.round_robin." + load, rr.cps,
+                       "cycles/s"});
+    metrics.push_back({"compiled.noc_cps.compiled." + load, cp.cps,
+                       "cycles/s"});
+    metrics.push_back({"compiled.noc_speedup." + load, cp.cps / rr.cps,
+                       "ratio"});
+    metrics.push_back({"compiled.noc_evals_per_cycle.round_robin." + load,
                        rr.evals_per_cycle, "count"});
-    if (l.load > 0.0 && l.load <= 0.1) {
-      // The headline acceptance metric: worklist vs round-robin on a
-      // sparse (≤10% injection) workload.
-      metrics.push_back({"sched.speedup.sparse", speedup, "ratio"});
-    }
+    metrics.push_back({"compiled.noc_evals_per_cycle." + load,
+                       cp.evals_per_cycle, "count"});
+    metrics.push_back({"compiled.noc_skips_per_cycle." + load,
+                       cp.skipped_per_cycle, "count"});
   }
-  std::printf("\n");
 
-  bench::emit_bench_json(
-      "sched_speedup",
-      {{"quick", bench::quick_mode() ? "1" : "0"},
-       {"net", "12x12 mesh"},
-       {"sparse_load", "0.02"}},
-      metrics);
-
-  // ------------------------------------------------------------------
-  // Compiled static-schedule sweep: BENCH_compiled_speedup.json.
-  // ------------------------------------------------------------------
-  bench::print_header("Compiled schedule",
-                      "build-time static schedule vs run-time worklist");
-  std::vector<bench::BenchMetric> cmetrics;
   const std::size_t chain_n = bench::quick_mode() ? 48 : 96;
   const std::size_t chain_cycles = bench::quick_mode() ? 60 : 200;
   ChainModel chain(chain_n);
   std::printf(
-      "anti-topological XOR chain: %zu blocks, per-block stimulus, "
+      "\nanti-topological XOR chain: %zu blocks, per-block stimulus, "
       "%zu cycles\n", chain_n, chain_cycles);
   const Row crr = measure_chain(chain.model, chain.ext,
                                 core::SchedulerKind::kRoundRobin,
                                 chain_cycles);
-  const Row cwl = measure_chain(chain.model, chain.ext,
-                                core::SchedulerKind::kWorklist, chain_cycles);
   const Row ccp = measure_chain(chain.model, chain.ext,
                                 core::SchedulerKind::kCompiled, chain_cycles);
   std::printf("  %-12s %12s %12s\n", "scheduler", "cyc/s", "evals/cyc");
   std::printf("  %-12s %12.0f %12.1f\n", "round_robin", crr.cps,
               crr.evals_per_cycle);
-  std::printf("  %-12s %12.0f %12.1f\n", "worklist", cwl.cps,
-              cwl.evals_per_cycle);
   std::printf("  %-12s %12.0f %12.1f\n", "compiled", ccp.cps,
               ccp.evals_per_cycle);
-  std::printf("  compiled vs worklist: %.2fx cyc/s, %.1fx fewer evals\n",
-              ccp.cps / cwl.cps, cwl.evals_per_cycle / ccp.evals_per_cycle);
-  cmetrics.push_back(
-      {"compiled.table3_cps.round_robin", crr.cps, "cycles/s"});
-  cmetrics.push_back({"compiled.table3_cps.worklist", cwl.cps, "cycles/s"});
-  cmetrics.push_back({"compiled.table3_cps.compiled", ccp.cps, "cycles/s"});
-  // The headline acceptance metric: compiled over worklist cycle rate on
-  // the acyclic-region-dominated config (bench_schema_test pins >= 3x).
-  cmetrics.push_back(
-      {"compiled.speedup.table3_cps", ccp.cps / cwl.cps, "ratio"});
-  cmetrics.push_back({"compiled.evals_per_cycle.worklist",
-                      cwl.evals_per_cycle, "count"});
-  cmetrics.push_back({"compiled.evals_per_cycle.compiled",
-                      ccp.evals_per_cycle, "count"});
-
-  // NoC rows: the mesh's link graph is acyclic after dependency pruning,
-  // so the compiled schedule must hold its own against the worklist's
-  // quiescence fast path on real router workloads too.
-  std::printf("\nNoC (seq engine):\n");
-  std::printf("  %-10s %12s %12s %8s\n", "load", "wl cyc/s", "cp cyc/s",
-              "cp/wl");
-  for (const auto& l : kLoads) {
-    const std::size_t cycles = (l.load >= 0.5 ? 400 : 1200) / scale;
-    const Row wl = measure(net, core::SchedulerKind::kWorklist, l.load, cycles);
-    const Row cp = measure(net, core::SchedulerKind::kCompiled, l.load, cycles);
-    std::printf("  %-10s %12.0f %12.0f %7.2fx\n", l.name, wl.cps, cp.cps,
-                cp.cps / wl.cps);
-    cmetrics.push_back({"compiled.noc_cps.worklist." + std::string(l.name),
-                        wl.cps, "cycles/s"});
-    cmetrics.push_back({"compiled.noc_cps.compiled." + std::string(l.name),
-                        cp.cps, "cycles/s"});
-    cmetrics.push_back({"compiled.noc_evals_per_cycle." + std::string(l.name),
-                        cp.evals_per_cycle, "count"});
-  }
-  std::printf("\n");
+  std::printf("  compiled vs round_robin: %.2fx cyc/s, %.1fx fewer evals\n\n",
+              ccp.cps / crr.cps, crr.evals_per_cycle / ccp.evals_per_cycle);
+  metrics.push_back({"compiled.table3_cps.round_robin", crr.cps, "cycles/s"});
+  metrics.push_back({"compiled.table3_cps.compiled", ccp.cps, "cycles/s"});
+  metrics.push_back(
+      {"compiled.speedup.table3_cps", ccp.cps / crr.cps, "ratio"});
+  metrics.push_back({"compiled.evals_per_cycle.round_robin",
+                     crr.evals_per_cycle, "count"});
+  metrics.push_back({"compiled.evals_per_cycle.compiled",
+                     ccp.evals_per_cycle, "count"});
 
   bench::emit_bench_json(
       "compiled_speedup",
       {{"quick", bench::quick_mode() ? "1" : "0"},
        {"chain_blocks", std::to_string(chain_n)},
        {"chain_cycles", std::to_string(chain_cycles)},
-       {"net", "12x12 mesh"}},
-      cmetrics);
+       {"net", "12x12 mesh"},
+       {"sparse_load", "0.02"}},
+      metrics);
   return 0;
 }

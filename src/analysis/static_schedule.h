@@ -29,7 +29,7 @@
 //                  outputs being finalized. The engine runs it as
 //                  SimBlock::drive — G only, every output written, no
 //                  next state — since the later kEval commits the state.
-//        kSettle — run the scoped worklist fallback on one SCC until
+//        kSettle — run the scoped round-robin fallback on one SCC until
 //                  its links reach a fixed point (or the convergence
 //                  budget trips). Blocks whose inputs are all final
 //                  after the settle are committed by it and get no

@@ -71,13 +71,13 @@ void check_checkpointable(const SystemModel& model) {
 }
 
 /// The links a checkpoint's link snapshot carries: every combinational
-/// link a block writes or reads, ascending. A block the quiescence skip
-/// passes over (worklist or gated op program) rewrites neither its
-/// internal links nor the primary outputs the testbench reads, and its
-/// quiescence flags hold only for the external-input values it last
-/// read: a testbench that drives the restored engine's stale value
-/// again raises no change event. save_checkpoint emits exactly this list
-/// and restore_checkpoint accepts nothing else.
+/// link a block writes or reads, ascending. A block the op program's
+/// quiescence gate passes over rewrites neither its internal links nor
+/// the primary outputs the testbench reads, and its quiescence flags hold
+/// only for the external-input values it last read: a testbench that
+/// drives the restored engine's stale value again raises no change event.
+/// save_checkpoint emits exactly this list and restore_checkpoint accepts
+/// nothing else.
 std::vector<LinkId> snapshot_links(const SystemModel& model) {
   std::vector<LinkId> ids;
   for (LinkId l = 0; l < model.num_links(); ++l) {
@@ -108,57 +108,6 @@ void check_external_input(const SystemModel& model, LinkId link) {
   }
 }
 
-/// Degenerate-topology gate for the worklist scheduler, applied at
-/// engine construction. Rejects, with a structured error instead of a
-/// hang at the delta budget:
-///  - combinational self-loop links (a block reading its own
-///    combinational output), which the event-driven pickup would chase
-///    in a tight requeue loop;
-///  - external-input combinational links with an empty reader set: a
-///    stimulus on such a link is an event that wakes nobody, so the
-///    worklist would silently drop it (check_external_input catches the
-///    drive; this catches the model).
-/// No-op for kRoundRobin (the dense sweep tolerates both shapes, at
-/// delta-budget cost) and for kCompiled: a self-loop becomes a scoped
-/// settle region that runs to a fixed point every cycle, and the program runs
-/// every op in a fixed order, so an unread stimulus wakes nobody and is
-/// simply never consumed.
-void check_scheduler_topology(const SystemModel& model, SchedulerKind kind) {
-  if (kind != SchedulerKind::kWorklist) {
-    return;
-  }
-  for (LinkId l = 0; l < model.num_links(); ++l) {
-    const LinkInfo& info = model.link(l);
-    if (info.kind != LinkKind::kCombinational) {
-      continue;
-    }
-    if (info.writer.has_value()) {
-      for (const Endpoint& r : info.readers) {
-        if (r.block == info.writer->block) {
-          throw ContextualError(
-              "combinational self-loop link '" + info.name +
-                  "': the worklist scheduler would requeue its block on "
-                  "every evaluation; break the loop with a registered link "
-                  "or run the round_robin scheduler",
-              {{"link", std::to_string(l)},
-               {"name", info.name},
-               {"block", std::to_string(info.writer->block)},
-               {"scheduler", scheduler_kind_name(kind)}});
-        }
-      }
-    } else if (info.readers.empty()) {
-      throw ContextualError(
-          "external combinational link '" + info.name +
-              "' has an empty reader set: a stimulus on it is an event "
-              "that wakes no block, which the worklist scheduler would "
-              "silently drop",
-          {{"link", std::to_string(l)},
-           {"name", info.name},
-           {"scheduler", scheduler_kind_name(kind)}});
-    }
-  }
-}
-
 }  // namespace
 
 SimObserver::~SimObserver() = default;
@@ -167,8 +116,6 @@ const char* scheduler_kind_name(SchedulerKind k) {
   switch (k) {
     case SchedulerKind::kRoundRobin:
       return "round_robin";
-    case SchedulerKind::kWorklist:
-      return "worklist";
     case SchedulerKind::kCompiled:
       return "compiled";
   }
@@ -216,16 +163,13 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
                   "sharded engine needs at least one block");
   TMSIM_CHECK_MSG(opts.num_shards >= 1, "num_shards must be >= 1");
   TMSIM_CHECK_MSG(opts.max_evals_per_block >= 1, "eval limit must be positive");
-  check_scheduler_topology(model, opts_.scheduler);
-  worklist_ = opts_.scheduler == SchedulerKind::kWorklist;
-  gated_ = worklist_ || opts_.scheduler == SchedulerKind::kCompiled;
 
   const std::size_t n = model.num_blocks();
   opts_.num_shards = std::min(opts_.num_shards, n);
   if (opts_.num_shards > 1 && opts_.scheduler != SchedulerKind::kRoundRobin) {
     // The sharded engine is one configuration: the §4.2 round-robin
-    // pickup over min-cut regions. The worklist and the op program run
-    // one shard (DESIGN.md §9 has the measurements behind this).
+    // pickup over min-cut regions. The op program runs one shard
+    // (DESIGN.md §9 has the measurements behind this).
     throw ContextualError(
         "more than one shard needs the round_robin scheduler",
         {{"shards", std::to_string(opts_.num_shards)},
@@ -311,10 +255,7 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
     sh->out_words.assign(max_out, 0);
     sh->unstable.assign(blocks.size(), 0);
     sh->evaluated.assign(blocks.size(), 0);
-    if (worklist_) {
-      sh->worklist.reserve(blocks.size());
-    }
-    if (gated_) {
+    if (program_) {
       sh->state_fixed.assign(blocks.size(), 0);
       sh->pending_input.assign(blocks.size(), 0);
       // A block is skippable only when every link it touches is
@@ -417,8 +358,8 @@ void Engine::set_external_input(LinkId link, std::uint64_t value) {
         shards_[part_.shard_of[reader.block]]->links.write_word(link, value) ||
         changed;
   }
-  if (changed && gated_) {
-    // Wake the quiescence fast path: the readers have fresh input, so
+  if (changed && program_) {
+    // Wake the quiescence gate: the readers have fresh input, so
     // the next cycle must not skip them.
     settled_ = false;
     for (const Endpoint& reader : model_.link(link).readers) {
@@ -448,7 +389,7 @@ void Engine::load_block_state(BlockId block, const BitVector& value) {
   Shard& sh = *shards_[part_.shard_of[block]];
   sh.state.load_old(local_of_[block], value);
   settled_ = false;
-  if (gated_) {
+  if (program_) {
     // The committed state changed behind the block's back: any cached
     // fixed-point claim is stale, so force a re-evaluation next cycle.
     sh.state_fixed[local_of_[block]] = 0;
@@ -499,7 +440,7 @@ SchedulerCheckpoint Engine::scheduler_checkpoint() const {
       s.rr_cursors.push_back(sh->rr_next);
     }
   }
-  if (gated_) {
+  if (program_) {
     // Scatter the per-shard quiescence flags back to model block order so
     // the snapshot is partition-independent.
     s.state_fixed.assign(model_.num_blocks(), 0);
@@ -532,7 +473,7 @@ void Engine::restore_scheduler_state(
     sh.rr_next = (cursors_ok && ln > 0 && sched.rr_cursors[si] < ln)
                      ? sched.rr_cursors[si]
                      : sh.rr_init;
-    if (gated_) {
+    if (program_) {
       for (std::size_t i = 0; i < ln; ++i) {
         sh.state_fixed[i] = flags_ok ? sched.state_fixed[sh.blocks[i]] : 0;
         sh.pending_input[i] = flags_ok ? sched.pending_input[sh.blocks[i]] : 0;
@@ -615,8 +556,6 @@ StepStats Engine::step() {
     total.cut_publishes += sh->stats.cut_publishes;
     total.barrier_spins += sh->stats.barrier_spins;
     total.skipped_blocks += sh->stats.skipped_blocks;
-    total.worklist_high_water =
-        std::max(total.worklist_high_water, sh->stats.worklist_high_water);
     first_evals += sh->first_evals;
   }
   // Explicit first-evaluation accounting, identical under every schedule
@@ -629,7 +568,7 @@ StepStats Engine::step() {
   total_delta_cycles_ += total.delta_cycles;
   total_supersteps_ += shards_[0]->supersteps;
   ++cycle_;
-  if (gated_ && total.delta_cycles == 0) {
+  if (program_ && total.delta_cycles == 0) {
     // No block evaluated: every block was quiescent, so no link and no
     // state moved and no flag changed — the next cycle is this one again.
     settled_ = true;
@@ -681,16 +620,11 @@ void Engine::run_cycle(std::size_t s) {
   if (!program_) {
     // "Every system cycle is started by resetting all status bits to
     //  zero. [...] it is guaranteed that all routers are evaluated at
-    //  least once" — under the worklist, every block that lacks a
-    //  quiescence proof.
+    //  least once"
     guarded(sh, [&] {
       sh.links.reset_all_hbr();
-      if (worklist_) {
-        seed_worklist_cycle(sh);
-      } else {
-        std::fill(sh.unstable.begin(), sh.unstable.end(), 1);
-        sh.unstable_count = sh.blocks.size();
-      }
+      std::fill(sh.unstable.begin(), sh.unstable.end(), 1);
+      sh.unstable_count = sh.blocks.size();
     });
   }
   // Belt-and-braces superstep cap: the per-shard evaluation budgets
@@ -733,92 +667,41 @@ void Engine::run_cycle(std::size_t s) {
   barrier_->sync(0);  // cycle complete; the coordinator aggregates next
 }
 
-void Engine::seed_worklist_cycle(Shard& sh) {
-  // Worklist analogue of the dense cycle seeding: instead of marking
-  // every block unstable, a quiescent block — all links combinational,
-  // last evaluation a state fixed point, no pending input activity — is
-  // *skipped*: it is never pushed, and since it is not committed at the
-  // end of the cycle its old slot stays its state, with nothing copied.
-  // A skipped block is still woken mid-cycle the moment
-  // any input changes (destabilize_local pushes it), so the fixed point
-  // reached is the same one the dense sweep reaches — the quiescence
-  // fast path only elides evaluations whose outputs are already final.
-  // Everything else is pushed in block order, which makes the first
-  // sweep identical to the round-robin sweep at the canonical cursor.
-  sh.worklist.clear();
-  sh.wl_head = 0;
-  sh.unstable_count = 0;
-  const std::size_t ln = sh.blocks.size();
-  for (std::size_t i = 0; i < ln; ++i) {
-    if (sh.quiescent(i)) {
-      ++sh.stats.skipped_blocks;
-      sh.unstable[i] = 0;
-    } else {
-      sh.unstable[i] = 1;
-      ++sh.unstable_count;
-      sh.worklist.push_back(i);
-    }
-  }
-  sh.stats.worklist_high_water = std::max(
-      sh.stats.worklist_high_water,
-      static_cast<std::uint64_t>(sh.worklist.size()));
-}
-
 void Engine::settle_local(Shard& sh) {
   // Phase A of the §4.2 pickup: evaluate non-stable blocks until this
   // shard is locally stable. The round-robin cursor scans the unstable
-  // bitmap; the worklist pops its FIFO, whose unconsumed part holds
-  // exactly the flagged blocks (seed_worklist_cycle and
-  // destabilize_local keep that invariant), so its pickup is O(1). Both
-  // searches are bounded: unstable_count > 0 with nothing left to find
-  // is a bookkeeping desync, and the cycle fails structurally instead of
-  // spinning forever.
+  // bitmap; the scan is bounded: unstable_count > 0 with nothing left to
+  // find is a bookkeeping desync, and the cycle fails structurally
+  // instead of spinning forever.
   const std::size_t ln = sh.blocks.size();
   const DeltaCycle budget = opts_.max_evals_per_block * ln;
   while (sh.unstable_count > 0) {
-    std::size_t i = 0;
-    if (worklist_) {
-      if (sh.wl_head == sh.worklist.size()) {
+    // "A simple round-robin scheduler will decide which non-stable
+    //  router has to be evaluated."
+    std::size_t scanned = 0;
+    while (sh.unstable[sh.rr_next] == 0) {
+      sh.rr_next = (sh.rr_next + 1) % ln;
+      if (++scanned > ln) {
         sh.diverged = true;
         return;
       }
-      i = sh.worklist[sh.wl_head++];
-    } else {
-      // "A simple round-robin scheduler will decide which non-stable
-      //  router has to be evaluated."
-      std::size_t scanned = 0;
-      while (sh.unstable[sh.rr_next] == 0) {
-        sh.rr_next = (sh.rr_next + 1) % ln;
-        if (++scanned > ln) {
-          sh.diverged = true;
-          return;
-        }
-      }
-      i = sh.rr_next;
-      sh.rr_next = (sh.rr_next + 1) % ln;
     }
+    const std::size_t i = sh.rr_next;
+    sh.rr_next = (sh.rr_next + 1) % ln;
     sh.unstable[i] = 0;
     --sh.unstable_count;
 
     evaluate_block(sh, i, nullptr);
 
     // Self-loop safety of the sweep: re-check the HBR bits directly so a
-    // bookkeeping bug cannot end a cycle early. (The worklist rejects
-    // combinational self-loops at construction.)
-    if (!worklist_ && sh.unstable[i] == 0 &&
-        !inputs_all_read(sh, sh.blocks[i])) {
+    // bookkeeping bug cannot end a cycle early.
+    if (sh.unstable[i] == 0 && !inputs_all_read(sh, sh.blocks[i])) {
       destabilize_local(sh, sh.blocks[i]);
     }
     if (sh.stats.delta_cycles > budget) {
       sh.diverged = true;
       return;
     }
-  }
-  if (worklist_) {
-    // Fully drained: recycle the storage so the FIFO never grows beyond
-    // the cycle's event count.
-    sh.worklist.clear();
-    sh.wl_head = 0;
   }
 }
 
@@ -852,7 +735,7 @@ void Engine::run_program(Shard& sh) {
 }
 
 void Engine::settle_scc_local(Shard& sh, std::uint32_t scc_index) {
-  // Scoped worklist over one strongly connected component, with the
+  // Scoped round-robin over one strongly connected component, with the
   // cooperative divergence protocol: on a trip the members' unstable
   // bits stay set for the report.
   const analysis::CompiledScc& scc = program_->sccs[scc_index];
@@ -902,7 +785,7 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
   // unstable_count nonzero forever. Inside a kSettle only the SCC's own
   // readers are re-flagged.
   const bool pickup = !program_;
-  const bool inputs_changed = gated_ && sh.pending_input[local];
+  const bool inputs_changed = !pickup && sh.pending_input[local];
   const BlockInstance& blk = *sh.inst[local];
   const SimBlock& logic = *blk.logic;
   const std::size_t n_in = blk.input_links.size();
@@ -928,7 +811,7 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
     // The last evaluation of the cycle is the committing one: it leaves
     // the block's next state in its new slot.
     logic.step(old, {in, n_in}, sh.state.new_state(local), {out, n_out});
-    if (gated_) {
+    if (!pickup) {
       // Everything pending is consumed by this committing evaluation;
       // activity that arrives later (writes below, external inputs)
       // re-marks it. A kDrive consumes nothing, so its kEval still runs.
@@ -959,7 +842,7 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
         if (reader != kNoBlock && part_.shard_of[reader] == sh.index) {
           destabilize_local(sh, reader);
         }
-      } else if (comb_reader_[l] != kNoBlock && gated_) {
+      } else if (comb_reader_[l] != kNoBlock) {
         sh.pending_input[local_of_[comb_reader_[l]]] = 1;  // wake its gate
       }
       if (ctx && program_->scc_of_link[l] == ctx->scc_id) {
@@ -987,17 +870,16 @@ void Engine::evaluate_block(Shard& sh, std::size_t local,
     }
   }
 
-  if (gated_ && !drive) {
+  if (!pickup && !drive) {
     // State fixed point: a pure step() that mapped old == new will
     // reproduce this exact evaluation as long as the inputs stay put —
-    // the precondition of the quiescence skip. The op program compares
-    // only when the evaluation saw no new input and moved no output: a
-    // block with activity on its ports is rarely at a fixed point, and a
+    // the precondition of the quiescence skip. The compare runs only
+    // when the evaluation saw no new input and moved no output: a block
+    // with activity on its ports is rarely at a fixed point, and a
     // missed one costs one more evaluation, not correctness
     // (state_fixed == 0 never skips anything).
-    sh.state_fixed[local] =
-        (worklist_ || !(inputs_changed || outputs_changed)) &&
-        sh.state.new_state(local).equals(old);
+    sh.state_fixed[local] = !(inputs_changed || outputs_changed) &&
+                            sh.state.new_state(local).equals(old);
   }
   if (!sh.evaluated[local]) {
     sh.evaluated[local] = 1;
@@ -1071,21 +953,9 @@ void Engine::apply_incoming(Shard& sh) {
 
 void Engine::destabilize_local(Shard& sh, BlockId global) {
   const std::size_t i = local_of_[global];
-  if (worklist_) {
-    sh.pending_input[i] = 1;
-  }
   if (sh.unstable[i] == 0) {
     sh.unstable[i] = 1;
     ++sh.unstable_count;
-    if (worklist_) {
-      // Push iff the flag transitioned — `unstable` doubles as the
-      // FIFO's dedup guard, so each pending event costs exactly one
-      // future evaluation.
-      sh.worklist.push_back(i);
-      sh.stats.worklist_high_water =
-          std::max(sh.stats.worklist_high_water,
-                   static_cast<std::uint64_t>(sh.worklist.size() - sh.wl_head));
-    }
   }
 }
 

@@ -14,23 +14,22 @@
 // simulated parallel design; a *delta cycle* is one block evaluation and
 // does not advance simulated time.
 //
-// EngineOptions::scheduler resolves once, at construction, to one of two
-// schedules:
+// EngineOptions::scheduler picks one of two schedules:
 //
 //  - kCompiled: an op program (analysis/static_schedule.h) over the
 //    whole model, replayed every system cycle — the SCC-condensed
-//    topological order of the blocks — with each op gated by the
-//    worklist's quiescence test, so a block with no new input and a
-//    fixed-point state costs one flag test. For a registered-only model
-//    it is every block once in ascending ids, the paper's §4.1 static
-//    schedule (Fig. 3), which is how SequentialSimulator runs
+//    topological order of the blocks — with each op gated by a
+//    quiescence test, so a block with no new input and a fixed-point
+//    state costs one flag test. For a registered-only model it is every
+//    block once in ascending ids, the paper's §4.1 static schedule
+//    (Fig. 3), which is how SequentialSimulator runs
 //    SchedulePolicy::kStatic (registered links are never gated);
-//  - kRoundRobin / kWorklist: the §4.2 pickup — all HBR bits cleared at
-//    cycle start, non-stable blocks picked by the round-robin cursor or
-//    the event worklist, a changed link write destabilizing its readers.
+//  - kRoundRobin: the §4.2 pickup — all HBR bits cleared at cycle start,
+//    non-stable blocks picked by the round-robin cursor, a changed link
+//    write destabilizing its readers.
 //
-// kWorklist and kCompiled run on one shard only; more shards means the
-// round-robin pickup, and the constructor rejects anything else.
+// kCompiled runs on one shard only; more shards means the round-robin
+// pickup, and the constructor rejects anything else.
 //
 // Every shard owns a shard-local double-banked StateMemory (one bank
 // pointer per block, flipped only for the blocks evaluated) and a
@@ -60,14 +59,14 @@
 // differentially against the one-shard engine and the struct-state
 // DirectNocSimulation. Only StepStats may differ.
 //
-// Idle-cycle skip (DESIGN.md §17): a cycle in which a gated schedule
-// (worklist or compiled) evaluated no block is the identity on both
-// banks and every link, and so is every following cycle until something
-// between steps changes an input, a block state, a link value or the
-// scheduler flags. The engine then remembers it is *settled*, and
-// advance_idle(k) moves the cycle counter k cycles in O(1) — notifying
-// an attached observer once per skipped cycle, so metrics, VCD and the
-// stats stream are exactly what k step() calls would have produced.
+// Idle-cycle skip (DESIGN.md §17): a cycle in which the gated op program
+// evaluated no block is the identity on both banks and every link, and
+// so is every following cycle until something between steps changes an
+// input, a block state, a link value or the scheduler flags. The engine
+// then remembers it is *settled*, and advance_idle(k) moves the cycle
+// counter k cycles in O(1) — notifying an attached observer once per
+// skipped cycle, so metrics, VCD and the stats stream are exactly what k
+// step() calls would have produced.
 // The round-robin reference never settles.
 //
 // Divergence (an oscillating combinational loop) is detected
@@ -102,39 +101,35 @@ namespace tmsim::core {
 
 /// The engine's one schedule setting: how the next block to evaluate is
 /// found. The paper's §4.1 / §4.2 vocabulary (SchedulePolicy) lives only
-/// in the one-shard SequentialSimulator adapter. kWorklist and kCompiled
-/// need a one-shard engine.
+/// in the one-shard SequentialSimulator adapter. kCompiled needs a
+/// one-shard engine.
 ///
 ///  - kRoundRobin: the paper's Fig. 5 scheduler — a dense sweep over the
 ///    unstable bitmap. O(num_blocks) scan work per delta sweep even when
 ///    almost every block is stable. This is the reference semantics.
-///  - kWorklist: event-driven. Clearing a link's HBR bit pushes exactly
-///    that link's readers onto a dedup'd FIFO worklist (the reader index
-///    is the link topology itself), so pickup is O(1) per event. A
-///    per-system-cycle quiescence fast path additionally skips blocks
-///    with no pending input activity whose last evaluation was a state
-///    fixed point: re-evaluating such a block would reproduce last
-///    cycle's outputs and state bit-for-bit, so not evaluating it at all
-///    is invisible. Results are bit-identical to kRoundRobin by the
-///    engine contract (tests/integration/sched_equivalence_test.cpp
-///    proves it differentially); only StepStats may differ.
 ///  - kCompiled: static. A build-time analysis pass
 ///    (src/analysis/static_schedule.h) condenses the combinational link
 ///    graph's strongly-connected components, topologically orders the
 ///    condensation, and emits an op program replayed in order every
-///    system cycle — no HBR bookkeeping, no unstable bitmap, no
-///    worklist for acyclic regions; true combinational cycles settle in
-///    a scoped worklist confined to their SCC under the usual
-///    convergence budget. Each kEval/kDrive is gated by the worklist's
-///    quiescence predicate (GSIM's "evaluate a node only when an input
-///    changed"), so a quiescent block is skipped, not evaluated.
-///    Bit-identical to the dynamic schedulers by the same differential
-///    proof (plus the 3-way `ctest -L compiled` suite); only StepStats
+///    system cycle — no HBR bookkeeping and no unstable bitmap for
+///    acyclic regions; true combinational cycles settle in a scoped
+///    round-robin confined to their SCC under the usual convergence
+///    budget. Each kEval/kDrive is gated by a quiescence predicate
+///    (GSIM's "evaluate a node only when an input changed"): a block
+///    with no pending input whose last evaluation was a state fixed
+///    point would reproduce its outputs and state bit for bit, so it is
+///    skipped, not evaluated. Results are bit-identical to kRoundRobin
+///    by the engine contract (tests/integration/sched_equivalence_test.cpp
+///    and `ctest -L compiled` prove it differentially); only StepStats
 ///    may differ.
 enum class SchedulerKind : std::uint8_t {
   kRoundRobin = 0,
-  kWorklist = 1,
   kCompiled = 2,
+  /// Legacy spelling: the event-driven worklist it named is gone, and
+  /// the gated op program runs in its place. Kept only because the
+  /// benchmark harness names it; the benchmark change that retires its
+  /// worklist lane removes this line.
+  kWorklist = kCompiled,
 };
 
 const char* scheduler_kind_name(SchedulerKind k);
@@ -152,9 +147,8 @@ struct EngineOptions {
   /// domain-separated offsets. Results are schedule-independent, so this
   /// can only change StepStats.
   std::uint64_t seed = 1;
-  /// The schedule: kRoundRobin is the dense §4.2 sweep, kWorklist the
-  /// event-driven scheduler with the quiescence fast path, kCompiled the
-  /// build-time op program. The last two need num_shards == 1 (after the
+  /// The schedule: kRoundRobin is the dense §4.2 sweep, kCompiled the
+  /// gated build-time op program, which needs num_shards == 1 (after the
   /// clamp); the constructor throws a ContextualError otherwise.
   /// Bit-identical results in every case; only StepStats may differ.
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
@@ -204,14 +198,12 @@ struct StepStats {
   DeltaCycle delta_cycles = 0;
   /// delta_cycles minus the blocks evaluated at least once this cycle:
   /// the §4.2 re-evaluation overhead. For the round-robin scheduler the
-  /// subtrahend is num_blocks; the worklist's and the op program's
-  /// quiescence skip can evaluate fewer (see skipped_blocks).
+  /// subtrahend is num_blocks; the op program's quiescence skip can
+  /// evaluate fewer (see skipped_blocks).
   DeltaCycle re_evaluations = 0;
-  /// Blocks the quiescence skip (worklist, or the gated op program) did
-  /// not evaluate at all this cycle (0 under round-robin).
+  /// Blocks the gated op program did not evaluate at all this cycle (0
+  /// under round-robin).
   std::uint64_t skipped_blocks = 0;
-  /// Deepest worklist occupancy seen this cycle (0 under round-robin).
-  std::uint64_t worklist_high_water = 0;
   /// Combinational link writes whose value differed from memory.
   std::size_t link_changes = 0;
   /// Settle/exchange rounds the cycle took: 1 for the sequential
@@ -277,8 +269,8 @@ class SimObserver {
 /// Scheduler-canonical bookkeeping carried alongside the architectural
 /// state (DESIGN.md §17). None of it can affect results — that is the
 /// engine contract — but it does affect *StepStats*: the round-robin
-/// cursor persists across cycles, and the quiescence flags (worklist and
-/// op program alike) decide which blocks get skipped. A farm job
+/// cursor persists across cycles, and the op program's quiescence flags
+/// decide which blocks get skipped. A farm job
 /// preempted on one worker and resumed on another must replay the same
 /// scheduling stats stream it would have produced uninterrupted, so
 /// checkpoints carry this too. Deliberately excluded from the checkpoint
@@ -339,7 +331,7 @@ struct EngineCheckpoint {
 class Engine {
  public:
   /// Throws ContextualError (context `shards`, `scheduler`) when more
-  /// than one shard, after the clamp, comes with kWorklist or kCompiled.
+  /// than one shard, after the clamp, comes with kCompiled.
   Engine(const SystemModel& model, const EngineOptions& opts);
   ~Engine();
 
@@ -382,7 +374,7 @@ class Engine {
   StepStats step();
 
   /// Skips up to `max` provably idle cycles and returns how many it
-  /// skipped: `max` when the last step() of a gated schedule evaluated
+  /// skipped: `max` when the last step() of the op program evaluated
   /// no block and nothing changed since (the engine is settled), else 0.
   /// A skipped cycle is bit-identical to a step(): the counters move as
   /// step() would move them (total_delta_cycles stays, an idle cycle
@@ -428,7 +420,7 @@ class Engine {
 
  protected:
   /// The op program replayed every system cycle, or null under the
-  /// round-robin/worklist pickup.
+  /// round-robin pickup.
   const analysis::CompiledSchedule* program() const {
     return program_ ? &*program_ : nullptr;
   }
@@ -457,8 +449,7 @@ class Engine {
     std::vector<InSlot> incoming;     // cut links read by this shard
 
     // Unstable-block bookkeeping (local block indices): the §4.2 pickup's
-    // work set and the worklist's dedup flag; under an op program, the
-    // report mirror of a settling SCC.
+    // work set; under an op program, the report mirror of a settling SCC.
     std::vector<char> unstable;
     std::size_t unstable_count = 0;
     std::size_t rr_next = 0;
@@ -472,11 +463,8 @@ class Engine {
 
     std::vector<char> scc_unstable;  // kCompiled scratch, per settling SCC
 
-    // Worklist FIFO (kWorklist only).
-    std::vector<std::size_t> worklist;  // consumed prefix [0, wl_head)
-    std::size_t wl_head = 0;
-    // Quiescence flags of the worklist and the gated op program (one
-    // shard, so local indices are block ids; empty under round-robin).
+    // Quiescence flags of the gated op program (one shard, so local
+    // indices are block ids; empty under round-robin).
     std::vector<char> skippable;      // static: may ever be skipped
     std::vector<char> state_fixed;    // last committing eval: old == new
     std::vector<char> pending_input;  // input changed since that eval
@@ -514,7 +502,7 @@ class Engine {
   };
 
   /// Settle context threaded through op-program evaluations while a
-  /// CompiledScc runs its scoped worklist.
+  /// CompiledScc settles.
   struct CompiledSettleCtx {
     const analysis::CompiledScc* scc = nullptr;
     std::uint32_t scc_id = 0;  ///< scc index + 1 (scc_of_link encoding)
@@ -531,7 +519,6 @@ class Engine {
   void run_program(Shard& sh);
   void settle_scc_local(Shard& sh, std::uint32_t scc_index);
   void settle_local(Shard& sh);
-  void seed_worklist_cycle(Shard& sh);
   void apply_incoming(Shard& sh);
   void destabilize_local(Shard& sh, BlockId global);
   bool inputs_all_read(const Shard& sh, BlockId global) const;
@@ -545,11 +532,8 @@ class Engine {
 
   const SystemModel& model_;
   EngineOptions opts_;
-  /// opts_.scheduler == kWorklist, resolved once for the hot path.
-  bool worklist_ = false;
-  /// kWorklist or kCompiled: the schedules that keep quiescence flags.
-  bool gated_ = false;
-  /// The op program (kCompiled only), built once over the whole model.
+  /// The op program (kCompiled only), built once over the whole model;
+  /// it alone keeps quiescence flags.
   std::optional<analysis::CompiledSchedule> program_;
   Partition part_;
   std::size_t boundary_links_ = 0;
@@ -570,7 +554,7 @@ class Engine {
   SystemCycle cycle_ = 0;
   DeltaCycle total_delta_cycles_ = 0;
   std::uint64_t total_supersteps_ = 0;
-  /// The last step() of a gated schedule evaluated no block and nothing
+  /// The last step() of the op program evaluated no block and nothing
   /// has changed since: every further cycle repeats it (advance_idle).
   bool settled_ = false;
   StepStats idle_stats_;  ///< that idle cycle's stats

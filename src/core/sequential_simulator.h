@@ -26,9 +26,10 @@
 //    cycle (so every block is evaluated at least once); a round-robin
 //    scheduler evaluates non-stable blocks; writing a *changed* value to a
 //    link clears its HBR bit and destabilizes its reader; the cycle ends
-//    when all blocks are stable. The `scheduler` argument picks how
-//    non-stable blocks are found; kWorklist and kCompiled reach the same
-//    fixed point with less work.
+//    when all blocks are stable. The `scheduler` argument picks how the
+//    cycle is evaluated: kRoundRobin is that method itself, and kCompiled
+//    reaches the same fixed point with less work by replaying the gated
+//    op program instead.
 #pragma once
 
 #include <cstddef>
@@ -53,9 +54,8 @@ class SequentialSimulator : public Engine {
   /// (see there): `max_evals_per_block` bounds re-evaluation,
   /// `schedule_seed` rotates the dynamic schedule's starting round-robin
   /// cursor to schedule_rr_offset(schedule_seed, num_blocks), and
-  /// `scheduler` selects how the dynamic schedule picks non-stable
-  /// blocks (kDynamic only: kStatic runs the compiled program and
-  /// refuses any other scheduler). Committed results are
+  /// `scheduler` selects how the dynamic schedule runs a cycle (kDynamic
+  /// only: kStatic always runs the compiled program). Committed results are
   /// schedule-independent by the engine contract, so none of them can
   /// change what a workload observes — only the order (and count) of
   /// delta cycles.
@@ -67,13 +67,13 @@ class SequentialSimulator : public Engine {
                           .num_shards = 1,
                           .seed = schedule_seed,
                           .scheduler = policy == SchedulePolicy::kStatic
-                                           ? static_scheduler(model, scheduler)
+                                           ? static_scheduler(model)
                                            : scheduler,
                           .max_evals_per_block = max_evals_per_block}) {}
 
   /// The op program the engine replays every system cycle (kStatic and
-  /// kCompiled; null under the round-robin and worklist pickups) —
-  /// exposed for tests and schedule inspection.
+  /// kCompiled; null under the round-robin pickup) — exposed for tests
+  /// and schedule inspection.
   const analysis::CompiledSchedule* compiled_schedule() const {
     return program();
   }
@@ -85,16 +85,10 @@ class SequentialSimulator : public Engine {
   void set_trace_hook(TraceHook hook) { trace_ = std::move(hook); }
 
  private:
-  /// kStatic's preconditions, checked before the engine is built: the
+  /// kStatic's precondition, checked before the engine is built: the
   /// compiled program is the §4.1 one-pass schedule only when no internal
-  /// boundary is combinational, and it is the only scheduler kStatic
-  /// runs, so `scheduler` must be left at its default or name it.
-  static SchedulerKind static_scheduler(const SystemModel& model,
-                                        SchedulerKind scheduler) {
-    TMSIM_CHECK_MSG(scheduler == SchedulerKind::kRoundRobin ||
-                        scheduler == SchedulerKind::kCompiled,
-                    "the static schedule runs the compiled program; it "
-                    "takes no other scheduler");
+  /// boundary is combinational.
+  static SchedulerKind static_scheduler(const SystemModel& model) {
     TMSIM_CHECK_MSG(model.all_boundaries_registered(),
                     "static schedule requires registered boundaries (§4.1); "
                     "use kDynamic for combinational boundaries");

@@ -46,7 +46,7 @@ class SimBlock;
 /// One block's resident register file (one bank of StateMemory). Every
 /// implementation must keep to_word/load_word a bijection with the
 /// block's state words, and equals() in exact agreement with equality of
-/// the words — the worklist's fixed-point test and the digests rely on
+/// the words — the op program's fixed-point test and the digests rely on
 /// both.
 class BlockState {
  public:

@@ -209,11 +209,13 @@ JobSpec JobSpec::deserialize(const std::string& text) {
         throw ContextualError("unknown partition policy", {{"partition", val}});
       }
     } else if (key == "scheduler") {
+      // `worklist` is no longer emitted: the gated op program replaced
+      // that scheduler. Older clients and spill segments still send it;
+      // results never depended on the scheduler, so it decodes to
+      // compiled, the schedule that runs in its place.
       if (val == "round_robin") {
         spec.scheduler = core::SchedulerKind::kRoundRobin;
-      } else if (val == "worklist") {
-        spec.scheduler = core::SchedulerKind::kWorklist;
-      } else if (val == "compiled") {
+      } else if (val == "compiled" || val == "worklist") {
         spec.scheduler = core::SchedulerKind::kCompiled;
       } else {
         throw ContextualError("unknown scheduler kind", {{"scheduler", val}});

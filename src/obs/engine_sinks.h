@@ -36,8 +36,6 @@ namespace tmsim::obs {
 ///              engine.cut_publishes, engine.barrier_spins,
 ///              engine.supersteps, engine.convergence_failures,
 ///              engine.sched.delta_evals, engine.sched.skipped_blocks
-///   gauges     engine.sched.worklist_high_water (running max over the
-///              attached engine's cycles; stays 0 under round_robin)
 ///   histograms engine.deltas_per_cycle, engine.settle_rounds
 class EngineMetricsSink : public core::SimObserver {
  public:
@@ -59,8 +57,6 @@ class EngineMetricsSink : public core::SimObserver {
   Counter& convergence_failures_;
   Counter& sched_delta_evals_;
   Counter& sched_skipped_blocks_;
-  Gauge& sched_worklist_high_water_;
-  std::uint64_t worklist_high_water_max_ = 0;
   HistogramMetric& deltas_per_cycle_;
   HistogramMetric& settle_rounds_;
 };

@@ -415,14 +415,20 @@ VcdDivergence vcd_diff(std::istream& a, std::istream& b) {
     return d;
   }
 
-  // Match signals by *name*; id codes are writer-internal.
+  // Match signals by *name*; id codes are writer-internal. The `sim.`
+  // signals are scheduler bookkeeping (how much work a cycle took), not
+  // design state, so two schedules of one run agree without them.
   std::map<std::string, std::string> name_to_code_a, name_to_code_b;
-  for (const auto& [code, var] : pa.vars) {
-    name_to_code_a[var.name] = code;
-  }
-  for (const auto& [code, var] : pb.vars) {
-    name_to_code_b[var.name] = code;
-  }
+  auto index_design_signals = [](const ParsedVcd& p,
+                                 std::map<std::string, std::string>& out) {
+    for (const auto& [code, var] : p.vars) {
+      if (var.name.rfind("sim.", 0) != 0) {
+        out[var.name] = code;
+      }
+    }
+  };
+  index_design_signals(pa, name_to_code_a);
+  index_design_signals(pb, name_to_code_b);
   std::vector<std::string> shared;
   for (const auto& [name, code] : name_to_code_a) {
     if (name_to_code_b.count(name)) {

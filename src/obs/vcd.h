@@ -15,8 +15,9 @@
 //     bookkeeping signals (scope `sim`) carry the sub-timescale view:
 //     how many block evaluations and exchange rounds that cycle took;
 //   - values are sampled at the bank-swap / superstep-commit point, so
-//     a dump from any engine over the same model is identical — the
-//     basis of vcd_diff()-based differential testing.
+//     the design signals of a dump from any engine or schedule over the
+//     same model are identical — the basis of vcd_diff()-based
+//     differential testing, which leaves the `sim` bookkeeping out.
 //
 // This header also carries the two consumers the test suite and the
 // differential harness need: a syntax checker (vcd_validate) and a
@@ -93,8 +94,9 @@ struct VcdDivergence {
   std::string value_a;
   std::string value_b;
   /// Signals present in only one file (compared set is the
-  /// intersection; a non-empty mismatch list is reported but does not
-  /// by itself count as divergence).
+  /// intersection, minus the `sim.` bookkeeping signals; a non-empty
+  /// mismatch list is reported but does not by itself count as
+  /// divergence).
   std::vector<std::string> only_in_a;
   std::vector<std::string> only_in_b;
 
@@ -103,7 +105,10 @@ struct VcdDivergence {
 
 /// Replays both dumps over the union of their timesteps and names the
 /// first (time, signal) where the two disagree — the differential
-/// harness's "which wire broke first" mode.
+/// harness's "which wire broke first" mode. Signals named `sim.*` (the
+/// per-cycle delta and settle-round counts) are left out: they record
+/// how a scheduler reached the cycle's values, so dumps of one run under
+/// two schedulers differ there by design.
 VcdDivergence vcd_diff(std::istream& a, std::istream& b);
 
 }  // namespace tmsim::obs

@@ -61,7 +61,7 @@ struct PipeChain {
 std::uint64_t stimulus(SystemCycle cycle) { return (7 * cycle + 3) & 0xffff; }
 
 /// stimulus() held for four cycles at a time: the chain goes quiescent
-/// between changes, so the worklist and the gated op program skip blocks.
+/// between changes, so the gated op program skips blocks.
 std::uint64_t held_stimulus(SystemCycle cycle) {
   return stimulus(cycle - cycle % 4);
 }
@@ -181,7 +181,6 @@ TEST(EngineReset, ReusedEngineReplaysAFreshEnginesStepStats) {
   net.topology = noc::Topology::kMesh;
   const auto lanes = {
       EngineOptions{.scheduler = SchedulerKind::kRoundRobin},
-      EngineOptions{.scheduler = SchedulerKind::kWorklist},
       EngineOptions{.scheduler = SchedulerKind::kCompiled},
       EngineOptions{.num_shards = 2, .scheduler = SchedulerKind::kRoundRobin},
   };
@@ -210,8 +209,8 @@ TEST(EngineReset, ReusedEngineReplaysAFreshEnginesStepStats) {
                       << " vs " << b.delta_cycles << ", link changes "
                       << a.link_changes << " vs " << b.link_changes;
     }
-    // Drain: routers go quiescent one by one, so the worklist and the
-    // gated op program skip blocks on flags the reset must have cleared.
+    // Drain: routers go quiescent one by one, so the gated op program
+    // skips blocks on flags the reset must have cleared.
     hu.set_be_load(0.0);
     hf.set_be_load(0.0);
     std::uint64_t skipped = 0;
@@ -259,8 +258,7 @@ std::vector<StepStats> drive_recording(Engine& sim, const PipeChain& chain,
 
 TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
   for (const SchedulerKind kind :
-       {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
-        SchedulerKind::kCompiled}) {
+       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
     for (auto* const stim : {stimulus, held_stimulus}) {
       SCOPED_TRACE(std::string(scheduler_kind_name(kind)) +
                    (stim == stimulus ? " stimulus" : " held_stimulus"));
@@ -295,7 +293,7 @@ TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
 }
 
 TEST(SchedulerCheckpoint, RestoredEngineHoldsTheSkippedBlocksOutputs) {
-  // A quiescent chain: the worklist skips every block whose inputs did
+  // A quiescent chain: the op program skips every block whose inputs did
   // not move, so their output links keep whatever the engine last held.
   // L3 is a primary output (no block reads it, the testbench does). A
   // restore onto an engine that ran another workload must bring it back
@@ -311,8 +309,7 @@ TEST(SchedulerCheckpoint, RestoredEngineHoldsTheSkippedBlocksOutputs) {
     };
   };
   for (const SchedulerKind kind :
-       {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
-        SchedulerKind::kCompiled}) {
+       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
     SCOPED_TRACE(scheduler_kind_name(kind));
     PipeChain a_chain;
     SequentialSimulator a(a_chain.model, SchedulePolicy::kDynamic, 64, 1,
@@ -347,8 +344,7 @@ TEST(SchedulerCheckpoint, RestoredEngineHoldsTheExternalInputs) {
   // P1, and P1 would keep 0x111 where the uninterrupted run moves to
   // 0x222. The snapshot carries X, so both runs see the change.
   for (const SchedulerKind kind :
-       {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
-        SchedulerKind::kCompiled}) {
+       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
     SCOPED_TRACE(scheduler_kind_name(kind));
     const auto hold = [](Engine& sim, const PipeChain& chain,
                          std::uint64_t v, SystemCycle cycles) {
@@ -405,8 +401,6 @@ TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
     EXPECT_EQ(got[i].skipped_blocks, ref[i].skipped_blocks)
         << "cycle " << i;
     EXPECT_EQ(got[i].settle_rounds, ref[i].settle_rounds) << "cycle " << i;
-    EXPECT_EQ(got[i].worklist_high_water, ref[i].worklist_high_water)
-        << "cycle " << i;
   }
   EXPECT_EQ(engine_state_digest(b), engine_state_digest(a));
 }
@@ -414,7 +408,7 @@ TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
 TEST(SchedulerCheckpoint, TamperedLinkSnapshotIsRejected) {
   PipeChain chain;
   SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          SchedulerKind::kWorklist);
+                          SchedulerKind::kCompiled);
   drive(sim, chain, 5);
   EngineCheckpoint ck = save_checkpoint(sim);
   ASSERT_FALSE(ck.link_ids.empty());
@@ -430,14 +424,14 @@ void expect_link_ids_rejected(void (*damage)(EngineCheckpoint&,
                                              const PipeChain&)) {
   PipeChain chain;
   SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          SchedulerKind::kWorklist);
+                          SchedulerKind::kCompiled);
   drive(sim, chain, 5);
   EngineCheckpoint ck = save_checkpoint(sim);
   ASSERT_EQ(ck.link_ids,
             (std::vector<LinkId>{chain.x, chain.l1, chain.l2, chain.l3}));
   damage(ck, chain);
   SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                            SchedulerKind::kWorklist);
+                            SchedulerKind::kCompiled);
   const std::uint64_t power_on = engine_state_digest(fresh);
   EXPECT_THROW(restore_checkpoint(fresh, ck), ContextualError);
   EXPECT_EQ(fresh.cycle(), 0u);
@@ -460,46 +454,42 @@ TEST(SchedulerCheckpoint, LegacyCheckpointWithoutSnapshotCanonicalizes) {
   // A hand-built checkpoint (no link snapshot, no scheduler state) must
   // restore like a power-on engine at that state: accepted, and the
   // scheduler starts from canonical cursors/flags.
-  for (const SchedulerKind kind :
-       {SchedulerKind::kWorklist, SchedulerKind::kCompiled}) {
-    SCOPED_TRACE(scheduler_kind_name(kind));
-    PipeChain chain;
-    SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                            kind);
-    // A held input: by the checkpoint every block is quiescent.
-    const auto hold = [&](Engine& e, SystemCycle cycles) {
-      StepStats last;
-      for (SystemCycle i = 0; i < cycles; ++i) {
-        e.set_external_input(chain.x, val(16, 0x123));
-        last = e.step();
-      }
-      return last;
-    };
-    ASSERT_EQ(hold(sim, 6).skipped_blocks, 3u);
-    EngineCheckpoint ck = save_checkpoint(sim);
-    ck.link_ids.clear();
-    ck.link_values.clear();
-    ck.link_digest = 0;
-    ck.sched = SchedulerCheckpoint{};
-    SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                              kind);
-    restore_checkpoint(fresh, ck);  // must not throw
-    EXPECT_EQ(fresh.cycle(), 6u);
-    // Without restored link values the quiescence flags were cleared, so
-    // the first resumed cycle evaluates every block, skipping none,
-    // where the uninterrupted run skips all three — and results stay
-    // bit-identical to the uninterrupted run.
-    EXPECT_EQ(hold(sim, 1).skipped_blocks, 3u);
-    const StepStats first = hold(fresh, 1);
-    EXPECT_EQ(first.skipped_blocks, 0u);
-    EXPECT_GE(first.delta_cycles, 3u);
-    for (const LinkId link : {chain.l1, chain.l2, chain.l3}) {
-      EXPECT_EQ(fresh.link_word(link), sim.link_word(link));
+  PipeChain chain;
+  SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
+                          SchedulerKind::kCompiled);
+  // A held input: by the checkpoint every block is quiescent.
+  const auto hold = [&](Engine& e, SystemCycle cycles) {
+    StepStats last;
+    for (SystemCycle i = 0; i < cycles; ++i) {
+      e.set_external_input(chain.x, val(16, 0x123));
+      last = e.step();
     }
-    drive(sim, chain, 4);
-    drive(fresh, chain, 4);
-    EXPECT_EQ(engine_state_digest(fresh), engine_state_digest(sim));
+    return last;
+  };
+  ASSERT_EQ(hold(sim, 6).skipped_blocks, 3u);
+  EngineCheckpoint ck = save_checkpoint(sim);
+  ck.link_ids.clear();
+  ck.link_values.clear();
+  ck.link_digest = 0;
+  ck.sched = SchedulerCheckpoint{};
+  SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
+                            SchedulerKind::kCompiled);
+  restore_checkpoint(fresh, ck);  // must not throw
+  EXPECT_EQ(fresh.cycle(), 6u);
+  // Without restored link values the quiescence flags were cleared, so
+  // the first resumed cycle evaluates every block, skipping none,
+  // where the uninterrupted run skips all three — and results stay
+  // bit-identical to the uninterrupted run.
+  EXPECT_EQ(hold(sim, 1).skipped_blocks, 3u);
+  const StepStats first = hold(fresh, 1);
+  EXPECT_EQ(first.skipped_blocks, 0u);
+  EXPECT_GE(first.delta_cycles, 3u);
+  for (const LinkId link : {chain.l1, chain.l2, chain.l3}) {
+    EXPECT_EQ(fresh.link_word(link), sim.link_word(link));
   }
+  drive(sim, chain, 4);
+  drive(fresh, chain, 4);
+  EXPECT_EQ(engine_state_digest(fresh), engine_state_digest(sim));
 }
 
 TEST(EngineCheckpoint, ScheduleRrOffsetCanonicalBehaviour) {

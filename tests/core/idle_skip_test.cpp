@@ -1,11 +1,11 @@
-// Idle-cycle skip (DESIGN.md §17): once a gated schedule (worklist or
-// compiled) has run a cycle that evaluated no block, the engine is
-// settled and advance_idle(k) moves it k cycles in O(1). These tests pin
-// the contract: a skip is indistinguishable from k step() calls — the
-// same counters, the same committed state and links, and one
-// on_cycle_commit per skipped cycle with the same StepStats — every
-// write between steps that could change the next cycle unsettles the
-// engine, and the round-robin reference never settles.
+// Idle-cycle skip (DESIGN.md §17): once the gated compiled program has
+// run a cycle that evaluated no block, the engine is settled and
+// advance_idle(k) moves it k cycles in O(1). These tests pin the
+// contract: a skip is indistinguishable from k step() calls — the same
+// counters, the same committed state and links, and one on_cycle_commit
+// per skipped cycle with the same StepStats — every write between steps
+// that could change the next cycle unsettles the engine, and the
+// round-robin reference never settles.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,7 +26,7 @@ using examples::PipeBlock;
 
 /// Three stateful pipes joined by combinational links, fed by one
 /// external input: with the input held the chain reaches a fixed point
-/// in a few cycles, after which a gated engine evaluates nothing.
+/// in a few cycles, after which a compiled engine evaluates nothing.
 struct PipeChain {
   PipeChain() {
     const BlockId p1 = model.add_block(std::make_shared<PipeBlock>(16, 1), "P1");
@@ -84,51 +84,45 @@ void expect_same_engine(const Engine& a, const Engine& b) {
   }
 }
 
-constexpr SchedulerKind kGated[] = {SchedulerKind::kWorklist,
-                                    SchedulerKind::kCompiled};
-
 TEST(EngineIdleSkip, SettledEngineSkipsExactlyAsSteppingWould) {
-  for (const SchedulerKind kind : kGated) {
-    SCOPED_TRACE(scheduler_kind_name(kind));
-    PipeChain m;
-    Engine skipping(m.model, options(kind));
-    Engine stepping(m.model, options(kind));
-    CommitLog skip_log, step_log;
-    skipping.set_observer(&skip_log);
-    stepping.set_observer(&step_log);
-    settle(skipping, m.x, 0x1234);
-    settle(stepping, m.x, 0x1234);
+  PipeChain m;
+  Engine skipping(m.model, options(SchedulerKind::kCompiled));
+  Engine stepping(m.model, options(SchedulerKind::kCompiled));
+  CommitLog skip_log, step_log;
+  skipping.set_observer(&skip_log);
+  stepping.set_observer(&step_log);
+  settle(skipping, m.x, 0x1234);
+  settle(stepping, m.x, 0x1234);
 
-    EXPECT_EQ(skipping.advance_idle(50), 50u);
-    for (int i = 0; i < 50; ++i) {
-      const StepStats s = stepping.step();
-      EXPECT_EQ(s.delta_cycles, 0u);
-    }
-    EXPECT_EQ(skip_log.cycles, step_log.cycles);
-    EXPECT_EQ(skip_log.stats_stream, step_log.stats_stream);
-    EXPECT_EQ(skip_log.cycles.size(), 58u);  // one commit per cycle
-    expect_same_engine(skipping, stepping);
-    EXPECT_EQ(skipping.skipped_cycles(), 50u);
-    EXPECT_EQ(stepping.skipped_cycles(), 0u);
-
-    // Without an observer the skip is a counter move, with the same end.
-    skipping.set_observer(nullptr);
-    stepping.set_observer(nullptr);
-    EXPECT_EQ(skipping.advance_idle(1000), 1000u);
-    for (int i = 0; i < 1000; ++i) {
-      stepping.step();
-    }
-    expect_same_engine(skipping, stepping);
-
-    // The next stimulus wakes both the same way.
-    for (Engine* e : {&skipping, &stepping}) {
-      e->set_external_input(m.x, std::uint64_t{0x4321});
-    }
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(skipping.step(), stepping.step()) << "cycle " << i;
-    }
-    expect_same_engine(skipping, stepping);
+  EXPECT_EQ(skipping.advance_idle(50), 50u);
+  for (int i = 0; i < 50; ++i) {
+    const StepStats s = stepping.step();
+    EXPECT_EQ(s.delta_cycles, 0u);
   }
+  EXPECT_EQ(skip_log.cycles, step_log.cycles);
+  EXPECT_EQ(skip_log.stats_stream, step_log.stats_stream);
+  EXPECT_EQ(skip_log.cycles.size(), 58u);  // one commit per cycle
+  expect_same_engine(skipping, stepping);
+  EXPECT_EQ(skipping.skipped_cycles(), 50u);
+  EXPECT_EQ(stepping.skipped_cycles(), 0u);
+
+  // Without an observer the skip is a counter move, with the same end.
+  skipping.set_observer(nullptr);
+  stepping.set_observer(nullptr);
+  EXPECT_EQ(skipping.advance_idle(1000), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    stepping.step();
+  }
+  expect_same_engine(skipping, stepping);
+
+  // The next stimulus wakes both the same way.
+  for (Engine* e : {&skipping, &stepping}) {
+    e->set_external_input(m.x, std::uint64_t{0x4321});
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(skipping.step(), stepping.step()) << "cycle " << i;
+  }
+  expect_same_engine(skipping, stepping);
 }
 
 TEST(EngineIdleSkip, RoundRobinNeverSettles) {
@@ -143,16 +137,13 @@ TEST(EngineIdleSkip, RoundRobinNeverSettles) {
 }
 
 TEST(EngineIdleSkip, AFreshOrBusyEngineIsNotSettled) {
-  for (const SchedulerKind kind : kGated) {
-    SCOPED_TRACE(scheduler_kind_name(kind));
-    PipeChain m;
-    Engine eng(m.model, options(kind));
-    EXPECT_EQ(eng.advance_idle(5), 0u);  // no step yet
-    eng.set_external_input(m.x, std::uint64_t{7});
-    eng.step();
-    EXPECT_EQ(eng.advance_idle(5), 0u);  // the cycle evaluated blocks
-    EXPECT_EQ(eng.cycle(), 1u);
-  }
+  PipeChain m;
+  Engine eng(m.model, options(SchedulerKind::kCompiled));
+  EXPECT_EQ(eng.advance_idle(5), 0u);  // no step yet
+  eng.set_external_input(m.x, std::uint64_t{7});
+  eng.step();
+  EXPECT_EQ(eng.advance_idle(5), 0u);  // the cycle evaluated blocks
+  EXPECT_EQ(eng.cycle(), 1u);
 }
 
 TEST(EngineIdleSkip, EveryWriteBetweenStepsThatCanMatterUnsettles) {
@@ -199,31 +190,29 @@ TEST(EngineIdleSkip, EveryWriteBetweenStepsThatCanMatterUnsettles) {
       {"reset_engine", [](Engine& e, const PipeChain&) { reset_engine(e); },
        true},
   };
-  for (const SchedulerKind kind : kGated) {
-    for (const Case& c : cases) {
-      SCOPED_TRACE(std::string(scheduler_kind_name(kind)) + ": " + c.name);
-      PipeChain m;
-      Engine eng(m.model, options(kind));
-      Engine ref(m.model, options(kind));
-      settle(eng, m.x, 0x1234);
-      settle(ref, m.x, 0x1234);
-      ASSERT_EQ(eng.advance_idle(3), 3u);  // settled before the write
-      for (int i = 0; i < 3; ++i) {
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PipeChain m;
+    Engine eng(m.model, options(SchedulerKind::kCompiled));
+    Engine ref(m.model, options(SchedulerKind::kCompiled));
+    settle(eng, m.x, 0x1234);
+    settle(ref, m.x, 0x1234);
+    ASSERT_EQ(eng.advance_idle(3), 3u);  // settled before the write
+    for (int i = 0; i < 3; ++i) {
+      ref.step();
+    }
+    c.perturb(eng, m);
+    c.perturb(ref, m);
+    EXPECT_EQ(eng.advance_idle(4), c.unsettles ? 0u : 4u);
+    if (!c.unsettles) {
+      for (int i = 0; i < 4; ++i) {
         ref.step();
       }
-      c.perturb(eng, m);
-      c.perturb(ref, m);
-      EXPECT_EQ(eng.advance_idle(4), c.unsettles ? 0u : 4u);
-      if (!c.unsettles) {
-        for (int i = 0; i < 4; ++i) {
-          ref.step();
-        }
-      }
-      for (int i = 0; i < 6; ++i) {
-        EXPECT_EQ(eng.step(), ref.step()) << "cycle " << i;
-      }
-      expect_same_engine(eng, ref);
     }
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(eng.step(), ref.step()) << "cycle " << i;
+    }
+    expect_same_engine(eng, ref);
   }
 }
 
@@ -231,22 +220,19 @@ TEST(EngineIdleSkip, RestoredCheckpointIsNotSettled) {
   // A checkpoint taken from a settled engine restored into another that
   // had settled on a different stimulus: the restored engine must step
   // (its flags and links came from elsewhere) and then match the source.
-  for (const SchedulerKind kind : kGated) {
-    SCOPED_TRACE(scheduler_kind_name(kind));
-    PipeChain m;
-    Engine src(m.model, options(kind));
-    Engine dst(m.model, options(kind));
-    settle(src, m.x, 0x1234);
-    settle(dst, m.x, 0x5555);
-    const EngineCheckpoint ck = save_checkpoint(src);
-    restore_checkpoint(dst, ck);
-    EXPECT_EQ(dst.advance_idle(5), 0u);
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(dst.step(), src.step()) << "cycle " << i;
-    }
-    expect_same_engine(dst, src);
-    EXPECT_EQ(dst.advance_idle(5), 5u);  // settled again on its own
+  PipeChain m;
+  Engine src(m.model, options(SchedulerKind::kCompiled));
+  Engine dst(m.model, options(SchedulerKind::kCompiled));
+  settle(src, m.x, 0x1234);
+  settle(dst, m.x, 0x5555);
+  const EngineCheckpoint ck = save_checkpoint(src);
+  restore_checkpoint(dst, ck);
+  EXPECT_EQ(dst.advance_idle(5), 0u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(dst.step(), src.step()) << "cycle " << i;
   }
+  expect_same_engine(dst, src);
+  EXPECT_EQ(dst.advance_idle(5), 5u);  // settled again on its own
 }
 
 }  // namespace

@@ -91,16 +91,13 @@ TEST(StaticSchedule, DynamicPolicyGivesIdenticalResultsOnRegisteredRing) {
 TEST(StaticSchedule, RunsTheCompiledProgramAndNoOtherScheduler) {
   // kStatic is the compiled program of a registered-only model, so the
   // scheduler argument may be left at its default or name kCompiled;
-  // a pickup scheduler would be silently ignored, so it is refused.
+  // either way the engine replays the one-pass program.
   RegRing ring(1, 10, 100);
   SequentialSimulator by_default(ring.model, SchedulePolicy::kStatic);
   SequentialSimulator named(ring.model, SchedulePolicy::kStatic, 64, 1,
                             SchedulerKind::kCompiled);
   EXPECT_NE(by_default.compiled_schedule(), nullptr);
   EXPECT_NE(named.compiled_schedule(), nullptr);
-  EXPECT_THROW(SequentialSimulator(ring.model, SchedulePolicy::kStatic, 64,
-                                   1, SchedulerKind::kWorklist),
-               Error);
 }
 
 TEST(StaticSchedule, RejectsCombinationalBoundaries) {
@@ -380,17 +377,17 @@ TEST(DynamicSchedule, IdleNetworkCostsExactlyOnePassPerCycle) {
   }
 }
 
-TEST(DynamicSchedule, WorklistSkipsAnIdleNetworkEntirely) {
-  // The worklist scheduler's quiescence fast path goes one step
-  // further: with every block at a state fixed point and no pending
-  // input activity, an idle cycle evaluates *nothing*.
+TEST(DynamicSchedule, CompiledSkipsAnIdleNetworkEntirely) {
+  // The compiled program's quiescence gate goes one step further: with
+  // every block at a state fixed point and no pending input activity,
+  // an idle cycle evaluates *nothing*.
   CombChain chain;
   SequentialSimulator sim(chain.m, SchedulePolicy::kDynamic,
                           /*max_evals_per_block=*/64, /*schedule_seed=*/1,
-                          SchedulerKind::kWorklist);
+                          SchedulerKind::kCompiled);
   sim.set_external_input(chain.in, val(8, 10));
-  sim.step();  // settling cycle
-  sim.step();  // pending flags from the settling cycle's changes drain
+  sim.step();  // settling cycle: every output moves
+  sim.step();  // nothing moves, which proves each block's fixed point
   for (int cycle = 0; cycle < 5; ++cycle) {
     const StepStats st = sim.step();
     EXPECT_EQ(st.delta_cycles, 0u) << "cycle " << cycle;
@@ -546,7 +543,7 @@ TEST(DynamicSchedule, DesyncedRoundRobinFailsStructurallyInsteadOfHanging) {
 // ---------------------------------------------------------------------------
 // Re-evaluation accounting (explicit first-eval counting): pinned
 // per-scheduler on a chain whose block ids run *against* the dataflow —
-// the shape that separates the three schedulers most sharply.
+// the shape that separates the two schedulers most sharply.
 // ---------------------------------------------------------------------------
 
 /// b0 reads b1's output, b1 reads b2's, b2 reads the external input: the
@@ -589,18 +586,6 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
   EXPECT_EQ(st.delta_cycles, 3u);
   EXPECT_EQ(st.re_evaluations, 0u);
 
-  // Worklist: same first-cycle work, then the quiescence fast path
-  // skips the whole chain.
-  SequentialSimulator wl(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                         SchedulerKind::kWorklist);
-  st = wl.step();
-  EXPECT_EQ(st.delta_cycles, 6u);
-  EXPECT_EQ(st.re_evaluations, 3u);
-  st = wl.step();
-  EXPECT_EQ(st.delta_cycles, 0u);
-  EXPECT_EQ(st.re_evaluations, 0u);
-  EXPECT_EQ(st.skipped_blocks, 3u);
-
   // Compiled: topological order — no re-evaluations ever. The reset
   // transient changes every output in cycle 1, so the gated program
   // skips the fixed-point test then; cycle 2 changes nothing and proves
@@ -618,9 +603,8 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
   EXPECT_EQ(st.re_evaluations, 0u);
   EXPECT_EQ(st.skipped_blocks, 3u);
 
-  // All three reach the same fixed point, naturally.
+  // Both reach the same fixed point, naturally.
   for (const LinkId l : {chain.l2, chain.l1, chain.out}) {
-    EXPECT_EQ(rr.link_value(l), wl.link_value(l));
     EXPECT_EQ(rr.link_value(l), cp.link_value(l));
   }
 }

@@ -113,36 +113,41 @@ TEST(BenchSchema, EveryCommittedBenchRecordIsWellFormed) {
                        << root;
 }
 
-TEST(BenchSchema, CompiledSpeedupRecordBeatsTheWorklist) {
+TEST(BenchSchema, CompiledSpeedupRecordBeatsRoundRobinIdleAndSparse) {
   const std::filesystem::path path =
       std::filesystem::path(TMSIM_SOURCE_DIR) / "BENCH_compiled_speedup.json";
   ASSERT_TRUE(std::filesystem::exists(path))
       << "run build/bench/sched_speedup from the repo root";
   const auto metrics = parse_metrics(slurp(path));
   for (const std::string m :
-       {"compiled.table3_cps.round_robin", "compiled.table3_cps.worklist",
-        "compiled.table3_cps.compiled", "compiled.speedup.table3_cps",
-        "compiled.evals_per_cycle.worklist",
+       {"compiled.table3_cps.round_robin", "compiled.table3_cps.compiled",
+        "compiled.speedup.table3_cps", "compiled.evals_per_cycle.round_robin",
         "compiled.evals_per_cycle.compiled"}) {
     ASSERT_TRUE(metrics.count(m)) << m;
   }
   // The DESIGN.md §17 headline: on an acyclic-region-dominated config
-  // the build-time schedule beats the run-time worklist >= 3x in
+  // the build-time schedule beats the round-robin sweep >= 3x in
   // simulated cycles per second, because it does the fixed point in one
   // topological pass instead of chasing the change wavefront.
   EXPECT_GE(metrics.at("compiled.speedup.table3_cps"), 3.0);
   EXPECT_GE(metrics.at("compiled.table3_cps.compiled"),
-            3.0 * metrics.at("compiled.table3_cps.worklist"));
-  EXPECT_GT(metrics.at("compiled.evals_per_cycle.worklist"),
+            3.0 * metrics.at("compiled.table3_cps.round_robin"));
+  EXPECT_GT(metrics.at("compiled.evals_per_cycle.round_robin"),
             metrics.at("compiled.evals_per_cycle.compiled"));
-  // And the NoC rows are present: the compiled schedule holds its own on
-  // the real router workload, not just the synthetic chain.
-  for (const std::string m :
-       {"compiled.noc_cps.worklist.idle", "compiled.noc_cps.compiled.idle",
-        "compiled.noc_cps.worklist.sparse",
-        "compiled.noc_cps.compiled.sparse"}) {
-    ASSERT_TRUE(metrics.count(m)) << m;
-    EXPECT_GT(metrics.at(m), 0.0) << m;
+  // On the real router workload the gated program must be no slower
+  // than the paper's sweep where most routers are quiescent: the idle
+  // and sparse rows. The saturated row is recorded, not gated.
+  for (const std::string load : {"idle", "sparse", "saturated"}) {
+    for (const std::string lane : {"round_robin", "compiled"}) {
+      const std::string m = "compiled.noc_cps." + lane + "." + load;
+      ASSERT_TRUE(metrics.count(m)) << m;
+      EXPECT_GT(metrics.at(m), 0.0) << m;
+    }
+  }
+  for (const std::string load : {"idle", "sparse"}) {
+    EXPECT_GE(metrics.at("compiled.noc_cps.compiled." + load),
+              metrics.at("compiled.noc_cps.round_robin." + load))
+        << load;
   }
 }
 

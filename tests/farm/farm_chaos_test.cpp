@@ -44,7 +44,10 @@ JobSpec random_spec(std::uint64_t index) {
   // Spare draw (the shard count specs once carried), so every later
   // draw, and every other field, is unchanged.
   (void)rng.next_below(2);
-  spec.scheduler = static_cast<core::SchedulerKind>(rng.next_below(3));
+  // Three-way draw from when a third scheduler existed; its share now
+  // runs the compiled program that replaced it.
+  spec.scheduler = rng.next_below(3) == 0 ? core::SchedulerKind::kRoundRobin
+                                          : core::SchedulerKind::kCompiled;
   spec.workload.be_load = 0.05 * static_cast<double>(rng.next_below(5));
   spec.max_retries = 2;
   if (rng.next_below(4) == 0) {

@@ -207,8 +207,7 @@ TEST(FarmDeterminism, GtOnlyJobsOnAPreemptingFarmMatchStandalone) {
   // busy and in skipped stretches, on whichever cached engine is free.
   std::vector<JobSpec> specs;
   for (const core::SchedulerKind k :
-       {core::SchedulerKind::kCompiled, core::SchedulerKind::kWorklist,
-        core::SchedulerKind::kRoundRobin}) {
+       {core::SchedulerKind::kCompiled, core::SchedulerKind::kRoundRobin}) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
       specs.push_back(gt_only_spec(k, seed));
     }

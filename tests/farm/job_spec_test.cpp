@@ -240,6 +240,28 @@ TEST(JobSpec, DecodeAcceptsLegacyPartitionTokens) {
   }
 }
 
+TEST(JobSpec, DecodeMapsTheLegacyWorklistSchedulerToCompiled) {
+  // The worklist scheduler is gone; the gated compiled program runs in
+  // its place. Older clients and spill segments still name it, so the
+  // token decodes to compiled, the same spec with the same fingerprint,
+  // and encodes back as `scheduler=compiled`.
+  const JobSpec spec = rich_spec();
+  ASSERT_EQ(spec.scheduler, core::SchedulerKind::kCompiled);
+  const std::string text = spec.serialize();
+  EXPECT_NE(text.find(" scheduler=compiled"), std::string::npos) << text;
+  EXPECT_EQ(text.find("worklist"), std::string::npos) << text;
+  std::string legacy = text;
+  legacy.replace(legacy.find("scheduler=compiled"),
+                 std::string("scheduler=compiled").size(),
+                 "scheduler=worklist");
+  const JobSpec back = JobSpec::deserialize(legacy);
+  EXPECT_EQ(back, spec);
+  EXPECT_EQ(back.fingerprint(), spec.fingerprint());
+  EXPECT_EQ(back.serialize(), text);
+  EXPECT_THROW(JobSpec::deserialize(text + " scheduler=event"),
+               ContextualError);
+}
+
 TEST(JobSpec, DecodeIgnoresLegacyShardAndEngineSeedTokens) {
   // Every job runs one shard under a derived schedule seed, so neither
   // token is emitted any more. Older clients and spill segments still
@@ -455,7 +477,7 @@ TEST(JobSpec, HostileNumericTokensAreRefusedOrRun) {
   core_job.net.height = 3;
   core_job.net.topology = noc::Topology::kMesh;
   core_job.net.router.queue_depth = 2;
-  core_job.scheduler = core::SchedulerKind::kWorklist;
+  core_job.scheduler = core::SchedulerKind::kCompiled;
   core_job.workload.be_load = 0.2;
   core_job.workload.be_vcs = {1, 2};
   traffic::GtStream s;

@@ -6,8 +6,7 @@
 //    sharded round-robin engine with and without the cycle cut;
 //  * a non-settling cycle (a NOT self-loop), where compiled must fail
 //    with the same structured ConvergenceError as the reference
-//    scheduler, while the worklist scheduler rejects the shape at
-//    construction time.
+//    scheduler.
 //
 //  * the activity gate on a model with a settle region and a registered
 //    stage — the settle runs its members every cycle and the gate never
@@ -332,10 +331,9 @@ TEST(CompiledEquivalence, SettleMemberWithALaterEvalIsGatedSoundly) {
 }
 
 TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {
-  // A monotone self-loop: or2 a with out0 looped back to in0. The
-  // worklist scheduler rejects this shape outright; compiled confines it
-  // to a one-block settle region and converges (x = x | ext is a fixed
-  // point after one round).
+  // A monotone self-loop: or2 a with out0 looped back to in0. Compiled
+  // confines it to a one-block settle region and converges (x = x | ext
+  // is a fixed point after one round).
   SystemModel model;
   const BlockId a = model.add_block(std::make_shared<Or2Block>(8), "a");
   const LinkId loop = model.add_link("loop", 8, LinkKind::kCombinational);
@@ -356,18 +354,12 @@ TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {
   rr.step();
   EXPECT_EQ(cp.link_value(out), val(8, 0x21));
   EXPECT_EQ(cp.link_value(out), rr.link_value(out));
-
-  EXPECT_THROW(SequentialSimulator(model, SchedulePolicy::kDynamic, 64, 1,
-                                   SchedulerKind::kWorklist),
-               ContextualError);
 }
 
 TEST(CompiledEquivalence, NonSettlingLoopFailsStructurallyUnderCompiled) {
   // NOT self-loop: oscillates forever. The reference scheduler and the
   // compiled settle fallback must both convert the spin into the same
-  // structured report; the worklist scheduler refuses the topology at
-  // construction time (rejection parity is the *same defect surfaced at
-  // a different phase*, never a hang).
+  // structured report, never a hang.
   SystemModel model;
   const BlockId a = model.add_block(std::make_shared<NotBlock>(), "a");
   const LinkId aa = model.add_link("aa", 1, LinkKind::kCombinational);
@@ -396,10 +388,6 @@ TEST(CompiledEquivalence, NonSettlingLoopFailsStructurallyUnderCompiled) {
   EXPECT_EQ(r1.oscillating_blocks, r2.oscillating_blocks);
   ASSERT_FALSE(r2.oscillating_blocks.empty());
   EXPECT_EQ(r2.oscillating_blocks[0], a);
-
-  EXPECT_THROW(SequentialSimulator(model, SchedulePolicy::kDynamic, 16, 1,
-                                   SchedulerKind::kWorklist),
-               ContextualError);
 }
 
 }  // namespace

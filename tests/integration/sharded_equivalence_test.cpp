@@ -243,32 +243,28 @@ TEST(ShardedClamp, MoreShardsThanBlocksClampsAndStaysExact) {
 }
 
 // The sharded engine is one configuration: the round-robin pickup over
-// min-cut regions. The worklist and the op program need one shard,
-// counted after the clamp to the block count.
-TEST(ShardedSchedulers, WorklistAndCompiledNeedOneShard) {
+// min-cut regions. The op program needs one shard, counted after the
+// clamp to the block count.
+TEST(ShardedSchedulers, CompiledNeedsOneShard) {
   NetworkConfig net;
   net.width = 2;
   net.height = 2;
   net.topology = Topology::kMesh;
   const core::NocModel nm = core::build_noc_model(net);
-  for (const SchedulerKind sched :
-       {SchedulerKind::kWorklist, SchedulerKind::kCompiled}) {
-    SCOPED_TRACE(core::scheduler_kind_name(sched));
-    EngineOptions o;
-    o.num_shards = 2;
-    o.scheduler = sched;
-    try {
-      core::Engine eng(nm.model, o);
-      ADD_FAILURE() << "a sharded engine accepted a non-round-robin scheduler";
-    } catch (const ContextualError& e) {
-      EXPECT_EQ(e.context_value("shards"), "2");
-      EXPECT_EQ(e.context_value("scheduler"), core::scheduler_kind_name(sched));
-    }
-    o.num_shards = 1;
-    EXPECT_NO_THROW(core::Engine(nm.model, o));
+  EngineOptions o;
+  o.num_shards = 2;
+  o.scheduler = SchedulerKind::kCompiled;
+  try {
+    core::Engine eng(nm.model, o);
+    ADD_FAILURE() << "a sharded engine accepted a non-round-robin scheduler";
+  } catch (const ContextualError& e) {
+    EXPECT_EQ(e.context_value("shards"), "2");
+    EXPECT_EQ(e.context_value("scheduler"), "compiled");
   }
+  o.num_shards = 1;
+  EXPECT_NO_THROW(core::Engine(nm.model, o));
 
-  // One block clamps any shard count to one, so every scheduler runs.
+  // One block clamps any shard count to one, so the program runs.
   core::SystemModel m;
   const core::BlockId b = m.add_block(
       std::make_shared<core::examples::PipeBlock>(8, 1), "pipe");
@@ -278,13 +274,8 @@ TEST(ShardedSchedulers, WorklistAndCompiledNeedOneShard) {
   m.bind_input(b, 0, in);
   m.bind_output(b, 0, out);
   m.finalize();
-  for (const SchedulerKind sched :
-       {SchedulerKind::kWorklist, SchedulerKind::kCompiled}) {
-    EngineOptions o;
-    o.num_shards = 4;
-    o.scheduler = sched;
-    EXPECT_NO_THROW(core::Engine(m, o)) << core::scheduler_kind_name(sched);
-  }
+  o.num_shards = 4;
+  EXPECT_NO_THROW(core::Engine(m, o));
 }
 
 // A combinational oscillator split across shards must be detected like

@@ -5,11 +5,11 @@
 // schedule evaluates, re-evaluates, skips or settles — in any cycle —
 // fails here even when the results stay bit-identical.
 //
-// The constants were recorded from the dedicated sequential engine that
-// preceded the unified one-shard engine; a deliberate change of
-// scheduling behaviour must re-record them (the failure message prints
-// the new value). The compiled rows were re-recorded when the op program
-// became activity-gated (quiescent blocks skipped, DESIGN.md §17).
+// A deliberate change of scheduling behaviour must re-record the
+// constants (the failure message prints the new value). They were last
+// recorded when StepStats lost its worklist high-water field: this hash
+// was run against the engine just before the worklist scheduler was
+// deleted, and the engine without it reproduces every value unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -50,7 +50,7 @@ std::uint64_t stats_stream_hash(const EngineOptions& opts, double load) {
     const core::StepStats& s = sim.last_step_stats();
     for (const std::uint64_t field :
          {std::uint64_t{s.delta_cycles}, std::uint64_t{s.re_evaluations},
-          s.skipped_blocks, s.worklist_high_water,
+          s.skipped_blocks,
           std::uint64_t{s.link_changes}, s.settle_rounds, s.cut_publishes,
           s.barrier_spins}) {
       fnv_mix(hash, field);
@@ -68,22 +68,17 @@ struct PinnedStream {
 };
 
 constexpr SchedulerKind kRr = SchedulerKind::kRoundRobin;
-constexpr SchedulerKind kWl = SchedulerKind::kWorklist;
 constexpr SchedulerKind kCp = SchedulerKind::kCompiled;
 
 constexpr PinnedStream kPinned[] = {
-    {kRr, 0.02, 1, 14177976529857831366ull},
-    {kRr, 0.02, 7, 14177976529857831366ull},
-    {kRr, 0.30, 1, 8476482277377185957ull},
-    {kRr, 0.30, 7, 12946309072524607941ull},
-    {kWl, 0.02, 1, 12641621498358377614ull},
-    {kWl, 0.02, 7, 12641621498358377614ull},
-    {kWl, 0.30, 1, 6121459150801525735ull},
-    {kWl, 0.30, 7, 6121459150801525735ull},
-    {kCp, 0.02, 1, 3861089940015718284ull},
-    {kCp, 0.02, 7, 3861089940015718284ull},
-    {kCp, 0.30, 1, 1237630644120166203ull},
-    {kCp, 0.30, 7, 1237630644120166203ull},
+    {kRr, 0.02, 1, 7121238330394989286ull},
+    {kRr, 0.02, 7, 7121238330394989286ull},
+    {kRr, 0.30, 1, 1153986466245850181ull},
+    {kRr, 0.30, 7, 6058602517560931813ull},
+    {kCp, 0.02, 1, 1765643393862280300ull},
+    {kCp, 0.02, 7, 1765643393862280300ull},
+    {kCp, 0.30, 1, 367588972192380635ull},
+    {kCp, 0.30, 7, 367588972192380635ull},
 };
 
 TEST(StepStatsPin, OneShardStreamMatchesRecordedHashes) {

@@ -54,7 +54,10 @@ farm::JobSpec random_spec(std::uint64_t index) {
   // Spare draw (the shard count specs once carried), so every later
   // draw, and every other field, is unchanged.
   (void)rng.next_below(2);
-  spec.scheduler = static_cast<core::SchedulerKind>(rng.next_below(3));
+  // Three-way draw from when a third scheduler existed; its share now
+  // runs the compiled program that replaced it.
+  spec.scheduler = rng.next_below(3) == 0 ? core::SchedulerKind::kRoundRobin
+                                          : core::SchedulerKind::kCompiled;
   spec.workload.be_load = 0.05 * static_cast<double>(rng.next_below(5));
   spec.max_retries = 2;
   if (rng.next_below(4) == 0) {
@@ -469,8 +472,9 @@ TEST(FarmdRemote, RecoveredRecordsThisDaemonCannotRunFailToTheirClient) {
   // Spill segments outlive the daemon that wrote them, and an older
   // daemon decoded and admitted specs this one does not: a `two_phase`
   // policy token (still decoded: results do not depend on the schedule),
-  // a `static` one (never admitted, no longer decodes), and a BE packet
-  // with no payload (admitted, then failed on a worker). Each record must
+  // a `static` one (never admitted, no longer decodes), a BE packet with
+  // no payload (admitted, then failed on a worker), and the deleted
+  // worklist scheduler (decoded as compiled, and run). Each record must
   // end in exactly one terminal result for its client — never a dead
   // daemon, never a job that hangs without a result.
   const std::string dir = scratch_dir("refused");
@@ -484,10 +488,16 @@ TEST(FarmdRemote, RecoveredRecordsThisDaemonCannotRunFailToTheirClient) {
   ASSERT_EQ(base_standalone.status, farm::JobStatus::kDone);
   farm::JobSpec payloadless = base;
   payloadless.workload.be_bytes = 0;
+  farm::JobSpec compiled = base;
+  compiled.scheduler = core::SchedulerKind::kCompiled;
+  std::string worklist = compiled.serialize();
+  const std::string token = "scheduler=compiled";
+  worklist.replace(worklist.find(token), token.size(), "scheduler=worklist");
   const std::map<std::uint64_t, std::string> legacy = {
       {10, base.serialize() + " policy=two_phase"},
       {11, base.serialize() + " policy=static"},
       {12, payloadless.serialize()},
+      {13, worklist},
   };
   {
     SpillQueue crashed(dir);
@@ -514,6 +524,11 @@ TEST(FarmdRemote, RecoveredRecordsThisDaemonCannotRunFailToTheirClient) {
   ASSERT_EQ(results.size(), legacy.size());
   std::string why;
   EXPECT_TRUE(farm::results_equivalent(base_standalone, results.at(10), &why))
+      << why;
+  ASSERT_EQ(results.at(13).status, farm::JobStatus::kDone)
+      << results.at(13).error;
+  EXPECT_TRUE(farm::results_equivalent(farm::run_job_standalone(compiled),
+                                       results.at(13), &why))
       << why;
   for (const std::uint64_t refused : {11u, 12u}) {
     const farm::JobResult& r = results.at(refused);

@@ -315,7 +315,7 @@ TEST(RouterStateCodecShapes, DeserializeAgreesWithLayoutOnArbitraryWords) {
 // registers resident as RouterState and never encodes them per delta
 // cycle, so three facts must hold on every shape for that to lose
 // nothing: the word round-trips through the resident state, the typed
-// fixed-point compare the worklist uses is exactly word equality, and no
+// fixed-point compare the op program uses is exactly word equality, and no
 // transient evaluation produces a state the codec would refuse.
 // ---------------------------------------------------------------------------
 

@@ -156,6 +156,47 @@ TEST(VcdDiff, ReportsSignalSetMismatch) {
   EXPECT_TRUE(d.only_in_b.empty());
 }
 
+/// A two-cycle dump of one link plus the tracer's `sim.` bookkeeping.
+std::string link_and_sim_dump(std::uint64_t link_at_1,
+                              std::uint64_t deltas_at_1) {
+  std::ostringstream os;
+  VcdWriter w(os);
+  const auto link = w.add_signal("r0.out", 8);
+  const auto deltas = w.add_signal("sim.delta_cycles", 32);
+  const auto rounds = w.add_signal("sim.settle_rounds", 16);
+  w.write_header();
+  w.begin_time(0);
+  w.change_u64(link, 0x11);
+  w.change_u64(deltas, 4);
+  w.change_u64(rounds, 1);
+  w.begin_time(1);
+  w.change_u64(link, link_at_1);
+  w.change_u64(deltas, deltas_at_1);
+  return os.str();
+}
+
+TEST(VcdDiff, SchedulerBookkeepingIsNotCompared) {
+  // Two schedules of one run differ only in how much work each cycle
+  // took: the `sim.` signals are left out, so they do not diverge.
+  {
+    std::istringstream a(link_and_sim_dump(0x22, 4)),
+        b(link_and_sim_dump(0x22, 0));
+    const VcdDivergence d = vcd_diff(a, b);
+    EXPECT_FALSE(d.diverged) << d.summary();
+    EXPECT_TRUE(d.only_in_a.empty());
+    EXPECT_TRUE(d.only_in_b.empty());
+  }
+  // A design signal still diverges, and is named.
+  {
+    std::istringstream a(link_and_sim_dump(0x22, 4)),
+        b(link_and_sim_dump(0x23, 0));
+    const VcdDivergence d = vcd_diff(a, b);
+    EXPECT_TRUE(d.diverged);
+    EXPECT_EQ(d.time, 1u);
+    EXPECT_EQ(d.signal, "r0.out");
+  }
+}
+
 // --- VcdTracer against a real engine ---------------------------------------
 
 /// Fig. 2-style registered ring: deterministic, converges every cycle.
