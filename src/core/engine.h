@@ -1,14 +1,11 @@
-// Engine: the simulation engine — the paper's §4 method (evaluate the
-// partitions of a parallel synchronous system one at a time) over N
-// shards, in Manticore's static bulk-synchronous style with the partition
-// chosen by src/core/partition.h. The shard count is just a parameter:
-// one shard is the sequential engine of the paper, inline on the calling
-// thread with no worker threads and no cut links (SequentialSimulator is
-// that case). Everything above the engine — the NoC facade, the FPGA
-// design model, the differential test harness — runs this one class, and
-// DirectNocSimulation is the independent reference it is proved against,
-// so the shard count and the schedule can never change what a workload
-// observes, only how fast it runs.
+// Engine: the simulation engine — the paper's §4 method: evaluate the
+// partitions (blocks) of a parallel synchronous system one at a time on
+// one sequential processor, inline on the calling thread. Everything
+// above the engine — the NoC facade, the FPGA design model, the
+// differential test harness — runs this one class (SequentialSimulator
+// only adds the paper's schedule names), and DirectNocSimulation is the
+// independent reference it is proved against, so the schedule can never
+// change what a workload observes, only how fast it runs.
 //
 // Shared vocabulary (§4): a *system cycle* is one clock cycle of the
 // simulated parallel design; a *delta cycle* is one block evaluation and
@@ -26,38 +23,18 @@
 //    SchedulePolicy::kStatic (registered links are never gated);
 //  - kRoundRobin: the §4.2 pickup — all HBR bits cleared at cycle start,
 //    non-stable blocks picked by the round-robin cursor, a changed link
-//    write destabilizing its readers.
+//    write destabilizing its reader.
 //
-// kCompiled runs on one shard only; more shards means the round-robin
-// pickup, and the constructor rejects anything else.
-//
-// Every shard owns a shard-local double-banked StateMemory (one bank
-// pointer per block, flipped only for the blocks evaluated) and a
-// shard-local LinkMemory materializing exactly the links its blocks
-// touch; one worker thread runs each shard beyond the first (the
-// constructing thread runs shard 0). Cut links are *mirrored*: the
-// writer's shard keeps the authoritative copy (for change detection),
-// the reader's shard keeps a replica (for evaluation and its HBR bit),
-// and the two are reconciled through a versioned single-writer mailbox
-// slot at every superstep barrier.
-//
-// One system cycle is a sequence of *supersteps*:
-//
-//   phase A  every shard runs its schedule until locally stable,
-//            publishing changed cut-link values;
-//   barrier  (also agrees "did anyone diverge?");
-//   phase B  every shard polls its incoming slots; a changed value is
-//            written to the replica, the replica's HBR bit is cleared
-//            and the reading block destabilized — exactly the §4.2 rule,
-//            one superstep late;
-//   barrier  (agrees "how many blocks are unstable anywhere?"),
-//
-// repeated until the global count is zero; one shard always needs
-// exactly one. The final link fixed point — and therefore every register
-// bit — does not depend on the shard count or the schedule;
-// tests/integration/sharded_equivalence_test.cpp enforces this
-// differentially against the one-shard engine and the struct-state
-// DirectNocSimulation. Only StepStats may differ.
+// The engine holds one double-banked StateMemory (one bank pointer per
+// block, flipped only for the blocks evaluated) and one LinkMemory (one
+// word per link, HBR bits for the combinational ones). A system cycle
+// runs the schedule until every block is stable, then commits the
+// evaluated blocks and flips the registered link banks. The final link
+// fixed point — and therefore every register bit — does not depend on
+// the schedule; tests/integration/sched_equivalence_test.cpp and
+// seq_equivalence_test.cpp enforce this differentially against the
+// round-robin reference and the struct-state DirectNocSimulation. Only
+// StepStats may differ.
 //
 // Idle-cycle skip (DESIGN.md §17): a cycle in which the gated op program
 // evaluated no block is the identity on both banks and every link, and
@@ -69,11 +46,9 @@
 // step() calls would have produced.
 // The round-robin reference never settles.
 //
-// Divergence (an oscillating combinational loop) is detected
-// cooperatively: per-shard evaluation budgets and a superstep bound are
-// reduced through the barrier so every worker abandons the cycle at the
-// same point, and step() throws a ConvergenceError with the shards'
-// reports merged.
+// Divergence (an oscillating combinational loop) is bounded by a
+// per-cycle evaluation budget: step() throws a ConvergenceError carrying
+// a ConvergenceReport instead of looping forever.
 #pragma once
 
 #include <array>
@@ -81,10 +56,8 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/static_schedule.h"
@@ -92,8 +65,6 @@
 #include "common/error.h"
 #include "common/types.h"
 #include "core/link_memory.h"
-#include "core/partition.h"
-#include "core/shard_mailbox.h"
 #include "core/state_memory.h"
 #include "core/system_model.h"
 
@@ -101,8 +72,7 @@ namespace tmsim::core {
 
 /// The engine's one schedule setting: how the next block to evaluate is
 /// found. The paper's §4.1 / §4.2 vocabulary (SchedulePolicy) lives only
-/// in the one-shard SequentialSimulator adapter. kCompiled needs a
-/// one-shard engine.
+/// in the SequentialSimulator adapter.
 ///
 ///  - kRoundRobin: the paper's Fig. 5 scheduler — a dense sweep over the
 ///    unstable bitmap. O(num_blocks) scan work per delta sweep even when
@@ -137,24 +107,21 @@ const char* scheduler_kind_name(SchedulerKind k);
 /// Everything that configures an Engine, spelled once: the NoC facade,
 /// the FPGA design model and the farm's JobSpec all carry this struct.
 struct EngineOptions {
-  /// Shard (worker) count; clamped to the model's block count. 1 is the
-  /// sequential engine, run on the calling thread; more shards are
-  /// min-cut regions (core/partition.h) run by the round-robin pickup.
+  /// Accepted and never read; the benchmark change that retires the
+  /// benchmark's sharded4 lane (ROADMAP items 4/7) removes this line.
   std::size_t num_shards = 1;
-  /// Rotates each shard's starting round-robin cursor (dynamic
-  /// schedule). Seed 1 is canonical (cursor 0 everywhere); shard 0 starts
-  /// at schedule_rr_offset(seed, size), the other shards at
-  /// domain-separated offsets. Results are schedule-independent, so this
-  /// can only change StepStats.
+  /// Rotates the starting round-robin cursor (dynamic schedule) to
+  /// schedule_rr_offset(seed, num_blocks). Seed 1 is canonical (cursor
+  /// 0). Results are schedule-independent, so this can only change
+  /// StepStats.
   std::uint64_t seed = 1;
   /// The schedule: kRoundRobin is the dense §4.2 sweep, kCompiled the
-  /// gated build-time op program, which needs num_shards == 1 (after the
-  /// clamp); the constructor throws a ContextualError otherwise.
-  /// Bit-identical results in every case; only StepStats may differ.
+  /// gated build-time op program. Bit-identical results in every case;
+  /// only StepStats may differ.
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
-  /// Per-cycle evaluation budget per block and superstep bound;
-  /// exceeding either means a non-settling combinational loop, reported
-  /// as a ConvergenceError rather than an infinite loop.
+  /// Per-cycle evaluation budget per block; exceeding it means a
+  /// non-settling combinational loop, reported as a ConvergenceError
+  /// rather than an infinite loop.
   std::size_t max_evals_per_block = 64;
 
   friend bool operator==(const EngineOptions&, const EngineOptions&) = default;
@@ -206,19 +173,13 @@ struct StepStats {
   std::uint64_t skipped_blocks = 0;
   /// Combinational link writes whose value differed from memory.
   std::size_t link_changes = 0;
-  /// Settle/exchange rounds the cycle took: 1 for the sequential
-  /// schedules (one fixed-point search), the superstep count for the
-  /// sharded engine.
+  /// Always 1 and always 0: the benchmark reads both, and the benchmark
+  /// change of ROADMAP items 4/7 removes them.
   std::uint64_t settle_rounds = 1;
-  /// Cut-link mailbox publishes (sharded engine only).
   std::uint64_t cut_publishes = 0;
-  /// Barrier spin-loop iterations summed over shards (sharded only) —
-  /// the wait-skew signal Manticore-style instrumentation watches.
-  std::uint64_t barrier_spins = 0;
 
   /// Whole-struct equality: what the checkpoint/restore stats-stream
-  /// tests diff (barrier_spins is wall-clock noise on the sharded
-  /// engine, so those tests compare the deterministic fields).
+  /// tests diff.
   friend bool operator==(const StepStats&, const StepStats&) = default;
 };
 
@@ -228,11 +189,8 @@ class Engine;
 /// implementation of every callback is a no-op, and the engine guards
 /// each notification behind a null pointer check, so an unobserved run does
 /// no extra work and is bit-identical to one on a build without the obs
-/// subsystem (tests/obs/obs_off_test.cpp).
-///
-/// Threading: on_cycle_commit / on_convergence_failure arrive on the
-/// thread that called Engine::step(); on_superstep arrives on sharded
-/// worker threads *concurrently* — implementations must synchronize.
+/// subsystem (tests/obs/obs_off_test.cpp). Every callback arrives on the
+/// thread that called Engine::step().
 class SimObserver {
  public:
   virtual ~SimObserver();
@@ -244,9 +202,8 @@ class SimObserver {
     (void)stats;
   }
 
-  /// One sharded superstep (settle + exchange) finished on `shard`.
-  /// `settle_ns` / `barrier_ns` split the superstep's wall time into
-  /// useful evaluation and barrier wait.
+  /// Never called; the benchmark overrides it, and the benchmark change
+  /// of ROADMAP items 4/7 removes it.
   virtual void on_superstep(std::size_t shard, std::uint64_t superstep,
                             std::uint64_t settle_ns,
                             std::uint64_t barrier_ns) {
@@ -276,20 +233,19 @@ class SimObserver {
 /// checkpoints carry this too. Deliberately excluded from the checkpoint
 /// digest: it is not architectural state.
 ///
-/// The encoding is shard-count-agnostic: one cursor per shard (the
-/// sequential engine has one; an op program moves none and saves none)
-/// and the quiescence flags in model block order. A restore into an
+/// The round-robin pickup saves its cursor, the op program (which moves
+/// no cursor) its quiescence flags in block order. A restore into an
 /// engine whose shape does not match — or from a default-constructed
-/// (empty) snapshot — canonicalizes instead: cursors back to their
-/// seeded initial offsets, flags cleared, so the first resumed cycle
+/// (empty) snapshot — canonicalizes instead: the cursor back to its
+/// seeded initial offset, flags cleared, so the first resumed cycle
 /// evaluates every block.
 struct SchedulerCheckpoint {
-  std::vector<std::size_t> rr_cursors;  ///< one per shard (pickup only)
-  std::vector<char> state_fixed;        ///< quiescence flags, model order
-  std::vector<char> pending_input;      ///< quiescence flags, model order
+  std::optional<std::size_t> rr_cursor;  ///< round-robin pickup only
+  std::vector<char> state_fixed;         ///< quiescence flags, block order
+  std::vector<char> pending_input;       ///< quiescence flags, block order
 
   bool empty() const {
-    return rr_cursors.empty() && state_fixed.empty() && pending_input.empty();
+    return !rr_cursor && state_fixed.empty() && pending_input.empty();
   }
 };
 
@@ -330,10 +286,7 @@ struct EngineCheckpoint {
 /// only StepStats (how much work the schedule did) may differ.
 class Engine {
  public:
-  /// Throws ContextualError (context `shards`, `scheduler`) when more
-  /// than one shard, after the clamp, comes with kCompiled.
   Engine(const SystemModel& model, const EngineOptions& opts);
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -366,8 +319,8 @@ class Engine {
   /// change event.
   void load_link_value(LinkId link, const BitVector& value);
 
-  /// Returns every link value, HBR bit, cut-link replica and mailbox slot
-  /// to power-on zero (reset_engine). Only call between steps.
+  /// Returns every link value and HBR bit to power-on zero
+  /// (reset_engine). Only call between steps.
   void clear_links();
 
   /// Simulates one system cycle.
@@ -398,8 +351,8 @@ class Engine {
   /// steps. Does not touch state or link memory.
   void rebase(SystemCycle cycle, DeltaCycle total_deltas);
 
-  /// Snapshot of the scheduler-canonical bookkeeping (cursors, quiescence
-  /// flags) in the shard-count-agnostic SchedulerCheckpoint encoding.
+  /// Snapshot of the scheduler-canonical bookkeeping (cursor, quiescence
+  /// flags).
   SchedulerCheckpoint scheduler_checkpoint() const;
 
   /// Restores (or canonicalizes, for an empty/mismatched snapshot) the
@@ -412,12 +365,6 @@ class Engine {
   /// steps, so attaching between step() calls is always safe.
   void set_observer(SimObserver* obs) { observer_ = obs; }
 
-  /// Cut links (== mailbox slots) under the active partition.
-  std::size_t num_boundary_links() const { return boundary_links_; }
-  /// Barrier-separated supersteps executed so far (at least one per
-  /// system cycle; each superstep is a settle + exchange round).
-  std::uint64_t total_supersteps() const { return total_supersteps_; }
-
  protected:
   /// The op program replayed every system cycle, or null under the
   /// round-robin pickup.
@@ -426,80 +373,11 @@ class Engine {
   }
 
   /// Called once per delta cycle with (system cycle, delta index within
-  /// the cycle, evaluated block), on the evaluating thread — set only on
-  /// one-shard engines (SequentialSimulator::set_trace_hook).
+  /// the cycle, evaluated block) — SequentialSimulator::set_trace_hook.
   std::function<void(SystemCycle, DeltaCycle, BlockId)> trace_;
 
  private:
   friend class SequentialSimulatorTestPeer;
-
-  struct InSlot {
-    LinkId link = 0;
-    std::size_t slot = 0;
-    std::uint64_t last_seen = 0;
-    LinkKind kind = LinkKind::kCombinational;
-  };
-
-  struct Shard {
-    std::size_t index = 0;
-    std::vector<BlockId> blocks;      // global ids
-    std::vector<const BlockInstance*> inst;  // model entry per local block
-    StateMemory state;                // indexed by local block index
-    LinkMemory links;                 // global LinkIds, subset-materialized
-    std::vector<InSlot> incoming;     // cut links read by this shard
-
-    // Unstable-block bookkeeping (local block indices): the §4.2 pickup's
-    // work set; under an op program, the report mirror of a settling SCC.
-    std::vector<char> unstable;
-    std::size_t unstable_count = 0;
-    std::size_t rr_next = 0;
-    std::size_t rr_init = 0;  // seeded cursor; canonical restore target
-
-    // First-evaluation accounting (per cycle): the coordinator computes
-    // re_evaluations = Σ delta_cycles - Σ first_evals, identically under
-    // every schedule, so a cycle abandoned mid-settle cannot underflow.
-    std::vector<char> evaluated;
-    std::size_t first_evals = 0;
-
-    std::vector<char> scc_unstable;  // kCompiled scratch, per settling SCC
-
-    // Quiescence flags of the gated op program (one shard, so local
-    // indices are block ids; empty under round-robin).
-    std::vector<char> skippable;      // static: may ever be skipped
-    std::vector<char> state_fixed;    // last committing eval: old == new
-    std::vector<char> pending_input;  // input changed since that eval
-
-    /// Evaluating block i now would rewrite its outputs with the values
-    /// they hold and reproduce its old state, so it may be skipped.
-    bool quiescent(std::size_t i) const {
-      return skippable[i] && state_fixed[i] && !pending_input[i];
-    }
-
-    // Per-cycle outcome, read by the coordinator after the final barrier.
-    StepStats stats;
-    bool diverged = false;
-    bool cycle_failed = false;
-    std::size_t supersteps = 0;
-    std::exception_ptr error;
-    ConvergenceReport report;
-    // Wall-clock mark for observer superstep timing (worker-local).
-    std::uint64_t mark_ns = 0;
-
-    // Port words of the evaluation in flight, sized to the widest block.
-    std::vector<std::uint64_t> in_words;
-    std::vector<std::uint64_t> out_words;
-    static constexpr std::size_t kChangedLinkHistory = 8;
-    std::array<LinkId, kChangedLinkHistory> recent_changed_links{};
-    std::size_t recent_changed_count = 0;
-
-    Shard(std::size_t idx, std::vector<BlockId> blks,
-          const std::vector<const SimBlock*>& logic, const SystemModel& model,
-          const std::vector<char>& materialize)
-        : index(idx),
-          blocks(std::move(blks)),
-          state(logic),
-          links(model, materialize) {}
-  };
 
   /// Settle context threaded through op-program evaluations while a
   /// CompiledScc settles.
@@ -510,50 +388,71 @@ class Engine {
     std::size_t* remaining = nullptr;
   };
 
-  void worker_main(std::size_t s);
-  void run_cycle(std::size_t s);
+  /// Runs the schedule to the cycle's link fixed point; false when the
+  /// evaluation budget ran out (the cycle failed).
+  bool settle_round_robin();
+  bool run_program();
+  bool settle_scc(std::uint32_t scc_index);
   /// One evaluation: step() the block, or under a kDrive op (`drive`)
   /// run its G only. `ctx` is non-null inside a kSettle op.
-  void evaluate_block(Shard& sh, std::size_t local,
-                      const CompiledSettleCtx* ctx, bool drive = false);
-  void run_program(Shard& sh);
-  void settle_scc_local(Shard& sh, std::uint32_t scc_index);
-  void settle_local(Shard& sh);
-  void apply_incoming(Shard& sh);
-  void destabilize_local(Shard& sh, BlockId global);
-  bool inputs_all_read(const Shard& sh, BlockId global) const;
-  void fill_report(Shard& sh);
-  template <typename F>
-  void guarded(Shard& sh, F&& f);
-  /// Two aligned barrier syncs shared by every schedule: agree on
-  /// failure after the evaluation phase, then exchange and agree on
-  /// global instability. Returns false when the cycle must be abandoned.
-  bool exchange_round(Shard& sh);
+  void evaluate_block(BlockId b, const CompiledSettleCtx* ctx,
+                      bool drive = false);
+  void destabilize(BlockId b);
+  bool inputs_all_read(BlockId b) const;
+  /// Builds the failed cycle's report, notifies the observer and throws.
+  [[noreturn]] void fail_cycle();
+
+  /// Evaluating block b now would rewrite its outputs with the values
+  /// they hold and reproduce its old state, so it may be skipped.
+  bool quiescent(BlockId b) const {
+    return skippable_[b] && state_fixed_[b] && !pending_input_[b];
+  }
 
   const SystemModel& model_;
   EngineOptions opts_;
   /// The op program (kCompiled only), built once over the whole model;
   /// it alone keeps quiescence flags.
   std::optional<analysis::CompiledSchedule> program_;
-  Partition part_;
-  std::size_t boundary_links_ = 0;
-  std::vector<std::size_t> local_of_;       // global block -> local index
-  std::vector<std::size_t> link_home_;      // link -> authoritative shard
-  std::vector<std::size_t> slot_of_link_;   // link -> mailbox slot (or npos)
-  std::vector<char> link_comb_;             // link -> is combinational
+  std::vector<char> link_comb_;  ///< link -> is combinational
   /// link -> its one reader block when combinational, ~0 otherwise.
   std::vector<BlockId> comb_reader_;
 
-  std::unique_ptr<ShardMailbox> mailbox_;
-  std::unique_ptr<ShardBarrier> barrier_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::thread> threads_;
-  bool stop_ = false;
+  StateMemory state_;
+  LinkMemory links_;
+
+  // Unstable-block bookkeeping of the §4.2 pickup.
+  std::vector<char> unstable_;
+  std::size_t unstable_count_ = 0;
+  std::size_t rr_next_ = 0;
+  std::size_t rr_init_ = 0;  ///< seeded cursor; canonical restore target
+
+  // First-evaluation accounting (per cycle): re_evaluations =
+  // delta_cycles - first_evals, identically under every schedule, so a
+  // cycle abandoned mid-settle cannot underflow.
+  std::vector<char> evaluated_;
+  std::size_t first_evals_ = 0;
+
+  std::vector<char> scc_unstable_;  ///< kCompiled scratch, per settling SCC
+  /// The SCC whose settle ran out of budget (its members are the
+  /// report's oscillating blocks); null otherwise.
+  const analysis::CompiledScc* tripped_scc_ = nullptr;
+
+  // Quiescence flags of the gated op program (empty under round-robin).
+  std::vector<char> skippable_;      ///< static: may ever be skipped
+  std::vector<char> state_fixed_;    ///< last committing eval: old == new
+  std::vector<char> pending_input_;  ///< input changed since that eval
+
+  StepStats stats_;  ///< the cycle in flight
+  // Port words of the evaluation in flight, sized to the widest block.
+  std::vector<std::uint64_t> in_words_;
+  std::vector<std::uint64_t> out_words_;
+  static constexpr std::size_t kChangedLinkHistory = 8;
+  std::array<LinkId, kChangedLinkHistory> recent_changed_links_{};
+  std::size_t recent_changed_count_ = 0;
 
   SimObserver* observer_ = nullptr;
   SystemCycle cycle_ = 0;
   DeltaCycle total_delta_cycles_ = 0;
-  std::uint64_t total_supersteps_ = 0;
   /// The last step() of the op program evaluated no block and nothing
   /// has changed since: every further cycle repeats it (advance_idle).
   bool settled_ = false;
@@ -578,14 +477,14 @@ EngineCheckpoint save_checkpoint(const Engine& eng);
 /// snapshot names exactly the links save_checkpoint emits for this model
 /// (connected combinational links, ascending), throwing ContextualError
 /// on any mismatch. `eng` may be a different instance — with a different
-/// shard count or schedule — than the one that produced `ck`. External
+/// schedule — than the one that produced `ck`. External
 /// inputs come back holding the values last driven before the snapshot;
 /// drive them for the next cycle as usual.
 void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck);
 
 /// Returns `eng` to its power-on state: every block reloaded with its
-/// reset state, every link value and HBR bit (and, sharded, every replica
-/// and mailbox slot) zeroed, scheduling state canonical, counters rebased
+/// reset state, every link value and HBR bit zeroed, scheduling state
+/// canonical, counters rebased
 /// to zero — indistinguishable from a fresh engine, StepStats included.
 /// This is what makes engine instances reusable across farm jobs.
 void reset_engine(Engine& eng);

@@ -4,16 +4,9 @@
 
 namespace tmsim::core {
 
-LinkMemory::LinkMemory(const SystemModel& model)
-    : LinkMemory(model, std::vector<char>(model.num_links(), 1)) {}
-
-LinkMemory::LinkMemory(const SystemModel& model,
-                       const std::vector<char>& materialize) {
+LinkMemory::LinkMemory(const SystemModel& model) {
   TMSIM_CHECK_MSG(model.finalized(), "model must be finalized");
-  TMSIM_CHECK_MSG(materialize.size() == model.num_links(),
-                  "materialize flags must cover every link");
   const std::size_t n = model.num_links();
-  materialized_ = materialize;
   bank_[0].assign(n, 0);
   bank_[1].assign(n, 0);
   mask_.reserve(n);
@@ -53,7 +46,6 @@ void LinkMemory::clear() {
 std::size_t LinkMemory::total_bits() const {
   std::size_t bits = 0;
   for (LinkId l = 0; l < width_.size(); ++l) {
-    if (!materialized_[l]) continue;
     // Combinational: value + HBR bit; registered: two banks.
     bits += registered_[l] ? 2u * width_[l] : width_[l] + 1u;
   }

@@ -31,13 +31,6 @@ class LinkMemory {
  public:
   explicit LinkMemory(const SystemModel& model);
 
-  /// Shard-local variant: materializes storage only for the links in
-  /// `materialize` (flag per LinkId). Accessing a link outside the
-  /// subset is an Error — a shard touching a link it neither writes nor
-  /// reads is always an engine bug, and catching it here is what keeps
-  /// the shards' memories provably disjoint.
-  LinkMemory(const SystemModel& model, const std::vector<char>& materialize);
-
   /// Value a *reader* of link l sees right now: the single stored value
   /// for combinational links, the old bank for registered links.
   std::uint64_t word(LinkId l) const {
@@ -99,7 +92,6 @@ class LinkMemory {
  private:
   void check(LinkId l) const {
     TMSIM_CHECK_MSG(l < width_.size(), "link index out of range");
-    TMSIM_CHECK_MSG(materialized_[l], "link not materialized in this shard");
   }
   void check_comb(LinkId l) const {
     check(l);
@@ -113,7 +105,6 @@ class LinkMemory {
   std::vector<std::uint64_t> mask_;      // low `width` bits set
   std::vector<std::uint8_t> width_;
   std::vector<std::uint8_t> registered_;  // 0 or 1: bank index mask
-  std::vector<char> materialized_;
   std::vector<std::uint64_t> hbr_;        // bitset over LinkIds
   std::size_t old_bank_ = 0;
 };

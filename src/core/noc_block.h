@@ -1,7 +1,7 @@
 // RouterBlock: the case-study router packaged as a SimBlock, and
 // SeqNocSimulation: the whole NoC wired into a SystemModel and executed by
-// the core engine (one shard by default: the paper's sequential method) —
-// i.e. the paper's FPGA simulator architecture expressed over the engine.
+// the core engine, the paper's sequential method — i.e. the paper's FPGA
+// simulator architecture expressed over the engine.
 //
 // Port convention of RouterBlock:
 //   inputs  0..4 — forward link arriving at input port p (21 bits)
@@ -107,11 +107,10 @@ struct NocModel {
 /// `net` must outlive the returned model (RouterBlocks keep a pointer).
 NocModel build_noc_model(const noc::NetworkConfig& net);
 
-/// NocSimulation facade over the core engine. EngineOptions::num_shards
-/// == 1 (the default) is the sequential engine, the paper's method on the
-/// calling thread; > 1 splits the same model over worker threads —
-/// bit-identical results, enforced by
-/// tests/integration/sharded_equivalence_test.cpp.
+/// NocSimulation facade over the core engine, the paper's method on the
+/// calling thread. Every EngineOptions::scheduler gives bit-identical
+/// results to DirectNocSimulation, enforced by
+/// tests/integration/seq_equivalence_test.cpp.
 class SeqNocSimulation : public noc::NocSimulation {
  public:
   explicit SeqNocSimulation(const noc::NetworkConfig& net,
@@ -143,7 +142,7 @@ class SeqNocSimulation : public noc::NocSimulation {
   /// Session checkpointing (DESIGN.md §11). checkpoint() snapshots the
   /// committed router states between steps; restore() loads a snapshot —
   /// possibly taken from a *different* SeqNocSimulation over an equal
-  /// NetworkConfig, even one with another shard count or schedule —
+  /// NetworkConfig, even one with another schedule —
   /// verifies its digest, rebases the cycle counters, and idles every
   /// local input so no stale stimulus from the previous tenant leaks into
   /// the first resumed cycle. reset() returns the simulation to power-on

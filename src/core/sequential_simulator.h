@@ -1,10 +1,8 @@
 // SequentialSimulator: the paper's core contribution (§4) — simulate a
 // parallel synchronous system by evaluating its partitions one at a time.
-// It is the one-shard case of Engine (engine.h): every block in one
-// shard, in block-index order, evaluated inline on the calling thread,
-// with no worker threads and no cut links. This class only fixes that
-// shape, keeps the positional constructor with the paper's schedule
-// names, and adds the per-delta trace hook.
+// It is Engine (engine.h) under the paper's vocabulary: this class only
+// keeps the positional constructor with the paper's schedule names and
+// adds the per-delta trace hook.
 //
 // Terminology (§4): a *system cycle* is one clock cycle of the simulated
 // parallel design; a *delta cycle* is one block evaluation in the
@@ -50,8 +48,8 @@ enum class SchedulePolicy : std::uint8_t {
 
 class SequentialSimulator : public Engine {
  public:
-  /// The arguments are the EngineOptions fields of the one-shard engine
-  /// (see there): `max_evals_per_block` bounds re-evaluation,
+  /// The arguments are the EngineOptions fields of the engine (see
+  /// there): `max_evals_per_block` bounds re-evaluation,
   /// `schedule_seed` rotates the dynamic schedule's starting round-robin
   /// cursor to schedule_rr_offset(schedule_seed, num_blocks), and
   /// `scheduler` selects how the dynamic schedule runs a cycle (kDynamic
@@ -64,7 +62,6 @@ class SequentialSimulator : public Engine {
                       std::uint64_t schedule_seed = 1,
                       SchedulerKind scheduler = SchedulerKind::kRoundRobin)
       : Engine(model, EngineOptions{
-                          .num_shards = 1,
                           .seed = schedule_seed,
                           .scheduler = policy == SchedulePolicy::kStatic
                                            ? static_scheduler(model)

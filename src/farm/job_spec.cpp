@@ -195,13 +195,13 @@ JobSpec JobSpec::deserialize(const std::string& text) {
             {{"policy", val}});
       }
     } else if (key == "shards" || key == "engine_seed") {
-      // No longer emitted: every job runs one shard under a derived
-      // schedule seed. Older clients and spill segments still send both;
-      // neither ever changed results, so any count or seed decodes to
-      // the same spec.
+      // No longer emitted: the engine has no shards and every job runs
+      // under a derived schedule seed. Older clients and spill segments
+      // still send both; neither ever changed results, so any count or
+      // seed decodes to the same spec.
       (void)parse_u64(val);
     } else if (key == "partition") {
-      // No longer emitted: a one-shard engine has nothing to partition.
+      // No longer emitted: the engine has nothing to partition.
       // Spill segments written by an older daemon still carry one of the
       // three policies it offered; the partition never changed results,
       // so all of them decode to the same spec.

@@ -87,10 +87,10 @@ struct JobSpec {
   Priority priority = Priority::kNormal;
   noc::NetworkConfig net;
   WorkloadSpec workload;
-  /// The engine's schedule. Every job runs on a one-shard engine with
-  /// the default evaluation budget; the schedule seed is derived, never
-  /// part of the spec (see effective_engine_options). Results do not
-  /// depend on the scheduler, only StepStats do.
+  /// The engine's schedule. Every job runs with the default evaluation
+  /// budget; the schedule seed is derived, never part of the spec (see
+  /// effective_engine_options). Results do not depend on the scheduler,
+  /// only StepStats do.
   core::SchedulerKind scheduler = core::SchedulerKind::kRoundRobin;
   /// The job's one true seed (see derive_seed).
   std::uint64_t seed = 1;

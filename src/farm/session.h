@@ -38,9 +38,9 @@ class FpgaDesign;
 
 namespace tmsim::farm {
 
-/// The engine options a job actually runs with: one shard, the default
-/// evaluation budget and the spec's scheduler. When `canonical_seed` is
-/// true the schedule seed is 1 — what farm workers use, so cached
+/// The engine options a job actually runs with: the default evaluation
+/// budget and the spec's scheduler. When `canonical_seed` is true the
+/// schedule seed is 1 — what farm workers use, so cached
 /// engines are reusable across jobs regardless of job seeds. When false
 /// (standalone runs) the seed derives from the job seed, which perturbs
 /// the evaluation order; the differential tests comparing the two paths

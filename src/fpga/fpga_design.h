@@ -53,9 +53,8 @@ struct FpgaBuildConfig {
   std::size_t monitor_buffer_depth = 64;
   /// Largest network the BRAM budget was provisioned for.
   std::size_t max_routers = 256;
-  /// Simulation engine behind the router block. num_shards 1 is the
-  /// paper's sequential engine; > 1 the sharded bulk-synchronous engine
-  /// (bit-identical results; clamped to the router count).
+  /// Options of the sequential engine behind the router blocks (every
+  /// scheduler gives bit-identical results).
   core::EngineOptions engine;
 };
 

@@ -13,9 +13,6 @@ EngineMetricsSink::EngineMetricsSink(MetricsRegistry& registry)
       delta_cycles_(registry.counter("engine.delta_cycles")),
       re_evaluations_(registry.counter("engine.re_evaluations")),
       link_changes_(registry.counter("engine.link_changes")),
-      cut_publishes_(registry.counter("engine.cut_publishes")),
-      barrier_spins_(registry.counter("engine.barrier_spins")),
-      supersteps_(registry.counter("engine.supersteps")),
       convergence_failures_(registry.counter("engine.convergence_failures")),
       // Scheduler rows (DESIGN.md §17). delta_evals mirrors
       // engine.delta_cycles under a scheduler-specific name so sched
@@ -24,8 +21,8 @@ EngineMetricsSink::EngineMetricsSink(MetricsRegistry& registry)
       sched_skipped_blocks_(registry.counter("engine.sched.skipped_blocks")),
       // Per-cycle delta cycles: bins of 1, up to 256 per cycle before
       // the overflow bin — generous for §6-scale workloads.
-      deltas_per_cycle_(registry.histogram("engine.deltas_per_cycle", 1.0, 256)),
-      settle_rounds_(registry.histogram("engine.settle_rounds", 1.0, 64)) {}
+      deltas_per_cycle_(
+          registry.histogram("engine.deltas_per_cycle", 1.0, 256)) {}
 
 void EngineMetricsSink::on_cycle_commit(const core::Engine& eng,
                                         const core::StepStats& stats) {
@@ -34,13 +31,9 @@ void EngineMetricsSink::on_cycle_commit(const core::Engine& eng,
   delta_cycles_.add(stats.delta_cycles);
   re_evaluations_.add(stats.re_evaluations);
   link_changes_.add(stats.link_changes);
-  cut_publishes_.add(stats.cut_publishes);
-  barrier_spins_.add(stats.barrier_spins);
-  supersteps_.add(stats.settle_rounds);
   sched_delta_evals_.add(stats.delta_cycles);
   sched_skipped_blocks_.add(stats.skipped_blocks);
   deltas_per_cycle_.observe(static_cast<double>(stats.delta_cycles));
-  settle_rounds_.observe(static_cast<double>(stats.settle_rounds));
 }
 
 void EngineMetricsSink::on_convergence_failure(
@@ -92,7 +85,6 @@ void VcdTracer::declare_signals() {
   }
   // Sub-timescale bookkeeping: how much settling work the cycle took.
   delta_sig_ = writer_->add_signal("sim.delta_cycles", 32);
-  rounds_sig_ = writer_->add_signal("sim.settle_rounds", 16);
   writer_->write_header();
 }
 
@@ -103,8 +95,6 @@ void VcdTracer::write_sample_stream(const Sample& s) {
   }
   writer_->change_u64(delta_sig_,
                       std::min<std::uint64_t>(s.delta_cycles, 0xffffffffull));
-  writer_->change_u64(rounds_sig_,
-                      std::min<std::uint64_t>(s.settle_rounds, 0xffffull));
 }
 
 void VcdTracer::sample(const core::Engine& eng, const core::StepStats& stats,
@@ -112,7 +102,6 @@ void VcdTracer::sample(const core::Engine& eng, const core::StepStats& stats,
   Sample s;
   s.cycle = cycle;
   s.delta_cycles = stats.delta_cycles;
-  s.settle_rounds = stats.settle_rounds;
   s.values.reserve(num_signals_);
   for (const core::LinkId l : links_) {
     s.values.push_back(eng.link_value(l));
@@ -147,7 +136,6 @@ void VcdTracer::on_convergence_failure(const core::Engine& eng,
   // abort point.
   core::StepStats stats;
   stats.delta_cycles = report.delta_cycles;
-  stats.settle_rounds = 0;
   sample(eng, stats, report.cycle);
   flush();
 }
@@ -178,14 +166,6 @@ void MultiObserver::on_cycle_commit(const core::Engine& eng,
                                     const core::StepStats& stats) {
   for (core::SimObserver* s : sinks_) {
     s->on_cycle_commit(eng, stats);
-  }
-}
-
-void MultiObserver::on_superstep(std::size_t shard, std::uint64_t superstep,
-                                 std::uint64_t settle_ns,
-                                 std::uint64_t barrier_ns) {
-  for (core::SimObserver* s : sinks_) {
-    s->on_superstep(shard, superstep, settle_ns, barrier_ns);
   }
 }
 

@@ -33,10 +33,9 @@ namespace tmsim::obs {
 /// Registry rows written (names under `engine.`):
 ///   counters   engine.cycles, engine.delta_cycles,
 ///              engine.re_evaluations, engine.link_changes,
-///              engine.cut_publishes, engine.barrier_spins,
-///              engine.supersteps, engine.convergence_failures,
+///              engine.convergence_failures,
 ///              engine.sched.delta_evals, engine.sched.skipped_blocks
-///   histograms engine.deltas_per_cycle, engine.settle_rounds
+///   histogram  engine.deltas_per_cycle
 class EngineMetricsSink : public core::SimObserver {
  public:
   explicit EngineMetricsSink(MetricsRegistry& registry);
@@ -51,14 +50,10 @@ class EngineMetricsSink : public core::SimObserver {
   Counter& delta_cycles_;
   Counter& re_evaluations_;
   Counter& link_changes_;
-  Counter& cut_publishes_;
-  Counter& barrier_spins_;
-  Counter& supersteps_;
   Counter& convergence_failures_;
   Counter& sched_delta_evals_;
   Counter& sched_skipped_blocks_;
   HistogramMetric& deltas_per_cycle_;
-  HistogramMetric& settle_rounds_;
 };
 
 struct VcdTracerOptions {
@@ -100,7 +95,6 @@ class VcdTracer : public core::SimObserver {
     std::uint64_t cycle;
     std::vector<BitVector> values;  // aligned with selection order
     std::uint64_t delta_cycles;
-    std::uint64_t settle_rounds;
   };
 
   void sample(const core::Engine& eng, const core::StepStats& stats,
@@ -117,7 +111,6 @@ class VcdTracer : public core::SimObserver {
   std::unique_ptr<VcdWriter> writer_;
   std::vector<VcdWriter::SignalId> signal_ids_;
   VcdWriter::SignalId delta_sig_ = 0;
-  VcdWriter::SignalId rounds_sig_ = 0;
   std::deque<Sample> ring_;
   bool flushed_ = false;
 };
@@ -129,9 +122,6 @@ class MultiObserver : public core::SimObserver {
 
   void on_cycle_commit(const core::Engine& eng,
                        const core::StepStats& stats) override;
-  void on_superstep(std::size_t shard, std::uint64_t superstep,
-                    std::uint64_t settle_ns,
-                    std::uint64_t barrier_ns) override;
   void on_convergence_failure(const core::Engine& eng,
                               const core::ConvergenceReport& report) override;
 

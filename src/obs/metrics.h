@@ -15,7 +15,7 @@
 //
 // Naming scheme: dot-separated lowercase path, most-general component
 // first (`layer.subsystem.event`), with instance labels kept out of the
-// name and in the `labels` string ("shard=3"). Registration returns a
+// name and in the `labels` string ("worker=3"). Registration returns a
 // stable reference; the hot path touches one u64 — no lookup, no lock.
 //
 // Instruments are attached, not ambient: a component holds a null
@@ -25,8 +25,8 @@
 //
 // Thread model: registration is mutex-guarded and may happen from any
 // thread; each Counter/Gauge/Histogram instance must be written by one
-// thread at a time (the sharded engine labels per-shard instruments so
-// every worker owns its own row). Snapshots (write_json/write_table)
+// thread at a time (concurrent writers label their instruments so each
+// owns its own row). Snapshots (write_json/write_table)
 // must run while writers are quiescent — between steps or after run().
 #pragma once
 
@@ -76,7 +76,7 @@ class MetricsRegistry {
  public:
   /// Registers (or re-finds) an instrument. The returned reference is
   /// stable for the registry's lifetime. `labels` distinguishes
-  /// instances of the same metric ("shard=0"); the empty string is the
+  /// instances of the same metric ("worker=0"); the empty string is the
   /// unlabelled instance.
   Counter& counter(const std::string& name, const std::string& labels = "");
   Gauge& gauge(const std::string& name, const std::string& labels = "");

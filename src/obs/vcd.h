@@ -11,10 +11,10 @@
 //   - one VCD time unit == one *system* cycle (timescale 1 ns is
 //     nominal — simulated time has no wall-clock meaning);
 //   - delta/settle activity inside a cycle does not advance VCD time;
-//     instead the per-cycle `delta_cycles` and `settle_rounds`
-//     bookkeeping signals (scope `sim`) carry the sub-timescale view:
-//     how many block evaluations and exchange rounds that cycle took;
-//   - values are sampled at the bank-swap / superstep-commit point, so
+//     instead the per-cycle `delta_cycles` bookkeeping signal (scope
+//     `sim`) carries the sub-timescale view: how many block evaluations
+//     that cycle took;
+//   - values are sampled at the bank-swap commit point, so
 //     the design signals of a dump from any engine or schedule over the
 //     same model are identical — the basis of vcd_diff()-based
 //     differential testing, which leaves the `sim` bookkeeping out.

@@ -48,10 +48,9 @@ struct PipeChain {
   LinkId x = 0, l1 = 0, l2 = 0, l3 = 0;
 };
 
-EngineOptions options(SchedulerKind kind, std::size_t shards = 1) {
+EngineOptions options(SchedulerKind kind) {
   EngineOptions o;
   o.scheduler = kind;
-  o.num_shards = shards;
   return o;
 }
 
@@ -77,7 +76,6 @@ void settle(Engine& eng, LinkId x, std::uint64_t value) {
 void expect_same_engine(const Engine& a, const Engine& b) {
   EXPECT_EQ(a.cycle(), b.cycle());
   EXPECT_EQ(a.total_delta_cycles(), b.total_delta_cycles());
-  EXPECT_EQ(a.total_supersteps(), b.total_supersteps());
   EXPECT_EQ(engine_state_digest(a), engine_state_digest(b));
   for (LinkId l = 0; l < a.model().num_links(); ++l) {
     EXPECT_EQ(a.link_value(l), b.link_value(l)) << a.model().link(l).name;
@@ -127,13 +125,11 @@ TEST(EngineIdleSkip, SettledEngineSkipsExactlyAsSteppingWould) {
 
 TEST(EngineIdleSkip, RoundRobinNeverSettles) {
   PipeChain m;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-    Engine rr(m.model, options(SchedulerKind::kRoundRobin, shards));
-    settle(rr, m.x, 0x1234);
-    EXPECT_EQ(rr.advance_idle(10), 0u) << "shards=" << shards;
-    EXPECT_EQ(rr.cycle(), 8u);
-    EXPECT_EQ(rr.skipped_cycles(), 0u);
-  }
+  Engine rr(m.model, options(SchedulerKind::kRoundRobin));
+  settle(rr, m.x, 0x1234);
+  EXPECT_EQ(rr.advance_idle(10), 0u);
+  EXPECT_EQ(rr.cycle(), 8u);
+  EXPECT_EQ(rr.skipped_cycles(), 0u);
 }
 
 TEST(EngineIdleSkip, AFreshOrBusyEngineIsNotSettled) {

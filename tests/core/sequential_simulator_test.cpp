@@ -466,17 +466,17 @@ TEST(Engine, DeltaCycleTotalsAccumulate) {
 
 }  // namespace
 
-/// White-box peer: reaches the one shard's private round-robin bitmap so
+/// White-box peer: reaches the engine's private round-robin bitmap so
 /// a test can force the unstable_count/bitmap desync that the bounded
 /// cursor scan turns into a structured failure (it used to spin forever).
 class SequentialSimulatorTestPeer {
  public:
   static void zero_unstable_bitmap(SequentialSimulator& sim) {
-    std::vector<char>& unstable = sim.shards_[0]->unstable;
+    std::vector<char>& unstable = sim.unstable_;
     std::fill(unstable.begin(), unstable.end(), 0);
   }
   static std::size_t unstable_count(const SequentialSimulator& sim) {
-    return sim.shards_[0]->unstable_count;
+    return sim.unstable_count_;
   }
 };
 

@@ -31,11 +31,11 @@ struct RunResult {
   std::string abort_reason;
 };
 
-RunResult run_with_rates(const FaultRates& rates, std::uint64_t seed,
-                         std::size_t cycles = 2000,
-                         std::size_t num_shards = 1) {
+RunResult run_with_rates(
+    const FaultRates& rates, std::uint64_t seed, std::size_t cycles = 2000,
+    core::SchedulerKind scheduler = core::SchedulerKind::kRoundRobin) {
   FpgaBuildConfig build;
-  build.engine.num_shards = num_shards;
+  build.engine.scheduler = scheduler;
   FpgaDesign fpga{build};
   FaultyBus bus(fpga, rates, seed);
   ArmHost::Workload wl;
@@ -99,30 +99,28 @@ TEST(FaultInjection, StatisticsBitIdenticalUnderBoundedFaultRates) {
   }
 }
 
-TEST(FaultInjection, ShardedEngineBitIdenticalUnderFaults) {
-  // The sharded simulation engine composed with the fault-injection
-  // layer: a fault-free sequential run is the golden reference; sharded
-  // runs — clean and faulty — must reproduce its statistics bit for bit.
+TEST(FaultInjection, CompiledEngineBitIdenticalUnderFaults) {
+  // The gated compiled schedule composed with the fault-injection layer:
+  // a fault-free round-robin run is the golden reference; compiled runs —
+  // clean and faulty — must reproduce its statistics bit for bit.
   const RunResult clean = run_with_rates(FaultRates{}, 1);
   ASSERT_FALSE(clean.aborted);
   ASSERT_GT(clean.packets, 20u);
 
-  for (const std::size_t shards : {2u, 4u}) {
-    SCOPED_TRACE("num_shards " + std::to_string(shards));
-    for (const auto& [rates, seed] :
-         {std::pair{FaultRates{}, std::uint64_t{1}},
-          std::pair{FaultRates::uniform(1e-3), std::uint64_t{404}}}) {
-      const RunResult r = run_with_rates(rates, seed, 2000, shards);
-      ASSERT_FALSE(r.aborted) << r.abort_reason;
-      EXPECT_EQ(r.packets, clean.packets);
-      EXPECT_EQ(r.lat_sum, clean.lat_sum);
-      EXPECT_EQ(r.lat_count, clean.lat_count);
-      EXPECT_EQ(r.lat_min, clean.lat_min);
-      EXPECT_EQ(r.lat_max, clean.lat_max);
-      EXPECT_EQ(r.access_sum, clean.access_sum);
-      EXPECT_EQ(r.access_count, clean.access_count);
-      EXPECT_EQ(r.cycles, clean.cycles);
-    }
+  for (const auto& [rates, seed] :
+       {std::pair{FaultRates{}, std::uint64_t{1}},
+        std::pair{FaultRates::uniform(1e-3), std::uint64_t{404}}}) {
+    const RunResult r =
+        run_with_rates(rates, seed, 2000, core::SchedulerKind::kCompiled);
+    ASSERT_FALSE(r.aborted) << r.abort_reason;
+    EXPECT_EQ(r.packets, clean.packets);
+    EXPECT_EQ(r.lat_sum, clean.lat_sum);
+    EXPECT_EQ(r.lat_count, clean.lat_count);
+    EXPECT_EQ(r.lat_min, clean.lat_min);
+    EXPECT_EQ(r.lat_max, clean.lat_max);
+    EXPECT_EQ(r.access_sum, clean.access_sum);
+    EXPECT_EQ(r.access_count, clean.access_count);
+    EXPECT_EQ(r.cycles, clean.cycles);
   }
 }
 

@@ -3,7 +3,7 @@
 //
 //  * a true combinational cycle (an OR latch), where the compiled
 //    schedule runs its scoped kSettle fallback, checked against the
-//    sharded round-robin engine with and without the cycle cut;
+//    round-robin engine from two cursor starts;
 //  * a non-settling cycle (a NOT self-loop), where compiled must fail
 //    with the same structured ConvergenceError as the reference
 //    scheduler.
@@ -117,20 +117,11 @@ TEST(CompiledEquivalence, OrLatchSccIsBitIdenticalAcrossAllEngines) {
   EXPECT_EQ(cp.compiled_schedule()->sccs[0].blocks,
             (std::vector<BlockId>{m.a, m.b}));
 
-  // The sharded round-robin engine, both on two min-cut shards and with
-  // one block per shard, which forces the SCC's two blocks into
-  // *different* shards: the cycle then settles through the mailbox one
-  // superstep late, and must still agree.
-  EngineOptions cut_cfg;
-  cut_cfg.num_shards = 2;
-  Engine sh_cut(m.model, cut_cfg);
+  // The round-robin pickup from another cursor start evaluates the
+  // latch halves in another order and must still agree.
+  SequentialSimulator rr_seeded(m.model, SchedulePolicy::kDynamic, 64, 7);
 
-  EngineOptions split_cfg;
-  split_cfg.num_shards = m.model.num_blocks();
-  Engine sh_split(m.model, split_cfg);
-  ASSERT_GT(sh_split.num_boundary_links(), 0u);
-
-  std::vector<Engine*> engines = {&ref, &cp, &sh_cut, &sh_split};
+  std::vector<Engine*> engines = {&ref, &cp, &rr_seeded};
 
   SplitMix64 rng(0xbeef);
   for (int cycle = 0; cycle < 30; ++cycle) {

@@ -1,14 +1,14 @@
 // Differential proof of the gated compiled schedule (DESIGN.md §17): for
-// any topology, workload and seed, the one-shard compiled program and the
-// sharded round-robin engine must produce results bit-identical to the
-// one-shard round-robin sweep, the paper's §4.2 reference — every local
+// any topology, workload and seed, the compiled program must produce
+// results bit-identical to the round-robin sweep, the paper's §4.2
+// reference — every local
 // output, every credit wire, every register bit, every cycle
 // (LockstepNocSimulation throws on the first divergence), every link
 // value at the end.
 //
 // Also here: the quiescence-gate accounting, the degenerate topologies
 // (combinational self-loops, external links with no readers), the
-// ConvergenceReport parity between engines, a saturated compiled stress
+// ConvergenceReport parity between schedulers, a saturated compiled stress
 // (runs under the tsan preset via the `sched` label), the engine.sched.*
 // metrics rows, and the idle-cycle skip differentials (GT-only traffic,
 // the harness jumping with a settled compiled engine).
@@ -54,7 +54,6 @@ struct RandomConfig {
   double be_load;
   std::uint64_t traffic_seed;
   std::size_t cycles;
-  std::size_t num_shards;
 
   std::string replay_tuple(std::uint64_t index) const {
     return "replay{index=" + std::to_string(index) + ", net=" +
@@ -63,8 +62,7 @@ struct RandomConfig {
            ", queue_depth=" + std::to_string(queue_depth) +
            ", be_load=" + std::to_string(be_load) +
            ", traffic_seed=" + std::to_string(traffic_seed) +
-           ", cycles=" + std::to_string(cycles) +
-           ", num_shards=" + std::to_string(num_shards) + "}";
+           ", cycles=" + std::to_string(cycles) + "}";
   }
 };
 
@@ -88,11 +86,6 @@ RandomConfig derive_config(std::uint64_t index) {
   c.be_load = kLoads[rng.next_below(std::size(kLoads))];
   c.traffic_seed = rng.next() | 1;
   c.cycles = 100 + 40 * rng.next_below(3);
-  const std::size_t routers = c.width * c.height;
-  c.num_shards = 2 + rng.next_below(5);  // 2..6, clamped by the engine
-  if (c.num_shards > routers) {
-    c.num_shards = routers;
-  }
   return c;
 }
 
@@ -105,9 +98,8 @@ NetworkConfig make_net(const RandomConfig& c) {
   return net;
 }
 
-EngineOptions make_opts(std::size_t shards, SchedulerKind sched) {
+EngineOptions make_opts(SchedulerKind sched) {
   EngineOptions o;
-  o.num_shards = shards;
   o.scheduler = sched;
   return o;
 }
@@ -120,15 +112,12 @@ TEST_P(SchedRandomized, SchedulersBitIdenticalAcrossEngines) {
   SCOPED_TRACE(cfg.replay_tuple(index));
   const NetworkConfig net = make_net(cfg);
 
-  // {round_robin, compiled} on one shard plus the sharded round-robin
-  // engine, all in lockstep: the round-robin sequential engine is the
-  // reference every other lane must match cycle for cycle.
+  // round_robin and compiled in lockstep: the round-robin engine is the
+  // reference the compiled lane must match cycle for cycle.
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   std::vector<const SeqNocSimulation*> raw;
-  for (const EngineOptions& o :
-       {make_opts(1, SchedulerKind::kRoundRobin),
-        make_opts(1, SchedulerKind::kCompiled),
-        make_opts(cfg.num_shards, SchedulerKind::kRoundRobin)}) {
+  for (const EngineOptions& o : {make_opts(SchedulerKind::kRoundRobin),
+                                 make_opts(SchedulerKind::kCompiled)}) {
     auto sim = std::make_unique<SeqNocSimulation>(net, o);
     raw.push_back(sim.get());
     sims.push_back(std::move(sim));
@@ -167,16 +156,15 @@ TEST(SchedQuiescence, IdleNocIsSkippedEntirelyByBothEngines) {
   // A NoC with no traffic settles to a fixed point within a few warmup
   // cycles (idle routers stop rotating their arbiter pointers); from
   // then on the compiled program must evaluate nothing at all while the
-  // round-robin reference, one shard or four, still pays one pass per
-  // cycle.
+  // round-robin reference still pays one pass per cycle.
   NetworkConfig net;
   net.width = 4;
   net.height = 4;
   net.topology = Topology::kMesh;
   const std::size_t n = net.num_routers();
 
-  auto idle_stats = [&](std::size_t shards, SchedulerKind sched) {
-    SeqNocSimulation sim(net, make_opts(shards, sched));
+  auto idle_stats = [&](SchedulerKind sched) {
+    SeqNocSimulation sim(net, make_opts(sched));
     for (int i = 0; i < 6; ++i) {
       sim.step();  // warmup: reset transients settle
     }
@@ -184,14 +172,11 @@ TEST(SchedQuiescence, IdleNocIsSkippedEntirelyByBothEngines) {
     return sim.last_step_stats();
   };
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    const core::StepStats rr =
-        idle_stats(shards, SchedulerKind::kRoundRobin);
-    EXPECT_EQ(rr.delta_cycles, n) << "shards=" << shards;
-    EXPECT_EQ(rr.skipped_blocks, 0u) << "shards=" << shards;
-  }
+  const core::StepStats rr = idle_stats(SchedulerKind::kRoundRobin);
+  EXPECT_EQ(rr.delta_cycles, n);
+  EXPECT_EQ(rr.skipped_blocks, 0u);
   // The gated op program: every kEval and kDrive is a flag test.
-  const core::StepStats cp = idle_stats(1, SchedulerKind::kCompiled);
+  const core::StepStats cp = idle_stats(SchedulerKind::kCompiled);
   EXPECT_EQ(cp.delta_cycles, 0u);
   EXPECT_EQ(cp.skipped_blocks, n);
 }
@@ -210,8 +195,8 @@ TEST(SchedQuiescence, GatedProgramSkipsIdleAndSparseNocsBitIdentically) {
     ++configs;
     SCOPED_TRACE(cfg.replay_tuple(index));
     const NetworkConfig net = make_net(cfg);
-    SeqNocSimulation rr(net, make_opts(1, SchedulerKind::kRoundRobin));
-    SeqNocSimulation cp(net, make_opts(1, SchedulerKind::kCompiled));
+    SeqNocSimulation rr(net, make_opts(SchedulerKind::kRoundRobin));
+    SeqNocSimulation cp(net, make_opts(SchedulerKind::kCompiled));
     traffic::TrafficHarness::Options opts;
     opts.seed = cfg.traffic_seed;
     traffic::TrafficHarness hr(rr, opts);
@@ -240,7 +225,7 @@ TEST(SchedMetrics, GateCountersReachTheRegistry) {
   net.topology = Topology::kMesh;
   obs::MetricsRegistry registry;
   obs::EngineMetricsSink sink(registry);
-  SeqNocSimulation sim(net, make_opts(1, SchedulerKind::kCompiled));
+  SeqNocSimulation sim(net, make_opts(SchedulerKind::kCompiled));
   sim.set_observer(&sink);
   for (int i = 0; i < 10; ++i) {
     sim.step();
@@ -290,8 +275,7 @@ TEST(SchedDegenerate, ExternalLinkWithNoReadersRunsUnderEverySchedule) {
 }
 
 // ---------------------------------------------------------------------------
-// ConvergenceReport parity (the sharded engine must diagnose like the
-// sequential one, deterministically)
+// ConvergenceReport parity (both schedulers diagnose an oscillation)
 // ---------------------------------------------------------------------------
 
 core::SystemModel not_ring(std::size_t n) {
@@ -329,17 +313,12 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
   // trips the same per-SCC budget.
   core::SequentialSimulator seq_cp(m, SchedulePolicy::kDynamic, 16, 1,
                                    SchedulerKind::kCompiled);
-  core::EngineOptions cfg;
-  cfg.num_shards = 5;  // one inverter per shard: purely cross-shard loop
-  cfg.max_evals_per_block = 16;
-  core::Engine sh_rr(m, cfg);
 
   const core::ConvergenceReport a = trip(seq_rr);
-  const core::ConvergenceReport b = trip(sh_rr);
   const core::ConvergenceReport c = trip(seq_cp);
 
-  // Size/limit fields agree across all engine/scheduler combinations.
-  for (const core::ConvergenceReport* r : {&a, &b, &c}) {
+  // Size/limit fields agree across both schedulers.
+  for (const core::ConvergenceReport* r : {&a, &c}) {
     EXPECT_EQ(r->num_blocks, m.num_blocks());
     EXPECT_EQ(r->limit, 16u * m.num_blocks());
     ASSERT_FALSE(r->oscillating_blocks.empty());
@@ -351,45 +330,20 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
     for (const core::LinkId l : r->last_changed_links) {
       EXPECT_LT(l, m.num_links());
     }
+    // The changed-link history names each link once.
+    std::vector<core::LinkId> links = r->last_changed_links;
+    std::sort(links.begin(), links.end());
+    EXPECT_TRUE(std::adjacent_find(links.begin(), links.end()) == links.end());
   }
-  // The sharded report must cover the blocks the sequential engine
-  // flags (the engines trip at different points of the loop, so the
-  // sharded set covers rather than equals).
-  for (const core::BlockId blk : a.oscillating_blocks) {
-    EXPECT_TRUE(std::find(b.oscillating_blocks.begin(),
-                          b.oscillating_blocks.end(),
-                          blk) != b.oscillating_blocks.end())
-        << "sequential flagged block " << blk
-        << " but the sharded report missed it";
-  }
-  // No duplicates in the merged changed-link history.
-  std::vector<core::LinkId> links = b.last_changed_links;
-  std::sort(links.begin(), links.end());
-  EXPECT_TRUE(std::adjacent_find(links.begin(), links.end()) == links.end());
-}
-
-TEST(SchedConvergence, MergedShardedReportIsDeterministic) {
-  const core::SystemModel m = not_ring(5);
-  auto report = [&] {
-    core::EngineOptions cfg;
-    cfg.num_shards = 3;
-    cfg.max_evals_per_block = 16;
-    core::Engine sim(m, cfg);
-    return trip(sim);
-  };
-  const core::ConvergenceReport a = report();
-  const core::ConvergenceReport b = report();
-  EXPECT_EQ(a.oscillating_blocks, b.oscillating_blocks);
-  EXPECT_EQ(a.last_changed_links, b.last_changed_links);
-  EXPECT_EQ(a.num_blocks, b.num_blocks);
-  EXPECT_EQ(a.limit, b.limit);
+  // The compiled settle trips inside the ring's SCC: every inverter is
+  // flagged.
+  EXPECT_EQ(c.oscillating_blocks.size(), m.num_blocks());
 }
 
 // ---------------------------------------------------------------------------
 // Saturated compiled stress — high load keeps almost every block active
-// while results stay bit-identical to the sharded round-robin engine in
-// lockstep. Runs under the tsan preset (the `sched` label is in its
-// filter).
+// while results stay bit-identical to the round-robin engine in
+// lockstep.
 // ---------------------------------------------------------------------------
 
 TEST(SchedStress, SaturatedCompiledStaysBitIdenticalUnderLoad) {
@@ -398,14 +352,11 @@ TEST(SchedStress, SaturatedCompiledStaysBitIdenticalUnderLoad) {
   net.height = 4;
   net.topology = Topology::kTorus;
 
-  auto seq = std::make_unique<SeqNocSimulation>(
-      net, make_opts(1, SchedulerKind::kCompiled));
-  auto sharded = std::make_unique<SeqNocSimulation>(
-      net, make_opts(4, SchedulerKind::kRoundRobin));
-
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
-  sims.push_back(std::move(seq));
-  sims.push_back(std::move(sharded));
+  sims.push_back(std::make_unique<SeqNocSimulation>(
+      net, make_opts(SchedulerKind::kCompiled)));
+  sims.push_back(std::make_unique<SeqNocSimulation>(
+      net, make_opts(SchedulerKind::kRoundRobin)));
   noc::LockstepNocSimulation lockstep(std::move(sims));
 
   traffic::TrafficHarness::Options opts;
@@ -420,7 +371,7 @@ TEST(SchedStress, SaturatedCompiledStaysBitIdenticalUnderLoad) {
 
   // Under saturation the gate really had work to pass: probe a mid-load
   // cycle on a fresh run, where most routers hold flits.
-  SeqNocSimulation probe(net, make_opts(1, SchedulerKind::kCompiled));
+  SeqNocSimulation probe(net, make_opts(SchedulerKind::kCompiled));
   traffic::TrafficHarness hp(probe, opts);
   hp.set_be_load(0.9, {0, 1, 2, 3});
   hp.run(50);
@@ -499,8 +450,8 @@ TEST(IdleSkip, GtOnlyRunsMatchRoundRobinAtEveryRunBoundary) {
   for (const GtOnlyConfig& cfg : gt_only_configs()) {
     SCOPED_TRACE(cfg.name());
     const NetworkConfig net = cfg.net();
-    SeqNocSimulation rr(net, make_opts(1, SchedulerKind::kRoundRobin));
-    SeqNocSimulation cp(net, make_opts(1, SchedulerKind::kCompiled));
+    SeqNocSimulation rr(net, make_opts(SchedulerKind::kRoundRobin));
+    SeqNocSimulation cp(net, make_opts(SchedulerKind::kCompiled));
     traffic::TrafficHarness::Options opts;
     opts.seed = 0x1d1e;
     opts.verify_payload = true;
@@ -559,11 +510,11 @@ TEST(IdleSkip, StatsStreamDoesNotDependOnRunQuanta) {
   std::vector<std::unique_ptr<SeqNocSimulation>> owned;
   for (int i = 0; i < 3; ++i) {
     owned.push_back(std::make_unique<SeqNocSimulation>(
-        net, make_opts(1, SchedulerKind::kCompiled)));
+        net, make_opts(SchedulerKind::kCompiled)));
     engines.push_back(owned.back().get());
   }
   auto stepped_owned = std::make_unique<SeqNocSimulation>(
-      net, make_opts(1, SchedulerKind::kCompiled));
+      net, make_opts(SchedulerKind::kCompiled));
   SeqNocSimulation* stepped = stepped_owned.get();
   std::vector<std::unique_ptr<noc::NocSimulation>> one;
   one.push_back(std::move(stepped_owned));
@@ -626,10 +577,10 @@ TEST(IdleSkip, CompiledVcdEqualsRoundRobinVcd) {
   net.width = 4;
   net.height = 4;
   net.topology = Topology::kTorus;
-  SeqNocSimulation rr(net, make_opts(1, SchedulerKind::kRoundRobin));
-  SeqNocSimulation cp(net, make_opts(1, SchedulerKind::kCompiled));
+  SeqNocSimulation rr(net, make_opts(SchedulerKind::kRoundRobin));
+  SeqNocSimulation cp(net, make_opts(SchedulerKind::kCompiled));
   auto stepped_owned = std::make_unique<SeqNocSimulation>(
-      net, make_opts(1, SchedulerKind::kCompiled));
+      net, make_opts(SchedulerKind::kCompiled));
   SeqNocSimulation& stepped = *stepped_owned;
   std::vector<std::unique_ptr<noc::NocSimulation>> one;
   one.push_back(std::move(stepped_owned));

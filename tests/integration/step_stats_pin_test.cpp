@@ -1,4 +1,4 @@
-// Pins the one-shard engine's per-cycle StepStats stream. Equal final
+// Pins the engine's per-cycle StepStats stream. Equal final
 // state alone does not show that two engines did the same work; this test
 // hashes every StepStats field of every cycle of a 4x4 NoC run and
 // compares the hash with a constant, so any change in how many blocks a
@@ -7,9 +7,9 @@
 //
 // A deliberate change of scheduling behaviour must re-record the
 // constants (the failure message prints the new value). They were last
-// recorded when StepStats lost its worklist high-water field: this hash
-// was run against the engine just before the worklist scheduler was
-// deleted, and the engine without it reproduces every value unchanged.
+// recorded when StepStats lost its barrier spin count: this hash was run
+// against the engine just before the sharded engine was deleted, and the
+// engine without it reproduces every value unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -51,8 +51,7 @@ std::uint64_t stats_stream_hash(const EngineOptions& opts, double load) {
     for (const std::uint64_t field :
          {std::uint64_t{s.delta_cycles}, std::uint64_t{s.re_evaluations},
           s.skipped_blocks,
-          std::uint64_t{s.link_changes}, s.settle_rounds, s.cut_publishes,
-          s.barrier_spins}) {
+          std::uint64_t{s.link_changes}, s.settle_rounds, s.cut_publishes}) {
       fnv_mix(hash, field);
     }
   }
@@ -71,14 +70,14 @@ constexpr SchedulerKind kRr = SchedulerKind::kRoundRobin;
 constexpr SchedulerKind kCp = SchedulerKind::kCompiled;
 
 constexpr PinnedStream kPinned[] = {
-    {kRr, 0.02, 1, 7121238330394989286ull},
-    {kRr, 0.02, 7, 7121238330394989286ull},
-    {kRr, 0.30, 1, 1153986466245850181ull},
-    {kRr, 0.30, 7, 6058602517560931813ull},
-    {kCp, 0.02, 1, 1765643393862280300ull},
-    {kCp, 0.02, 7, 1765643393862280300ull},
-    {kCp, 0.30, 1, 367588972192380635ull},
-    {kCp, 0.30, 7, 367588972192380635ull},
+    {kRr, 0.02, 1, 5522277434147203558ull},
+    {kRr, 0.02, 7, 5522277434147203558ull},
+    {kRr, 0.30, 1, 9372191453213849445ull},
+    {kRr, 0.30, 7, 9316840049475236485ull},
+    {kCp, 0.02, 1, 3363362513028704300ull},
+    {kCp, 0.02, 7, 3363362513028704300ull},
+    {kCp, 0.30, 1, 4026547547952532987ull},
+    {kCp, 0.30, 7, 4026547547952532987ull},
 };
 
 TEST(StepStatsPin, OneShardStreamMatchesRecordedHashes) {

@@ -60,8 +60,8 @@ TEST(StateWordPin, ResetWordMatchesRecordedHashes) {
 }
 
 TEST(StateWordPin, LoadedMeshDigestMatchesRecordedHashes) {
-  // 6x6 mesh, BE at 0.30 plus the Fig. 1 GT streams, one-shard
-  // round-robin engine.
+  // 6x6 mesh, BE at 0.30 plus the Fig. 1 GT streams, round-robin
+  // engine.
   NetworkConfig net;
   net.width = 6;
   net.height = 6;

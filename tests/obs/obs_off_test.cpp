@@ -4,8 +4,6 @@
 // observability reads state, never writes it.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
 #include <sstream>
 
 #include "core/noc_block.h"
@@ -48,18 +46,6 @@ RunResult run_workload(core::SeqNocSimulation& sim, std::size_t cycles) {
   return r;
 }
 
-/// Counts on_superstep callbacks per shard (they arrive on the shards'
-/// own threads).
-struct SuperstepCounter : core::SimObserver {
-  std::array<std::atomic<std::uint64_t>, 2> count{};
-  void on_superstep(std::size_t shard, std::uint64_t, std::uint64_t,
-                    std::uint64_t) override {
-    if (shard < count.size()) {
-      count[shard].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-};
-
 void expect_same_final_state(const core::Engine& a, const core::Engine& b) {
   ASSERT_EQ(a.model().num_links(), b.model().num_links());
   for (core::LinkId l = 0; l < a.model().num_links(); ++l) {
@@ -100,35 +86,6 @@ TEST(ObsOff, SequentialRunIsBitIdenticalWithAndWithoutObservers) {
   // Not vacuous: the sinks really saw the run.
   EXPECT_EQ(reg.counter_value("engine.cycles"), cycles);
   EXPECT_GE(reg.counter_value("engine.delta_cycles"), cycles * 9);
-}
-
-TEST(ObsOff, ShardedRunIsBitIdenticalWithAndWithoutObservers) {
-  const noc::NetworkConfig net = small_net();
-  const std::size_t cycles = 200;
-  core::EngineOptions eopts;
-  eopts.num_shards = 2;
-
-  core::SeqNocSimulation plain(net, eopts);
-  const RunResult r_plain = run_workload(plain, cycles);
-
-  core::SeqNocSimulation observed(net, eopts);
-  obs::MetricsRegistry reg;
-  obs::EngineMetricsSink metrics(reg);
-  SuperstepCounter supersteps;
-  obs::MultiObserver fan;
-  fan.add(&metrics);
-  fan.add(&supersteps);
-  observed.set_observer(&fan);
-  const RunResult r_obs = run_workload(observed, cycles);
-
-  EXPECT_EQ(r_plain.delivered, r_obs.delivered);
-  EXPECT_DOUBLE_EQ(r_plain.latency_sum, r_obs.latency_sum);
-  expect_same_final_state(plain.engine(), observed.engine());
-
-  // Superstep callbacks flowed from the worker threads, through the fan.
-  EXPECT_EQ(reg.counter_value("engine.cycles"), cycles);
-  EXPECT_GT(supersteps.count[0].load(), 0u);
-  EXPECT_GT(supersteps.count[1].load(), 0u);
 }
 
 TEST(ObsOff, DetachingMidRunRestoresTheUnobservedPath) {

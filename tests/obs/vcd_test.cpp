@@ -163,12 +163,10 @@ std::string link_and_sim_dump(std::uint64_t link_at_1,
   VcdWriter w(os);
   const auto link = w.add_signal("r0.out", 8);
   const auto deltas = w.add_signal("sim.delta_cycles", 32);
-  const auto rounds = w.add_signal("sim.settle_rounds", 16);
   w.write_header();
   w.begin_time(0);
   w.change_u64(link, 0x11);
   w.change_u64(deltas, 4);
-  w.change_u64(rounds, 1);
   w.begin_time(1);
   w.change_u64(link, link_at_1);
   w.change_u64(deltas, deltas_at_1);
@@ -239,9 +237,8 @@ TEST(VcdTracer, StreamingDumpIsValidAndCoversEveryCycle) {
   for (const char* t : {"#0", "#1", "#2", "#3", "#4"}) {
     EXPECT_NE(dump.find(std::string(t) + "\n"), std::string::npos) << t;
   }
-  // The bookkeeping signals ride along.
+  // The bookkeeping signal rides along.
   EXPECT_NE(dump.find("sim.delta_cycles"), std::string::npos);
-  EXPECT_NE(dump.find("sim.settle_rounds"), std::string::npos);
 }
 
 TEST(VcdTracer, GlobSelectsSubsetOfSignals) {
