@@ -1,9 +1,9 @@
-// Farm load generator: the scaling-wall stress the sharded hot path was
-// built for (DESIGN.md §14). Four submitter threads blast a
-// duplicate-heavy stream of tiny specs at a farm whose admission queue
-// is provisioned for 50k fresh jobs, so the backlog genuinely reaches
-// tens of thousands of queued specs — the regime where the old
-// single-mutex queue and global farm lock collapsed into a convoy.
+// Farm load generator: the worst case for the farm's admission-queue,
+// control-table and result-store locks (DESIGN.md §14). Four submitter
+// threads blast a duplicate-heavy stream of tiny specs at a farm whose
+// admission queue is provisioned for 50k fresh jobs, so the backlog
+// genuinely reaches tens of thousands of queued specs while four
+// workers pop from the same queue.
 //
 // The stream cycles over a small set of distinct specs (a sweep grid
 // being refined by many clients at once), so with the spec-fingerprint

@@ -35,75 +35,43 @@ const char* reject_reason_name(RejectReason r) {
 AdmissionQueue::AdmissionQueue(std::size_t capacity,
                                SystemCycle max_job_cycles,
                                std::function<double()> now_fn,
-                               std::size_t num_shards,
                                BatchKeyFn batch_key_fn, obs::Tracer* tracer)
     : capacity_(capacity),
       max_job_cycles_(max_job_cycles),
       now_fn_(now_fn ? std::move(now_fn) : steady_now_us),
-      num_shards_(num_shards == 0 ? 1 : num_shards),
       batch_key_fn_(std::move(batch_key_fn)),
       tracer_(tracer) {
   TMSIM_CHECK_MSG(capacity >= 1, "queue capacity must be positive");
-  for (ClassQueue& cls : classes_) {
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      cls.shards.push_back(std::make_unique<Shard>());
-    }
-  }
 }
 
-void AdmissionQueue::signal_enqueue() {
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    enq_ticket_.fetch_add(1, std::memory_order_release);
-  }
-  cv_.notify_one();
-}
-
-void AdmissionQueue::enqueue(QueuedJob job, RequeuePosition pos) {
-  job.seq = pos == RequeuePosition::kFront
-                ? front_seq_.fetch_sub(1, std::memory_order_relaxed)
-                : back_seq_.fetch_add(1, std::memory_order_relaxed);
+std::size_t AdmissionQueue::enqueue(QueuedJob job, RequeuePosition pos) {
   if (batch_key_fn_) {
     job.batch_key = batch_key_fn_(job.spec);
   }
-  ClassQueue& cls = classes_[static_cast<std::size_t>(job.spec.priority)];
-  const std::size_t shard_idx =
-      cls.rr.fetch_add(1, std::memory_order_relaxed) % num_shards_;
-  Shard& shard = *cls.shards[shard_idx];
-  job.enqueue_shard = shard_idx;
   // Copy what the span needs before the move; record after the unlock.
   const obs::TraceContext trace = job.trace;
   const auto attempt = static_cast<std::uint32_t>(job.attempts);
   const double queued_us = job.queued_us;
   const Priority prio = job.spec.priority;
+  std::list<QueuedJob> node;  // allocated here, spliced under the lock
+  node.push_back(std::move(job));
+  std::size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Keep the shard deque ticket-sorted. Back tickets arrive roughly in
-    // order (a racing pair can invert), front tickets belong near the
-    // front — a short scan from the matching end finds the slot.
-    if (shard.jobs.empty() || shard.jobs.back().seq < job.seq) {
-      shard.jobs.push_back(std::move(job));
-    } else if (shard.jobs.front().seq > job.seq) {
-      shard.jobs.push_front(std::move(job));
-    } else {
-      auto it = shard.jobs.end();
-      while (it != shard.jobs.begin() && std::prev(it)->seq > job.seq) {
-        --it;
-      }
-      shard.jobs.insert(it, std::move(job));
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    std::list<QueuedJob>& cls = classes_[static_cast<std::size_t>(prio)];
+    cls.splice(pos == RequeuePosition::kFront ? cls.begin() : cls.end(),
+               node);
+    depth = depth_locked();
   }
-  cls.count.fetch_add(1, std::memory_order_release);
-  total_count_.fetch_add(1, std::memory_order_release);
+  cv_.notify_one();
   if (tracer_ != nullptr && trace.sampled()) {
     tracer_->span(trace, tracer_->alloc_span_id(), trace.span_id,
                   "admission.enqueue", attempt, kQueueTid, queued_us,
                   queued_us,
-                  {{"shard", std::to_string(shard_idx)},
-                   {"class", priority_name(prio)},
+                  {{"class", priority_name(prio)},
                    {"pos", pos == RequeuePosition::kFront ? "front" : "back"}});
   }
-  signal_enqueue();
+  return depth;
 }
 
 SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
@@ -111,7 +79,7 @@ SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
                                      const obs::TraceContext* remote) {
   SubmitOutcome out;
   out.queue_capacity = capacity_;
-  // Validate outside any lock: validation walks GT stream paths and must
+  // Validate outside the lock: validation walks GT stream paths and must
   // not serialize submitters against each other.
   try {
     spec.validate();
@@ -132,7 +100,7 @@ SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
   if (stopped_.load(std::memory_order_acquire)) {
     out.reason = RejectReason::kStopped;
     out.detail = "farm is shutting down";
-    out.queue_depth = total_count_.load(std::memory_order_relaxed);
+    out.queue_depth = depth();
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return out;
   }
@@ -143,7 +111,7 @@ SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
   if (fresh_before >= capacity_) {
     fresh_queued_.fetch_sub(1, std::memory_order_acq_rel);
     out.reason = RejectReason::kQueueFull;
-    out.queue_depth = total_count_.load(std::memory_order_relaxed);
+    out.queue_depth = depth();
     // Deterministic backpressure hint: a pure function of the fresh
     // backlog, so identical rejection states yield identical hints (see
     // the header's backpressure contract).
@@ -160,7 +128,7 @@ SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
     return out;
   }
   QueuedJob job;
-  job.job_id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
+  job.job_id = submitted_.fetch_add(1, std::memory_order_relaxed) + 1;
   job.spec = std::move(spec);
   job.submitted_us = now_us;
   job.queued_us = now_us;
@@ -192,18 +160,15 @@ SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
     job.deadline_at_us =
         now_us + static_cast<double>(job.spec.deadline_ms) * 1e3;
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   out.accepted = true;
   out.job_id = job.job_id;
   out.trace = job.trace;
   // The accept hook runs before the job is visible to any popper (and
-  // with no queue locks held), closing the submit/pop TOCTOU without a
-  // queue-wide mutex.
+  // with the queue lock released), closing the submit/pop TOCTOU.
   if (on_accept) {
-    on_accept(job.job_id, job.spec);
+    on_accept(job);
   }
-  enqueue(std::move(job), RequeuePosition::kBack);
-  out.queue_depth = total_count_.load(std::memory_order_relaxed);
+  out.queue_depth = enqueue(std::move(job), RequeuePosition::kBack);
   return out;
 }
 
@@ -218,130 +183,101 @@ bool AdmissionQueue::requeue(QueuedJob job, double now_us,
   return true;
 }
 
-std::optional<QueuedJob> AdmissionQueue::take_min_eligible(
-    ClassQueue& cls, double now, double& next_eligible,
-    std::uint64_t require_key, bool key_constrained) {
-  // All shard locks of this class are taken in index order (the single
-  // lock-order used everywhere), so the min-ticket choice is atomic
-  // against concurrent pops; submitters still only contend on the one
-  // shard they insert into.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(cls.shards.size());
-  for (auto& shard : cls.shards) {
-    locks.emplace_back(shard->mu);
+std::size_t AdmissionQueue::depth_locked() const {
+  std::size_t n = 0;
+  for (const std::list<QueuedJob>& cls : classes_) {
+    n += cls.size();
   }
-  Shard* best_shard = nullptr;
-  std::size_t best_idx = 0;
-  std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-  for (auto& shard : cls.shards) {
-    for (std::size_t i = 0; i < shard->jobs.size(); ++i) {
-      const QueuedJob& job = shard->jobs[i];
-      if (job.not_before_us > now) {
-        next_eligible = std::min(next_eligible, job.not_before_us);
-        continue;  // backoff not expired; FIFO among *eligible* jobs
-      }
-      if (job.seq < best_seq) {
-        best_seq = job.seq;
-        best_shard = shard.get();
-        best_idx = i;
-      }
-      break;  // shard is ticket-sorted: first eligible is its minimum
+  return n;
+}
+
+bool AdmissionQueue::take_first_eligible(std::size_t c, double now,
+                                         double& next_eligible,
+                                         std::uint64_t require_key,
+                                         std::list<QueuedJob>& out) {
+  std::list<QueuedJob>& cls = classes_[c];
+  for (auto it = cls.begin(); it != cls.end(); ++it) {
+    if (it->not_before_us > now) {
+      next_eligible = std::min(next_eligible, it->not_before_us);
+      continue;  // backoff not expired; FIFO among *eligible* jobs
     }
+    if (require_key != 0 && it->batch_key != require_key) {
+      return false;  // next-in-order job is incompatible: stop batch
+    }
+    if (it->fresh) {
+      fresh_queued_.fetch_sub(1, std::memory_order_acq_rel);
+      it->fresh = false;
+    }
+    out.splice(out.end(), cls, it);
+    return true;
   }
-  if (best_shard == nullptr) {
-    return std::nullopt;
-  }
-  if (key_constrained && best_shard->jobs[best_idx].batch_key != require_key) {
-    return std::nullopt;  // next-in-order job is incompatible: stop batch
-  }
-  QueuedJob job = std::move(best_shard->jobs[best_idx]);
-  best_shard->jobs.erase(best_shard->jobs.begin() +
-                         static_cast<std::ptrdiff_t>(best_idx));
-  cls.count.fetch_sub(1, std::memory_order_release);
-  total_count_.fetch_sub(1, std::memory_order_release);
-  if (job.fresh) {
-    fresh_queued_.fetch_sub(1, std::memory_order_acq_rel);
-    job.fresh = false;
-  }
-  return job;
+  return false;
 }
 
 std::vector<QueuedJob> AdmissionQueue::pop_batch_blocking(
     std::size_t max_batch) {
   TMSIM_CHECK_MSG(max_batch >= 1, "batch size must be positive");
-  std::vector<QueuedJob> batch;
-  for (;;) {
-    const std::uint64_t ticket = enq_ticket_.load(std::memory_order_acquire);
-    const double now = now_fn_();
-    double next_eligible = std::numeric_limits<double>::infinity();
-    for (ClassQueue& cls : classes_) {
-      if (cls.count.load(std::memory_order_acquire) == 0) {
-        continue;
-      }
-      std::optional<QueuedJob> head = take_min_eligible(
-          cls, now, next_eligible, /*require_key=*/0,
-          /*key_constrained=*/false);
-      if (!head) {
-        continue;
-      }
-      const std::uint64_t key = head->batch_key;
-      batch.push_back(std::move(*head));
-      // Batch growth never skips or overtakes: it only extends while the
-      // very next eligible job (in ticket order) of the same class
-      // shares the head's compatibility key.
-      while (batch.size() < max_batch && batch_key_fn_ && key != 0) {
+  std::list<QueuedJob> taken;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      const double now = now_fn_();
+      double next_eligible = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < kNumPriorities && taken.empty(); ++c) {
+        if (!take_first_eligible(c, now, next_eligible, /*require_key=*/0,
+                                 taken)) {
+          continue;
+        }
+        // Batch growth never skips or overtakes: it only extends while
+        // the very next eligible job of the same class shares the head's
+        // compatibility key.
+        const std::uint64_t key = taken.front().batch_key;
         double ignored = std::numeric_limits<double>::infinity();
-        std::optional<QueuedJob> next = take_min_eligible(
-            cls, now, ignored, key, /*key_constrained=*/true);
-        if (!next) {
-          break;
-        }
-        batch.push_back(std::move(*next));
-      }
-      if (tracer_ != nullptr) {
-        const double end = now_fn_();
-        for (const QueuedJob& j : batch) {
-          if (!j.trace.sampled()) {
-            continue;
-          }
-          // The queue-wait span: last (re)enqueue → this dequeue.
-          tracer_->span(j.trace, tracer_->alloc_span_id(), j.trace.span_id,
-                        "admission.dequeue",
-                        static_cast<std::uint32_t>(j.attempts), kQueueTid,
-                        j.queued_us, end,
-                        {{"shard", std::to_string(j.enqueue_shard)},
-                         {"batch", std::to_string(batch.size())}});
+        while (taken.size() < max_batch && batch_key_fn_ && key != 0 &&
+               take_first_eligible(c, now, ignored, key, taken)) {
         }
       }
-      return batch;
-    }
-    if (next_eligible < std::numeric_limits<double>::infinity()) {
-      // Only backoff'd jobs remain (stopped or not — admitted work is
-      // drained either way). Sleep until the earliest becomes eligible
-      // or a new enqueue changes the picture.
-      std::unique_lock<std::mutex> lock(wait_mu_);
-      if (enq_ticket_.load(std::memory_order_acquire) != ticket) {
+      if (!taken.empty()) {
+        break;
+      }
+      if (next_eligible < std::numeric_limits<double>::infinity()) {
+        // Only backoff'd jobs remain (stopped or not — admitted work is
+        // drained either way). Sleep until the earliest becomes eligible
+        // or a new enqueue changes the picture.
+        const auto wake_us = static_cast<std::int64_t>(
+            std::max(1.0, next_eligible - now));
+        cv_.wait_for(lock, std::chrono::microseconds(wake_us));
         continue;
       }
-      const auto wake_us = static_cast<std::int64_t>(
-          std::max(1.0, next_eligible - now));
-      cv_.wait_for(lock, std::chrono::microseconds(wake_us), [&] {
-        return enq_ticket_.load(std::memory_order_acquire) != ticket;
-      });
-      continue;
+      if (stopped_.load(std::memory_order_acquire)) {
+        return {};  // stopped and drained
+      }
+      // Enqueues and stop() change the lists or stopped_ under mu_, then
+      // notify, so the rescan above is the wait's predicate; a spurious
+      // wakeup just rescans.
+      cv_.wait(lock);
     }
-    std::unique_lock<std::mutex> lock(wait_mu_);
-    if (enq_ticket_.load(std::memory_order_acquire) != ticket) {
-      continue;  // an enqueue raced the scan; rescan instead of sleeping
-    }
-    if (stopped_.load(std::memory_order_acquire) &&
-        total_count_.load(std::memory_order_acquire) == 0) {
-      return batch;  // empty: stopped and drained
-    }
-    cv_.wait(lock, [&] {
-      return enq_ticket_.load(std::memory_order_acquire) != ticket;
-    });
   }
+  std::vector<QueuedJob> batch;
+  batch.reserve(taken.size());
+  for (QueuedJob& j : taken) {
+    batch.push_back(std::move(j));
+  }
+  if (tracer_ != nullptr) {
+    const double end = now_fn_();
+    for (const QueuedJob& j : batch) {
+      if (!j.trace.sampled()) {
+        continue;
+      }
+      // The queue-wait span: last (re)enqueue → this dequeue.
+      tracer_->span(j.trace, tracer_->alloc_span_id(), j.trace.span_id,
+                    "admission.dequeue",
+                    static_cast<std::uint32_t>(j.attempts), kQueueTid,
+                    j.queued_us, end,
+                    {{"batch", std::to_string(batch.size())}});
+    }
+  }
+  return batch;
 }
 
 std::optional<QueuedJob> AdmissionQueue::pop_blocking() {
@@ -353,18 +289,15 @@ std::optional<QueuedJob> AdmissionQueue::pop_blocking() {
 }
 
 bool AdmissionQueue::has_higher_than(Priority p) const {
+  if (p == Priority::kInteractive) {
+    return false;  // nothing outranks the top class
+  }
   const double now = now_fn_();
+  std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t c = 0; c < static_cast<std::size_t>(p); ++c) {
-    const ClassQueue& cls = classes_[c];
-    if (cls.count.load(std::memory_order_acquire) == 0) {
-      continue;  // lock-free fast path: class empty
-    }
-    for (const auto& shard : cls.shards) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      for (const QueuedJob& job : shard->jobs) {
-        if (job.not_before_us <= now) {
-          return true;
-        }
+    for (const QueuedJob& job : classes_[c]) {
+      if (job.not_before_us <= now) {
+        return true;
       }
     }
   }
@@ -372,10 +305,9 @@ bool AdmissionQueue::has_higher_than(Priority p) const {
 }
 
 void AdmissionQueue::stop() {
-  stopped_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    enq_ticket_.fetch_add(1, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    stopped_.store(true, std::memory_order_release);
   }
   cv_.notify_all();
 }
@@ -385,12 +317,13 @@ bool AdmissionQueue::stopped() const {
 }
 
 std::size_t AdmissionQueue::depth() const {
-  return total_count_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  return depth_locked();
 }
 
 std::size_t AdmissionQueue::depth(Priority p) const {
-  return classes_[static_cast<std::size_t>(p)].count.load(
-      std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  return classes_[static_cast<std::size_t>(p)].size();
 }
 
 std::uint64_t AdmissionQueue::jobs_submitted() const {
@@ -401,26 +334,18 @@ std::uint64_t AdmissionQueue::jobs_rejected() const {
   return rejected_.load(std::memory_order_relaxed);
 }
 
-std::vector<std::vector<AdmissionQueue::ShardDepth>>
-AdmissionQueue::introspect_shards() const {
-  std::vector<std::vector<ShardDepth>> out(kNumPriorities);
+std::array<AdmissionQueue::ClassDepth, kNumPriorities>
+AdmissionQueue::class_depths() const {
+  std::array<ClassDepth, kNumPriorities> out{};
+  std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t c = 0; c < kNumPriorities; ++c) {
-    out[c].reserve(num_shards_);
-    for (const auto& shard : classes_[c].shards) {
-      ShardDepth d;
-      std::lock_guard<std::mutex> lock(shard->mu);
-      d.depth = shard->jobs.size();
-      if (!d.depth) {
-        out[c].push_back(d);
-        continue;
-      }
-      // The deque is ticket-sorted, so the front is the oldest ticket —
-      // but its *queued_us* is what ages (a front requeue resets it).
-      d.oldest_queued_us = shard->jobs.front().queued_us;
-      for (const QueuedJob& j : shard->jobs) {
-        d.oldest_queued_us = std::min(d.oldest_queued_us, j.queued_us);
-      }
-      out[c].push_back(d);
+    out[c].depth = classes_[c].size();
+    if (out[c].depth == 0) {
+      continue;
+    }
+    out[c].oldest_queued_us = classes_[c].front().queued_us;
+    for (const QueuedJob& j : classes_[c]) {
+      out[c].oldest_queued_us = std::min(out[c].oldest_queued_us, j.queued_us);
     }
   }
   return out;

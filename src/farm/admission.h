@@ -31,30 +31,23 @@
 // work of its own class. A job whose not_before_us lies in the future is
 // invisible to pop_blocking() until the backoff expires.
 //
-// ## Sharded hot path (DESIGN.md §14)
+// ## One lock (DESIGN.md §14)
 //
-// Internally each priority class is split into S shards, each a small
-// seq-sorted deque behind its own mutex. Ordering is carried by *global
-// sequence tickets*, not by queue position: every enqueue draws a ticket
-// from a lock-free counter (back tickets count up, front-requeue tickets
-// count down), and pop serves the minimum-ticket eligible job of the
-// highest non-empty class — which reproduces the exact strict-priority /
-// FIFO-among-eligible order of the old single-mutex queue. A submitter
-// therefore touches one atomic (capacity reservation), one ticket draw
-// and one shard mutex; submitters only collide 1/S of the time, and
-// never hold a lock while validating a spec. Class occupancy lives in
-// per-class atomic counters so has_higher_than(), the per-slice
-// preemption probe, is lock-free in the common "no higher work" case.
-// Wakeups go through a dedicated wait mutex + enqueue ticket so a
-// blocked popper can never miss an enqueue that raced its scan.
+// Each priority class is one list, and all three sit behind one mutex
+// with one condition variable. Queue position is the order: submits and
+// kBack retries go to the back, kFront requeues to the front, and a pop
+// takes the first eligible job from the front of the highest non-empty
+// class. Spec validation, the capacity reservation (one atomic) and the
+// accept hook run outside the lock, and list nodes are allocated and
+// freed outside it too: the critical sections only splice nodes.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -123,18 +116,17 @@ struct QueuedJob {
   /// Batch-compatibility key (engine-cache identity in the farm),
   /// stamped at enqueue from the queue's batch_key_fn. 0 = unbatchable.
   std::uint64_t batch_key = 0;
-  /// Global FIFO ticket (queue-internal; see header).
-  std::uint64_t seq = 0;
   /// Distributed-tracing identity (DESIGN.md §15), stamped at submit
   /// when the job is sampled. trace_id 0 (the default) disables every
   /// downstream recording site for this job.
   obs::TraceContext trace;
+  /// Cooperative cancel token, stamped by the accept hook (the farm's
+  /// control record holds the other reference). Null without a hook.
+  std::shared_ptr<std::atomic<bool>> cancel;
   /// Currently open execution-segment span (one per dispatch), 0
   /// between dispatches. Owned by the worker running the job.
   std::uint64_t exec_span = 0;
   double exec_span_start_us = 0.0;
-  /// Shard index of the last enqueue (for dequeue span attribution).
-  std::size_t enqueue_shard = 0;
 };
 
 /// Where requeued work re-enters its priority class.
@@ -148,26 +140,24 @@ class AdmissionQueue {
   /// Computes a job's batch-compatibility key (the farm passes the
   /// engine-cache key hash). Jobs pop together only when keys match.
   using BatchKeyFn = std::function<std::uint64_t(const JobSpec&)>;
-  /// Runs on accepted submissions after the job id is assigned but
-  /// *before* the job becomes poppable — the farm installs its per-job
-  /// control record here so a worker can never see a control-less job.
-  /// Called with no queue locks held.
-  using AcceptHook = std::function<void(std::uint64_t job_id,
-                                        const JobSpec& spec)>;
+  /// Runs on an accepted job after its id is assigned but *before* it
+  /// becomes poppable — the farm installs its per-job control record
+  /// here and stamps the job's cancel token, so a worker can never see
+  /// a control-less job. Called with no queue locks held.
+  using AcceptHook = std::function<void(QueuedJob& job)>;
 
   /// `capacity` bounds *fresh* submissions queued at once;
   /// `max_job_cycles` is the per-job cycle ceiling (kTooLarge above it).
   /// `now_fn` supplies the clock `not_before_us` stamps are compared
   /// against (defaults to a steady µs clock; the farm passes its own so
-  /// queue time and trace span time share an epoch). `num_shards` is the
-  /// per-class shard count; `batch_key_fn` enables pop_batch_blocking.
+  /// queue time and trace span time share an epoch). `batch_key_fn`
+  /// enables pop_batch_blocking.
   /// A non-null `tracer` samples submissions and records the
   /// enqueue/dequeue spans of sampled jobs (span timestamps come from
   /// `now_fn`, so all of a trace's spans share one clock).
   AdmissionQueue(std::size_t capacity, SystemCycle max_job_cycles,
                  std::function<double()> now_fn = {},
-                 std::size_t num_shards = 4, BatchKeyFn batch_key_fn = {},
-                 obs::Tracer* tracer = nullptr);
+                 BatchKeyFn batch_key_fn = {}, obs::Tracer* tracer = nullptr);
 
   /// Validates and either enqueues (assigning a job id and stamping the
   /// deadline) or rejects. Never blocks. `on_accept`, when given, runs
@@ -190,7 +180,7 @@ class AdmissionQueue {
                RequeuePosition pos = RequeuePosition::kFront);
 
   /// Blocks until eligible work is available (highest priority class
-  /// first, FIFO-by-ticket within a class, jobs with a future
+  /// first, queue order within a class, jobs with a future
   /// not_before_us skipped until their backoff expires) or the queue is
   /// stopped-and-empty (then nullopt). Backoff'd jobs are still drained
   /// after stop(): admitted work always resolves.
@@ -198,15 +188,14 @@ class AdmissionQueue {
 
   /// Like pop_blocking(), but amortizes dispatch: after serving the
   /// head job it keeps popping while the *next* eligible job of the
-  /// same class (in ticket order — nothing is skipped or overtaken)
+  /// same class (in queue order — nothing is skipped or overtaken)
   /// shares the head's batch key, up to `max_batch` jobs. Returns an
   /// empty vector exactly when pop_blocking() would return nullopt.
   /// With no batch_key_fn configured every batch has size 1.
   std::vector<QueuedJob> pop_batch_blocking(std::size_t max_batch);
 
   /// True when any queued *eligible* job outranks `p` — the preemption
-  /// predicate workers poll between quanta. Lock-free when every higher
-  /// class is empty.
+  /// predicate workers poll between quanta.
   bool has_higher_than(Priority p) const;
 
   /// Wakes all waiters; pop_blocking() drains the backlog then returns
@@ -216,72 +205,53 @@ class AdmissionQueue {
 
   std::size_t depth() const;
   std::size_t depth(Priority p) const;
-  std::uint64_t jobs_submitted() const;   ///< accepted fresh submissions
+  /// Accepted fresh submissions. Job ids are 1..jobs_submitted().
+  std::uint64_t jobs_submitted() const;
   std::uint64_t jobs_rejected() const;
 
-  /// Per-shard occupancy snapshot for SimFarm::introspect().
-  struct ShardDepth {
+  /// Per-class occupancy snapshot for SimFarm::introspect().
+  struct ClassDepth {
     std::size_t depth = 0;
-    /// queued_us of the oldest-ticket job in the shard (0 when empty);
-    /// `now - oldest_queued_us` is the shard's oldest-ticket age.
+    /// Smallest queued_us in the class (0 when empty); `now -
+    /// oldest_queued_us` is the class's oldest age. A front requeue
+    /// resets its job's queued_us, so this is not always the front job.
     double oldest_queued_us = 0.0;
   };
-  /// Indexed [priority class][shard]. Takes each shard lock briefly;
-  /// callable from any thread.
-  std::vector<std::vector<ShardDepth>> introspect_shards() const;
+  /// Indexed by priority class; callable from any thread.
+  std::array<ClassDepth, kNumPriorities> class_depths() const;
 
  private:
-  /// One seq-sorted sub-queue. Entries are kept ordered by ticket so a
-  /// scan reads eligible candidates in FIFO order.
-  struct Shard {
-    mutable std::mutex mu;
-    std::deque<QueuedJob> jobs;
-  };
-  struct ClassQueue {
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::atomic<std::size_t> count{0};   ///< jobs across shards
-    std::atomic<std::size_t> rr{0};      ///< round-robin enqueue cursor
-  };
-
-  void enqueue(QueuedJob job, RequeuePosition pos);
-  void signal_enqueue();
-  /// Scans class `c` (all shard locks held in index order) for the
-  /// minimum-ticket eligible job; removes and returns it. Updates
-  /// `next_eligible` with the earliest backoff expiry seen.
-  std::optional<QueuedJob> take_min_eligible(ClassQueue& cls, double now,
-                                             double& next_eligible,
-                                             std::uint64_t require_key,
-                                             bool key_constrained);
+  /// Pushes `job` into its class (front or back), wakes one popper and
+  /// returns the total depth after the push.
+  std::size_t enqueue(QueuedJob job, RequeuePosition pos);
+  std::size_t depth_locked() const;
+  /// Splices the first eligible job of class `c` onto the back of
+  /// `out`. Returns false when none is eligible or (with `require_key`
+  /// nonzero) the first eligible one has a different batch key. Lowers
+  /// `next_eligible` to the earliest backoff expiry it skipped. Caller
+  /// holds mu_.
+  bool take_first_eligible(std::size_t c, double now, double& next_eligible,
+                           std::uint64_t require_key,
+                           std::list<QueuedJob>& out);
 
   const std::size_t capacity_;
   const SystemCycle max_job_cycles_;
   const std::function<double()> now_fn_;
-  const std::size_t num_shards_;
   const BatchKeyFn batch_key_fn_;
   obs::Tracer* const tracer_;
 
-  std::array<ClassQueue, kNumPriorities> classes_;
-
-  // Global order tickets: fresh/back enqueues count up from the middle
-  // of the range, front requeues count down — so a front requeue always
-  // orders before everything already queued, and repeated front
-  // requeues keep push_front's most-recent-first order.
-  std::atomic<std::uint64_t> back_seq_{1ull << 32};
-  std::atomic<std::uint64_t> front_seq_{(1ull << 32) - 1};
-
-  std::atomic<std::size_t> total_count_{0};
-  std::atomic<std::size_t> fresh_queued_{0};
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::array<std::list<QueuedJob>, kNumPriorities> classes_;  ///< mu_
+  /// Written under mu_ (so a popper cannot miss it before waiting), read
+  /// lock-free by submit().
   std::atomic<bool> stopped_{false};
-  std::atomic<std::uint64_t> next_job_id_{1};
+  /// Fresh jobs queued, reserved by submit() before the push and
+  /// released by the pop that takes the job.
+  std::atomic<std::size_t> fresh_queued_{0};
+  /// Accepted fresh submissions; the n-th accepted job gets id n.
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> rejected_{0};
-
-  // Wakeup protocol: enq_ticket_ is bumped under wait_mu_ after every
-  // enqueue/stop, so a popper that saw nothing re-checks the ticket
-  // under wait_mu_ before sleeping — a racing enqueue can't be missed.
-  mutable std::mutex wait_mu_;
-  std::condition_variable cv_;
-  std::atomic<std::uint64_t> enq_ticket_{0};
 };
 
 }  // namespace tmsim::farm

@@ -13,9 +13,6 @@ namespace tmsim::farm {
 
 namespace {
 
-/// Sub-queues per priority class in the AdmissionQueue — submitters and
-/// poppers contend 1/kAdmissionShards of the time.
-constexpr std::size_t kAdmissionShards = 4;
 /// Dispatch batching: a worker pops up to this many *consecutive*
 /// same-class jobs sharing an engine-cache key and runs them back-to-back
 /// on one warm engine.
@@ -56,7 +53,7 @@ const char* cancel_result_name(CancelResult r) {
 SimFarm::SimFarm(FarmOptions opt)
     : opt_(opt),
       queue_(opt.queue_capacity, opt.max_job_cycles,
-             [this] { return now_us(); }, kAdmissionShards,
+             [this] { return now_us(); },
              // Batch compatibility = engine-cache identity: the queue
              // only hands out multi-job batches that can share one warm
              // engine without re-attach.
@@ -93,7 +90,7 @@ double SimFarm::now_us() const {
 void SimFarm::update_queue_gauges() {
   // Gauges are refreshed at supervisor cadence and at shutdown, not on
   // every submit/publish — a point-in-time depth does not need (and the
-  // sharded hot path does not pay for) per-event precision.
+  // hot path does not pay for) per-event precision.
   if (!opt_.metrics) {
     return;
   }
@@ -119,16 +116,13 @@ SubmitOutcome SimFarm::submit(const JobSpec& spec,
     // never see a control-less job — the old TOCTOU fix, without
     // holding any farm-wide lock across the enqueue.
     out = queue_.submit(spec, now,
-                        [this, now](std::uint64_t id, const JobSpec& s) {
+                        [this](QueuedJob& job) {
                           inflight_.fetch_add(1, std::memory_order_relaxed);
                           JobControl ctl;
-                          if (s.deadline_ms > 0) {
-                            ctl.deadline_at_us =
-                                now + static_cast<double>(s.deadline_ms) * 1e3;
-                          }
-                          ControlShard& shard = control_shard(id);
-                          std::lock_guard<std::mutex> lock(shard.mu);
-                          shard.map.emplace(id, std::move(ctl));
+                          ctl.deadline_at_us = job.deadline_at_us;
+                          job.cancel = ctl.cancel;
+                          std::lock_guard<std::mutex> lock(control_mu_);
+                          control_.emplace(job.job_id, std::move(ctl));
                         },
                         remote);
   }
@@ -149,27 +143,21 @@ SubmitOutcome SimFarm::submit(const JobSpec& spec,
 }
 
 CancelResult SimFarm::cancel(std::uint64_t job_id) {
-  ControlShard& shard = control_shard(job_id);
-  bool requested = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(job_id);
-    if (it != shard.map.end()) {
-      if (it->second.terminal) {
-        return CancelResult::kAlreadyFinished;
-      }
-      if (it->second.cause == CancelCause::kNone) {
-        it->second.cause = CancelCause::kUser;
-      }
-      it->second.cancel->store(true, std::memory_order_relaxed);
-      requested = true;
+    std::lock_guard<std::mutex> lock(control_mu_);
+    const auto it = control_.find(job_id);
+    if (it == control_.end()) {
+      // Control records live from admission until a publisher wins the
+      // terminal race, and ids are issued densely from 1: an issued id
+      // without a record is finished (or its result is racing in).
+      return job_id != 0 && job_id <= queue_.jobs_submitted()
+                 ? CancelResult::kAlreadyFinished
+                 : CancelResult::kUnknownJob;
     }
-  }
-  if (!requested) {
-    // Control blocks live from admission to publish: absent + published
-    // means finished, absent + unpublished means never ours.
-    return results_.get(job_id) ? CancelResult::kAlreadyFinished
-                                : CancelResult::kUnknownJob;
+    if (it->second.cause == CancelCause::kNone) {
+      it->second.cause = CancelCause::kUser;
+    }
+    it->second.cancel->store(true, std::memory_order_relaxed);
   }
   if (opt_.metrics) {
     std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -340,8 +328,8 @@ void SimFarm::shutdown() {
 
 void SimFarm::requeue_batch_tail(std::vector<QueuedJob>& batch,
                                  std::size_t from) {
-  // Front tickets count *down*, so requeuing in reverse order leaves the
-  // tail at the front of its class in its original relative order.
+  // Each kFront requeue is a push_front, so requeuing in reverse order
+  // leaves the tail at the front of its class in its original order.
   const double now = now_us();
   for (std::size_t k = batch.size(); k > from; --k) {
     queue_.requeue(std::move(batch[k - 1]), now, RequeuePosition::kFront);
@@ -475,15 +463,7 @@ bool SimFarm::run_job(std::size_t w, QueuedJob job) {
   Worker& worker = *workers_[w];
   const auto tid = static_cast<std::uint32_t>(100 + w);
   const bool resumed = job.session != nullptr;
-  std::shared_ptr<std::atomic<bool>> token;
-  {
-    ControlShard& shard = control_shard(job.job_id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(job.job_id);
-    TMSIM_CHECK_MSG(it != shard.map.end(),
-                    "in-flight job without a control record");
-    token = it->second.cancel;
-  }
+  const std::shared_ptr<std::atomic<bool>> token = job.cancel;
   worker.current_job.store(job.job_id, std::memory_order_relaxed);
   // One farm.exec segment per dispatch, opened before the memo check so
   // even memo-served jobs show where they ran; closed with its outcome
@@ -775,26 +755,21 @@ void SimFarm::publish(std::size_t w, QueuedJob& job, JobResult r) {
   r.exec_seconds = job.exec_us * 1e-6;
   r.turnaround_seconds = (done_us - job.submitted_us) * 1e-6;
   {
-    // Terminal race arbitration: the first publisher marks the control
-    // block terminal and wins; any later publisher for the same job is
-    // suppressed — exactly one result per accepted job, always. Only
-    // this job's control shard is touched; publishes of unrelated jobs
-    // proceed in parallel.
-    ControlShard& shard = control_shard(job.job_id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(job.job_id);
-    if (it != shard.map.end()) {
-      if (it->second.terminal) {
-        workers_[w]->current_job.store(0, std::memory_order_relaxed);
-        workers_[w]->publish_us += now_us() - p0;
-        return;
-      }
-      it->second.terminal = true;
-      if (r.status == JobStatus::kCancelled &&
-          r.cancel_cause == CancelCause::kNone) {
-        r.cancel_cause = it->second.cause;
-      }
+    // Terminal race arbitration: the first publisher erases the control
+    // record and wins; any later publisher for the same job finds none
+    // and is suppressed — exactly one result per accepted job, always.
+    std::lock_guard<std::mutex> lock(control_mu_);
+    const auto it = control_.find(job.job_id);
+    if (it == control_.end()) {
+      workers_[w]->current_job.store(0, std::memory_order_relaxed);
+      workers_[w]->publish_us += now_us() - p0;
+      return;
     }
+    if (r.status == JobStatus::kCancelled &&
+        r.cancel_cause == CancelCause::kNone) {
+      r.cancel_cause = it->second.cause;
+    }
+    control_.erase(it);
   }
   if (r.status == JobStatus::kCancelled) {
     if (r.cancel_cause == CancelCause::kNone) {
@@ -839,13 +814,6 @@ void SimFarm::publish(std::size_t w, QueuedJob& job, JobResult r) {
   const CancelCause cause = r.cancel_cause;
   const bool memo_hit = r.memo_hit;
   const bool feed_dropped = results_.put(std::move(r));
-  {
-    // The control block outlives the result's visibility (cancel() reads
-    // "absent + published" as finished), so erase only after put().
-    ControlShard& shard = control_shard(job.job_id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.erase(job.job_id);
-  }
   workers_[w]->current_job.store(0, std::memory_order_relaxed);
   if (opt_.metrics) {
     std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -891,8 +859,8 @@ void SimFarm::publish(std::size_t w, QueuedJob& job, JobResult r) {
 
 std::string SimFarm::introspect() const {
   // Live snapshot, callable from any thread while the farm runs. Reads
-  // atomics and takes only short leaf locks (queue shards, the result
-  // feed, farm_mu_, memo_mu_) — never metrics_mu_, never a worker join.
+  // atomics and takes only short leaf locks (the queue, the result
+  // store, farm_mu_, memo_mu_) — never metrics_mu_, never a worker join.
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
@@ -904,22 +872,14 @@ std::string SimFarm::introspect() const {
   os << ", \"queue\": {\"depth\": " << queue_.depth()
      << ", \"submitted\": " << queue_.jobs_submitted()
      << ", \"rejected\": " << queue_.jobs_rejected() << ", \"classes\": [";
-  const auto shards = queue_.introspect_shards();
-  for (std::size_t c = 0; c < shards.size(); ++c) {
-    if (c > 0) {
-      os << ", ";
-    }
-    os << "{\"class\": \"" << priority_name(static_cast<Priority>(c))
-       << "\", \"depth\": " << queue_.depth(static_cast<Priority>(c))
-       << ", \"shards\": [";
-    for (std::size_t s = 0; s < shards[c].size(); ++s) {
-      const AdmissionQueue::ShardDepth& sd = shards[c][s];
-      const double age =
-          sd.depth > 0 ? std::max(0.0, now - sd.oldest_queued_us) : 0.0;
-      os << (s > 0 ? ", " : "") << "{\"depth\": " << sd.depth
-         << ", \"oldest_age_us\": " << age << "}";
-    }
-    os << "]}";
+  const auto classes = queue_.class_depths();
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const AdmissionQueue::ClassDepth& cd = classes[c];
+    const double age =
+        cd.depth > 0 ? std::max(0.0, now - cd.oldest_queued_us) : 0.0;
+    os << (c > 0 ? ", " : "") << "{\"class\": \""
+       << priority_name(static_cast<Priority>(c)) << "\", \"depth\": "
+       << cd.depth << ", \"oldest_age_us\": " << age << "}";
   }
   os << "]}";
 
@@ -1028,20 +988,18 @@ void SimFarm::supervisor_scan() {
   std::uint64_t deadlines_enforced = 0;
   {
     const double now = now_us();
-    for (ControlShard& shard : control_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (auto& [id, ctl] : shard.map) {
-        if (ctl.terminal || ctl.deadline_at_us <= 0.0 ||
-            now < ctl.deadline_at_us ||
-            ctl.cancel->load(std::memory_order_relaxed)) {
-          continue;
-        }
-        if (ctl.cause == CancelCause::kNone) {
-          ctl.cause = CancelCause::kDeadline;
-        }
-        ctl.cancel->store(true, std::memory_order_relaxed);
-        ++deadlines_enforced;
+    std::lock_guard<std::mutex> lock(control_mu_);
+    for (auto& [id, ctl] : control_) {
+      if (ctl.deadline_at_us <= 0.0 ||
+          now < ctl.deadline_at_us ||
+          ctl.cancel->load(std::memory_order_relaxed)) {
+        continue;
       }
+      if (ctl.cause == CancelCause::kNone) {
+        ctl.cause = CancelCause::kDeadline;
+      }
+      ctl.cancel->store(true, std::memory_order_relaxed);
+      ++deadlines_enforced;
     }
   }
   if (deadlines_enforced > 0 && opt_.metrics) {
@@ -1081,10 +1039,9 @@ void SimFarm::supervisor_scan() {
     }
     bool escalated = false;
     {
-      ControlShard& shard = control_shard(current);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.map.find(current);
-      if (it != shard.map.end() && !it->second.terminal) {
+      std::lock_guard<std::mutex> lock(control_mu_);
+      const auto it = control_.find(current);
+      if (it != control_.end()) {
         if (it->second.cause == CancelCause::kNone) {
           it->second.cause = CancelCause::kSupervisor;
         }

@@ -53,10 +53,10 @@
 //     (a) exactly one terminal result per accepted spec and (b) every
 //     completed job bit-identical to a standalone run.
 //
-// Scaling (DESIGN.md §14): the submit→pop→run→publish pipeline holds no
-// global lock. Admission is sharded per class (seq-ticket FIFO), the
-// result store is sharded by job id, per-job control blocks are sharded
-// by job id, and in-flight accounting is a single atomic — so adding
+// Scaling (DESIGN.md §14): the admission queue, the result store and the
+// per-job control table each have one mutex, held only for a push, a
+// pop or a map update; specs are validated and jobs simulated outside
+// all of them, and in-flight accounting is a single atomic — so adding
 // workers adds throughput until the machine runs out of cores
 // (tests/farm/farm_scaling_test.cpp pins w4 ≥ 2× w1 on a paced
 // workload). Two dispatch amortizations ride on top:
@@ -90,7 +90,7 @@
 // Distributed tracing + flight recorder + introspection (DESIGN.md
 // §15, all off by default and provably free when off):
 //   - FarmOptions::tracer samples submissions and threads a
-//     TraceContext through the job's whole life — submit, per-shard
+//     TraceContext through the job's whole life — submit,
 //     enqueue/dequeue, one farm.exec segment per dispatch (attach and
 //     slice children), retry/backoff, supervisor reclaim, publish — so
 //     one job renders as one connected span tree across workers,
@@ -100,14 +100,13 @@
 //     ring of structured events; every kFailed result carries the
 //     failing worker's recent events for its job in
 //     failure.flight_recording, next to the replay tuple.
-//   - introspect() returns a JSON snapshot (per-shard queue depths +
-//     oldest-ticket age, worker states + current span, inflight /
+//   - introspect() returns a JSON snapshot (per-class queue depths +
+//     oldest age, worker states + current span, inflight /
 //     memo / result-feed counters) from any thread, and
 //     introspect_interval_ms arms a thread that writes it to
 //     introspect_path periodically.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -295,8 +294,8 @@ class SimFarm {
   const FarmOptions& options() const { return opt_; }
   std::size_t queue_depth() const { return queue_.depth(); }
 
-  /// Live JSON snapshot of the farm (DESIGN.md §15): per-shard queue
-  /// depths and oldest-ticket age, worker states (busy/idle/dead) with
+  /// Live JSON snapshot of the farm (DESIGN.md §15): per-class queue
+  /// depths and oldest age, worker states (busy/idle/dead) with
   /// current job and span, inflight / reclaim / quarantine / memo /
   /// result-feed counters, and tracer/recorder totals when armed.
   /// Callable from any thread at any time; touches only atomics and
@@ -362,21 +361,14 @@ class SimFarm {
     std::uint64_t last_beat = 0;
     std::size_t missed_scans = 0;
   };
-  /// Per-job control block, created at admission, erased at publish.
+  /// Per-job control block, created at admission and erased by the
+  /// publisher that wins the terminal race.
   struct JobControl {
     std::shared_ptr<std::atomic<bool>> cancel =
         std::make_shared<std::atomic<bool>>(false);
     CancelCause cause = CancelCause::kNone;
-    bool terminal = false;     ///< a publisher won; suppress any other
     double deadline_at_us = 0.0;
   };
-  /// Control blocks are sharded by job id so submit / cancel / publish
-  /// for different jobs never contend (DESIGN.md §14).
-  struct ControlShard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, JobControl> map;
-  };
-  static constexpr std::size_t kControlShards = 8;
 
   void worker_main(std::size_t w);
   /// Gives batch[from..) back to the *front* of its class, in original
@@ -412,12 +404,6 @@ class SimFarm {
               obs::FlightEventKind kind, std::uint64_t a, std::uint64_t b);
   void introspector_main();
   void write_introspect_file() const;
-  ControlShard& control_shard(std::uint64_t job_id) {
-    return control_[job_id % kControlShards];
-  }
-  const ControlShard& control_shard(std::uint64_t job_id) const {
-    return control_[job_id % kControlShards];
-  }
   /// Memo cache (memo_capacity > 0): LRU of kDone results keyed by
   /// JobSpec::fingerprint(). Lookup refreshes recency and returns a copy.
   std::optional<JobResult> memo_lookup(std::uint64_t fingerprint);
@@ -436,9 +422,10 @@ class SimFarm {
   ResultStore results_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Lock map (DESIGN.md §14). No lock is global to the hot path:
-  //   - control_[i].mu  — one control shard (submit/cancel/publish of the
-  //     jobs hashing there);
+  // Lock map (DESIGN.md §14). Besides the queue's and the result
+  // store's own mutex:
+  //   - control_mu_     — the per-job control table (submit / cancel /
+  //     dispatch / publish / supervisor deadline scan);
   //   - farm_mu_        — cold paths only: quarantine_, reclaims_, orphan
   //     slots;
   //   - metrics_mu_     — leaf mutex serializing writers of *shared*
@@ -455,7 +442,8 @@ class SimFarm {
   std::condition_variable idle_cv_;
   std::atomic<std::size_t> inflight_{0};  ///< accepted, not yet published
   std::atomic<bool> stopping_{false};
-  std::array<ControlShard, kControlShards> control_;
+  mutable std::mutex control_mu_;
+  std::unordered_map<std::uint64_t, JobControl> control_;
   std::vector<QuarantineRecord> quarantine_;
   std::uint64_t reclaims_ = 0;  ///< guarded by farm_mu_
 

@@ -6,122 +6,83 @@
 
 namespace tmsim::farm {
 
-ResultStore::ResultStore(std::size_t completion_feed_depth,
-                         std::size_t num_shards)
-    : feed_(completion_feed_depth == 0 ? 1 : completion_feed_depth) {
-  if (num_shards == 0) {
-    num_shards = 1;
-  }
-  shards_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+ResultStore::ResultStore(std::size_t completion_feed_depth)
+    : feed_(completion_feed_depth == 0 ? 1 : completion_feed_depth) {}
 
 bool ResultStore::put(JobResult result) {
   const std::uint64_t id = result.job_id;
-  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = shard_for(id);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    TMSIM_CHECK_MSG(!shard.results.contains(id),
-                    "duplicate result for a job id");
-    shard.results.emplace(id, Stored{seq, std::move(result)});
-  }
-  size_.fetch_add(1, std::memory_order_release);
-  shard.cv.notify_all();
-  // Completion feed: drop-oldest on overflow (the §5.2 monitor-buffer
-  // discipline — a slow consumer must not stall the producer). Job ids
-  // are sequential from 1, far below the word's 32-bit range.
+  std::list<JobResult> node;
+  node.push_back(std::move(result));
   bool dropped_one = false;
   {
-    std::lock_guard<std::mutex> lock(feed_mu_);
-    if (feed_.full()) {
-      feed_.pop();
-      ++dropped_;
-      dropped_one = true;
-    }
-    feed_.push(fpga::TimedWord{seq, static_cast<std::uint32_t>(id)});
+    std::lock_guard<std::mutex> lock(mu_);
+    TMSIM_CHECK_MSG(index_.emplace(id, node.cbegin()).second,
+                    "duplicate result for a job id");
+    results_.splice(results_.end(), node);
+    // Completion feed: drop-oldest on overflow (the §5.2 monitor-buffer
+    // discipline — a slow consumer must not stall the producer).
+    dropped_one = feed_.full();
+    dropped_ += dropped_one ? 1 : 0;
+    feed_.push_overwrite(id);
   }
-  feed_cv_.notify_all();
+  cv_.notify_all();
   return dropped_one;
 }
 
 std::optional<JobResult> ResultStore::get(std::uint64_t job_id) const {
-  const Shard& shard = shard_for(job_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.results.find(job_id);
-  if (it == shard.results.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(job_id);
+  if (it == index_.end()) {
     return std::nullopt;
   }
-  return it->second.result;
+  return *it->second;
 }
 
 JobResult ResultStore::wait(std::uint64_t job_id) const {
-  const Shard& shard = shard_for(job_id);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  shard.cv.wait(lock, [&] { return shard.results.contains(job_id); });
-  return shard.results.at(job_id).result;
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return index_.contains(job_id); });
+  return *index_.at(job_id);
 }
 
 std::vector<JobResult> ResultStore::all() const {
-  std::vector<Stored> gathered;
-  gathered.reserve(size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [id, stored] : shard->results) {
-      gathered.push_back(stored);
-    }
-  }
-  std::sort(gathered.begin(), gathered.end(),
-            [](const Stored& a, const Stored& b) { return a.seq < b.seq; });
-  std::vector<JobResult> out;
-  out.reserve(gathered.size());
-  for (auto& stored : gathered) {
-    out.push_back(std::move(stored.result));
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return {results_.begin(), results_.end()};
 }
 
 std::size_t ResultStore::size() const {
-  return size_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  return results_.size();
 }
 
 std::vector<std::uint64_t> ResultStore::drain_completions() {
-  std::lock_guard<std::mutex> lock(feed_mu_);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(feed_.fill());
-  while (!feed_.empty()) {
-    ids.push_back(feed_.pop().data);
-  }
-  return ids;
+  return next_batch(0, std::chrono::microseconds(0));
 }
 
 std::vector<std::uint64_t> ResultStore::next_batch(
     std::size_t max_ids, std::chrono::microseconds timeout) {
-  std::unique_lock<std::mutex> lock(feed_mu_);
-  feed_cv_.wait_for(lock, timeout, [&] { return !feed_.empty(); });
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait_for(lock, timeout, [&] { return !feed_.empty(); });
+  const std::size_t n =
+      max_ids == 0 ? feed_.size() : std::min(feed_.size(), max_ids);
   std::vector<std::uint64_t> ids;
-  ids.reserve(std::min(feed_.fill(),
-                       max_ids == 0 ? feed_.fill() : max_ids));
-  while (!feed_.empty() && (max_ids == 0 || ids.size() < max_ids)) {
-    ids.push_back(feed_.pop().data);
+  ids.reserve(n);
+  while (ids.size() < n) {
+    ids.push_back(feed_.pop());
   }
   return ids;
 }
 
 std::uint64_t ResultStore::completions_dropped() const {
-  std::lock_guard<std::mutex> lock(feed_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
 }
 
 std::size_t ResultStore::feed_fill() const {
-  std::lock_guard<std::mutex> lock(feed_mu_);
-  return feed_.fill();
+  std::lock_guard<std::mutex> lock(mu_);
+  return feed_.size();
 }
 
 std::size_t ResultStore::feed_capacity() const {
-  std::lock_guard<std::mutex> lock(feed_mu_);
   return feed_.capacity();
 }
 

@@ -2,40 +2,37 @@
 // JobResults and submitters collect them. Two access patterns:
 //
 //   - point lookup / blocking wait by job id (get / wait), and
-//   - a bounded completion feed (drain_completions) built on the same
-//     fpga::CyclicBuffer that decouples the ARM from the FPGA (§5.2) —
-//     the consumer that falls behind loses the *oldest* notifications
-//     (drop-oldest, counted), never blocks a worker, and can always
-//     recover the dropped results through get().
+//   - a bounded completion feed (drain_completions) of full 64-bit job
+//     ids, a RingBuffer with the drop-oldest discipline of the cyclic
+//     buffers that decouple the ARM from the FPGA (§5.2) — the consumer
+//     that falls behind loses the *oldest* notifications (counted),
+//     never blocks a worker, and can always recover the dropped results
+//     through get().
 //
-// Sharded hot path (DESIGN.md §14): results are striped across S
-// independently-locked shards keyed by job id, each with its own
-// condition variable, so concurrent publishers (and waiters on
-// different jobs) never serialize against each other. Only the bounded
-// completion feed keeps a single short lock — it is an ordered stream
-// by definition. Completion order is carried by a per-result sequence
-// stamp so all() can still present results in publish order.
+// One mutex guards the results, their publish order and the feed; one
+// condition variable wakes both id waiters and feed consumers
+// (DESIGN.md §14). A result's list node is allocated before the lock is
+// taken, so a publish holds it only to link the node, index it and push
+// its id onto the feed.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/ring_buffer.h"
 #include "farm/job_result.h"
-#include "fpga/cyclic_buffer.h"
 
 namespace tmsim::farm {
 
 class ResultStore {
  public:
-  explicit ResultStore(std::size_t completion_feed_depth = 64,
-                       std::size_t num_shards = 8);
+  explicit ResultStore(std::size_t completion_feed_depth = 64);
 
   /// Publishes a final result (workers call this exactly once per job).
   /// Never blocks. Returns true when the bounded completion feed was
@@ -75,27 +72,12 @@ class ResultStore {
   std::size_t feed_capacity() const;
 
  private:
-  struct Stored {
-    std::uint64_t seq = 0;  ///< completion order stamp
-    JobResult result;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    mutable std::condition_variable cv;
-    std::unordered_map<std::uint64_t, Stored> results;
-  };
-
-  Shard& shard_for(std::uint64_t job_id) const {
-    return *shards_[job_id % shards_.size()];
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::uint64_t> seq_{0};
-
-  mutable std::mutex feed_mu_;
-  std::condition_variable feed_cv_;
-  fpga::CyclicBuffer feed_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  std::list<JobResult> results_;  ///< publish order
+  std::unordered_map<std::uint64_t, std::list<JobResult>::const_iterator>
+      index_;
+  RingBuffer<std::uint64_t> feed_;
   std::uint64_t dropped_ = 0;
 };
 

@@ -862,7 +862,7 @@ void FarmdServer::writer_main(std::shared_ptr<ClientState> client) {
       conn = client->active;
     }
     // Build the Result frame outside the client lock (the result fetch
-    // takes a result-store shard lock, the encode is pure CPU).
+    // takes the result-store lock, the encode is pure CPU).
     std::uint64_t farm_id = 0;
     std::optional<farm::JobResult> res;
     {

@@ -114,9 +114,10 @@ void Tracer::span(
     a += "}";
     rec.args_json = std::move(a);
   }
-  Shard& shard = shards_[span_id % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.spans.push_back(std::move(rec));
+  std::list<SpanRecord> node;  // allocated here, spliced under the lock
+  node.push_back(std::move(rec));
+  std::lock_guard<std::mutex> lock(mu_);
+  spans_.splice(spans_.end(), node);
 }
 
 std::uint64_t Tracer::traces_started() const {
@@ -137,9 +138,9 @@ std::uint64_t Tracer::spans_dropped() const {
 
 std::vector<SpanRecord> Tracer::snapshot() const {
   std::vector<SpanRecord> out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.insert(out.end(), shard.spans.begin(), shard.spans.end());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out.assign(spans_.begin(), spans_.end());
   }
   // Deterministic order for logs and diffs: by trace, then time.
   std::sort(out.begin(), out.end(),

@@ -1,9 +1,9 @@
 // Distributed tracing for the farm hot path (DESIGN.md §15).
 //
 // A `Tracer` records *completed* spans — fixed time intervals with a
-// trace id, span id, and parent span id — into sharded in-memory
-// buffers. The farm opens one trace per sampled job at submit and
-// threads its `TraceContext` through the admission queue, dispatch,
+// trace id, span id, and parent span id — into one in-memory buffer.
+// The farm opens one trace per sampled job at submit and threads its
+// `TraceContext` through the admission queue, dispatch,
 // retries, supervisor reclaims, and publish, so a job's whole life
 // across workers renders as one connected tree:
 //
@@ -20,7 +20,8 @@
 //   - Free when off. The farm guards every site with `if (tracer)`;
 //     a null tracer is the default and costs one branch.
 //   - Lock-cheap when on. Sampling and span-id allocation are single
-//     atomic ops; recording locks one of 16 shard mutexes.
+//     atomic ops; recording splices one preallocated list node into
+//     the span store under one mutex.
 //   - Sampling-capable. `should_sample()` is a head-based 1-in-N
 //     ticket taken *before* the expensive fingerprint hash, so
 //     unsampled jobs skip all tracing work, not just the storage.
@@ -33,11 +34,11 @@
 // trace, so Perfetto draws the arrows between workers).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -131,12 +132,6 @@ class Tracer {
   void export_chrome(ChromeTrace& trace) const;
 
  private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<SpanRecord> spans;
-  };
-
   Options opt_;
   std::uint64_t epoch_ns_ = 0;
   std::atomic<std::uint64_t> ticket_{0};
@@ -144,7 +139,8 @@ class Tracer {
   std::atomic<std::uint64_t> traces_{0};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  std::list<SpanRecord> spans_;  ///< guarded by mu_
 };
 
 /// Validates a JSONL span log (the `Tracer::write_jsonl` format), the

@@ -1,4 +1,4 @@
-// Scaling proofs for the sharded farm hot path (DESIGN.md §14).
+// Scaling proofs for the farm hot path (DESIGN.md §14).
 //
 // Honesty note, pinned in DESIGN.md: a cycle-accurate simulation job is
 // pure CPU, so on a single-core host w4 can never beat w1 no matter how
@@ -8,8 +8,8 @@
 // a chaos hook that sleeps a fixed wall interval at every slice
 // boundary and returns kNone. Sleeps overlap across workers even on one
 // core, so throughput scales with worker count iff the farm's hot path
-// (pop → attach → run → publish) is actually concurrent; any global
-// mutex on that path collapses the ratio toward 1. A CPU-bound variant
+// (pop → attach → run → publish) is actually concurrent; any lock held
+// across a job's run collapses the ratio toward 1. A CPU-bound variant
 // runs only on hosts with ≥ 4 hardware threads.
 //
 // Pinned bound: paced w4 throughput ≥ 2.0 × w1 (ideal ≈ 4, generous

@@ -1,10 +1,10 @@
-// Concurrency stress for the sharded farm hot path (DESIGN.md §14):
-// the seq-ticket AdmissionQueue and the sharded ResultStore under many
-// producers and consumers, batched pops, backoff-stamped retries, and
+// Concurrency stress for the farm hot path (DESIGN.md §14): the
+// AdmissionQueue and the ResultStore under many producers and
+// consumers, batched pops, backoff-stamped retries, and
 // drain-after-stop. These run under TSan via the `stress` ctest label
-// (tsan preset), which turns the sharding disciplines — ticket-ordered
-// shard deques, the missed-wakeup protocol, the capacity reservation,
-// the per-shard result publication — into checked properties.
+// (tsan preset), which turns the locking disciplines — per-class FIFO
+// order, wakeups, the capacity reservation, result publication — into
+// checked properties.
 //
 // Every test's core invariant is exactly-once: whatever the
 // interleaving, each accepted job is popped exactly once and each
@@ -42,8 +42,7 @@ TEST(FarmStress, ManyProducersManyConsumersPopExactlyOnce) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kConsumers = 4;
   constexpr std::size_t kPerProducer = 300;
-  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000, {},
-                       /*num_shards=*/4);
+  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000);
 
   std::mutex mu;
   std::set<std::uint64_t> accepted;
@@ -99,8 +98,7 @@ TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
   const AdmissionQueue::BatchKeyFn key_fn = [](const JobSpec& spec) {
     return 1 + (spec.seed % 3);
   };
-  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000, {},
-                       /*num_shards=*/4, key_fn);
+  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000, {}, key_fn);
 
   std::mutex mu;
   std::set<std::uint64_t> accepted;
@@ -155,9 +153,15 @@ TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
       EXPECT_EQ(job.batch_key, batch.front().batch_key);
       EXPECT_EQ(job.batch_key, key_fn(job.spec));
     }
-    // Ticket order within the batch: batching never reorders.
+    // Queue order within the batch: batching never reorders. Each
+    // producer submits in job-id order, so two of its jobs in one batch
+    // must appear in that order.
     for (std::size_t i = 1; i < batch.size(); ++i) {
-      EXPECT_LT(batch[i - 1].seq, batch[i].seq);
+      for (std::size_t k = 0; k < i; ++k) {
+        if (batch[k].spec.seed / 7919 == batch[i].spec.seed / 7919) {
+          EXPECT_LT(batch[k].job_id, batch[i].job_id);
+        }
+      }
     }
   }
   EXPECT_EQ(total, accepted.size());
@@ -168,7 +172,7 @@ TEST(FarmStress, SequentialBatchesPreserveFifoOrder) {
   const AdmissionQueue::BatchKeyFn key_fn = [](const JobSpec& spec) {
     return 1 + (spec.seed % 2);
   };
-  AdmissionQueue queue(100, 1'000'000, {}, /*num_shards=*/4, key_fn);
+  AdmissionQueue queue(100, 1'000'000, {}, key_fn);
   std::vector<std::uint64_t> submitted;
   for (std::size_t i = 0; i < 60; ++i) {
     // Key pattern A A B A B B ... — batches must break exactly at key
@@ -197,7 +201,7 @@ TEST(FarmStress, SequentialBatchesPreserveFifoOrder) {
 }
 
 TEST(FarmStress, BackoffStampedJobsDrainAfterStopUnderConcurrency) {
-  AdmissionQueue queue(64, 1'000'000, {}, /*num_shards=*/4);
+  AdmissionQueue queue(64, 1'000'000);
   std::vector<QueuedJob> held;
   for (std::size_t i = 0; i < 12; ++i) {
     ASSERT_TRUE(queue
@@ -262,12 +266,12 @@ TEST(FarmStress, BackoffStampedJobsDrainAfterStopUnderConcurrency) {
 }
 
 TEST(FarmStress, HasHigherThanProbeRunsRaceFreeAgainstChurn) {
-  AdmissionQueue queue(5000, 1'000'000, {}, /*num_shards=*/4);
+  AdmissionQueue queue(5000, 1'000'000);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> sightings{0};
   // The preemption probe, hammered from two threads while a producer
   // churns interactive jobs through a consumer — TSan checks the
-  // lock-free fast path against enqueue/pop mutation.
+  // probe against enqueue/pop mutation.
   std::vector<std::thread> probes;
   for (std::size_t t = 0; t < 2; ++t) {
     probes.emplace_back([&] {
@@ -315,7 +319,7 @@ TEST(FarmStress, HasHigherThanProbeRunsRaceFreeAgainstChurn) {
 TEST(FarmStress, ResultStorePutStormKeepsEveryResultAndFeedAccounting) {
   constexpr std::size_t kWriters = 8;
   constexpr std::size_t kPerWriter = 300;
-  ResultStore store(/*completion_feed_depth=*/64, /*num_shards=*/8);
+  ResultStore store(/*completion_feed_depth=*/64);
 
   std::vector<std::thread> writers;
   for (std::size_t t = 0; t < kWriters; ++t) {

@@ -316,7 +316,7 @@ TEST(FarmTrace, IntrospectSnapshotIsLiveAndBalanced) {
     EXPECT_EQ(open, close) << *s;
     for (const char* key :
          {"\"ts_us\"", "\"inflight\"", "\"queue\"", "\"classes\"",
-          "\"shards\"", "\"oldest_age_us\"", "\"workers\"", "\"state\"",
+          "\"depth\"", "\"oldest_age_us\"", "\"workers\"", "\"state\"",
           "\"results\"", "\"feed_fill\"", "\"feed_capacity\"", "\"memo\"",
           "\"trace\"", "\"flight\"", "\"counters\""}) {
       EXPECT_NE(s->find(key), std::string::npos) << key << " in " << *s;

@@ -54,6 +54,19 @@ TEST(ResultStore, FeedOverflowDropsOldestAndCounts) {
   EXPECT_EQ(store.completions_dropped(), 3u);  // unchanged
 }
 
+TEST(ResultStore, FeedCarriesFullSixtyFourBitJobIds) {
+  // Ids past 2^32 (about 19 h of uptime at the loadgen rate) must reach
+  // the feed's consumers whole: farmd routes results by these ids.
+  constexpr std::uint64_t kId = (std::uint64_t{1} << 32) + 5;
+  ResultStore drained(/*completion_feed_depth=*/4);
+  drained.put(result_with_id(kId));
+  EXPECT_EQ(drained.drain_completions(), (std::vector<std::uint64_t>{kId}));
+  ResultStore streamed(/*completion_feed_depth=*/4);
+  streamed.put(result_with_id(kId));
+  EXPECT_EQ(streamed.next_batch(0, std::chrono::microseconds(0)),
+            (std::vector<std::uint64_t>{kId}));
+}
+
 TEST(ResultStore, NextBatchBlocksUntilCompletionOrDeadline) {
   using namespace std::chrono_literals;
   ResultStore store(/*completion_feed_depth=*/8);

@@ -331,7 +331,23 @@ TEST(FarmdRemote, CapacityOneQueueAdmitsTenThousandSpecsThroughSpill) {
   opt.farm.memo_capacity = kDistinct * 2;  // repeats served from the memo
   opt.farm.completion_feed_depth = 4096;
   opt.farm.metrics = &metrics;
+  // Both workers hold at their first slice until every submit reply is
+  // in, so nothing drains while the client submits: at most one job per
+  // worker plus the capacity-1 queue is admitted directly, and every
+  // other spec must spill.
+  std::atomic<bool> released{false};
+  opt.farm.chaos = [&released](const farm::ChaosEvent&) {
+    while (!released.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(1ms);
+    }
+    return farm::ChaosAction::kNone;
+  };
   FarmdServer server(opt);
+  // Lifts the hold on every exit path, before the server shuts down.
+  struct Release {
+    std::atomic<bool>& flag;
+    ~Release() { flag.store(true, std::memory_order_release); }
+  } release{released};
 
   // A small family of tiny specs, cycled: the farm memoizes the repeats
   // so the test measures the admission/spill/stream machinery, not 10k
@@ -365,7 +381,9 @@ TEST(FarmdRemote, CapacityOneQueueAdmitsTenThousandSpecsThroughSpill) {
     remote_ids.insert(reply.remote_id);
   }
   ASSERT_EQ(remote_ids.size(), kJobs) << "remote ids must be distinct";
-  EXPECT_GT(spilled, kJobs / 2) << "capacity 1 must push the bulk to disk";
+  EXPECT_GE(spilled, kJobs - (opt.farm.queue_capacity + opt.farm.num_workers))
+      << "capacity 1 with held workers must push the rest to disk";
+  released.store(true, std::memory_order_release);
 
   std::map<std::uint64_t, farm::JobResult> results;
   drain_results(client, kJobs, results, 300s);
