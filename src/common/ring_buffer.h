@@ -1,11 +1,10 @@
 // Fixed-capacity ring buffer.
 //
-// Two distinct uses in this reproduction:
-//  - the router's flit input queues (noc/), where capacity is the
-//    synthesized queue depth and overflow is a hardware bug;
-//  - the FPGA↔ARM cyclic buffers (fpga/cyclic_buffer.h builds on the same
-//    pointer discipline but adds the paper's timestamping and the split
-//    hardware/software read-write pointer pair).
+// Two uses in this reproduction:
+//  - the FPGA↔ARM cyclic buffers (fpga/cyclic_buffer.h adds the paper's
+//    timestamping on top);
+//  - the farm's drop-oldest completion feed (farm/result_store.h).
+// The router's flit input queues are noc::FlitQueue, stored inline.
 #pragma once
 
 #include <cstddef>
@@ -69,49 +68,9 @@ class RingBuffer {
     return slots_[read_];
   }
 
-  /// Element `i` positions behind the front (0 == front). Used by tests and
-  /// by the bit-serialization of queue contents.
-  const T& at(std::size_t i) const {
-    TMSIM_CHECK_MSG(i < size_, "at() out of range");
-    return slots_[(read_ + i) % capacity_];
-  }
-
   void clear() {
     read_ = write_ = 0;
     size_ = 0;
-  }
-
-  /// Raw slot access by physical index — needed when serializing queue
-  /// state the way hardware stores it (all slots, plus rd/wr pointers),
-  /// not just the logically live elements.
-  const T& slot(std::size_t physical) const { return slots_.at(physical); }
-  T& slot(std::size_t physical) { return slots_.at(physical); }
-  std::size_t read_pos() const { return read_; }
-  std::size_t write_pos() const { return write_; }
-
-  /// Same capacity, pointers, occupancy and *every* physical slot — stale
-  /// slots included, as hardware (and the state word) stores them.
-  friend bool operator==(const RingBuffer&, const RingBuffer&) = default;
-
-  /// Restores pointer state during deserialization from a state memory word.
-  void restore(std::size_t read_pos, std::size_t write_pos,
-               std::size_t size) {
-    TMSIM_CHECK_MSG(read_pos < capacity_ && write_pos < capacity_ &&
-                        size <= capacity_,
-                    "invalid ring buffer restore state");
-    // read_pos + size < 2 * capacity_ here, so one subtraction wraps it
-    // (no division: the state codec restores every queue every delta
-    // cycle).
-    std::size_t end = read_pos + size;
-    if (end >= capacity_) {
-      end -= capacity_;
-    }
-    TMSIM_CHECK_MSG(end == write_pos ||
-                        (size == capacity_ && read_pos == write_pos),
-                    "inconsistent ring buffer pointers");
-    read_ = read_pos;
-    write_ = write_pos;
-    size_ = size;
   }
 
  private:

@@ -168,27 +168,19 @@ void RouterBlock::evaluate(const BitVector& old_state,
                            std::span<const BitVector> inputs,
                            BitVector& new_state,
                            std::span<BitVector> outputs) const {
-  // Per-thread decode targets, rebuilt only when the router shape
-  // changes, so the word view allocates nothing per delta cycle.
-  struct Scratch {
-    noc::RouterConfig cfg;
-    noc::RouterState old;
-    noc::RouterState next;
-  };
-  thread_local std::unique_ptr<Scratch> scratch;
-  const noc::RouterConfig& cfg = codec_->config();
-  if (!scratch || !(scratch->cfg == cfg)) {
-    scratch = std::make_unique<Scratch>(Scratch{cfg, noc::RouterState(cfg),
-                                                noc::RouterState(cfg)});
-  }
+  // RouterState is a flat value: the word view decodes into two stack
+  // locals and allocates nothing per delta cycle. F overwrites `next`
+  // whole, so a copy of `old` is only its cheapest correctly shaped seed.
+  noc::RouterState old(codec_->config());
+  codec_->deserialize_into(old_state, old);
+  noc::RouterState next = old;
   std::array<std::uint64_t, 9> in{};
   std::array<std::uint64_t, 10> out{};
   for (std::size_t p = 0; p < in.size(); ++p) {
     in[p] = inputs[p].get_field(0, inputs[p].width());
   }
-  codec_->deserialize_into(old_state, scratch->old);
-  step_state(scratch->old, in, scratch->next, out);
-  codec_->serialize_into(scratch->next, new_state);
+  step_state(old, in, next, out);
+  codec_->serialize_into(next, new_state);
   for (std::size_t p = 0; p < out.size(); ++p) {
     outputs[p].set_field(0, outputs[p].width(), out[p]);
   }

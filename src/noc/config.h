@@ -39,6 +39,12 @@ inline const char* port_name(Port p) {
 
 enum class Topology : std::uint8_t { kTorus = 0, kMesh = 1 };
 
+/// The largest router RouterConfig::validate admits. RouterState stores
+/// its registers inline at this size (DESIGN.md §7).
+inline constexpr std::size_t kMaxVcs = 4;
+inline constexpr std::size_t kMaxQueueDepth = 15;
+inline constexpr std::size_t kMaxQueues = kPorts * kMaxVcs;
+
 /// Per-router microarchitecture parameters.
 struct RouterConfig {
   /// Virtual channels per port (paper: 4).
@@ -56,8 +62,9 @@ struct RouterConfig {
   std::size_t rr_bits() const { return tmsim::bits_for(num_queues()); }
 
   void validate() const {
-    TMSIM_CHECK_MSG(num_vcs >= 1 && num_vcs <= 4, "num_vcs must be 1..4");
-    TMSIM_CHECK_MSG(queue_depth >= 1 && queue_depth <= 15,
+    TMSIM_CHECK_MSG(num_vcs >= 1 && num_vcs <= kMaxVcs,
+                    "num_vcs must be 1..4");
+    TMSIM_CHECK_MSG(queue_depth >= 1 && queue_depth <= kMaxQueueDepth,
                     "queue_depth must be 1..15");
   }
 

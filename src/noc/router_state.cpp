@@ -62,15 +62,11 @@ void check_shape(const RouterConfig& cfg, const RouterState& s) {
 
 RouterState::RouterState(const RouterConfig& cfg) {
   cfg.validate();
-  queues.reserve(cfg.num_queues());
-  for (std::size_t q = 0; q < cfg.num_queues(); ++q) {
-    queues.emplace_back(cfg.queue_depth);
-  }
-  out_vcs.resize(cfg.num_queues());
-  for (auto& ovc : out_vcs) {
-    // All downstream queues start empty: full credit.
-    ovc.credits = static_cast<std::uint8_t>(cfg.queue_depth);
-  }
+  queues.assign(cfg.num_queues(), QueueState(cfg.queue_depth));
+  // All downstream queues start empty: full credit.
+  out_vcs.assign(cfg.num_queues(),
+                 OutVcState{false, 0,
+                            static_cast<std::uint8_t>(cfg.queue_depth)});
   rr_ptr.assign(kPorts, 0);
 }
 

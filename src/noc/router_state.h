@@ -9,6 +9,11 @@
 //   - per output port: round-robin arbiter pointer
 //                                              → Table 1 "control/arbitration"
 //
+// RouterState is a flat value sized for the largest router
+// RouterConfig::validate admits (4 VCs × 15-flit queues): copying or
+// comparing it touches no heap, as F's `next = s`, the engine's banks and
+// its fixed-point compare do every delta cycle.
+//
 // RouterStateCodec turns the whole struct into one BitVector and back,
 // with an explicit StateLayout so the bit cost of every design parameter
 // is inspectable (bench/table1_registers prints it). The layout is
@@ -16,27 +21,69 @@
 // encode/decode walks (DESIGN.md §7).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/bit_vector.h"
-#include "common/ring_buffer.h"
 #include "noc/config.h"
 #include "noc/flit.h"
+#include "noc/flit_queue.h"
 #include "noc/state_layout.h"
 
 namespace tmsim::noc {
 
+/// A vector of at most N elements stored inline. Only the first size()
+/// elements exist: iteration and equality see those alone.
+template <typename T, std::size_t N>
+class InlineVector {
+ public:
+  void assign(std::size_t n, const T& value) {
+    TMSIM_CHECK_MSG(n <= N, "inline vector capacity exceeded");
+    size_ = static_cast<std::uint8_t>(n);
+    if (n == 0) {
+      return;
+    }
+    // The copies read the stored first element, not `value`: GCC keeps a
+    // just-built `value` half in registers and re-stores and reloads it
+    // on every iteration, a store-forwarding stall per element (20 queues
+    // took 180 ns that way, 50 ns this way).
+    items_[0] = value;
+    std::fill(items_.begin() + 1, items_.begin() + n, items_[0]);
+  }
+
+  std::size_t size() const { return size_; }
+  T& operator[](std::size_t i) { return items_[i]; }
+  const T& operator[](std::size_t i) const { return items_[i]; }
+  T* begin() { return items_.data(); }
+  T* end() { return items_.data() + size_; }
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + size_; }
+
+  friend bool operator==(const InlineVector& a, const InlineVector& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<T, N> items_{};
+  std::uint8_t size_ = 0;
+};
+
 /// One VC input queue with its wormhole route state.
 struct QueueState {
+  QueueState() = default;
   explicit QueueState(std::size_t depth) : fifo(depth) {}
 
-  RingBuffer<Flit> fifo;
+  // The route lock leads, next to the queue's pointers: the arbiter reads
+  // both for every queue, the slots only for a non-empty one.
   /// True while a packet (HEAD seen, TAIL not yet forwarded) holds a route.
   bool locked = false;
   /// Output port of the locked route; meaningless when !locked (but
   /// still a register, so compared and serialized).
   Port out_port = Port::kLocal;
+  FlitQueue fifo;
 
   friend bool operator==(const QueueState&, const QueueState&) = default;
 };
@@ -58,9 +105,9 @@ struct OutVcState {
 struct RouterState {
   explicit RouterState(const RouterConfig& cfg);
 
-  std::vector<QueueState> queues;    ///< kPorts × num_vcs
-  std::vector<OutVcState> out_vcs;   ///< kPorts × num_vcs
-  std::vector<std::uint8_t> rr_ptr;  ///< per output port, indexes queues
+  InlineVector<QueueState, kMaxQueues> queues;  ///< kPorts × num_vcs
+  InlineVector<OutVcState, kMaxQueues> out_vcs;  ///< kPorts × num_vcs
+  InlineVector<std::uint8_t, kPorts> rr_ptr;  ///< per output port, indexes queues
 
   /// Register equality. Agrees exactly with equality of the serialized
   /// words: every field the codec stores is compared, stale queue slots
@@ -74,6 +121,10 @@ struct RouterState {
     return static_cast<std::size_t>(port) * cfg.num_vcs + vc;
   }
 };
+
+// One flat copy per `next = s`; a heap member would bring back the deep
+// copy.
+static_assert(std::is_trivially_copyable_v<RouterState>);
 
 /// Bit-accurate (de)serializer between RouterState and a state-memory word.
 class RouterStateCodec {

@@ -43,50 +43,6 @@ TEST(RingBuffer, ZeroCapacityRejected) {
   EXPECT_THROW(RingBuffer<int>(0), Error);
 }
 
-TEST(RingBuffer, AtIndexesFromFront) {
-  RingBuffer<int> rb(3);
-  rb.push(10);
-  rb.push(20);
-  rb.pop();
-  rb.push(30);
-  rb.push(40);  // wraps physically
-  EXPECT_EQ(rb.at(0), 20);
-  EXPECT_EQ(rb.at(1), 30);
-  EXPECT_EQ(rb.at(2), 40);
-  EXPECT_THROW(rb.at(3), Error);
-}
-
-TEST(RingBuffer, RestoreReconstructsPointerState) {
-  RingBuffer<int> rb(4);
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  rb.pop();
-  const std::size_t rd = rb.read_pos();
-  const std::size_t wr = rb.write_pos();
-  const std::size_t sz = rb.size();
-
-  RingBuffer<int> copy(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    copy.slot(i) = rb.slot(i);
-  }
-  copy.restore(rd, wr, sz);
-  EXPECT_EQ(copy.size(), 2u);
-  EXPECT_EQ(copy.pop(), 2);
-  EXPECT_EQ(copy.pop(), 3);
-}
-
-TEST(RingBuffer, RestoreRejectsInconsistentPointers) {
-  RingBuffer<int> rb(4);
-  EXPECT_THROW(rb.restore(0, 2, 1), Error);   // rd+size != wr
-  EXPECT_THROW(rb.restore(4, 0, 0), Error);   // rd out of range
-  EXPECT_THROW(rb.restore(0, 0, 5), Error);   // size > capacity
-  rb.restore(1, 3, 2);                        // consistent
-  EXPECT_EQ(rb.size(), 2u);
-  rb.restore(2, 2, 4);                        // full, rd == wr
-  EXPECT_TRUE(rb.full());
-}
-
 TEST(RingBuffer, MatchesDequeUnderRandomOps) {
   SplitMix64 rng(7);
   RingBuffer<int> rb(5);

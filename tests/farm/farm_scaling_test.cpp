@@ -10,7 +10,8 @@
 // core, so throughput scales with worker count iff the farm's hot path
 // (pop → attach → run → publish) is actually concurrent; any lock held
 // across a job's run collapses the ratio toward 1. A CPU-bound variant
-// runs only on hosts with ≥ 4 hardware threads.
+// runs only on hosts with ≥ 4 hardware threads, and asserts against the
+// host's own scaling, measured by a register-only burn in the same run.
 //
 // Pinned bound: paced w4 throughput ≥ 2.0 × w1 (ideal ≈ 4, generous
 // margin for scheduler noise). Skipped under TSan/ASan, whose runtime
@@ -163,6 +164,40 @@ TEST(FarmScaling, InteractiveTailStaysBoundedUnderOverload) {
   EXPECT_LT(interactive_worst, 1.0);
 }
 
+/// The host's own scaling from 1 to `threads` threads: a register-only
+/// CPU burn, the same fixed work on every thread, timed once alone and
+/// once on `threads` threads at a time. About 4 on an idle 4-core host,
+/// about 1 when the host gives the process one effective core.
+double burn_scaling(std::size_t threads) {
+  constexpr std::uint64_t kIters = std::uint64_t{1} << 26;
+  const auto burn = [] {
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (std::uint64_t i = 0; i < kIters; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    volatile std::uint64_t sink = x;
+    (void)sink;
+  };
+  const auto timed = [&](std::size_t n) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < n; ++t) {
+      pool.emplace_back(burn);
+    }
+    for (std::thread& th : pool) {
+      th.join();
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  const double one = timed(1);
+  const double many = timed(threads);
+  return static_cast<double>(threads) * one / many;
+}
+
 TEST(FarmScaling, CpuBoundThroughputScalesOnManyCoreHosts) {
   if (TMSIM_UNDER_SANITIZER) {
     GTEST_SKIP() << "sanitizer runtime serializes execution";
@@ -191,11 +226,21 @@ TEST(FarmScaling, CpuBoundThroughputScalesOnManyCoreHosts) {
     farm.shutdown();
     return static_cast<double>(kJobs) / wall.count();
   };
+  // The control brackets the farm runs, so both see the same host.
+  const double host_before = burn_scaling(4);
   const double w1 = run(1);
   const double w4 = run(4);
+  const double host = (host_before + burn_scaling(4)) / 2.0;
   RecordProperty("cpu_jobs_per_sec_w1", std::to_string(w1));
   RecordProperty("cpu_jobs_per_sec_w4", std::to_string(w4));
-  EXPECT_GE(w4, 2.0 * w1) << "w1=" << w1 << " w4=" << w4;
+  RecordProperty("host_burn_scaling_4", std::to_string(host));
+  // The farm must turn the cores the host actually gives into throughput:
+  // w4 >= 2 × w1 once the burn scales 3.5× or better (an idle 4-core
+  // host), and proportionally less on a host that shares its cores.
+  const double required = 2.0 * std::min(1.0, host / 3.5);
+  EXPECT_GE(w4, required * w1)
+      << "w1=" << w1 << " w4=" << w4 << " jobs/s; host burn scales "
+      << host << "x on 4 threads";
 }
 
 }  // namespace

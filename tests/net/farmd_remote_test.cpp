@@ -108,6 +108,21 @@ void drain_results(net::FarmClient& client, std::size_t want,
   }
 }
 
+/// True while Fetch reports some submitted job that `results` lacks as
+/// not yet terminal.
+bool any_unfinished(net::FarmClient& client,
+                    const std::set<std::uint64_t>& submitted,
+                    const std::map<std::uint64_t, farm::JobResult>& results) {
+  for (const std::uint64_t id : submitted) {
+    if (results.count(id) == 0 &&
+        client.fetch(id).state !=
+            static_cast<std::uint8_t>(net::RemoteJobState::kTerminal)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(FarmdRemote, HundredSpecDifferentialIsBitIdenticalOverTheSocket) {
   constexpr std::size_t kSpecs = 100;
   std::vector<farm::JobSpec> specs;
@@ -289,7 +304,16 @@ TEST(FarmdRemote, DisconnectReconnectResumesStreamWithFetchFallback) {
   net::FarmClient second(server.port(), "flaky-client");
   EXPECT_TRUE(second.resumed_session());
   second.subscribe();
-  drain_results(second, kSpecs, merged, 60s);
+  // Drain the resumed stream a second at a time. Once it has gone quiet
+  // and Fetch reports every missing job finished, the rest were lost in
+  // the dead socket and Fetch recovers them below: waiting longer on the
+  // stream would not bring them.
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  do {
+    drain_results(second, kSpecs, merged, 1s);
+  } while (merged.size() < kSpecs &&
+           any_unfinished(second, submitted, merged) &&
+           std::chrono::steady_clock::now() < deadline);
 
   // Results already inside the dead socket's buffers are gone from the
   // *stream* — that's the documented disconnect loss model — but never
