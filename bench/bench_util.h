@@ -8,6 +8,7 @@
 // track the reproduced numbers over time.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,28 @@ double time_run(F&& f) {
   f();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Median and interquartile range of repeated measurements (linear
+/// interpolation between order statistics): what a bench records when
+/// one timing would be at the mercy of the host's speed swings.
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+inline Spread spread_of(std::vector<double> v) {
+  if (v.empty()) {
+    return {};
+  }
+  std::sort(v.begin(), v.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return Spread{quantile(0.5), quantile(0.75) - quantile(0.25)};
 }
 
 /// Benches honour TMSIM_QUICK=1 (shorter runs for smoke testing).

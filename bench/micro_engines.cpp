@@ -205,6 +205,16 @@ void BM_StateMemoryRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_StateMemoryRoundTrip);
 
+/// The engine under the gated compiled op program; plain
+/// SeqNocSimulation runs the round-robin reference.
+class CompiledSeqNocSimulation : public core::SeqNocSimulation {
+ public:
+  explicit CompiledSeqNocSimulation(const noc::NetworkConfig& net)
+      : core::SeqNocSimulation(
+            net, core::EngineOptions{
+                     .scheduler = core::SchedulerKind::kCompiled}) {}
+};
+
 /// One idle system cycle per engine and network size: the floor cost.
 template <typename Sim>
 void BM_EngineIdleStep(benchmark::State& state) {
@@ -217,6 +227,8 @@ void BM_EngineIdleStep(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_EngineIdleStep, noc::DirectNocSimulation)
     ->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK_TEMPLATE(BM_EngineIdleStep, core::SeqNocSimulation)
+    ->Arg(2)->Arg(4)->Arg(6)->Arg(8);
+BENCHMARK_TEMPLATE(BM_EngineIdleStep, CompiledSeqNocSimulation)
     ->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK_TEMPLATE(BM_EngineIdleStep, sysc::SyscNocSimulation)
     ->Arg(2)->Arg(4)->Arg(6);
@@ -242,6 +254,8 @@ void BM_EngineLoadedStep(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_EngineLoadedStep, noc::DirectNocSimulation)
     ->Iterations(2000);
 BENCHMARK_TEMPLATE(BM_EngineLoadedStep, core::SeqNocSimulation)
+    ->Iterations(2000);
+BENCHMARK_TEMPLATE(BM_EngineLoadedStep, CompiledSeqNocSimulation)
     ->Iterations(2000);
 BENCHMARK_TEMPLATE(BM_EngineLoadedStep, sysc::SyscNocSimulation)
     ->Iterations(2000);

@@ -109,25 +109,10 @@ ModeResult run_mode(std::size_t num_jobs, std::size_t num_submitters,
   return r;
 }
 
-/// Median and interquartile range of `v` (linear interpolation between
-/// order statistics).
-struct Spread {
-  double median = 0.0;
-  double iqr = 0.0;
-};
-
-Spread spread_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(v.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-  };
-  return Spread{quantile(0.5), quantile(0.75) - quantile(0.25)};
-}
-
 }  // namespace
+
+using tmsim::bench::Spread;
+using tmsim::bench::spread_of;
 
 int main() {
   const bool quick = tmsim::bench::quick_mode();

@@ -23,8 +23,13 @@
 // wavefront against the dataflow and the program does one pass.
 //
 // Per-cycle evaluation/skip counts come from the engine.sched.* registry
-// rows so the speedup can be read against the work elided. The record is
-// BENCH_compiled_speedup.json; bench_schema_test gates it.
+// rows so the speedup can be read against the work elided. Each row is
+// short, and the host's speed swings between runs, so every row is
+// measured over kReps repetitions in one process, round-robin and
+// compiled alternating which goes first; the record holds each rate's
+// median and interquartile range, and each speedup is the median of the
+// per-repetition ratios. The record is BENCH_compiled_speedup.json;
+// bench_schema_test gates it.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -156,6 +161,39 @@ Row measure_chain(const core::SystemModel& model,
   return r;
 }
 
+/// Both lanes' rows over the repetitions, and the per-repetition
+/// speedups.
+struct Paired {
+  std::vector<Row> rr, cp;
+  std::vector<double> speedup;  ///< cp.cps / rr.cps, per repetition
+};
+
+bench::Spread cps_spread(const std::vector<Row>& lane) {
+  std::vector<double> v;
+  for (const Row& r : lane) {
+    v.push_back(r.cps);
+  }
+  return bench::spread_of(v);
+}
+
+/// Runs `measure` for round-robin and compiled `reps` times each,
+/// alternating which goes first.
+template <typename Measure>
+Paired measure_pairs(int reps, Measure measure) {
+  Paired p;
+  for (int rep = 0; rep < reps; ++rep) {
+    const bool rr_first = rep % 2 == 0;
+    const Row first = measure(rr_first ? core::SchedulerKind::kRoundRobin
+                                       : core::SchedulerKind::kCompiled);
+    const Row second = measure(rr_first ? core::SchedulerKind::kCompiled
+                                        : core::SchedulerKind::kRoundRobin);
+    p.rr.push_back(rr_first ? first : second);
+    p.cp.push_back(rr_first ? second : first);
+    p.speedup.push_back(p.cp.back().cps / p.rr.back().cps);
+  }
+  return p;
+}
+
 }  // namespace
 
 int main() {
@@ -163,15 +201,17 @@ int main() {
                       "gated op program vs dense round-robin sweep");
   std::vector<bench::BenchMetric> metrics;
   const std::size_t scale = bench::quick_mode() ? 4 : 1;
+  const int reps = bench::quick_mode() ? 3 : 11;
 
   noc::NetworkConfig net;
   net.width = 12;
   net.height = 12;
   net.topology = noc::Topology::kMesh;
   net.router.queue_depth = 4;
-  std::printf("network: %zux%zu mesh (%zu routers), queue depth %zu\n",
+  std::printf("network: %zux%zu mesh (%zu routers), queue depth %zu; "
+              "median (IQR) of %d alternating repetitions\n",
               net.width, net.height, net.num_routers(),
-              net.router.queue_depth);
+              net.router.queue_depth, reps);
 
   const struct {
     const char* name;
@@ -179,29 +219,41 @@ int main() {
   } kLoads[] = {{"idle", 0.0}, {"sparse", 0.02}, {"saturated", 0.5}};
 
   std::printf("\nNoC (seq engine):\n");
-  std::printf("  %-10s %12s %12s %8s %11s %11s\n", "load", "rr cyc/s",
+  std::printf("  %-10s %20s %20s %15s %11s %11s\n", "load", "rr cyc/s",
               "cp cyc/s", "cp/rr", "cp evals/c", "cp skips/c");
   for (const auto& l : kLoads) {
     const std::size_t cycles = (l.load >= 0.5 ? 400 : 1200) / scale;
-    const Row rr =
-        measure(net, core::SchedulerKind::kRoundRobin, l.load, cycles);
-    const Row cp = measure(net, core::SchedulerKind::kCompiled, l.load, cycles);
-    std::printf("  %-10s %12.0f %12.0f %7.2fx %11.1f %11.1f\n", l.name,
-                rr.cps, cp.cps, cp.cps / rr.cps, cp.evals_per_cycle,
-                cp.skipped_per_cycle);
+    const Paired p = measure_pairs(reps, [&](core::SchedulerKind sched) {
+      return measure(net, sched, l.load, cycles);
+    });
+    const bench::Spread rr = cps_spread(p.rr);
+    const bench::Spread cp = cps_spread(p.cp);
+    const bench::Spread up = bench::spread_of(p.speedup);
+    // Evaluation and skip counts are deterministic: every repetition
+    // simulates the same cycles.
+    const Row& rr_row = p.rr.back();
+    const Row& cp_row = p.cp.back();
+    std::printf("  %-10s %11.0f (%6.0f) %11.0f (%6.0f) %6.2fx (%5.2f) %11.1f "
+                "%11.1f\n",
+                l.name, rr.median, rr.iqr, cp.median, cp.iqr, up.median,
+                up.iqr, cp_row.evals_per_cycle, cp_row.skipped_per_cycle);
     const std::string load = l.name;
-    metrics.push_back({"compiled.noc_cps.round_robin." + load, rr.cps,
+    metrics.push_back({"compiled.noc_cps.round_robin." + load, rr.median,
                        "cycles/s"});
-    metrics.push_back({"compiled.noc_cps.compiled." + load, cp.cps,
+    metrics.push_back({"compiled.noc_cps_iqr.round_robin." + load, rr.iqr,
                        "cycles/s"});
-    metrics.push_back({"compiled.noc_speedup." + load, cp.cps / rr.cps,
-                       "ratio"});
+    metrics.push_back({"compiled.noc_cps.compiled." + load, cp.median,
+                       "cycles/s"});
+    metrics.push_back({"compiled.noc_cps_iqr.compiled." + load, cp.iqr,
+                       "cycles/s"});
+    metrics.push_back({"compiled.noc_speedup." + load, up.median, "ratio"});
+    metrics.push_back({"compiled.noc_speedup_iqr." + load, up.iqr, "ratio"});
     metrics.push_back({"compiled.noc_evals_per_cycle.round_robin." + load,
-                       rr.evals_per_cycle, "count"});
+                       rr_row.evals_per_cycle, "count"});
     metrics.push_back({"compiled.noc_evals_per_cycle." + load,
-                       cp.evals_per_cycle, "count"});
+                       cp_row.evals_per_cycle, "count"});
     metrics.push_back({"compiled.noc_skips_per_cycle." + load,
-                       cp.skipped_per_cycle, "count"});
+                       cp_row.skipped_per_cycle, "count"});
   }
 
   const std::size_t chain_n = bench::quick_mode() ? 48 : 96;
@@ -210,30 +262,40 @@ int main() {
   std::printf(
       "\nanti-topological XOR chain: %zu blocks, per-block stimulus, "
       "%zu cycles\n", chain_n, chain_cycles);
-  const Row crr = measure_chain(chain.model, chain.ext,
-                                core::SchedulerKind::kRoundRobin,
-                                chain_cycles);
-  const Row ccp = measure_chain(chain.model, chain.ext,
-                                core::SchedulerKind::kCompiled, chain_cycles);
-  std::printf("  %-12s %12s %12s\n", "scheduler", "cyc/s", "evals/cyc");
-  std::printf("  %-12s %12.0f %12.1f\n", "round_robin", crr.cps,
-              crr.evals_per_cycle);
-  std::printf("  %-12s %12.0f %12.1f\n", "compiled", ccp.cps,
-              ccp.evals_per_cycle);
-  std::printf("  compiled vs round_robin: %.2fx cyc/s, %.1fx fewer evals\n\n",
-              ccp.cps / crr.cps, crr.evals_per_cycle / ccp.evals_per_cycle);
-  metrics.push_back({"compiled.table3_cps.round_robin", crr.cps, "cycles/s"});
-  metrics.push_back({"compiled.table3_cps.compiled", ccp.cps, "cycles/s"});
+  const Paired chain_pairs =
+      measure_pairs(reps, [&](core::SchedulerKind sched) {
+        return measure_chain(chain.model, chain.ext, sched, chain_cycles);
+      });
+  const bench::Spread crr = cps_spread(chain_pairs.rr);
+  const bench::Spread ccp = cps_spread(chain_pairs.cp);
+  const bench::Spread cup = bench::spread_of(chain_pairs.speedup);
+  const double rr_evals = chain_pairs.rr.back().evals_per_cycle;
+  const double cp_evals = chain_pairs.cp.back().evals_per_cycle;
+  std::printf("  %-12s %20s %12s\n", "scheduler", "cyc/s", "evals/cyc");
+  std::printf("  %-12s %11.0f (%6.0f) %12.1f\n", "round_robin", crr.median,
+              crr.iqr, rr_evals);
+  std::printf("  %-12s %11.0f (%6.0f) %12.1f\n", "compiled", ccp.median,
+              ccp.iqr, cp_evals);
+  std::printf("  compiled vs round_robin: %.2fx (IQR %.2f) cyc/s, %.1fx "
+              "fewer evals\n\n",
+              cup.median, cup.iqr, rr_evals / cp_evals);
   metrics.push_back(
-      {"compiled.speedup.table3_cps", ccp.cps / crr.cps, "ratio"});
-  metrics.push_back({"compiled.evals_per_cycle.round_robin",
-                     crr.evals_per_cycle, "count"});
-  metrics.push_back({"compiled.evals_per_cycle.compiled",
-                     ccp.evals_per_cycle, "count"});
+      {"compiled.table3_cps.round_robin", crr.median, "cycles/s"});
+  metrics.push_back(
+      {"compiled.table3_cps_iqr.round_robin", crr.iqr, "cycles/s"});
+  metrics.push_back({"compiled.table3_cps.compiled", ccp.median, "cycles/s"});
+  metrics.push_back(
+      {"compiled.table3_cps_iqr.compiled", ccp.iqr, "cycles/s"});
+  metrics.push_back({"compiled.speedup.table3_cps", cup.median, "ratio"});
+  metrics.push_back({"compiled.speedup_iqr.table3_cps", cup.iqr, "ratio"});
+  metrics.push_back(
+      {"compiled.evals_per_cycle.round_robin", rr_evals, "count"});
+  metrics.push_back({"compiled.evals_per_cycle.compiled", cp_evals, "count"});
 
   bench::emit_bench_json(
       "compiled_speedup",
       {{"quick", bench::quick_mode() ? "1" : "0"},
+       {"reps", std::to_string(reps)},
        {"chain_blocks", std::to_string(chain_n)},
        {"chain_cycles", std::to_string(chain_cycles)},
        {"net", "12x12 mesh"},

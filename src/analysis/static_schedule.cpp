@@ -327,7 +327,35 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model) {
     return false;
   };
 
+  // Every output of `b` is final: each tracked input that feeds one is
+  // final (an untracked input — external or registered — is final from
+  // cycle start), so the outputs keep the values G gives them now. A
+  // tracked output is final exactly when it was finalized; an untracked
+  // one (no block reads it) is checked against its feeding inputs.
+  const auto outputs_final = [&](BlockId b) {
+    const core::BlockInstance& inst = model.block(b);
+    for (std::size_t q = 0; q < inst.output_links.size(); ++q) {
+      const LinkId lo = inst.output_links[q];
+      if (g.node_of[lo] != kNoNode) {
+        if (!final_link[lo]) {
+          return false;
+        }
+        continue;
+      }
+      for (std::size_t p = 0; p < inst.input_links.size(); ++p) {
+        const LinkId li = inst.input_links[p];
+        if (g.node_of[li] != kNoNode && !final_link[li] &&
+            inst.logic->output_depends_on_input(q, p)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+
   const std::vector<BlockId> plan = drive_plan(model, g, sched.scc_of_link);
+  // Per block: its last kDrive left every output final.
+  std::vector<char> driven_final(n, 0);
   std::vector<char> settled(sched.sccs.size(), 0);
   std::size_t remaining = n;
 
@@ -339,7 +367,8 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model) {
       if (committed[b]) {
         continue;  // stale entry
       }
-      sched.ops.push_back({CompiledOpKind::kEval, b, 0});
+      sched.ops.push_back(
+          {CompiledOpKind::kEval, b, 0, driven_final[b] != 0});
       ++sched.num_evals;
       committed[b] = 1;
       --remaining;
@@ -400,6 +429,7 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model) {
     sched.ops.push_back({CompiledOpKind::kDrive, drive, 0});
     ++sched.num_drives;
     finalize_ready_outputs(drive, /*acyclic_only=*/true);
+    driven_final[drive] = outputs_final(drive) ? 1 : 0;
   }
   return sched;
 }

@@ -29,6 +29,10 @@
 //                  outputs being finalized. The engine runs it as
 //                  SimBlock::drive — G only, every output written, no
 //                  next state — since the later kEval commits the state.
+//                  A kEval after a kDrive that already made every output
+//                  of its block final is marked `outputs_final`: it runs
+//                  F only and writes no output (for routers, every kEval
+//                  after a kDrive).
 //        kSettle — run the scoped round-robin fallback on one SCC until
 //                  its links reach a fixed point (or the convergence
 //                  budget trips). Blocks whose inputs are all final
@@ -60,6 +64,12 @@ struct CompiledOp {
   core::BlockId block = 0;
   /// Index into CompiledSchedule::sccs (kSettle only).
   std::uint32_t scc = 0;
+  /// kEval only: the block's last kDrive made every output final — each
+  /// input that output_depends_on_input says feeds an output was final
+  /// then, or untracked (external or registered) — so this evaluation
+  /// would rewrite the values the drive wrote. The engine computes the
+  /// next state only.
+  bool outputs_final = false;
 };
 
 /// One true combinational cycle: the scoped fallback region.

@@ -184,10 +184,14 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
 
   std::size_t max_in = 0;
   std::size_t max_out = 0;
+  std::size_t total_in = 0;
+  std::size_t total_out = 0;
   for (BlockId b = 0; b < n; ++b) {
     const BlockInstance& blk = model.block(b);
     max_in = std::max(max_in, blk.input_links.size());
     max_out = std::max(max_out, blk.output_links.size());
+    total_in += blk.input_links.size();
+    total_out += blk.output_links.size();
   }
   in_words_.assign(max_in, 0);
   out_words_.assign(max_out, 0);
@@ -195,7 +199,7 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
   evaluated_.assign(n, 0);
   if (program_) {
     state_fixed_.assign(n, 0);
-    pending_input_.assign(n, 0);
+    pending_input_.assign(n + 1, 0);
     // A block is skippable only when every link it touches is
     // combinational: registered link banks flip globally, so a skipped
     // writer's would rot, and registered inputs change without a
@@ -203,17 +207,26 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
     // gate; a settle member's own later kEval is gated like any other,
     // since its last settle evaluation already consumed its inputs.)
     skippable_.assign(n, 1);
+    prog_blocks_.resize(n);
+    prog_in_links_.reserve(total_in);
+    prog_out_ports_.reserve(total_out);
     for (BlockId b = 0; b < n; ++b) {
       const BlockInstance& blk = model.block(b);
+      ProgramBlock& row = prog_blocks_[b];
+      row.logic = blk.logic.get();
+      row.in_begin = static_cast<std::uint32_t>(prog_in_links_.size());
+      row.num_in = static_cast<std::uint32_t>(blk.input_links.size());
+      row.out_begin = static_cast<std::uint32_t>(prog_out_ports_.size());
+      row.num_out = static_cast<std::uint32_t>(blk.output_links.size());
       for (const LinkId l : blk.input_links) {
-        if (model.link(l).kind != LinkKind::kCombinational) {
-          skippable_[b] = 0;
-        }
+        prog_in_links_.push_back(l);
+        skippable_[b] &= link_comb_[l];
       }
       for (const LinkId l : blk.output_links) {
-        if (model.link(l).kind != LinkKind::kCombinational) {
-          skippable_[b] = 0;
-        }
+        prog_out_ports_.push_back(
+            {l, comb_reader_[l] == kNoBlock ? static_cast<BlockId>(n)
+                                            : comb_reader_[l]});
+        skippable_[b] &= link_comb_[l];
       }
     }
   }
@@ -277,7 +290,8 @@ SchedulerCheckpoint Engine::scheduler_checkpoint() const {
   if (program_) {
     // An op program never moves the cursor.
     s.state_fixed = state_fixed_;
-    s.pending_input = pending_input_;
+    s.pending_input.assign(pending_input_.begin(),
+                           pending_input_.begin() + state_fixed_.size());
   } else {
     s.rr_cursor = rr_next_;
   }
@@ -298,7 +312,8 @@ void Engine::restore_scheduler_state(const SchedulerCheckpoint& sched) {
                           sched.pending_input.size() == n;
     if (flags_ok) {
       state_fixed_ = sched.state_fixed;
-      pending_input_ = sched.pending_input;
+      std::copy(sched.pending_input.begin(), sched.pending_input.end(),
+                pending_input_.begin());
     } else {
       std::fill(state_fixed_.begin(), state_fixed_.end(), 0);
       std::fill(pending_input_.begin(), pending_input_.end(), 0);
@@ -395,7 +410,7 @@ bool Engine::settle_round_robin() {
     unstable_[b] = 0;
     --unstable_count_;
 
-    evaluate_block(b, nullptr);
+    evaluate_block(b);
 
     // Self-loop safety of the sweep: re-check the HBR bits directly so a
     // bookkeeping bug cannot end a cycle early.
@@ -409,6 +424,78 @@ bool Engine::settle_round_robin() {
   return true;
 }
 
+template <Engine::OpEval kWhat>
+void Engine::evaluate_op(BlockId b, const CompiledSettleCtx* ctx) {
+  // No HBR bookkeeping: the op order already makes every input a
+  // committing evaluation consumes final. A changed output wakes its
+  // reader's gate instead; inside a kSettle it also re-flags the SCC's
+  // own reader.
+  const ProgramBlock& row = prog_blocks_[b];
+  const bool inputs_changed = pending_input_[b];
+  std::uint64_t* const in = in_words_.data();
+  std::uint64_t* const out = out_words_.data();
+  const std::size_t n_in = row.num_in;
+  const LinkId* const in_links = prog_in_links_.data() + row.in_begin;
+  for (std::size_t p = 0; p < n_in; ++p) {
+    in[p] = links_.word(in_links[p]);
+  }
+
+  const BlockState& old = state_.old_state(b);
+  // A kNext writes no output: the kDrive wrote them, and they are final.
+  const std::size_t n_out = kWhat == OpEval::kNext ? 0 : row.num_out;
+  if constexpr (kWhat == OpEval::kDrive) {
+    row.logic->drive(old, {in, n_in}, {out, n_out});
+  } else {
+    row.logic->step(old, {in, n_in}, state_.new_state(b), {out, n_out});
+    // Everything pending is consumed by this committing evaluation;
+    // activity that arrives later (writes below, external inputs)
+    // re-marks it. A kDrive consumes nothing, so its kEval still runs.
+    pending_input_[b] = 0;
+  }
+
+  // Branch-free on the compare: under load a changed and an unchanged
+  // output are about equally likely, so a branch on it mispredicts. A
+  // change wakes the reader's gate and is counted and remembered.
+  std::size_t changes = 0;
+  const OutPort* const ports = prog_out_ports_.data() + row.out_begin;
+  for (std::size_t p = 0; p < n_out; ++p) {
+    const LinkId l = ports[p].link;
+    const bool changed = links_.write_word(l, out[p]);
+    changes += changed;
+    pending_input_[ports[p].wake] |= changed;
+    recent_changed_links_[recent_changed_count_ % kChangedLinkRing] = l;
+    recent_changed_count_ += changed;
+    if (ctx && changed && program_->scc_of_link[l] == ctx->scc_id) {
+      // Intra-SCC edge changed mid-settle: wake the (single) reader.
+      const BlockId reader = ports[p].wake;
+      const auto it = std::lower_bound(ctx->scc->blocks.begin(),
+                                       ctx->scc->blocks.end(), reader);
+      const std::size_t mi =
+          static_cast<std::size_t>(it - ctx->scc->blocks.begin());
+      if (!(*ctx->unstable)[mi]) {
+        (*ctx->unstable)[mi] = 1;
+        ++*ctx->remaining;
+      }
+    }
+  }
+  stats_.link_changes += changes;
+  const bool outputs_changed = changes != 0;
+
+  if constexpr (kWhat != OpEval::kDrive) {
+    // State fixed point: a pure step() that mapped old == new will
+    // reproduce this exact evaluation as long as the inputs stay put —
+    // the precondition of the quiescence skip. The compare runs only
+    // when the evaluation saw no new input and moved no output: a block
+    // with activity on its ports is rarely at a fixed point, and a
+    // missed one costs one more evaluation, not correctness
+    // (state_fixed == 0 never skips anything). A kNext moves no output,
+    // as its full kEval would not have: its kDrive already wrote them.
+    state_fixed_[b] = !(inputs_changed || outputs_changed) &&
+                      state_.new_state(b).equals(old);
+  }
+  count_evaluation(b);
+}
+
 bool Engine::run_program() {
   for (const analysis::CompiledOp& op : program_->ops) {
     if (op.kind == analysis::CompiledOpKind::kSettle) {
@@ -418,7 +505,8 @@ bool Engine::run_program() {
       continue;
     }
     const bool drive = op.kind == analysis::CompiledOpKind::kDrive;
-    if (quiescent(op.block)) {
+    const BlockId b = op.block;
+    if (quiescent(b)) {
       // The activity gate: evaluating a quiescent block would rewrite its
       // outputs with the values they hold and reproduce its old state, so
       // the op is skipped and the block is not committed. Only a
@@ -430,9 +518,17 @@ bool Engine::run_program() {
       continue;
     }
     // A kDrive needs only the block's outputs (its later kEval commits
-    // the state), so it runs G alone; it still writes every output and
-    // counts as one delta cycle, exactly like a full evaluation.
-    evaluate_block(op.block, nullptr, drive);
+    // the state), so it runs G alone. A kEval whose outputs its kDrive
+    // already made final runs F alone: rewriting them would store the
+    // values they hold (DESIGN.md §17). Either still counts as one delta
+    // cycle.
+    if (drive) {
+      evaluate_op<OpEval::kDrive>(b, nullptr);
+    } else if (op.outputs_final) {
+      evaluate_op<OpEval::kNext>(b, nullptr);
+    } else {
+      evaluate_op<OpEval::kStep>(b, nullptr);
+    }
   }
   return true;
 }
@@ -463,7 +559,7 @@ bool Engine::settle_scc(std::uint32_t scc_index) {
     cursor = (cursor + 1) % m;
     scc_unstable_[mi] = 0;
     --remaining;
-    evaluate_block(scc.blocks[mi], &ctx);
+    evaluate_op<OpEval::kStep>(scc.blocks[mi], &ctx);
     if (++spent > limit) {
       tripped_scc_ = &scc;
       return false;
@@ -472,49 +568,27 @@ bool Engine::settle_scc(std::uint32_t scc_index) {
   return true;
 }
 
-void Engine::evaluate_block(BlockId b, const CompiledSettleCtx* ctx,
-                            bool drive) {
-  // Under the §4.2 pickup an evaluation marks its combinational inputs
-  // read (HBR) and a changed output destabilizes its reader. An op
-  // program does neither: its order already makes every input a
-  // committing evaluation consumes final, and marking readers would keep
-  // unstable_count_ nonzero forever. Inside a kSettle only the SCC's own
-  // readers are re-flagged.
-  const bool pickup = !program_;
-  const bool inputs_changed = !pickup && pending_input_[b];
+void Engine::evaluate_block(BlockId b) {
   const BlockInstance& blk = model_.block(b);
-  const SimBlock& logic = *blk.logic;
   const std::size_t n_in = blk.input_links.size();
   const std::size_t n_out = blk.output_links.size();
   std::uint64_t* const in = in_words_.data();
   std::uint64_t* const out = out_words_.data();
 
-  // Latch inputs: a later changed write to any of them must destabilize
-  // us.
+  // Latch inputs and mark them read (HBR): a later changed write to any
+  // of them must destabilize us.
   for (std::size_t p = 0; p < n_in; ++p) {
     const LinkId l = blk.input_links[p];
     in[p] = links_.word(l);
-    if (pickup && link_comb_[l]) {
+    if (link_comb_[l]) {
       links_.mark_read(l);
     }
   }
+  // The last evaluation of the cycle is the committing one: it leaves
+  // the block's next state in its new slot.
+  blk.logic->step(state_.old_state(b), {in, n_in}, state_.new_state(b),
+                  {out, n_out});
 
-  const BlockState& old = state_.old_state(b);
-  if (drive) {
-    logic.drive(old, {in, n_in}, {out, n_out});
-  } else {
-    // The last evaluation of the cycle is the committing one: it leaves
-    // the block's next state in its new slot.
-    logic.step(old, {in, n_in}, state_.new_state(b), {out, n_out});
-    if (!pickup) {
-      // Everything pending is consumed by this committing evaluation;
-      // activity that arrives later (writes below, external inputs)
-      // re-marks it. A kDrive consumes nothing, so its kEval still runs.
-      pending_input_[b] = 0;
-    }
-  }
-
-  bool outputs_changed = false;
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];
     // Registered links never destabilize (§4.1): write_word reports no
@@ -522,45 +596,20 @@ void Engine::evaluate_block(BlockId b, const CompiledSettleCtx* ctx,
     if (!links_.write_word(l, out[p])) {
       continue;
     }
-    outputs_changed = true;
     // "if the router writes a value to a link, which is not equal to
     //  the current value in the memory, it will reset this link's
     //  status bit to zero" — destabilizing the reader.
     ++stats_.link_changes;
-    recent_changed_links_[recent_changed_count_++ % kChangedLinkHistory] = l;
-    const BlockId reader = comb_reader_[l];
-    if (pickup) {
-      links_.clear_hbr(l);
-      if (reader != kNoBlock) {
-        destabilize(reader);
-      }
-    } else if (reader != kNoBlock) {
-      pending_input_[reader] = 1;  // wake its gate
-    }
-    if (ctx && program_->scc_of_link[l] == ctx->scc_id) {
-      // Intra-SCC edge changed mid-settle: wake the (single) reader.
-      const auto it = std::lower_bound(ctx->scc->blocks.begin(),
-                                       ctx->scc->blocks.end(), reader);
-      const std::size_t mi =
-          static_cast<std::size_t>(it - ctx->scc->blocks.begin());
-      if (!(*ctx->unstable)[mi]) {
-        (*ctx->unstable)[mi] = 1;
-        ++*ctx->remaining;
-      }
+    recent_changed_links_[recent_changed_count_++ % kChangedLinkRing] = l;
+    links_.clear_hbr(l);
+    if (comb_reader_[l] != kNoBlock) {
+      destabilize(comb_reader_[l]);
     }
   }
+  count_evaluation(b);
+}
 
-  if (!pickup && !drive) {
-    // State fixed point: a pure step() that mapped old == new will
-    // reproduce this exact evaluation as long as the inputs stay put —
-    // the precondition of the quiescence skip. The compare runs only
-    // when the evaluation saw no new input and moved no output: a block
-    // with activity on its ports is rarely at a fixed point, and a
-    // missed one costs one more evaluation, not correctness
-    // (state_fixed == 0 never skips anything).
-    state_fixed_[b] = !(inputs_changed || outputs_changed) &&
-                      state_.new_state(b).equals(old);
-  }
+void Engine::count_evaluation(BlockId b) {
   if (!evaluated_[b]) {
     evaluated_[b] = 1;
     ++first_evals_;
@@ -608,7 +657,7 @@ void Engine::fail_cycle() {
       std::min(recent_changed_count_, kChangedLinkHistory);
   for (std::size_t i = 0; i < have; ++i) {
     const LinkId l = recent_changed_links_[(recent_changed_count_ - 1 - i) %
-                                           kChangedLinkHistory];
+                                           kChangedLinkRing];
     if (std::find(r.last_changed_links.begin(), r.last_changed_links.end(),
                   l) == r.last_changed_links.end()) {
       r.last_changed_links.push_back(l);

@@ -17,10 +17,13 @@
 //    whole model, replayed every system cycle — the SCC-condensed
 //    topological order of the blocks — with each op gated by a
 //    quiescence test, so a block with no new input and a fixed-point
-//    state costs one flag test. For a registered-only model it is every
-//    block once in ascending ids, the paper's §4.1 static schedule
-//    (Fig. 3), which is how SequentialSimulator runs
-//    SchedulePolicy::kStatic (registered links are never gated);
+//    state costs one flag test. It runs over flat port tables built at
+//    construction, and a kEval whose kDrive already made every output
+//    final computes the next state only, writing no link. For a
+//    registered-only model it is every block once in ascending ids, the
+//    paper's §4.1 static schedule (Fig. 3), which is how
+//    SequentialSimulator runs SchedulePolicy::kStatic (registered links
+//    are never gated);
 //  - kRoundRobin: the §4.2 pickup — all HBR bits cleared at cycle start,
 //    non-stable blocks picked by the round-robin cursor, a changed link
 //    write destabilizing its reader.
@@ -388,15 +391,43 @@ class Engine {
     std::size_t* remaining = nullptr;
   };
 
+  /// What one op-program evaluation computes.
+  enum class OpEval : std::uint8_t {
+    kStep,   ///< F and G: next state and every output (kEval, kSettle)
+    kDrive,  ///< G only: every output, no next state (kDrive)
+    kNext,   ///< F only: next state, outputs already final (marked kEval)
+  };
+
+  /// One block's row of the op program's port tables.
+  struct ProgramBlock {
+    const SimBlock* logic = nullptr;
+    std::uint32_t in_begin = 0;   ///< first entry in prog_in_links_
+    std::uint32_t num_in = 0;
+    std::uint32_t out_begin = 0;  ///< first entry in prog_out_ports_
+    std::uint32_t num_out = 0;
+  };
+  /// An output port: its link and the pending_input_ slot a change of
+  /// it marks — the link's one combinational reader, or the spare slot
+  /// (num_blocks) for a registered or unread link.
+  struct OutPort {
+    LinkId link = 0;
+    BlockId wake = 0;
+  };
+
   /// Runs the schedule to the cycle's link fixed point; false when the
   /// evaluation budget ran out (the cycle failed).
   bool settle_round_robin();
   bool run_program();
   bool settle_scc(std::uint32_t scc_index);
-  /// One evaluation: step() the block, or under a kDrive op (`drive`)
-  /// run its G only. `ctx` is non-null inside a kSettle op.
-  void evaluate_block(BlockId b, const CompiledSettleCtx* ctx,
-                      bool drive = false);
+  /// One §4.2 pickup evaluation: step() the block, mark its inputs read,
+  /// destabilize the readers of changed outputs.
+  void evaluate_block(BlockId b);
+  /// One op-program evaluation over the port tables. `ctx` is non-null
+  /// inside a kSettle op.
+  template <OpEval kWhat>
+  void evaluate_op(BlockId b, const CompiledSettleCtx* ctx);
+  /// The delta-cycle accounting every evaluation ends with.
+  void count_evaluation(BlockId b);
   void destabilize(BlockId b);
   bool inputs_all_read(BlockId b) const;
   /// Builds the failed cycle's report, notifies the observer and throws.
@@ -416,6 +447,12 @@ class Engine {
   std::vector<char> link_comb_;  ///< link -> is combinational
   /// link -> its one reader block when combinational, ~0 otherwise.
   std::vector<BlockId> comb_reader_;
+  // The op program's flat port tables (kCompiled only), built once: per
+  // block its logic and port ranges, then every input link id and every
+  // output port, block after block.
+  std::vector<ProgramBlock> prog_blocks_;
+  std::vector<LinkId> prog_in_links_;
+  std::vector<OutPort> prog_out_ports_;
 
   StateMemory state_;
   LinkMemory links_;
@@ -440,14 +477,20 @@ class Engine {
   // Quiescence flags of the gated op program (empty under round-robin).
   std::vector<char> skippable_;      ///< static: may ever be skipped
   std::vector<char> state_fixed_;    ///< last committing eval: old == new
-  std::vector<char> pending_input_;  ///< input changed since that eval
+  /// Input changed since that eval; one spare slot past the blocks
+  /// takes the marks of outputs nobody reads and is never consulted.
+  std::vector<char> pending_input_;
 
   StepStats stats_;  ///< the cycle in flight
   // Port words of the evaluation in flight, sized to the widest block.
   std::vector<std::uint64_t> in_words_;
   std::vector<std::uint64_t> out_words_;
   static constexpr std::size_t kChangedLinkHistory = 8;
-  std::array<LinkId, kChangedLinkHistory> recent_changed_links_{};
+  /// The op program stores every output write's link at the next free
+  /// slot and advances only on a change, so the ring is twice the
+  /// reported history: that store never overwrites a reported link.
+  static constexpr std::size_t kChangedLinkRing = 2 * kChangedLinkHistory;
+  std::array<LinkId, kChangedLinkRing> recent_changed_links_{};
   std::size_t recent_changed_count_ = 0;
 
   SimObserver* observer_ = nullptr;

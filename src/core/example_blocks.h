@@ -87,6 +87,45 @@ class PipeBlock : public SimBlock {
   std::uint64_t reset_;
 };
 
+/// A PipeBlock with a combinational tap: out0 = state + addend (G of the
+/// state, as PipeBlock), out1 = in (a wire straight through); F(state,
+/// in) = in. Only the tap depends on the input, so in a ring the static
+/// schedule drives this block early for out0 while out1 — and with it
+/// the block's later kEval — still waits on the input.
+class PipeTapBlock : public SimBlock {
+ public:
+  PipeTapBlock(std::size_t width, std::uint64_t addend)
+      : width_(width), addend_(addend) {}
+
+  std::size_t state_width() const override { return width_; }
+  std::size_t num_inputs() const override { return 1; }
+  std::size_t input_width(std::size_t) const override { return width_; }
+  std::size_t num_outputs() const override { return 2; }
+  std::size_t output_width(std::size_t) const override { return width_; }
+  BitVector reset_state() const override { return BitVector(width_); }
+
+  void evaluate(const BitVector& old_state, std::span<const BitVector> inputs,
+                BitVector& new_state,
+                std::span<BitVector> outputs) const override {
+    const std::uint64_t mask =
+        width_ == 64 ? ~0ull : ((1ull << width_) - 1);
+    const std::uint64_t in = inputs[0].get_field(0, width_);
+    outputs[0].set_field(0, width_,
+                         (old_state.get_field(0, width_) + addend_) & mask);
+    outputs[1].set_field(0, width_, in);
+    new_state.set_field(0, width_, in);
+  }
+  std::string type_name() const override { return "pipe_tap"; }
+
+  bool output_depends_on_input(std::size_t out, std::size_t) const override {
+    return out == 1;
+  }
+
+ private:
+  std::size_t width_;
+  std::uint64_t addend_;
+};
+
 /// Pure combinational block: out = in + addend, no state. Chains of these
 /// across blocks force the §4.2 re-evaluation machinery to propagate
 /// values through multiple delta cycles; rings of them form combinational

@@ -47,16 +47,14 @@ class LinkMemory {
   bool write_word(LinkId l, std::uint64_t value) {
     check(l);
     TMSIM_CHECK_MSG((value & ~mask_[l]) == 0, "value wider than its link");
-    if (registered_[l]) {
-      bank_[1 - old_bank_][l] = value;
-      return false;
-    }
-    std::uint64_t& slot = bank_[0][l];
-    if (slot == value) {
-      return false;
-    }
-    slot = value;
-    return true;
+    // Branch-free: a loaded cycle's writes change about half their links,
+    // at random, so a branch on the compare mispredicts.
+    const bool registered = registered_[l] != 0;
+    std::uint64_t* const bank =
+        registered ? bank_[1 - old_bank_].data() : bank_[0].data();
+    const bool changed = !registered & (bank[l] != value);
+    bank[l] = value;
+    return changed;
   }
 
   /// BitVector views of word / write_word (width checked).

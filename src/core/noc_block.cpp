@@ -148,7 +148,9 @@ void RouterBlock::step_with_g(const noc::RouterState& s,
   }
 
   noc::compute_next_state_into(s, grants, inputs, env_, next);
-  encode_outputs(outs, out);
+  if (!out.empty()) {
+    encode_outputs(outs, out);
+  }
 }
 
 void RouterBlock::step(const BlockState& old, std::span<const std::uint64_t> in,

@@ -82,7 +82,8 @@ class RouterBlock : public SimBlock {
                   std::span<std::uint64_t> out) const;
 
  private:
-  /// F, the output words and the NI echo, given G of `s`.
+  /// F, the output words (none for an empty `out`) and the NI echo,
+  /// given G of `s`.
   void step_with_g(const noc::RouterState& s, const noc::Grants& grants,
                    const noc::RouterOutputs& outs,
                    std::span<const std::uint64_t> in, noc::RouterState& next,

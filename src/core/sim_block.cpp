@@ -56,7 +56,9 @@ void SimBlock::step(const BlockState& old, std::span<const std::uint64_t> in,
   const WordState& o = word_state(old);
   load_inputs(o, in);
   evaluate(o.word, o.in, static_cast<WordState&>(next).word, o.out);
-  store_outputs(o, out);
+  if (!out.empty()) {
+    store_outputs(o, out);
+  }
 }
 
 void SimBlock::drive(const BlockState& old, std::span<const std::uint64_t> in,

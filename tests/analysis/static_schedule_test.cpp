@@ -1,7 +1,8 @@
 // Unit tests for the static-schedule analysis pass (DESIGN.md §17):
 // SCC condensation on hand-built link graphs, the Eval/Drive/Settle op
-// mix and determinism. These pin the *structure* of the emitted
-// schedule; the engines' bit-identity over these shapes is proved by
+// mix, the outputs_final mark on kEvals after a kDrive, and determinism.
+// These pin the *structure* of the emitted schedule; the engines'
+// bit-identity over these shapes is proved by
 // tests/integration/compiled_equivalence_test.cpp.
 #include "analysis/static_schedule.h"
 
@@ -11,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "core/example_blocks.h"
+#include "core/noc_block.h"
 #include "core/system_model.h"
+#include "noc/network.h"
 
 namespace tmsim::analysis {
 namespace {
@@ -24,6 +27,7 @@ using core::examples::CombAdderBlock;
 using core::examples::NotBlock;
 using core::examples::Or2Block;
 using core::examples::PipeBlock;
+using core::examples::PipeTapBlock;
 
 std::size_t count_ops(const CompiledSchedule& s, CompiledOpKind kind) {
   std::size_t n = 0;
@@ -142,17 +146,64 @@ TEST(StaticSchedule, DiamondFanInIsPureEvalsInTopologicalOrder) {
   EXPECT_LT(pc1, pd);
 }
 
-TEST(StaticSchedule, SameModelBuildsByteIdenticalSchedules) {
-  Diamond dia;
-  const CompiledSchedule s1 = build_compiled_schedule(dia.model);
-  const CompiledSchedule s2 = build_compiled_schedule(dia.model);
+noc::NetworkConfig mesh6x6() {
+  noc::NetworkConfig net;
+  net.width = 6;
+  net.height = 6;
+  net.topology = noc::Topology::kMesh;
+  return net;
+}
+
+void expect_identical(const CompiledSchedule& s1, const CompiledSchedule& s2) {
   ASSERT_EQ(s1.ops.size(), s2.ops.size());
   for (std::size_t i = 0; i < s1.ops.size(); ++i) {
     EXPECT_EQ(s1.ops[i].kind, s2.ops[i].kind);
     EXPECT_EQ(s1.ops[i].block, s2.ops[i].block);
     EXPECT_EQ(s1.ops[i].scc, s2.ops[i].scc);
+    EXPECT_EQ(s1.ops[i].outputs_final, s2.ops[i].outputs_final);
   }
   EXPECT_EQ(s1.scc_of_link, s2.scc_of_link);
+  EXPECT_EQ(s1.num_evals, s2.num_evals);
+  EXPECT_EQ(s1.num_drives, s2.num_drives);
+}
+
+TEST(StaticSchedule, SameModelBuildsByteIdenticalSchedules) {
+  Diamond dia;
+  expect_identical(build_compiled_schedule(dia.model),
+                   build_compiled_schedule(dia.model));
+  // A router mesh has drives, so its schedule carries outputs_final
+  // marks: those must be a function of the model too.
+  const noc::NetworkConfig net = mesh6x6();
+  const core::NocModel nm = core::build_noc_model(net);
+  const CompiledSchedule s1 = build_compiled_schedule(nm.model);
+  ASSERT_GT(s1.num_drives, 0u);
+  expect_identical(s1, build_compiled_schedule(nm.model));
+}
+
+TEST(StaticSchedule, MeshMarksExactlyTheEvalsAfterADrive) {
+  // Every router output is G(state), so a router's kDrive makes all of
+  // its outputs final and its kEval may skip rewriting them; a router
+  // that was never driven writes its outputs at its kEval.
+  const noc::NetworkConfig net = mesh6x6();
+  const core::NocModel nm = core::build_noc_model(net);
+  const CompiledSchedule s = build_compiled_schedule(nm.model);
+  EXPECT_TRUE(s.acyclic());
+  EXPECT_EQ(s.num_evals, net.num_routers());
+  ASSERT_GT(s.num_drives, 0u);
+  std::vector<char> driven(net.num_routers(), 0);
+  std::size_t marked = 0;
+  for (const CompiledOp& op : s.ops) {
+    if (op.kind == CompiledOpKind::kDrive) {
+      EXPECT_FALSE(op.outputs_final);
+      driven[op.block] = 1;
+      continue;
+    }
+    ASSERT_EQ(op.kind, CompiledOpKind::kEval);
+    EXPECT_EQ(op.outputs_final, driven[op.block] != 0)
+        << "router " << op.block;
+    marked += op.outputs_final ? 1 : 0;
+  }
+  EXPECT_EQ(marked, s.num_drives);
 }
 
 TEST(StaticSchedule, PipeRingNeedsExactlyOneDrive) {
@@ -187,6 +238,63 @@ TEST(StaticSchedule, PipeRingNeedsExactlyOneDrive) {
   // The drive finalizes its block's output, so that block's committing
   // kEval must come after its downstream neighbour became ready.
   EXPECT_EQ(count_ops(s, CompiledOpKind::kEval), 4u);
+  // A pipe's output is G(state), so the drive left it final: the
+  // driver's kEval is marked and computes the next state only. The
+  // other pipes were never driven and write their outputs at the kEval.
+  const BlockId driver = s.ops[0].block;
+  for (const CompiledOp& op : s.ops) {
+    if (op.kind == CompiledOpKind::kEval) {
+      EXPECT_EQ(op.outputs_final, op.block == driver) << "pipe " << op.block;
+    }
+  }
+}
+
+/// A PipeTap d in a ring with a CombAdder e: d's out0 (G of its state)
+/// feeds e, e feeds d's input, and d's tap out1 passes that input on —
+/// to a CombAdder t when `tap_read`, else as a primary output nobody
+/// reads.
+struct TapRing {
+  explicit TapRing(bool tap_read) {
+    d = model.add_block(std::make_shared<PipeTapBlock>(8, 1), "d");
+    e = model.add_block(std::make_shared<CombAdderBlock>(8, 2), "e");
+    const LinkId de = model.add_link("de", 8, LinkKind::kCombinational);
+    const LinkId ed = model.add_link("ed", 8, LinkKind::kCombinational);
+    const LinkId tap = model.add_link("tap", 8, LinkKind::kCombinational);
+    model.bind_output(d, 0, de);
+    model.bind_input(e, 0, de);
+    model.bind_output(e, 0, ed);
+    model.bind_input(d, 0, ed);
+    model.bind_output(d, 1, tap);
+    if (tap_read) {
+      t = model.add_block(std::make_shared<CombAdderBlock>(8, 3), "t");
+      model.bind_input(t, 0, tap);
+      model.bind_output(t, 0,
+                        model.add_link("tout", 8, LinkKind::kCombinational));
+    }
+    model.finalize();
+  }
+  SystemModel model;
+  BlockId d = 0, e = 0, t = 0;
+};
+
+TEST(StaticSchedule, DriveLeavingAnInputFedOutputOpenIsNotMarked) {
+  // d is driven for out0, but its tap is fed by d's input, which e
+  // finalizes only after the drive: the drive wrote a tap value the
+  // kEval must overwrite, so d's kEval is not marked — whether the tap
+  // is a tracked link (read by t) or a primary output.
+  for (const bool tap_read : {true, false}) {
+    SCOPED_TRACE(tap_read ? "tap read by a block" : "tap is a primary output");
+    TapRing ring(tap_read);
+    const CompiledSchedule s = build_compiled_schedule(ring.model);
+    EXPECT_TRUE(s.acyclic());
+    EXPECT_EQ(s.num_drives, 1u);
+    ASSERT_EQ(s.ops[0].kind, CompiledOpKind::kDrive);
+    EXPECT_EQ(s.ops[0].block, ring.d);
+    EXPECT_LT(eval_position(s, ring.e), eval_position(s, ring.d));
+    for (const CompiledOp& op : s.ops) {
+      EXPECT_FALSE(op.outputs_final) << "block " << op.block;
+    }
+  }
 }
 
 TEST(StaticSchedule, TopologicalOrderBeatsBlockIdOrder) {

@@ -13,7 +13,11 @@
 //    skips a block on a registered link — next to blocks it does skip;
 //  * a settle-region member with its own later kEval (an input from
 //    downstream of the region), whose kEval the gate skips only while
-//    that input holds.
+//    that input holds;
+//  * a driven block whose kEval must still write an output its input
+//    feeds (not marked outputs_final), and a marked kEval that runs
+//    after the gate skipped its block's kDrive, because an input
+//    arrived between the two ops.
 //
 // OR is monotone and every settled cycle ends with the latch halves
 // equal, so the per-cycle fixed point is evaluation-order independent:
@@ -41,6 +45,7 @@ using examples::CombAdderBlock;
 using examples::NotBlock;
 using examples::Or2Block;
 using examples::PipeBlock;
+using examples::PipeTapBlock;
 using examples::RegAdderBlock;
 using examples::Xor2Block;
 
@@ -319,6 +324,151 @@ TEST(CompiledEquivalence, SettleMemberWithALaterEvalIsGatedSoundly) {
   // a's included, was skipped, and cycles where a's kEval ran after c.
   EXPECT_GT(all_skipped, 0u);
   EXPECT_GT(a_ran_after_c, 0u);
+}
+
+/// Steps `ref` (round-robin) and `cp` (compiled) together over `cycles`
+/// cycles, driving `ext` from `stimulus(cycle)` on both, and requires
+/// every link value and the state digest to agree after every cycle.
+/// `on_cycle` sees each compiled cycle's evaluation order.
+template <typename Stimulus, typename OnCycle>
+void run_lockstep(const SystemModel& model, SequentialSimulator& ref,
+                  SequentialSimulator& cp, LinkId ext, int cycles,
+                  Stimulus stimulus, OnCycle on_cycle) {
+  std::vector<BlockId> order;
+  cp.set_trace_hook([&](SystemCycle, DeltaCycle, BlockId blk) {
+    order.push_back(blk);
+  });
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    order.clear();
+    const std::uint64_t v = stimulus(cycle);
+    for (SequentialSimulator* e : {&ref, &cp}) {
+      e->set_external_input(ext, val(16, v));
+    }
+    ref.step();
+    cp.step();
+    on_cycle(order);
+    for (LinkId l = 0; l < model.num_links(); ++l) {
+      EXPECT_EQ(cp.link_value(l), ref.link_value(l))
+          << "cycle " << cycle << " link " << model.link(l).name;
+    }
+    EXPECT_EQ(engine_state_digest(cp), engine_state_digest(ref))
+        << "cycle " << cycle;
+  }
+}
+
+/// The op of `block` of `kind` in `prog` (the first one).
+const analysis::CompiledOp* find_op(const analysis::CompiledSchedule& prog,
+                                    analysis::CompiledOpKind kind,
+                                    BlockId block) {
+  for (const analysis::CompiledOp& op : prog.ops) {
+    if (op.kind == kind && op.block == block) {
+      return &op;
+    }
+  }
+  return nullptr;
+}
+
+TEST(CompiledEquivalence, DrivenBlockWithAnInputFedOutputRewritesIt) {
+  // d (a PipeTap) is driven for its G output before x, which mixes that
+  // output with ext, finalizes d's input; d's tap passes the input
+  // straight on. The drive writes the tap from last cycle's input, so
+  // d's kEval is not marked and must overwrite it: a kEval computing F
+  // alone would leave a stale tap whenever ext moves.
+  SystemModel model;
+  const BlockId d = model.add_block(std::make_shared<PipeTapBlock>(16, 3), "d");
+  const BlockId x = model.add_block(std::make_shared<Xor2Block>(16, 0xff), "x");
+  const auto link = [&](const char* name) {
+    return model.add_link(name, 16, LinkKind::kCombinational);
+  };
+  const LinkId ext = link("ext"), dx = link("dx"), xd = link("xd");
+  const LinkId tap = link("tap"), x1 = link("x1");
+  model.bind_output(d, 0, dx);
+  model.bind_output(d, 1, tap);
+  model.bind_input(x, 0, dx);
+  model.bind_input(x, 1, ext);
+  model.bind_output(x, 0, xd);
+  model.bind_output(x, 1, x1);
+  model.bind_input(d, 0, xd);
+  model.finalize();
+
+  SequentialSimulator ref(model, SchedulePolicy::kDynamic);
+  SequentialSimulator cp(model, SchedulePolicy::kDynamic, 64, 1,
+                         SchedulerKind::kCompiled);
+  const analysis::CompiledSchedule& prog = *cp.compiled_schedule();
+  ASSERT_NE(find_op(prog, analysis::CompiledOpKind::kDrive, d), nullptr);
+  const analysis::CompiledOp* d_eval =
+      find_op(prog, analysis::CompiledOpKind::kEval, d);
+  ASSERT_NE(d_eval, nullptr);
+  EXPECT_FALSE(d_eval->outputs_final);
+
+  SplitMix64 rng(0x7a9);
+  std::uint64_t s = 0;
+  run_lockstep(
+      model, ref, cp, ext, 60,
+      [&](int cycle) {
+        // Hold ext for a few cycles so the gate skips d and x too.
+        if (cycle % 4 == 0) {
+          s = rng.next() & 0xffff;
+        }
+        return s;
+      },
+      [](const std::vector<BlockId>&) {});
+}
+
+TEST(CompiledEquivalence, MarkedEvalRunsAfterItsSkippedDrive) {
+  // d (a pipe: out = state) is driven first, then x = d ^ ext feeds d's
+  // input, then d's kEval, marked outputs_final: the drive already wrote
+  // d's one output. With ext at 0 the ring is quiescent and both of d's
+  // ops are skipped. A one-cycle ext pulse wakes x, which changes d's
+  // input after d's kDrive was skipped: d's kEval runs (F alone) and the
+  // output d's last committing evaluation wrote must still be current.
+  SystemModel model;
+  const BlockId d = model.add_block(std::make_shared<PipeBlock>(16, 0, 0x35),
+                                    "d");
+  const BlockId x = model.add_block(std::make_shared<Xor2Block>(16, 0), "x");
+  const auto link = [&](const char* name) {
+    return model.add_link(name, 16, LinkKind::kCombinational);
+  };
+  const LinkId ext = link("ext"), dx = link("dx"), xd = link("xd");
+  const LinkId x1 = link("x1");
+  model.bind_output(d, 0, dx);
+  model.bind_input(x, 0, dx);
+  model.bind_input(x, 1, ext);
+  model.bind_output(x, 0, xd);
+  model.bind_output(x, 1, x1);
+  model.bind_input(d, 0, xd);
+  model.finalize();
+
+  SequentialSimulator ref(model, SchedulePolicy::kDynamic);
+  SequentialSimulator cp(model, SchedulePolicy::kDynamic, 64, 1,
+                         SchedulerKind::kCompiled);
+  const analysis::CompiledSchedule& prog = *cp.compiled_schedule();
+  ASSERT_EQ(prog.ops.size(), 3u);
+  EXPECT_EQ(prog.ops[0].kind, analysis::CompiledOpKind::kDrive);
+  EXPECT_EQ(prog.ops[0].block, d);
+  const analysis::CompiledOp* d_eval =
+      find_op(prog, analysis::CompiledOpKind::kEval, d);
+  ASSERT_NE(d_eval, nullptr);
+  EXPECT_TRUE(d_eval->outputs_final);
+
+  SplitMix64 rng(0x1f3);
+  std::size_t skipped_drive_ran_eval = 0;
+  run_lockstep(
+      model, ref, cp, ext, 90,
+      [&](int cycle) {
+        return cycle % 9 == 4 ? (rng.next() & 0xffff) | 1 : 0;
+      },
+      [&](const std::vector<BlockId>& order) {
+        // d evaluated once, after x: its kDrive was skipped and its
+        // kEval ran.
+        const auto d_at = std::find(order.begin(), order.end(), d);
+        const auto x_at = std::find(order.begin(), order.end(), x);
+        if (std::count(order.begin(), order.end(), d) == 1 &&
+            x_at < d_at) {
+          ++skipped_drive_ran_eval;
+        }
+      });
+  EXPECT_GT(skipped_drive_ran_eval, 0u);
 }
 
 TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {
