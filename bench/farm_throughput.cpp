@@ -12,7 +12,8 @@
 //      a fixed count under-saturates large pools and mismeasures them.
 //      Each point also emits its pipeline-stage breakdown (queue-wait /
 //      attach / run / publish µs summed across workers) so a scaling
-//      regression names the stage that serialized.
+//      regression names the stage that serialized, and the share of
+//      engine acquisitions a worker served from its warm-engine cache.
 //   2. Paced scaling: jobs that sleep a fixed wall interval per slice,
 //      so throughput scales with workers iff the farm hot path is
 //      concurrent — even on a single-core host, where CPU-bound w4
@@ -86,6 +87,9 @@ struct Point {
   double attach_us = 0.0;
   double run_us = 0.0;
   double publish_us = 0.0;
+  // Engine-cache reuse, summed across workers (farm.worker.cache_*).
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
 };
 
 Point run_point(std::size_t workers, std::size_t queue_capacity,
@@ -148,8 +152,18 @@ Point run_point(std::size_t workers, std::size_t queue_capacity,
         static_cast<double>(metrics.counter_value("farm.stage.run_us", label));
     pt.publish_us += static_cast<double>(
         metrics.counter_value("farm.stage.publish_us", label));
+    pt.cache_hits += metrics.counter_value("farm.worker.cache_hits", label);
+    pt.cache_misses += metrics.counter_value("farm.worker.cache_misses", label);
   }
   return pt;
+}
+
+/// Share of engine acquisitions served by a warm cached engine.
+double cache_hit_frac(const Point& pt) {
+  const std::uint64_t total = pt.cache_hits + pt.cache_misses;
+  return total == 0 ? 0.0
+                    : static_cast<double>(pt.cache_hits) /
+                          static_cast<double>(total);
 }
 
 /// Paced run: every slice sleeps a fixed wall interval via the chaos
@@ -248,12 +262,12 @@ int main() {
   }
 
   std::printf("\npipeline-stage breakdown (us summed across workers):\n");
-  std::printf("%8s %9s %12s %10s %12s %11s\n", "workers", "queue",
-              "queue_wait", "attach", "run", "publish");
+  std::printf("%8s %9s %12s %10s %12s %11s %10s\n", "workers", "queue",
+              "queue_wait", "attach", "run", "publish", "cache_hit");
   for (const Point& pt : points) {
-    std::printf("%8zu %9zu %12.0f %10.0f %12.0f %11.0f\n", pt.workers,
+    std::printf("%8zu %9zu %12.0f %10.0f %12.0f %11.0f %10.3f\n", pt.workers,
                 pt.queue_capacity, pt.queue_wait_us, pt.attach_us, pt.run_us,
-                pt.publish_us);
+                pt.publish_us, cache_hit_frac(pt));
   }
 
   // Paced scaling: the farm-internal concurrency proof (see header).
@@ -299,6 +313,8 @@ int main() {
     metrics.push_back({"stage_attach_us_" + tag, pt.attach_us, "us"});
     metrics.push_back({"stage_run_us_" + tag, pt.run_us, "us"});
     metrics.push_back({"stage_publish_us_" + tag, pt.publish_us, "us"});
+    metrics.push_back(
+        {"engine_cache_hit_frac_" + tag, cache_hit_frac(pt), "ratio"});
   }
   for (const auto& [workers, jps] : paced) {
     metrics.push_back(

@@ -35,19 +35,15 @@ const char* reject_reason_name(RejectReason r) {
 AdmissionQueue::AdmissionQueue(std::size_t capacity,
                                SystemCycle max_job_cycles,
                                std::function<double()> now_fn,
-                               BatchKeyFn batch_key_fn, obs::Tracer* tracer)
+                               obs::Tracer* tracer)
     : capacity_(capacity),
       max_job_cycles_(max_job_cycles),
       now_fn_(now_fn ? std::move(now_fn) : steady_now_us),
-      batch_key_fn_(std::move(batch_key_fn)),
       tracer_(tracer) {
   TMSIM_CHECK_MSG(capacity >= 1, "queue capacity must be positive");
 }
 
 std::size_t AdmissionQueue::enqueue(QueuedJob job, RequeuePosition pos) {
-  if (batch_key_fn_) {
-    job.batch_key = batch_key_fn_(job.spec);
-  }
   // Copy what the span needs before the move; record after the unlock.
   const obs::TraceContext trace = job.trace;
   const auto attempt = static_cast<std::uint32_t>(job.attempts);
@@ -179,6 +175,7 @@ bool AdmissionQueue::requeue(QueuedJob job, double now_us,
   // shutdown drains the backlog through pop_blocking() anyway.
   job.queued_us = now_us;
   job.fresh = false;
+  job.front_requeued = pos == RequeuePosition::kFront;
   enqueue(std::move(job), pos);
   return true;
 }
@@ -193,16 +190,12 @@ std::size_t AdmissionQueue::depth_locked() const {
 
 bool AdmissionQueue::take_first_eligible(std::size_t c, double now,
                                          double& next_eligible,
-                                         std::uint64_t require_key,
                                          std::list<QueuedJob>& out) {
   std::list<QueuedJob>& cls = classes_[c];
   for (auto it = cls.begin(); it != cls.end(); ++it) {
     if (it->not_before_us > now) {
       next_eligible = std::min(next_eligible, it->not_before_us);
       continue;  // backoff not expired; FIFO among *eligible* jobs
-    }
-    if (require_key != 0 && it->batch_key != require_key) {
-      return false;  // next-in-order job is incompatible: stop batch
     }
     if (it->fresh) {
       fresh_queued_.fetch_sub(1, std::memory_order_acq_rel);
@@ -214,9 +207,7 @@ bool AdmissionQueue::take_first_eligible(std::size_t c, double now,
   return false;
 }
 
-std::vector<QueuedJob> AdmissionQueue::pop_batch_blocking(
-    std::size_t max_batch) {
-  TMSIM_CHECK_MSG(max_batch >= 1, "batch size must be positive");
+std::optional<QueuedJob> AdmissionQueue::pop_blocking() {
   std::list<QueuedJob> taken;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -224,18 +215,7 @@ std::vector<QueuedJob> AdmissionQueue::pop_batch_blocking(
       const double now = now_fn_();
       double next_eligible = std::numeric_limits<double>::infinity();
       for (std::size_t c = 0; c < kNumPriorities && taken.empty(); ++c) {
-        if (!take_first_eligible(c, now, next_eligible, /*require_key=*/0,
-                                 taken)) {
-          continue;
-        }
-        // Batch growth never skips or overtakes: it only extends while
-        // the very next eligible job of the same class shares the head's
-        // compatibility key.
-        const std::uint64_t key = taken.front().batch_key;
-        double ignored = std::numeric_limits<double>::infinity();
-        while (taken.size() < max_batch && batch_key_fn_ && key != 0 &&
-               take_first_eligible(c, now, ignored, key, taken)) {
-        }
+        take_first_eligible(c, now, next_eligible, taken);
       }
       if (!taken.empty()) {
         break;
@@ -250,7 +230,7 @@ std::vector<QueuedJob> AdmissionQueue::pop_batch_blocking(
         continue;
       }
       if (stopped_.load(std::memory_order_acquire)) {
-        return {};  // stopped and drained
+        return std::nullopt;  // stopped and drained
       }
       // Enqueues and stop() change the lists or stopped_ under mu_, then
       // notify, so the rescan above is the wait's predicate; a spurious
@@ -258,34 +238,15 @@ std::vector<QueuedJob> AdmissionQueue::pop_batch_blocking(
       cv_.wait(lock);
     }
   }
-  std::vector<QueuedJob> batch;
-  batch.reserve(taken.size());
-  for (QueuedJob& j : taken) {
-    batch.push_back(std::move(j));
+  QueuedJob job = std::move(taken.front());
+  if (tracer_ != nullptr && job.trace.sampled()) {
+    // The queue-wait span: last (re)enqueue → this dequeue.
+    tracer_->span(job.trace, tracer_->alloc_span_id(), job.trace.span_id,
+                  "admission.dequeue",
+                  static_cast<std::uint32_t>(job.attempts), kQueueTid,
+                  job.queued_us, now_fn_());
   }
-  if (tracer_ != nullptr) {
-    const double end = now_fn_();
-    for (const QueuedJob& j : batch) {
-      if (!j.trace.sampled()) {
-        continue;
-      }
-      // The queue-wait span: last (re)enqueue → this dequeue.
-      tracer_->span(j.trace, tracer_->alloc_span_id(), j.trace.span_id,
-                    "admission.dequeue",
-                    static_cast<std::uint32_t>(j.attempts), kQueueTid,
-                    j.queued_us, end,
-                    {{"batch", std::to_string(batch.size())}});
-    }
-  }
-  return batch;
-}
-
-std::optional<QueuedJob> AdmissionQueue::pop_blocking() {
-  std::vector<QueuedJob> batch = pop_batch_blocking(1);
-  if (batch.empty()) {
-    return std::nullopt;
-  }
-  return std::move(batch.front());
+  return job;
 }
 
 bool AdmissionQueue::has_higher_than(Priority p) const {
@@ -343,9 +304,14 @@ AdmissionQueue::class_depths() const {
     if (out[c].depth == 0) {
       continue;
     }
+    // The front-requeued prefix and the first job behind it (see
+    // ClassDepth).
     out[c].oldest_queued_us = classes_[c].front().queued_us;
     for (const QueuedJob& j : classes_[c]) {
       out[c].oldest_queued_us = std::min(out[c].oldest_queued_us, j.queued_us);
+      if (!j.front_requeued) {
+        break;
+      }
     }
   }
   return out;

@@ -52,7 +52,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "farm/job_spec.h"
 #include "farm/session.h"
@@ -113,9 +112,9 @@ struct QueuedJob {
   double deadline_at_us = 0.0;
   /// Retry backoff: invisible to pop_blocking() before this instant.
   double not_before_us = 0.0;
-  /// Batch-compatibility key (engine-cache identity in the farm),
-  /// stamped at enqueue from the queue's batch_key_fn. 0 = unbatchable.
-  std::uint64_t batch_key = 0;
+  /// Set by a kFront requeue: the job sits in its class's front prefix,
+  /// the only part class_depths() walks.
+  bool front_requeued = false;
   /// Distributed-tracing identity (DESIGN.md §15), stamped at submit
   /// when the job is sampled. trace_id 0 (the default) disables every
   /// downstream recording site for this job.
@@ -137,9 +136,6 @@ enum class RequeuePosition : std::uint8_t {
 
 class AdmissionQueue {
  public:
-  /// Computes a job's batch-compatibility key (the farm passes the
-  /// engine-cache key hash). Jobs pop together only when keys match.
-  using BatchKeyFn = std::function<std::uint64_t(const JobSpec&)>;
   /// Runs on an accepted job after its id is assigned but *before* it
   /// becomes poppable — the farm installs its per-job control record
   /// here and stamps the job's cancel token, so a worker can never see
@@ -150,14 +146,13 @@ class AdmissionQueue {
   /// `max_job_cycles` is the per-job cycle ceiling (kTooLarge above it).
   /// `now_fn` supplies the clock `not_before_us` stamps are compared
   /// against (defaults to a steady µs clock; the farm passes its own so
-  /// queue time and trace span time share an epoch). `batch_key_fn`
-  /// enables pop_batch_blocking.
+  /// queue time and trace span time share an epoch).
   /// A non-null `tracer` samples submissions and records the
   /// enqueue/dequeue spans of sampled jobs (span timestamps come from
   /// `now_fn`, so all of a trace's spans share one clock).
   AdmissionQueue(std::size_t capacity, SystemCycle max_job_cycles,
                  std::function<double()> now_fn = {},
-                 BatchKeyFn batch_key_fn = {}, obs::Tracer* tracer = nullptr);
+                 obs::Tracer* tracer = nullptr);
 
   /// Validates and either enqueues (assigning a job id and stamping the
   /// deadline) or rejects. Never blocks. `on_accept`, when given, runs
@@ -186,14 +181,6 @@ class AdmissionQueue {
   /// after stop(): admitted work always resolves.
   std::optional<QueuedJob> pop_blocking();
 
-  /// Like pop_blocking(), but amortizes dispatch: after serving the
-  /// head job it keeps popping while the *next* eligible job of the
-  /// same class (in queue order — nothing is skipped or overtaken)
-  /// shares the head's batch key, up to `max_batch` jobs. Returns an
-  /// empty vector exactly when pop_blocking() would return nullopt.
-  /// With no batch_key_fn configured every batch has size 1.
-  std::vector<QueuedJob> pop_batch_blocking(std::size_t max_batch);
-
   /// True when any queued *eligible* job outranks `p` — the preemption
   /// predicate workers poll between quanta.
   bool has_higher_than(Priority p) const;
@@ -212,9 +199,14 @@ class AdmissionQueue {
   /// Per-class occupancy snapshot for SimFarm::introspect().
   struct ClassDepth {
     std::size_t depth = 0;
-    /// Smallest queued_us in the class (0 when empty); `now -
-    /// oldest_queued_us` is the class's oldest age. A front requeue
-    /// resets its job's queued_us, so this is not always the front job.
+    /// Oldest queued_us in the class (0 when empty); `now -
+    /// oldest_queued_us` is the class's oldest age. Front requeues sit
+    /// ahead of the rest of their class, which is in enqueue order, so
+    /// the scan takes the front-requeued prefix (at most one job per
+    /// worker) and the first job behind it, not the backlog. A submit
+    /// stamps the caller's clock before it takes the lock, so one that
+    /// stalls in between can land behind a younger job: the age is
+    /// exact up to that stall.
     double oldest_queued_us = 0.0;
   };
   /// Indexed by priority class; callable from any thread.
@@ -225,19 +217,15 @@ class AdmissionQueue {
   /// returns the total depth after the push.
   std::size_t enqueue(QueuedJob job, RequeuePosition pos);
   std::size_t depth_locked() const;
-  /// Splices the first eligible job of class `c` onto the back of
-  /// `out`. Returns false when none is eligible or (with `require_key`
-  /// nonzero) the first eligible one has a different batch key. Lowers
-  /// `next_eligible` to the earliest backoff expiry it skipped. Caller
-  /// holds mu_.
+  /// Splices the first eligible job of class `c` onto `out`. Returns
+  /// false when none is eligible. Lowers `next_eligible` to the earliest
+  /// backoff expiry it skipped. Caller holds mu_.
   bool take_first_eligible(std::size_t c, double now, double& next_eligible,
-                           std::uint64_t require_key,
                            std::list<QueuedJob>& out);
 
   const std::size_t capacity_;
   const SystemCycle max_job_cycles_;
   const std::function<double()> now_fn_;
-  const BatchKeyFn batch_key_fn_;
   obs::Tracer* const tracer_;
 
   mutable std::mutex mu_;

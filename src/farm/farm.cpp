@@ -13,10 +13,6 @@ namespace tmsim::farm {
 
 namespace {
 
-/// Dispatch batching: a worker pops up to this many *consecutive*
-/// same-class jobs sharing an engine-cache key and runs them back-to-back
-/// on one warm engine.
-constexpr std::size_t kBatchMaxJobs = 4;
 /// Engines a worker keeps warm, LRU-evicted (keyed by topology +
 /// scheduler; every cached engine runs the canonical schedule seed).
 constexpr std::size_t kEngineCachePerWorker = 2;
@@ -53,12 +49,7 @@ const char* cancel_result_name(CancelResult r) {
 SimFarm::SimFarm(FarmOptions opt)
     : opt_(opt),
       queue_(opt.queue_capacity, opt.max_job_cycles,
-             [this] { return now_us(); },
-             // Batch compatibility = engine-cache identity: the queue
-             // only hands out multi-job batches that can share one warm
-             // engine without re-attach.
-             [](const JobSpec& spec) { return engine_cache_key_hash(spec); },
-             opt.tracer),
+             [this] { return now_us(); }, opt.tracer),
       results_(opt.completion_feed_depth) {
   TMSIM_CHECK_MSG(opt_.num_workers >= 1, "farm needs at least one worker");
   TMSIM_CHECK_MSG(opt_.preempt_quantum >= 1, "quantum must be positive");
@@ -311,10 +302,6 @@ void SimFarm::shutdown() {
           .set(static_cast<std::uint64_t>(wk.busy_us));
       opt_.metrics->counter("farm.stage.publish_us", worker_label(w))
           .set(static_cast<std::uint64_t>(wk.publish_us));
-      opt_.metrics->counter("farm.batch.batches", worker_label(w))
-          .set(wk.batches);
-      opt_.metrics->counter("farm.batch.batched_jobs", worker_label(w))
-          .set(wk.batched_jobs);
     }
     std::lock_guard<std::mutex> memo_lock(memo_mu_);
     opt_.metrics->counter("farm.memo.hits").set(memo_hits_);
@@ -326,49 +313,19 @@ void SimFarm::shutdown() {
   }
 }
 
-void SimFarm::requeue_batch_tail(std::vector<QueuedJob>& batch,
-                                 std::size_t from) {
-  // Each kFront requeue is a push_front, so requeuing in reverse order
-  // leaves the tail at the front of its class in its original order.
-  const double now = now_us();
-  for (std::size_t k = batch.size(); k > from; --k) {
-    queue_.requeue(std::move(batch[k - 1]), now, RequeuePosition::kFront);
-  }
-}
-
 void SimFarm::worker_main(std::size_t w) {
   Worker& worker = *workers_[w];
   for (;;) {
     worker.idle.store(true, std::memory_order_relaxed);
-    std::vector<QueuedJob> batch = queue_.pop_batch_blocking(kBatchMaxJobs);
+    std::optional<QueuedJob> job = queue_.pop_blocking();
     worker.idle.store(false, std::memory_order_relaxed);
-    if (batch.empty()) {
+    if (!job) {
       return;
     }
     worker.heartbeat.fetch_add(1, std::memory_order_relaxed);
-    const double popped_us = now_us();
-    for (const QueuedJob& job : batch) {
-      worker.queue_wait_us += std::max(0.0, popped_us - job.queued_us);
-    }
-    if (batch.size() > 1) {
-      ++worker.batches;
-      worker.batched_jobs += batch.size();
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (i > 0 && queue_.has_higher_than(batch[i].spec.priority)) {
-        // Urgent work arrived mid-batch: scheduling invisibility beats
-        // dispatch amortization — hand the untouched tail back, in
-        // order, and let the pop loop serve the higher class first.
-        requeue_batch_tail(batch, i);
-        break;
-      }
-      if (!run_job(w, std::move(batch[i]))) {
-        // Killed: the orphan slot holds any in-flight job; the untouched
-        // tail goes back before the thread exits (the reclaim join is
-        // the happens-before edge that makes this visible).
-        requeue_batch_tail(batch, i + 1);
-        return;
-      }
+    worker.queue_wait_us += std::max(0.0, now_us() - job->queued_us);
+    if (!run_job(w, std::move(*job))) {
+      return;  // killed: the orphan slot holds the job in flight
     }
   }
 }

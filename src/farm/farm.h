@@ -59,19 +59,15 @@
 // all of them, and in-flight accounting is a single atomic — so adding
 // workers adds throughput until the machine runs out of cores
 // (tests/farm/farm_scaling_test.cpp pins w4 ≥ 2× w1 on a paced
-// workload). Two dispatch amortizations ride on top:
-//   - *batching*: a worker pops up to kBatchMaxJobs (farm.cpp)
-//     consecutive same-class jobs sharing an engine_cache_key (never
-//     skipping or reordering anything) and runs them back-to-back on one
-//     warm engine; if higher-priority work arrives mid-batch the
-//     untouched tail goes back to the front of its class, in order.
-//   - *memoization*: with memo_capacity > 0, a kDone result is cached
-//     under JobSpec::fingerprint() (LRU-bounded) and an identical later
-//     spec is served without simulating — sound because the fingerprint
-//     covers the spec's entire canonical serialization and every
-//     simulation-visible output is a pure function of the spec
-//     (tests/farm/farm_memo_test.cpp proves bit-identity). Served
-//     results carry memo_hit in their scheduling record.
+// workload). A worker pops one job at a time; its small engine cache
+// (kEngineCachePerWorker, farm.cpp) keeps engines warm across jobs with
+// equal engine_cache_key. With memo_capacity > 0, a kDone result is
+// cached under JobSpec::fingerprint() (LRU-bounded) and an identical
+// later spec is served without simulating — sound because the
+// fingerprint covers the spec's entire canonical serialization and every
+// simulation-visible output is a pure function of the spec
+// (tests/farm/farm_memo_test.cpp proves bit-identity). Served results
+// carry memo_hit in their scheduling record.
 //
 // Observability (all optional, null = zero overhead):
 //   farm.admission.{submitted,accepted,rejected} (+ per-reason labels),
@@ -336,8 +332,6 @@ class SimFarm {
     double queue_wait_us = 0.0;  ///< enqueue → pop, summed over jobs
     double attach_us = 0.0;      ///< session build + engine attach/restore
     double publish_us = 0.0;     ///< terminal arbitration + result store
-    std::uint64_t batches = 0;       ///< multi-job pops
-    std::uint64_t batched_jobs = 0;  ///< jobs arriving in multi-job pops
     /// Cached ref to this worker's farm.worker.slices row, so the
     /// per-slice hot path skips the registry's registration mutex.
     obs::Counter* slices_counter = nullptr;
@@ -371,9 +365,6 @@ class SimFarm {
   };
 
   void worker_main(std::size_t w);
-  /// Gives batch[from..) back to the *front* of its class, in original
-  /// order (kill / higher-priority-arrived mid-batch).
-  void requeue_batch_tail(std::vector<QueuedJob>& batch, std::size_t from);
   /// One scheduling turn: run quanta of `job` until it finishes, fails,
   /// is cancelled, or gets preempted/retried (then it is requeued
   /// internally). Returns false when the worker was killed and must

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/fnv.h"
 #include "fpga/arm_host.h"
 #include "fpga/faulty_bus.h"
 #include "fpga/fpga_design.h"
@@ -25,11 +24,6 @@ std::string engine_cache_key(const JobSpec& spec) {
      << ":" << spec.net.router.queue_depth << ":"
      << static_cast<int>(spec.scheduler);
   return os.str();
-}
-
-std::uint64_t engine_cache_key_hash(const JobSpec& spec) {
-  const std::uint64_t h = fnv1a_bytes(kFnvOffset, engine_cache_key(spec));
-  return h == 0 ? kFnvOffset : h;
 }
 
 SimSession::SimSession(const JobSpec& spec) : spec_(spec) {

@@ -51,14 +51,9 @@ core::EngineOptions effective_engine_options(const JobSpec& spec,
 
 /// Canonical engine-cache identity of a job: two jobs with equal keys can
 /// run on the same cached engine instance (equal topology/sizing and
-/// scheduler). This is also the farm's *batch compatibility* rule — a
-/// worker only runs jobs back-to-back without re-attach when their keys
-/// match.
+/// scheduler), so a worker whose cache holds the key skips the engine
+/// build.
 std::string engine_cache_key(const JobSpec& spec);
-
-/// FNV-1a hash of engine_cache_key(), never 0 (0 marks "unbatchable" in
-/// the AdmissionQueue) — the BatchKeyFn the farm installs.
-std::uint64_t engine_cache_key_hash(const JobSpec& spec);
 
 class SimSession {
  public:

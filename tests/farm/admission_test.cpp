@@ -149,6 +149,38 @@ TEST(AdmissionQueue, RequeueBackYieldsToFreshSameClassWork) {
   EXPECT_EQ(second->spec.name, "n0");
 }
 
+TEST(AdmissionQueue, FrontRequeueIsNotReportedAsTheOldestJob) {
+  AdmissionQueue q(8, 1'000'000);
+  for (int i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(q.submit(spec_with(Priority::kNormal, "n" + std::to_string(i)),
+                         10.0 * i)
+                    .accepted);
+  }
+  auto preempted = q.pop_blocking();  // n1, queued at 10
+  ASSERT_TRUE(preempted.has_value());
+  auto reclaimed = q.pop_blocking();  // n2, queued at 20
+  ASSERT_TRUE(reclaimed.has_value());
+  // Two front requeues stamped later than every queued job, the later
+  // stamp reaching the lock first (two workers racing): the class now
+  // reads n2(50) n1(60) n3(30) n4(40) from the front.
+  EXPECT_TRUE(q.requeue(std::move(*preempted), 60.0, RequeuePosition::kFront));
+  EXPECT_TRUE(q.requeue(std::move(*reclaimed), 50.0, RequeuePosition::kFront));
+  const auto depths = q.class_depths();
+  const auto& normal = depths[static_cast<std::size_t>(Priority::kNormal)];
+  EXPECT_EQ(normal.depth, 4u);
+  EXPECT_EQ(normal.oldest_queued_us, 30.0);
+  EXPECT_EQ(depths[static_cast<std::size_t>(Priority::kBatch)].depth, 0u);
+  EXPECT_EQ(depths[static_cast<std::size_t>(Priority::kBatch)].oldest_queued_us,
+            0.0);
+  // Without a front requeue the front job is the oldest.
+  ASSERT_TRUE(q.submit(spec_with(Priority::kInteractive, "i1"), 70.0).accepted);
+  ASSERT_TRUE(q.submit(spec_with(Priority::kInteractive, "i2"), 80.0).accepted);
+  EXPECT_EQ(
+      q.class_depths()[static_cast<std::size_t>(Priority::kInteractive)]
+          .oldest_queued_us,
+      70.0);
+}
+
 TEST(AdmissionQueue, BackoffHidesJobsUntilTheInjectedClockReachesThem) {
   // Injected clock: eligibility becomes a pure function of test state.
   double fake_now = 0.0;

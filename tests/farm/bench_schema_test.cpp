@@ -157,14 +157,14 @@ TEST(BenchSchema, FarmThroughputRecordCarriesTheScalingSweeps) {
   ASSERT_TRUE(std::filesystem::exists(path));
   const auto metrics = parse_metrics(slurp(path));
   // Capacity sweep: every (workers, queue) point with latency quantiles,
-  // rejects, and the per-stage pipeline breakdown.
+  // rejects, the per-stage pipeline breakdown and engine-cache reuse.
   for (const std::string w : {"w1", "w2", "w4"}) {
     for (const std::string q : {"q4", "q64"}) {
       const std::string tag = w + "_" + q;
       for (const std::string prefix :
            {"jobs_per_sec_", "p50_latency_", "p99_latency_", "rejects_",
             "stage_queue_wait_us_", "stage_attach_us_", "stage_run_us_",
-            "stage_publish_us_"}) {
+            "stage_publish_us_", "engine_cache_hit_frac_"}) {
         EXPECT_TRUE(metrics.count(prefix + tag)) << prefix + tag;
       }
       EXPECT_GT(metrics.at("jobs_per_sec_" + tag), 0.0) << tag;

@@ -260,6 +260,49 @@ TEST(SimFarm, CompletionFeedDeliversIdsAndCountsDrops) {
   EXPECT_TRUE(farm.results().drain_completions().empty());
 }
 
+TEST(SimFarm, WorkerEngineCacheKeepsEnginesWarmAcrossJobs) {
+  // One worker pops one job at a time; only its engine cache carries a
+  // warm engine from one job to the next.
+  const auto run = [](const std::vector<JobSpec>& specs) {
+    obs::MetricsRegistry metrics;
+    FarmOptions opt;
+    opt.num_workers = 1;
+    opt.metrics = &metrics;
+    SimFarm farm(opt);
+    for (const JobSpec& spec : specs) {
+      EXPECT_TRUE(farm.submit(spec).accepted);
+    }
+    farm.drain();
+    farm.shutdown();  // publishes the per-worker cache counters
+    return std::make_pair(
+        metrics.counter_value("farm.worker.cache_hits", "worker=0"),
+        metrics.counter_value("farm.worker.cache_misses", "worker=0"));
+  };
+  constexpr std::uint64_t kJobs = 6;
+  std::vector<JobSpec> same;
+  for (std::uint64_t i = 0; i < kJobs; ++i) {
+    same.push_back(small_job("same-" + std::to_string(i), 300 + i));
+  }
+  const auto [hits, misses] = run(same);
+  EXPECT_EQ(misses, 1u);
+  EXPECT_EQ(hits, kJobs - 1);
+
+  // Two keys, alternating: both fit the cache, so each misses once.
+  std::vector<JobSpec> alternating;
+  for (std::uint64_t i = 0; i < kJobs; ++i) {
+    JobSpec spec = small_job("alt-" + std::to_string(i), 400 + i);
+    if (i % 2 == 1) {
+      spec.net.width = 2;
+      spec.net.height = 2;
+    }
+    alternating.push_back(spec);
+  }
+  ASSERT_NE(engine_cache_key(alternating[0]), engine_cache_key(alternating[1]));
+  const auto [alt_hits, alt_misses] = run(alternating);
+  EXPECT_EQ(alt_misses, 2u);
+  EXPECT_EQ(alt_hits, kJobs - 2);
+}
+
 TEST(SimFarm, ShutdownIsIdempotentAndDrains) {
   FarmOptions opt;
   opt.num_workers = 2;

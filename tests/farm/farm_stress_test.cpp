@@ -1,6 +1,6 @@
 // Concurrency stress for the farm hot path (DESIGN.md §14): the
 // AdmissionQueue and the ResultStore under many producers and
-// consumers, batched pops, backoff-stamped retries, and
+// consumers, mixed-class pop storms, backoff-stamped retries, and
 // drain-after-stop. These run under TSan via the `stress` ctest label
 // (tsan preset), which turns the locking disciplines — per-class FIFO
 // order, wakeups, the capacity reservation, result publication — into
@@ -91,18 +91,15 @@ TEST(FarmStress, ManyProducersManyConsumersPopExactlyOnce) {
   EXPECT_EQ(queue.jobs_submitted(), kProducers * kPerProducer);
 }
 
-TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
+TEST(FarmStress, MixedClassPopStormIsExactlyOnceAndFifoPerProducer) {
   constexpr std::size_t kProducers = 3;
   constexpr std::size_t kPerProducer = 200;
-  // Three batch-compatibility classes, keyed off the seed.
-  const AdmissionQueue::BatchKeyFn key_fn = [](const JobSpec& spec) {
-    return 1 + (spec.seed % 3);
-  };
-  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000, {}, key_fn);
+  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000);
 
   std::mutex mu;
   std::set<std::uint64_t> accepted;
-  std::vector<std::vector<QueuedJob>> batches;
+  // Each consumer's pops, in the order it made them.
+  std::vector<std::vector<QueuedJob>> pops;
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -122,14 +119,12 @@ TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
   std::vector<std::thread> consumers;
   for (std::size_t c = 0; c < 3; ++c) {
     consumers.emplace_back([&] {
-      for (;;) {
-        std::vector<QueuedJob> batch = queue.pop_batch_blocking(4);
-        if (batch.empty()) {
-          return;
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        batches.push_back(std::move(batch));
+      std::vector<QueuedJob> mine;
+      while (std::optional<QueuedJob> job = queue.pop_blocking()) {
+        mine.push_back(std::move(*job));
       }
+      std::lock_guard<std::mutex> lock(mu);
+      pops.push_back(std::move(mine));
     });
   }
   for (auto& t : producers) {
@@ -142,24 +137,19 @@ TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
 
   std::size_t total = 0;
   std::set<std::uint64_t> seen;
-  for (const auto& batch : batches) {
-    ASSERT_FALSE(batch.empty());
-    ASSERT_LE(batch.size(), 4u);
-    total += batch.size();
-    for (const QueuedJob& job : batch) {
+  for (const std::vector<QueuedJob>& mine : pops) {
+    total += mine.size();
+    for (const QueuedJob& job : mine) {
       EXPECT_TRUE(seen.insert(job.job_id).second) << "job popped twice";
-      // Homogeneity: every member shares the head's class and batch key.
-      EXPECT_EQ(job.spec.priority, batch.front().spec.priority);
-      EXPECT_EQ(job.batch_key, batch.front().batch_key);
-      EXPECT_EQ(job.batch_key, key_fn(job.spec));
     }
-    // Queue order within the batch: batching never reorders. Each
-    // producer submits in job-id order, so two of its jobs in one batch
-    // must appear in that order.
-    for (std::size_t i = 1; i < batch.size(); ++i) {
+    // Queue order within a class: each producer submits in job-id order,
+    // so one consumer pops two same-class jobs of one producer in that
+    // order.
+    for (std::size_t i = 1; i < mine.size(); ++i) {
       for (std::size_t k = 0; k < i; ++k) {
-        if (batch[k].spec.seed / 7919 == batch[i].spec.seed / 7919) {
-          EXPECT_LT(batch[k].job_id, batch[i].job_id);
+        if (mine[k].spec.seed / 7919 == mine[i].spec.seed / 7919 &&
+            mine[k].spec.priority == mine[i].spec.priority) {
+          EXPECT_LT(mine[k].job_id, mine[i].job_id);
         }
       }
     }
@@ -168,15 +158,10 @@ TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
   EXPECT_EQ(seen, accepted);
 }
 
-TEST(FarmStress, SequentialBatchesPreserveFifoOrder) {
-  const AdmissionQueue::BatchKeyFn key_fn = [](const JobSpec& spec) {
-    return 1 + (spec.seed % 2);
-  };
-  AdmissionQueue queue(100, 1'000'000, {}, key_fn);
+TEST(FarmStress, SequentialPopsPreserveFifoOrder) {
+  AdmissionQueue queue(100, 1'000'000);
   std::vector<std::uint64_t> submitted;
   for (std::size_t i = 0; i < 60; ++i) {
-    // Key pattern A A B A B B ... — batches must break exactly at key
-    // changes, never skipping ahead to a compatible later job.
     const SubmitOutcome out =
         queue.submit(tiny_spec("f" + std::to_string(i), Priority::kNormal,
                                (i * i) % 7),
@@ -186,17 +171,9 @@ TEST(FarmStress, SequentialBatchesPreserveFifoOrder) {
   }
   queue.stop();
   std::vector<std::uint64_t> popped;
-  for (;;) {
-    const std::vector<QueuedJob> batch = queue.pop_batch_blocking(4);
-    if (batch.empty()) {
-      break;
-    }
-    for (const QueuedJob& job : batch) {
-      popped.push_back(job.job_id);
-    }
+  while (std::optional<QueuedJob> job = queue.pop_blocking()) {
+    popped.push_back(job->job_id);
   }
-  // Concatenated batch order == submission order: batching is pure
-  // dispatch amortization, invisible to FIFO semantics.
   EXPECT_EQ(popped, submitted);
 }
 

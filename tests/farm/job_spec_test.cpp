@@ -286,13 +286,11 @@ TEST(JobSpec, DecodeIgnoresLegacyShardAndEngineSeedTokens) {
 
 TEST(JobSpec, EngineCacheKeyIgnoresLegacyShardCounts) {
   // A shard count on the wire once reached the engine-cache key, so
-  // identical engines got separate cache entries and never batched.
+  // identical engines got separate worker-cache entries.
   const std::string base = "v=1 width=2 height=2";
   const std::string key = engine_cache_key(JobSpec::deserialize(base));
   EXPECT_EQ(engine_cache_key(JobSpec::deserialize(base + " shards=4")), key);
   EXPECT_EQ(engine_cache_key(JobSpec::deserialize(base + " shards=8")), key);
-  EXPECT_EQ(engine_cache_key_hash(JobSpec::deserialize(base + " shards=8")),
-            engine_cache_key_hash(JobSpec::deserialize(base)));
   // The scheduler is part of the engine's identity.
   EXPECT_NE(
       engine_cache_key(JobSpec::deserialize(base + " scheduler=compiled")),
