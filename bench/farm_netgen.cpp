@@ -249,7 +249,6 @@ int main() {
   opt.farm.num_workers = 2;
   opt.farm.queue_capacity = 256;  // small enough that bursts spill
   opt.farm.memo_capacity = 2 * kDistinct;
-  opt.farm.completion_feed_depth = 4096;
   opt.farm.metrics = &metrics;
   opt.spill_dir = spill_dir;
   opt.outbox_capacity = total_jobs + 64;

@@ -3,10 +3,14 @@
 // codec, the memory banks, and whole-engine steps across network sizes.
 // Besides the console table, the run drops BENCH_micro_engines.json with
 // one metric per reported row (adjusted real time; the loaded-step lanes
-// report the mean, median and spread of their windows).
+// report the mean, median and spread of their windows) and one per user
+// counter (the interleaved lane's per-lane medians and ratios).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/noc_block.h"
@@ -287,6 +291,48 @@ BENCHMARK_TEMPLATE(BM_EngineLoadedStep, rtlsim::RtlNocSimulation)
     ->Repetitions(kLoadedWindows)
     ->ReportAggregatesOnly(true);
 
+/// The three networks' loaded windows interleaved in one process, so a
+/// host slowdown that lasts a whole process slows every lane alike and
+/// leaves their ratios readable. Each network (DirectNoc, round-robin,
+/// compiled) is warmed once, like BM_EngineLoadedStep's; each iteration
+/// then times one window of kLoadedWindowCycles on each, rotating which
+/// lane goes first. All three run the same seeded traffic and stay on
+/// the same cycle. Counters: each lane's median window in ns per cycle
+/// and the compiled/DirectNoc and round-robin/DirectNoc ratios of those
+/// medians (ROADMAP item 11's gap).
+void BM_EngineLoadedInterleaved(benchmark::State& state) {
+  static LoadedNoc<noc::DirectNocSimulation> direct;
+  static LoadedNoc<core::SeqNocSimulation> rr;
+  static LoadedNoc<CompiledSeqNocSimulation> compiled;
+  const std::array<traffic::TrafficHarness*, 3> lanes{&direct.h, &rr.h,
+                                                      &compiled.h};
+  std::array<std::vector<double>, 3> ns_per_cycle;
+  std::size_t first = 0;
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      const std::size_t lane = (first + k) % lanes.size();
+      const auto t0 = std::chrono::steady_clock::now();
+      lanes[lane]->run(kLoadedWindowCycles);
+      const std::chrono::duration<double, std::nano> dt =
+          std::chrono::steady_clock::now() - t0;
+      ns_per_cycle[lane].push_back(dt.count() / kLoadedWindowCycles);
+    }
+    first = (first + 1) % lanes.size();
+  }
+  std::array<double, 3> median{};
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    std::vector<double>& v = ns_per_cycle[lane];
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    median[lane] = v[v.size() / 2];
+  }
+  state.counters["direct_ns"] = median[0];
+  state.counters["rr_ns"] = median[1];
+  state.counters["compiled_ns"] = median[2];
+  state.counters["compiled_over_direct"] = median[2] / median[0];
+  state.counters["rr_over_direct"] = median[1] / median[0];
+}
+BENCHMARK(BM_EngineLoadedInterleaved)->Iterations(kLoadedWindows);
+
 /// Console output as usual, plus one BenchMetric per finished run.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
@@ -296,6 +342,12 @@ class CollectingReporter : public benchmark::ConsoleReporter {
         continue;  // the coefficient of variation is not a time
       }
       collected.push_back({r.benchmark_name(), r.GetAdjustedRealTime(), "ns"});
+      for (const auto& [name, counter] : r.counters) {
+        if (name != "items_per_second") {
+          collected.push_back(
+              {r.benchmark_name() + "/" + name, counter.value, "counter"});
+        }
+      }
     }
     ConsoleReporter::ReportRuns(runs);
   }

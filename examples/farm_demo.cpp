@@ -5,8 +5,8 @@
 //
 // Submits 50 jobs — a BE-load sweep at three priority classes, plus a
 // few hosted-FPGA jobs with a faulty bus — to a 2-worker SimFarm,
-// prints the per-job results as they come back from the completion
-// feed, and writes:
+// drains it, prints each job's result in submission order (looked up
+// by id in the ResultStore), and writes:
 //   farm_metrics.json   — farm.* admission/queue/worker counters plus
 //                         the per-worker utilization gauges
 //   farm_timeline.json  — chrome://tracing view of every job's span

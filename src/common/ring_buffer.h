@@ -1,9 +1,5 @@
-// Fixed-capacity ring buffer.
-//
-// Two uses in this reproduction:
-//  - the FPGA↔ARM cyclic buffers (fpga/cyclic_buffer.h adds the paper's
-//    timestamping on top);
-//  - the farm's drop-oldest completion feed (farm/result_store.h).
+// Fixed-capacity ring buffer: the storage of the FPGA↔ARM cyclic
+// buffers (fpga/cyclic_buffer.h adds the paper's timestamping on top).
 // The router's flit input queues are noc::FlitQueue, stored inline.
 #pragma once
 
@@ -34,23 +30,6 @@ class RingBuffer {
     slots_[write_] = value;
     write_ = next(write_);
     ++size_;
-  }
-
-  /// Appends like hardware: the write pointer always advances; when full,
-  /// the oldest element is overwritten (read pointer advances too). Real
-  /// RTL does not trap on a FIFO write-when-full — and the sequential
-  /// simulator's dynamic schedule (§4.2) can transiently evaluate a block
-  /// against stale link values that would overfill a queue; the result is
-  /// discarded on re-evaluation, so the model must mimic hardware rather
-  /// than abort. Committed states are checked separately.
-  void push_overwrite(const T& value) {
-    slots_[write_] = value;
-    write_ = next(write_);
-    if (full()) {
-      read_ = next(read_);
-    } else {
-      ++size_;
-    }
   }
 
   /// Removes and returns the oldest element; throws on underflow.

@@ -49,8 +49,7 @@ const char* cancel_result_name(CancelResult r) {
 SimFarm::SimFarm(FarmOptions opt)
     : opt_(opt),
       queue_(opt.queue_capacity, opt.max_job_cycles,
-             [this] { return now_us(); }, opt.tracer),
-      results_(opt.completion_feed_depth) {
+             [this] { return now_us(); }, opt.tracer) {
   TMSIM_CHECK_MSG(opt_.num_workers >= 1, "farm needs at least one worker");
   TMSIM_CHECK_MSG(opt_.preempt_quantum >= 1, "quantum must be positive");
   for (std::size_t w = 0; w < opt_.num_workers; ++w) {
@@ -155,6 +154,14 @@ CancelResult SimFarm::cancel(std::uint64_t job_id) {
     opt_.metrics->counter("farm.cancellations.requested").add();
   }
   return CancelResult::kRequested;
+}
+
+JobResult SimFarm::wait(std::uint64_t job_id) {
+  if (job_id == 0 || job_id > queue_.jobs_submitted()) {
+    throw ContextualError("wait on a job id this farm never issued",
+                          {{"job_id", std::to_string(job_id)}});
+  }
+  return results_.wait(job_id);
 }
 
 void SimFarm::kill_worker(std::size_t w, bool lose_session) {
@@ -770,7 +777,7 @@ void SimFarm::publish(std::size_t w, QueuedJob& job, JobResult r) {
   const FailureKind kind = r.failure.kind;
   const CancelCause cause = r.cancel_cause;
   const bool memo_hit = r.memo_hit;
-  const bool feed_dropped = results_.put(std::move(r));
+  results_.put(std::move(r));
   workers_[w]->current_job.store(0, std::memory_order_relaxed);
   if (opt_.metrics) {
     std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -799,9 +806,6 @@ void SimFarm::publish(std::size_t w, QueuedJob& job, JobResult r) {
         break;
     }
     opt_.metrics->counter("farm.worker.jobs", worker_label(w)).add();
-    if (feed_dropped) {
-      opt_.metrics->counter("farm.results.feed_dropped").add();
-    }
   }
   workers_[w]->publish_us += now_us() - p0;
   const std::size_t before = inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -855,10 +859,7 @@ std::string SimFarm::introspect() const {
   }
   os << "]";
 
-  os << ", \"results\": {\"published\": " << results_.size()
-     << ", \"feed_fill\": " << results_.feed_fill()
-     << ", \"feed_capacity\": " << results_.feed_capacity()
-     << ", \"feed_dropped\": " << results_.completions_dropped() << "}";
+  os << ", \"results\": {\"published\": " << results_.size() << "}";
 
   {
     std::lock_guard<std::mutex> lock(farm_mu_);

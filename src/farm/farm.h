@@ -75,7 +75,7 @@
 //   (+reason=...),cancelled (+cause=...)}, farm.retries.{scheduled,
 //   exhausted}, farm.failures.quarantined, farm.cancellations.requested,
 //   farm.supervisor.{scans,workers_lost,jobs_reclaimed,respawns,stuck,
-//   deadlines_enforced}, farm.results.feed_dropped,
+//   deadlines_enforced},
 //   farm.{preemptions,resumes,checkpoints}, per-worker
 //   farm.worker.{slices,jobs,busy_us}{worker=i} counters — busy_us
 //   bills *every* executed slice, including slices of jobs that later
@@ -98,7 +98,7 @@
 //     failure.flight_recording, next to the replay tuple.
 //   - introspect() returns a JSON snapshot (per-class queue depths +
 //     oldest age, worker states + current span, inflight /
-//     memo / result-feed counters) from any thread, and
+//     memo / published-result counters) from any thread, and
 //     introspect_interval_ms arms a thread that writes it to
 //     introspect_path periodically.
 #pragma once
@@ -191,8 +191,6 @@ struct FarmOptions {
   /// JobSpec::fingerprint(), identical later specs served without
   /// simulating (LRU bound = this many entries). 0 disables the memo.
   std::size_t memo_capacity = 0;
-  /// Completion-feed depth of the ResultStore.
-  std::size_t completion_feed_depth = 64;
   /// Base of the deterministic retry backoff: attempt k of a transient
   /// failure is requeued not-before base × 2^(k-1) (+ seeded jitter in
   /// [0, base)) microseconds from the failure.
@@ -263,8 +261,10 @@ class SimFarm {
   /// in-flight session is destroyed and the job restarts from scratch.
   void kill_worker(std::size_t w, bool lose_session = false);
 
-  /// Blocks until the job's result is published.
-  JobResult wait(std::uint64_t job_id) { return results_.wait(job_id); }
+  /// Blocks until the job's result is published. Throws ContextualError
+  /// for an id this farm never issued (0, a rejected submit's id, or
+  /// above every id issued so far): no result would ever arrive.
+  JobResult wait(std::uint64_t job_id);
 
   /// Blocks until every accepted job has a published result.
   void drain();

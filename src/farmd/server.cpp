@@ -11,6 +11,9 @@ namespace tmsim::farmd {
 
 using namespace std::chrono_literals;
 
+/// Most farm completions the result pump routes per next_batch call.
+constexpr std::size_t kPumpBatch = 256;
+
 FarmdServer::FarmdServer(FarmdOptions opt)
     : opt_(std::move(opt)),
       farm_(opt_.farm),
@@ -393,7 +396,6 @@ void FarmdServer::handle_submit(Conn& conn, const net::Frame& frame) {
         job.farm_id = out.job_id;
         jobs_.emplace(remote_id, job);
         farm_to_remote_.emplace(out.job_id, remote_id);
-        live_farm_.insert(out.job_id);
       }
       // The job may already have completed (and been seen by the pump)
       // before the mapping existed; resolve the race now.
@@ -597,52 +599,27 @@ void FarmdServer::route_farm_result(std::uint64_t farm_id) {
     remote_id = mapped->second;
     auto it = jobs_.find(remote_id);
     if (it == jobs_.end() || it->second.terminal) {
-      return;  // already routed (feed duplicate / reconcile overlap)
+      return;  // already routed
     }
     it->second.terminal = true;
     owner = it->second.owner;
-    live_farm_.erase(farm_id);
   }
   push_outbox(owner, remote_id);
 }
 
-void FarmdServer::reconcile_live_jobs() {
-  // The completion feed dropped notifications (or we want a final
-  // sweep): check every admitted-but-unrouted farm id directly against
-  // the result store. Nothing is ever lost — the store keeps every
-  // result; only the *notification* is best-effort.
-  std::vector<std::uint64_t> candidates;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    candidates.assign(live_farm_.begin(), live_farm_.end());
-  }
-  for (const std::uint64_t farm_id : candidates) {
-    if (farm_.results().get(farm_id).has_value()) {
-      route_farm_result(farm_id);
-    }
-  }
-}
-
 void FarmdServer::pump_main() {
-  std::uint64_t drops_seen = 0;
+  farm::ResultStore::Cursor cursor;
   while (!pump_stop_.load(std::memory_order_acquire)) {
-    const std::vector<std::uint64_t> ids =
-        farm_.results().next_batch(opt_.pump_batch, 100ms);
-    for (const std::uint64_t id : ids) {
+    for (const std::uint64_t id :
+         farm_.results().next_batch(cursor, kPumpBatch, 100ms)) {
       route_farm_result(id);
     }
-    const std::uint64_t drops = farm_.results().completions_dropped();
-    if (drops != drops_seen) {
-      drops_seen = drops;
-      reconcile_live_jobs();
-    }
   }
-  // Final sweep: everything published by the time the pump was asked to
+  // Final pass: everything published by the time the pump was asked to
   // stop (shutdown drains the farm first) gets routed.
-  for (const std::uint64_t id : farm_.results().next_batch(0, 0ms)) {
+  for (const std::uint64_t id : farm_.results().next_batch(cursor, 0, 0ms)) {
     route_farm_result(id);
   }
-  reconcile_live_jobs();
 }
 
 // --- spill refill ----------------------------------------------------------
@@ -697,7 +674,6 @@ void FarmdServer::readmit(const SpillRecord& rec, farm::Priority cls) {
           cancel_now = it->second.cancel_requested;
         }
         farm_to_remote_.emplace(out.job_id, rec.remote_id);
-        live_farm_.insert(out.job_id);
         was_unrouted = unrouted_farm_.erase(out.job_id) > 0;
       }
       if (cancel_now) {

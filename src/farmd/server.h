@@ -15,11 +15,11 @@
 //                         name (not per connection): the outbox — and
 //                         therefore the result stream — survives
 //                         disconnect/reconnect.
-//   - result pump       — blocks on ResultStore::next_batch, routes
-//                         farm completions to the owning client's
-//                         outbox; reconciles completion-feed drops by
-//                         sweeping the live-job set, so a slow pump can
-//                         lose a *notification* but never a result.
+//   - result pump       — reads every farm completion once, in publish
+//                         order, through its own ResultStore cursor
+//                         (next_batch) and routes it to the owning
+//                         client's outbox; a slow pump falls behind but
+//                         loses nothing.
 //   - spill refill      — readmits spilled records FIFO-per-class into
 //                         the farm as admission capacity frees up.
 //
@@ -78,8 +78,6 @@ struct FarmdOptions {
   std::string spill_dir = "farmd_spill";
   /// Per-client outbox bound (drop-oldest beyond it).
   std::size_t outbox_capacity = 4096;
-  /// Result-pump batch size per ResultStore::next_batch call.
-  std::size_t pump_batch = 256;
 };
 
 class FarmdServer {
@@ -174,9 +172,6 @@ class FarmdServer {
 
   /// Routes one farm completion into its owner's outbox (exactly once).
   void route_farm_result(std::uint64_t farm_id);
-  /// Completion-feed drop recovery: checks every live farm id against
-  /// the result store directly.
-  void reconcile_live_jobs();
   void push_outbox(const std::shared_ptr<ClientState>& client,
                    std::uint64_t remote_id);
   /// Readmits one spill record into the farm (retrying on kQueueFull
@@ -200,8 +195,6 @@ class FarmdServer {
   /// Farm ids whose completion arrived before the submit path published
   /// the mapping (the admit/complete race) — resolved at mapping insert.
   std::unordered_set<std::uint64_t> unrouted_farm_;
-  /// Admitted farm ids with no routed result yet (reconcile sweep set).
-  std::unordered_set<std::uint64_t> live_farm_;
   std::atomic<std::uint64_t> next_remote_{1};
 
   mutable std::mutex clients_mu_;

@@ -1,8 +1,8 @@
 // SimFarm service-level tests: end-to-end job execution (core and
 // hosted), backpressure under flood without ever blocking a submitter
 // (run under TSan via the tsan preset's farm label), forced
-// preemption/resume accounting, the farm.* metrics surface, and the
-// completion feed.
+// preemption/resume accounting, the farm.* metrics surface, the
+// completion feed, and wait() on ids the farm never issued.
 #include "farm/farm.h"
 
 #include <atomic>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -233,10 +234,9 @@ TEST(SimFarm, InvalidAndOversizedSpecsBounceAtSubmit) {
   EXPECT_EQ(stopped.reason, RejectReason::kStopped);
 }
 
-TEST(SimFarm, CompletionFeedDeliversIdsAndCountsDrops) {
+TEST(SimFarm, CompletionFeedDeliversEveryAcceptedId) {
   FarmOptions opt;
   opt.num_workers = 2;
-  opt.completion_feed_depth = 4;  // force drops: 10 completions, depth 4
   SimFarm farm(opt);
   std::set<std::uint64_t> ids;
   for (int i = 0; i < 10; ++i) {
@@ -247,17 +247,34 @@ TEST(SimFarm, CompletionFeedDeliversIdsAndCountsDrops) {
   }
   farm.drain();
 
-  const auto completed = farm.results().drain_completions();
-  EXPECT_LE(completed.size(), 4u);
-  for (const auto id : completed) {
-    EXPECT_TRUE(ids.count(id));
-  }
-  EXPECT_EQ(completed.size() + farm.results().completions_dropped(), 10u);
-  // Dropped notifications lose nothing: every result is still retrievable.
-  for (const auto id : ids) {
-    EXPECT_TRUE(farm.results().get(id).has_value());
-  }
-  EXPECT_TRUE(farm.results().drain_completions().empty());
+  // 10 completions: the feed holds exactly the 10 accepted ids, once each.
+  ResultStore::Cursor cursor;
+  const auto completed = farm.results().next_batch(cursor, 0, {});
+  EXPECT_EQ(completed.size(), 10u);
+  EXPECT_EQ(std::set<std::uint64_t>(completed.begin(), completed.end()), ids);
+  EXPECT_TRUE(farm.results().next_batch(cursor, 0, {}).empty());
+}
+
+TEST(SimFarm, WaitOnAnUnissuedIdThrows) {
+  // No result will ever be published for an id the farm never issued,
+  // so wait() refuses it instead of blocking forever.
+  FarmOptions opt;
+  opt.num_workers = 1;
+  opt.queue_capacity = 1;
+  SimFarm farm(opt);
+  EXPECT_THROW(farm.wait(0), ContextualError);
+  EXPECT_THROW(farm.wait(1), ContextualError);
+
+  const auto accepted = farm.submit(small_job("issued", 1));
+  ASSERT_TRUE(accepted.accepted);
+  EXPECT_EQ(farm.wait(accepted.job_id).job_id, accepted.job_id);
+  EXPECT_THROW(farm.wait(accepted.job_id + 1), ContextualError);
+
+  // A rejected submit carries job_id 0.
+  farm.shutdown();
+  const auto rejected = farm.submit(small_job("late", 2));
+  ASSERT_FALSE(rejected.accepted);
+  EXPECT_THROW(farm.wait(rejected.job_id), ContextualError);
 }
 
 TEST(SimFarm, WorkerEngineCacheKeepsEnginesWarmAcrossJobs) {

@@ -296,7 +296,7 @@ TEST(FarmStress, HasHigherThanProbeRunsRaceFreeAgainstChurn) {
 TEST(FarmStress, ResultStorePutStormKeepsEveryResultAndFeedAccounting) {
   constexpr std::size_t kWriters = 8;
   constexpr std::size_t kPerWriter = 300;
-  ResultStore store(/*completion_feed_depth=*/64);
+  ResultStore store;
 
   std::vector<std::thread> writers;
   for (std::size_t t = 0; t < kWriters; ++t) {
@@ -321,11 +321,17 @@ TEST(FarmStress, ResultStorePutStormKeepsEveryResultAndFeedAccounting) {
       EXPECT_EQ(r.state_digest, id * 0x9e3779b97f4a7c15ull);
     });
   }
-  // And a drainer emptying the bounded completion feed while puts race.
-  std::size_t drained = 0;
+  // And a drainer reading the completion feed while puts race.
+  ResultStore::Cursor cursor;
+  std::vector<std::uint64_t> feed;
+  const auto drain = [&] {
+    for (const std::uint64_t id : store.next_batch(cursor, 0, {})) {
+      feed.push_back(id);
+    }
+  };
   std::thread drainer([&] {
     for (std::size_t i = 0; i < 50; ++i) {
-      drained += store.drain_completions().size();
+      drain();
       std::this_thread::yield();
     }
   });
@@ -336,20 +342,24 @@ TEST(FarmStress, ResultStorePutStormKeepsEveryResultAndFeedAccounting) {
     t.join();
   }
   drainer.join();
-  drained += store.drain_completions().size();
+  drain();
 
   EXPECT_EQ(store.size(), kWriters * kPerWriter);
   const std::vector<JobResult> all = store.all();
   EXPECT_EQ(all.size(), kWriters * kPerWriter);
   std::set<std::uint64_t> ids;
+  std::vector<std::uint64_t> publish_order;
   for (const JobResult& r : all) {
+    publish_order.push_back(r.job_id);
     EXPECT_TRUE(ids.insert(r.job_id).second);
     EXPECT_EQ(r.state_digest, r.job_id * 0x9e3779b97f4a7c15ull);
     EXPECT_TRUE(store.get(r.job_id).has_value());
   }
-  // Drop-oldest accounting: every completion was either drained or
-  // counted dropped — none vanished.
-  EXPECT_EQ(drained + store.completions_dropped(), kWriters * kPerWriter);
+  // The feed loses nothing: the cursor read every completion exactly
+  // once, in publish order.
+  const std::size_t drained = feed.size();
+  EXPECT_EQ(drained, kWriters * kPerWriter);
+  EXPECT_EQ(feed, publish_order);
 }
 
 }  // namespace

@@ -317,7 +317,7 @@ TEST(FarmTrace, IntrospectSnapshotIsLiveAndBalanced) {
     for (const char* key :
          {"\"ts_us\"", "\"inflight\"", "\"queue\"", "\"classes\"",
           "\"depth\"", "\"oldest_age_us\"", "\"workers\"", "\"state\"",
-          "\"results\"", "\"feed_fill\"", "\"feed_capacity\"", "\"memo\"",
+          "\"results\"", "\"published\"", "\"memo\"",
           "\"trace\"", "\"flight\"", "\"counters\""}) {
       EXPECT_NE(s->find(key), std::string::npos) << key << " in " << *s;
     }

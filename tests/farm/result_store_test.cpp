@@ -1,9 +1,7 @@
-// ResultStore completion-feed semantics, pinned: the feed is bounded,
-// overflow drops the *oldest* notification (never the newest, never the
-// producer), drops are counted and surfaced (farm.results.feed_dropped),
-// and dropped notifications lose nothing — the results stay retrievable
-// through get(). The §5.2 monitor-buffer discipline applied to job
-// completions: a slow consumer must not stall a worker.
+// ResultStore completion-feed semantics, pinned: the feed is the
+// publish-order list itself, read through a consumer-owned Cursor. It
+// loses nothing — every published id comes back, once, oldest first —
+// and any number of cursors each read every id.
 #include "farm/result_store.h"
 
 #include <chrono>
@@ -12,11 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "farm/farm.h"
-#include "obs/metrics.h"
-
 namespace tmsim::farm {
 namespace {
+
+using namespace std::chrono_literals;
 
 JobResult result_with_id(std::uint64_t id) {
   JobResult r;
@@ -25,62 +22,33 @@ JobResult result_with_id(std::uint64_t id) {
   return r;
 }
 
-TEST(ResultStore, FeedOverflowDropsOldestAndCounts) {
-  ResultStore store(/*completion_feed_depth=*/4);
-  // put() reports exactly which publishes displaced a notification.
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    EXPECT_FALSE(store.put(result_with_id(id))) << "id " << id;
-  }
-  for (std::uint64_t id = 5; id <= 7; ++id) {
-    EXPECT_TRUE(store.put(result_with_id(id))) << "id " << id;
-  }
-  EXPECT_EQ(store.completions_dropped(), 3u);
-
-  // Drop-oldest: the feed holds the *newest* 4 completions, in order.
-  EXPECT_EQ(store.drain_completions(),
-            (std::vector<std::uint64_t>{4, 5, 6, 7}));
-
-  // Nothing was lost, only the notification: every result — including
-  // the dropped ids 1..3 — is still retrievable point-wise.
-  for (std::uint64_t id = 1; id <= 7; ++id) {
-    ASSERT_TRUE(store.get(id).has_value()) << "id " << id;
-    EXPECT_EQ(store.get(id)->job_id, id);
-  }
-  EXPECT_EQ(store.size(), 7u);
-
-  // After a drain the feed is empty and fills again without drops.
-  EXPECT_FALSE(store.put(result_with_id(8)));
-  EXPECT_EQ(store.drain_completions(), (std::vector<std::uint64_t>{8}));
-  EXPECT_EQ(store.completions_dropped(), 3u);  // unchanged
-}
-
 TEST(ResultStore, FeedCarriesFullSixtyFourBitJobIds) {
   // Ids past 2^32 (about 19 h of uptime at the loadgen rate) must reach
   // the feed's consumers whole: farmd routes results by these ids.
   constexpr std::uint64_t kId = (std::uint64_t{1} << 32) + 5;
-  ResultStore drained(/*completion_feed_depth=*/4);
-  drained.put(result_with_id(kId));
-  EXPECT_EQ(drained.drain_completions(), (std::vector<std::uint64_t>{kId}));
-  ResultStore streamed(/*completion_feed_depth=*/4);
-  streamed.put(result_with_id(kId));
-  EXPECT_EQ(streamed.next_batch(0, std::chrono::microseconds(0)),
+  ResultStore store;
+  store.put(result_with_id(kId));
+  ResultStore::Cursor cursor;
+  EXPECT_EQ(store.next_batch(cursor, 0, 0us),
             (std::vector<std::uint64_t>{kId}));
 }
 
 TEST(ResultStore, NextBatchBlocksUntilCompletionOrDeadline) {
-  using namespace std::chrono_literals;
-  ResultStore store(/*completion_feed_depth=*/8);
+  ResultStore store;
+  ResultStore::Cursor cursor;
 
-  // Empty feed: the deadline-bounded wait returns empty, not never.
-  EXPECT_TRUE(store.next_batch(0, 1ms).empty());
+  // Nothing published: the deadline-bounded wait returns empty, not never.
+  EXPECT_TRUE(store.next_batch(cursor, 0, 1ms).empty());
 
-  // Ready notifications return immediately, FIFO, bounded by max_ids.
+  // Ready ids return immediately, oldest first, bounded by max_ids.
   for (std::uint64_t id = 1; id <= 5; ++id) {
     store.put(result_with_id(id));
   }
-  EXPECT_EQ(store.next_batch(3, 0us), (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(store.next_batch(0, 0us), (std::vector<std::uint64_t>{4, 5}));
-  EXPECT_TRUE(store.next_batch(0, 0us).empty());
+  EXPECT_EQ(store.next_batch(cursor, 3, 0us),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(store.next_batch(cursor, 0, 0us),
+            (std::vector<std::uint64_t>{4, 5}));
+  EXPECT_TRUE(store.next_batch(cursor, 0, 0us).empty());
 
   // A put() from another thread wakes a blocked next_batch before its
   // deadline — this is what lets the farmd result pump sleep instead of
@@ -89,50 +57,55 @@ TEST(ResultStore, NextBatchBlocksUntilCompletionOrDeadline) {
     std::this_thread::sleep_for(5ms);
     store.put(result_with_id(42));
   });
-  const std::vector<std::uint64_t> woke = store.next_batch(0, 10s);
+  const std::vector<std::uint64_t> woke = store.next_batch(cursor, 0, 10s);
   producer.join();
   EXPECT_EQ(woke, (std::vector<std::uint64_t>{42}));
 
-  // Drop-oldest accounting is unchanged by the blocking API: overflow
-  // past the feed depth still counts, and get() still has everything.
+  // However far the consumer falls behind, every id comes back, in order.
+  std::vector<std::uint64_t> expected;
   for (std::uint64_t id = 100; id < 112; ++id) {
     store.put(result_with_id(id));
+    expected.push_back(id);
   }
-  EXPECT_EQ(store.completions_dropped(), 4u);
-  const std::vector<std::uint64_t> tail = store.next_batch(0, 0us);
-  ASSERT_EQ(tail.size(), 8u);
-  EXPECT_EQ(tail.front(), 104u);
-  EXPECT_EQ(tail.back(), 111u);
-  for (std::uint64_t id = 100; id < 112; ++id) {
-    EXPECT_TRUE(store.get(id).has_value()) << id;
-  }
+  EXPECT_EQ(store.next_batch(cursor, 0, 0us), expected);
+  EXPECT_EQ(cursor.read, store.size());
 }
 
-TEST(ResultStore, FarmSurfacesFeedDropsAsMetric) {
-  obs::MetricsRegistry metrics;
-  FarmOptions opt;
-  opt.num_workers = 1;
-  opt.queue_capacity = 8;
-  opt.completion_feed_depth = 2;
-  opt.supervisor_interval_ms = 0.0;
-  opt.metrics = &metrics;
-  {
-    SimFarm farm(opt);
-    JobSpec spec;
-    spec.name = "feed";
-    spec.net.width = 2;
-    spec.net.height = 2;
-    spec.cycles = 40;
-    for (int i = 0; i < 5; ++i) {
-      spec.seed = static_cast<std::uint64_t>(i + 1);
-      ASSERT_TRUE(farm.submit(spec).accepted);
+TEST(ResultStore, TwoCursorsEachReadEveryIdOnceInPublishOrder) {
+  ResultStore store;
+  ResultStore::Cursor a;
+  ResultStore::Cursor b;
+  std::vector<std::uint64_t> read_a;
+  std::vector<std::uint64_t> read_b;
+  const auto take = [&store](ResultStore::Cursor& c, std::size_t max,
+                             std::vector<std::uint64_t>& into) {
+    for (const std::uint64_t id : store.next_batch(c, max, 0us)) {
+      into.push_back(id);
     }
-    farm.drain();
-    // 5 completions through a depth-2 feed nobody drained: 3 dropped.
-    EXPECT_EQ(farm.results().completions_dropped(), 3u);
-    EXPECT_EQ(farm.results().drain_completions().size(), 2u);
+  };
+
+  // Puts interleaved with reads of different sizes: cursor a reads one
+  // id at a time, b reads whatever is there every third put.
+  std::vector<std::uint64_t> published;
+  for (std::uint64_t id = 1; id <= 20; ++id) {
+    store.put(result_with_id(id * 7));
+    published.push_back(id * 7);
+    take(a, 1, read_a);
+    if (id % 3 == 0) {
+      take(b, 0, read_b);
+    }
   }
-  EXPECT_EQ(metrics.counter_value("farm.results.feed_dropped"), 3u);
+  take(a, 0, read_a);
+  take(b, 0, read_b);
+
+  EXPECT_EQ(read_a, published);
+  EXPECT_EQ(read_b, published);
+  EXPECT_TRUE(store.next_batch(a, 0, 0us).empty());
+  EXPECT_TRUE(store.next_batch(b, 0, 0us).empty());
+
+  // A cursor made late still starts at the first result.
+  ResultStore::Cursor late;
+  EXPECT_EQ(store.next_batch(late, 0, 0us), published);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 // Property/stress tests for fpga::CyclicBuffer — the ARM↔FPGA decoupling
-// buffer of §5.2 and the farm's completion-feed substrate
-// (farm::ResultStore). Three angles:
+// buffer of §5.2, which every hosted farm job streams its stimuli and
+// monitor words through. Three angles:
 //   1. randomized differential test against a std::deque reference model
 //      across thousands of mixed push/pop/pop_if_due/discard ops, with
 //      full/empty/fill checked after every step (wrap-around coverage far
 //      past capacity);
 //   2. explicit full/empty disambiguation at every fill level, including
 //      the capacity boundary where head == tail both ways;
-//   3. a mutex-guarded concurrent producer/consumer pair, which is what
-//      `ctest -L farm` runs under ThreadSanitizer via the tsan preset —
-//      the same external-locking discipline ResultStore uses.
+//   3. a mutex-guarded concurrent producer/consumer pair, which the tsan
+//      preset runs under ThreadSanitizer (through the `farm` label; the
+//      `fpga` label runs it with the platform units).
 #include "fpga/cyclic_buffer.h"
 
 #include <cstdint>
@@ -112,9 +112,9 @@ TEST(CyclicBufferStress, FullAndEmptyDisambiguatedAtEveryFillLevel) {
 }
 
 TEST(CyclicBufferStress, ConcurrentProducerConsumerUnderLock) {
-  // The ResultStore completion feed shares one buffer between publisher
-  // threads and a draining reader, serialized by an external mutex —
-  // this reproduces that discipline so TSan can vet it.
+  // One buffer shared by a producer and a consumer thread, serialized
+  // by an external mutex (CyclicBuffer itself is not thread-safe), so
+  // TSan can vet the buffer under that discipline.
   constexpr std::uint32_t kWords = 20000;
   CyclicBuffer buf(8);
   std::mutex mu;

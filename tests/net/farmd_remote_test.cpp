@@ -353,7 +353,6 @@ TEST(FarmdRemote, CapacityOneQueueAdmitsTenThousandSpecsThroughSpill) {
   opt.farm.num_workers = 2;
   opt.farm.queue_capacity = 1;
   opt.farm.memo_capacity = kDistinct * 2;  // repeats served from the memo
-  opt.farm.completion_feed_depth = 4096;
   opt.farm.metrics = &metrics;
   // Both workers hold at their first slice until every submit reply is
   // in, so nothing drains while the client submits: at most one job per
