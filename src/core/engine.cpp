@@ -10,8 +10,6 @@
 namespace tmsim::core {
 namespace {
 
-constexpr BlockId kNoBlock = ~BlockId{0};
-
 ContextualError::Context convergence_context(const ConvergenceReport& r) {
   ContextualError::Context ctx;
   ctx.emplace_back("cycle", std::to_string(r.cycle));
@@ -170,65 +168,67 @@ Engine::Engine(const SystemModel& model, const EngineOptions& opts)
     program_.emplace(analysis::build_compiled_schedule(model));
   }
 
-  link_comb_.assign(model.num_links(), 0);
-  comb_reader_.assign(model.num_links(), kNoBlock);
+  // Per link: is it combinational, and the block a changed write of it
+  // destabilizes — its one reader (SystemModel::finalize), or the spare
+  // slot n for a registered or unread link.
+  std::vector<char> link_comb(model.num_links(), 0);
+  std::vector<BlockId> wake(model.num_links(), n);
   for (LinkId l = 0; l < model.num_links(); ++l) {
     const LinkInfo& info = model.link(l);
     if (info.kind == LinkKind::kCombinational) {
-      link_comb_[l] = 1;
+      link_comb[l] = 1;
       if (!info.readers.empty()) {
-        comb_reader_[l] = info.readers.front().block;  // the only reader
+        wake[l] = info.readers.front().block;
       }
     }
   }
 
+  // A block is skippable only when every link it touches is
+  // combinational: registered link banks flip globally, so a skipped
+  // writer's would rot, and registered inputs change without a change
+  // event. (Under the op program kSettle never consults the gate; a
+  // settle member's own later kEval is gated like any other, since its
+  // last settle evaluation already consumed its inputs.)
+  std::vector<char> skippable(n, 1);
   std::size_t max_in = 0;
   std::size_t max_out = 0;
-  std::size_t total_in = 0;
-  std::size_t total_out = 0;
+  blocks_.resize(n);
+  out_ports_.reserve(model.num_links());  // one writer port per link
   for (BlockId b = 0; b < n; ++b) {
     const BlockInstance& blk = model.block(b);
+    BlockPorts& row = blocks_[b];
+    row.logic = blk.logic.get();
+    row.in_begin = static_cast<std::uint32_t>(in_links_.size());
+    row.num_in = static_cast<std::uint32_t>(blk.input_links.size());
+    row.out_begin = static_cast<std::uint32_t>(out_ports_.size());
+    row.num_out = static_cast<std::uint32_t>(blk.output_links.size());
+    // The op program encodes the same fact as its ops' outputs_final.
+    char state_only = !program_;
+    for (std::size_t q = 0; q < row.num_out && state_only; ++q) {
+      for (std::size_t p = 0; p < row.num_in; ++p) {
+        state_only &= !row.logic->output_depends_on_input(q, p);
+      }
+    }
+    outputs_state_only_.push_back(state_only);
+    for (const LinkId l : blk.input_links) {
+      in_links_.push_back(l);
+      skippable[b] &= link_comb[l];
+    }
+    for (const LinkId l : blk.output_links) {
+      out_ports_.push_back({l, wake[l]});
+      skippable[b] &= link_comb[l];
+    }
     max_in = std::max(max_in, blk.input_links.size());
     max_out = std::max(max_out, blk.output_links.size());
-    total_in += blk.input_links.size();
-    total_out += blk.output_links.size();
   }
   in_words_.assign(max_in, 0);
   out_words_.assign(max_out, 0);
-  unstable_.assign(n, 0);
+  unstable_.assign(n + 1, 0);
   evaluated_.assign(n, 0);
   if (program_) {
+    skippable_ = std::move(skippable);
     state_fixed_.assign(n, 0);
     pending_input_.assign(n + 1, 0);
-    // A block is skippable only when every link it touches is
-    // combinational: registered link banks flip globally, so a skipped
-    // writer's would rot, and registered inputs change without a
-    // change event. (Under the op program kSettle never consults the
-    // gate; a settle member's own later kEval is gated like any other,
-    // since its last settle evaluation already consumed its inputs.)
-    skippable_.assign(n, 1);
-    prog_blocks_.resize(n);
-    prog_in_links_.reserve(total_in);
-    prog_out_ports_.reserve(total_out);
-    for (BlockId b = 0; b < n; ++b) {
-      const BlockInstance& blk = model.block(b);
-      ProgramBlock& row = prog_blocks_[b];
-      row.logic = blk.logic.get();
-      row.in_begin = static_cast<std::uint32_t>(prog_in_links_.size());
-      row.num_in = static_cast<std::uint32_t>(blk.input_links.size());
-      row.out_begin = static_cast<std::uint32_t>(prog_out_ports_.size());
-      row.num_out = static_cast<std::uint32_t>(blk.output_links.size());
-      for (const LinkId l : blk.input_links) {
-        prog_in_links_.push_back(l);
-        skippable_[b] &= link_comb_[l];
-      }
-      for (const LinkId l : blk.output_links) {
-        prog_out_ports_.push_back(
-            {l, comb_reader_[l] == kNoBlock ? static_cast<BlockId>(n)
-                                            : comb_reader_[l]});
-        skippable_[b] &= link_comb_[l];
-      }
-    }
   }
   rr_next_ = schedule_rr_offset(opts_.seed, n);
   rr_init_ = rr_next_;
@@ -386,9 +386,8 @@ void Engine::rebase(SystemCycle cycle, DeltaCycle total_deltas) {
 bool Engine::settle_round_robin() {
   // "Every system cycle is started by resetting all status bits to
   //  zero. [...] it is guaranteed that all routers are evaluated at
-  //  least once"
-  const std::size_t n = unstable_.size();
-  links_.reset_all_hbr();
+  //  least once": every block starts unstable.
+  const std::size_t n = evaluated_.size();
   std::fill(unstable_.begin(), unstable_.end(), 1);
   unstable_count_ = n;
   // The cursor scan is bounded: unstable_count_ > 0 with nothing left to
@@ -411,12 +410,6 @@ bool Engine::settle_round_robin() {
     --unstable_count_;
 
     evaluate_block(b);
-
-    // Self-loop safety of the sweep: re-check the HBR bits directly so a
-    // bookkeeping bug cannot end a cycle early.
-    if (unstable_[b] == 0 && !inputs_all_read(b)) {
-      destabilize(b);
-    }
     if (stats_.delta_cycles > budget) {
       return false;
     }
@@ -426,16 +419,16 @@ bool Engine::settle_round_robin() {
 
 template <Engine::OpEval kWhat>
 void Engine::evaluate_op(BlockId b, const CompiledSettleCtx* ctx) {
-  // No HBR bookkeeping: the op order already makes every input a
+  // No unstable bitmap: the op order already makes every input a
   // committing evaluation consumes final. A changed output wakes its
   // reader's gate instead; inside a kSettle it also re-flags the SCC's
   // own reader.
-  const ProgramBlock& row = prog_blocks_[b];
+  const BlockPorts& row = blocks_[b];
   const bool inputs_changed = pending_input_[b];
   std::uint64_t* const in = in_words_.data();
   std::uint64_t* const out = out_words_.data();
   const std::size_t n_in = row.num_in;
-  const LinkId* const in_links = prog_in_links_.data() + row.in_begin;
+  const LinkId* const in_links = in_links_.data() + row.in_begin;
   for (std::size_t p = 0; p < n_in; ++p) {
     in[p] = links_.word(in_links[p]);
   }
@@ -457,7 +450,7 @@ void Engine::evaluate_op(BlockId b, const CompiledSettleCtx* ctx) {
   // output are about equally likely, so a branch on it mispredicts. A
   // change wakes the reader's gate and is counted and remembered.
   std::size_t changes = 0;
-  const OutPort* const ports = prog_out_ports_.data() + row.out_begin;
+  const OutPort* const ports = out_ports_.data() + row.out_begin;
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = ports[p].link;
     const bool changed = links_.write_word(l, out[p]);
@@ -569,43 +562,42 @@ bool Engine::settle_scc(std::uint32_t scc_index) {
 }
 
 void Engine::evaluate_block(BlockId b) {
-  const BlockInstance& blk = model_.block(b);
-  const std::size_t n_in = blk.input_links.size();
-  const std::size_t n_out = blk.output_links.size();
+  const BlockPorts& row = blocks_[b];
   std::uint64_t* const in = in_words_.data();
   std::uint64_t* const out = out_words_.data();
-
-  // Latch inputs and mark them read (HBR): a later changed write to any
-  // of them must destabilize us.
+  const std::size_t n_in = row.num_in;
+  const LinkId* const in_links = in_links_.data() + row.in_begin;
   for (std::size_t p = 0; p < n_in; ++p) {
-    const LinkId l = blk.input_links[p];
-    in[p] = links_.word(l);
-    if (link_comb_[l]) {
-      links_.mark_read(l);
-    }
+    in[p] = links_.word(in_links[p]);
   }
   // The last evaluation of the cycle is the committing one: it leaves
-  // the block's next state in its new slot.
-  blk.logic->step(state_.old_state(b), {in, n_in}, state_.new_state(b),
+  // the block's next state in its new slot. A re-evaluation of a block
+  // whose outputs are G(old state) computes F alone: its first
+  // evaluation this cycle wrote those outputs, and its links, written by
+  // no one else, still hold them.
+  const std::size_t n_out =
+      outputs_state_only_[b] && evaluated_[b] ? 0 : row.num_out;
+  row.logic->step(state_.old_state(b), {in, n_in}, state_.new_state(b),
                   {out, n_out});
 
+  // "if the router writes a value to a link, which is not equal to the
+  //  current value in the memory, it will reset this link's status bit
+  //  to zero" — destabilizing the reader. Registered links never
+  // destabilize (§4.1): write_word reports no change for them. Branch-free
+  // on the compare, as in evaluate_op.
+  std::size_t changes = 0;
+  const OutPort* const ports = out_ports_.data() + row.out_begin;
   for (std::size_t p = 0; p < n_out; ++p) {
-    const LinkId l = blk.output_links[p];
-    // Registered links never destabilize (§4.1): write_word reports no
-    // change for them.
-    if (!links_.write_word(l, out[p])) {
-      continue;
-    }
-    // "if the router writes a value to a link, which is not equal to
-    //  the current value in the memory, it will reset this link's
-    //  status bit to zero" — destabilizing the reader.
-    ++stats_.link_changes;
-    recent_changed_links_[recent_changed_count_++ % kChangedLinkRing] = l;
-    links_.clear_hbr(l);
-    if (comb_reader_[l] != kNoBlock) {
-      destabilize(comb_reader_[l]);
-    }
+    const LinkId l = ports[p].link;
+    const bool changed = links_.write_word(l, out[p]);
+    changes += changed;
+    char& unstable = unstable_[ports[p].wake];
+    unstable_count_ += changed & (unstable == 0);
+    unstable |= changed;
+    recent_changed_links_[recent_changed_count_ % kChangedLinkRing] = l;
+    recent_changed_count_ += changed;
   }
+  stats_.link_changes += changes;
   count_evaluation(b);
 }
 
@@ -620,33 +612,19 @@ void Engine::count_evaluation(BlockId b) {
   }
 }
 
-void Engine::destabilize(BlockId b) {
-  if (unstable_[b] == 0) {
-    unstable_[b] = 1;
-    ++unstable_count_;
-  }
-}
-
-bool Engine::inputs_all_read(BlockId b) const {
-  for (const LinkId l : model_.block(b).input_links) {
-    if (link_comb_[l] && !links_.has_been_read(l)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void Engine::fail_cycle() {
   ConvergenceReport r;
   r.cycle = cycle_;
   r.delta_cycles = stats_.delta_cycles;
   r.num_blocks = model_.num_blocks();
-  r.limit = opts_.max_evals_per_block * r.num_blocks;
   r.link_changes = stats_.link_changes;
+  // The budget that tripped: a settling SCC's own, or the whole cycle's.
   if (tripped_scc_ != nullptr) {
+    r.limit = opts_.max_evals_per_block * tripped_scc_->blocks.size();
     r.oscillating_blocks = tripped_scc_->blocks;
   } else {
-    for (BlockId b = 0; b < unstable_.size(); ++b) {
+    r.limit = opts_.max_evals_per_block * r.num_blocks;
+    for (BlockId b = 0; b < r.num_blocks; ++b) {
       if (unstable_[b]) {
         r.oscillating_blocks.push_back(b);
       }
@@ -768,8 +746,8 @@ void reset_engine(Engine& eng) {
   for (BlockId b = 0; b < model.num_blocks(); ++b) {
     eng.load_block_state(b, model.block(b).logic->reset_state());
   }
-  // Power-on links: the previous tenant's link values and HBR bits would
-  // otherwise change the first cycle's delta and link-change counts.
+  // Power-on links: the previous tenant's link values would otherwise
+  // change the first cycle's delta and link-change counts.
   eng.clear_links();
   // Power-on scheduling state too: cursors back to their seeded offsets,
   // quiescence flags cleared — a reused farm engine must not leak the

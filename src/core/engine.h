@@ -17,20 +17,25 @@
 //    whole model, replayed every system cycle — the SCC-condensed
 //    topological order of the blocks — with each op gated by a
 //    quiescence test, so a block with no new input and a fixed-point
-//    state costs one flag test. It runs over flat port tables built at
-//    construction, and a kEval whose kDrive already made every output
-//    final computes the next state only, writing no link. For a
+//    state costs one flag test. A kEval whose kDrive already made every
+//    output final computes the next state only, writing no link. For a
 //    registered-only model it is every block once in ascending ids, the
 //    paper's §4.1 static schedule (Fig. 3), which is how
 //    SequentialSimulator runs SchedulePolicy::kStatic (registered links
 //    are never gated);
-//  - kRoundRobin: the §4.2 pickup — all HBR bits cleared at cycle start,
+//  - kRoundRobin: the §4.2 pickup — every block unstable at cycle start,
 //    non-stable blocks picked by the round-robin cursor, a changed link
-//    write destabilizing its reader.
+//    write destabilizing its reader. A combinational link has one reader
+//    (SystemModel::finalize), so the paper's HBR bits say no more than
+//    the per-block unstable bitmap, which is all the engine keeps. A
+//    re-evaluation of a block whose outputs depend on its state alone
+//    computes the next state only: its first evaluation this cycle
+//    already wrote those outputs.
 //
-// The engine holds one double-banked StateMemory (one bank pointer per
-// block, flipped only for the blocks evaluated) and one LinkMemory (one
-// word per link, HBR bits for the combinational ones). A system cycle
+// Both schedules run over one set of flat port tables built at
+// construction. The engine holds one double-banked StateMemory (one bank
+// pointer per block, flipped only for the blocks evaluated) and one
+// LinkMemory (one word per link). A system cycle
 // runs the schedule until every block is stable, then commits the
 // evaluated blocks and flips the registered link banks. The final link
 // fixed point — and therefore every register bit — does not depend on
@@ -84,10 +89,9 @@ namespace tmsim::core {
 ///    (src/analysis/static_schedule.h) condenses the combinational link
 ///    graph's strongly-connected components, topologically orders the
 ///    condensation, and emits an op program replayed in order every
-///    system cycle — no HBR bookkeeping and no unstable bitmap for
-///    acyclic regions; true combinational cycles settle in a scoped
-///    round-robin confined to their SCC under the usual convergence
-///    budget. Each kEval/kDrive is gated by a quiescence predicate
+///    system cycle — no unstable bitmap for acyclic regions; true
+///    combinational cycles settle in a scoped round-robin confined to
+///    their SCC under the usual convergence budget. Each kEval/kDrive is gated by a quiescence predicate
 ///    (GSIM's "evaluate a node only when an input changed"): a block
 ///    with no pending input whose last evaluation was a state fixed
 ///    point would reproduce its outputs and state bit for bit, so it is
@@ -322,8 +326,8 @@ class Engine {
   /// change event.
   void load_link_value(LinkId link, const BitVector& value);
 
-  /// Returns every link value and HBR bit to power-on zero
-  /// (reset_engine). Only call between steps.
+  /// Returns every link value to power-on zero (reset_engine). Only
+  /// call between steps.
   void clear_links();
 
   /// Simulates one system cycle.
@@ -398,17 +402,18 @@ class Engine {
     kNext,   ///< F only: next state, outputs already final (marked kEval)
   };
 
-  /// One block's row of the op program's port tables.
-  struct ProgramBlock {
+  /// One block's row of the port tables.
+  struct BlockPorts {
     const SimBlock* logic = nullptr;
-    std::uint32_t in_begin = 0;   ///< first entry in prog_in_links_
+    std::uint32_t in_begin = 0;   ///< first entry in in_links_
     std::uint32_t num_in = 0;
-    std::uint32_t out_begin = 0;  ///< first entry in prog_out_ports_
+    std::uint32_t out_begin = 0;  ///< first entry in out_ports_
     std::uint32_t num_out = 0;
   };
-  /// An output port: its link and the pending_input_ slot a change of
-  /// it marks — the link's one combinational reader, or the spare slot
-  /// (num_blocks) for a registered or unread link.
+  /// An output port: its link and the block a changed write of it
+  /// destabilizes (round-robin) or wakes (op program) — the link's one
+  /// combinational reader, or the spare slot num_blocks, which nothing
+  /// consults, for a registered or unread link.
   struct OutPort {
     LinkId link = 0;
     BlockId wake = 0;
@@ -419,8 +424,8 @@ class Engine {
   bool settle_round_robin();
   bool run_program();
   bool settle_scc(std::uint32_t scc_index);
-  /// One §4.2 pickup evaluation: step() the block, mark its inputs read,
-  /// destabilize the readers of changed outputs.
+  /// One §4.2 pickup evaluation over the port tables: step() the block
+  /// and destabilize the readers of changed outputs.
   void evaluate_block(BlockId b);
   /// One op-program evaluation over the port tables. `ctx` is non-null
   /// inside a kSettle op.
@@ -428,8 +433,6 @@ class Engine {
   void evaluate_op(BlockId b, const CompiledSettleCtx* ctx);
   /// The delta-cycle accounting every evaluation ends with.
   void count_evaluation(BlockId b);
-  void destabilize(BlockId b);
-  bool inputs_all_read(BlockId b) const;
   /// Builds the failed cycle's report, notifies the observer and throws.
   [[noreturn]] void fail_cycle();
 
@@ -444,20 +447,21 @@ class Engine {
   /// The op program (kCompiled only), built once over the whole model;
   /// it alone keeps quiescence flags.
   std::optional<analysis::CompiledSchedule> program_;
-  std::vector<char> link_comb_;  ///< link -> is combinational
-  /// link -> its one reader block when combinational, ~0 otherwise.
-  std::vector<BlockId> comb_reader_;
-  // The op program's flat port tables (kCompiled only), built once: per
-  // block its logic and port ranges, then every input link id and every
-  // output port, block after block.
-  std::vector<ProgramBlock> prog_blocks_;
-  std::vector<LinkId> prog_in_links_;
-  std::vector<OutPort> prog_out_ports_;
+  // The flat port tables both schedules run over, built once: per block
+  // its logic and port ranges, then every input link id and every output
+  // port, block after block.
+  std::vector<BlockPorts> blocks_;
+  std::vector<LinkId> in_links_;
+  std::vector<OutPort> out_ports_;
+  /// Round-robin only: no output depends on an input, so the outputs
+  /// are G(old state), fixed all cycle.
+  std::vector<char> outputs_state_only_;
 
   StateMemory state_;
   LinkMemory links_;
 
-  // Unstable-block bookkeeping of the §4.2 pickup.
+  // Unstable-block bookkeeping of the §4.2 pickup. The spare slot past
+  // the blocks is set every cycle, so a change it takes counts nothing.
   std::vector<char> unstable_;
   std::size_t unstable_count_ = 0;
   std::size_t rr_next_ = 0;
@@ -526,7 +530,7 @@ EngineCheckpoint save_checkpoint(const Engine& eng);
 void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck);
 
 /// Returns `eng` to its power-on state: every block reloaded with its
-/// reset state, every link value and HBR bit zeroed, scheduling state
+/// reset state, every link value zeroed, scheduling state
 /// canonical, counters rebased
 /// to zero — indistinguishable from a fresh engine, StepStats included.
 /// This is what makes engine instances reusable across farm jobs.

@@ -21,7 +21,6 @@ LinkMemory::LinkMemory(const SystemModel& model) {
     width_.push_back(static_cast<std::uint8_t>(info.width));
     registered_.push_back(info.kind == LinkKind::kRegistered ? 1 : 0);
   }
-  hbr_.assign((n + 63) / 64, 0);
 }
 
 BitVector LinkMemory::read(LinkId l) const {
@@ -40,7 +39,6 @@ bool LinkMemory::write(LinkId l, const BitVector& value) {
 void LinkMemory::clear() {
   std::fill(bank_[0].begin(), bank_[0].end(), 0);
   std::fill(bank_[1].begin(), bank_[1].end(), 0);
-  reset_all_hbr();
 }
 
 std::size_t LinkMemory::total_bits() const {

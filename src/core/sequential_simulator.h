@@ -20,11 +20,12 @@
 //    in ascending ids.
 //
 //  - kDynamic (§4.2, Fig. 5): the paper's method for combinational
-//    boundaries. All HBR bits are cleared at the start of the system
-//    cycle (so every block is evaluated at least once); a round-robin
-//    scheduler evaluates non-stable blocks; writing a *changed* value to a
-//    link clears its HBR bit and destabilizes its reader; the cycle ends
-//    when all blocks are stable. The `scheduler` argument picks how the
+//    boundaries. Every block is unstable at the start of the system cycle
+//    (the paper clears all HBR bits, so every block is evaluated at least
+//    once); a round-robin scheduler evaluates non-stable blocks; writing a
+//    *changed* value to a link destabilizes its one reader (the paper
+//    clears the link's HBR bit); the cycle ends when all blocks are
+//    stable. The `scheduler` argument picks how the
 //    cycle is evaluated: kRoundRobin is that method itself, and kCompiled
 //    reaches the same fixed point with less work by replaying the gated
 //    op program instead.

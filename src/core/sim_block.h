@@ -118,10 +118,11 @@ class SimBlock {
 
   /// One delta cycle on resident states — what the engine calls: next
   /// state into `next`, every output port into `out`. An empty `out`
-  /// asks for the next state only (the compiled program's kEval after a
-  /// kDrive that already wrote every output final); the block may then
-  /// skip building its output words. The default runs evaluate()
-  /// through the WordState adapter.
+  /// asks for the next state only — the compiled program's kEval after a
+  /// kDrive that already wrote every output final, or a round-robin
+  /// re-evaluation of a block none of whose outputs depends on an input
+  /// — and the block may then skip building its output words. The
+  /// default runs evaluate() through the WordState adapter.
   virtual void step(const BlockState& old, std::span<const std::uint64_t> in,
                     BlockState& next, std::span<std::uint64_t> out) const;
 

@@ -2,9 +2,11 @@
 //
 // Blocks (SimBlock instances, shareable across identical partitions) are
 // wired together through *links*. A link has exactly one writer port and —
-// for combinational links — exactly one reader port, mirroring the paper's
+// for combinational links — at most one reader port, mirroring the paper's
 // link memory where each link is one memory position with one HBR bit
-// (§4.2). Two link kinds:
+// (§4.2). With one reader, a link's HBR bit is clear exactly while that
+// reader still has to (re-)evaluate, so the engine keeps only a per-block
+// unstable bitmap. Two link kinds:
 //
 //  - kRegistered (§4.1): the link value is itself a register; readers see
 //    the value the writer produced in the *previous* system cycle. Stored
@@ -12,7 +14,8 @@
 //    registered can run a single-pass static schedule (Fig. 3).
 //  - kCombinational (§4.2): an unbuffered wire; readers must see the value
 //    the writer drives in the *current* system cycle. Stored single-banked
-//    with a Has-Been-Read bit; requires the dynamic schedule (Fig. 5).
+//    (the FPGA adds a Has-Been-Read bit); requires the dynamic schedule
+//    (Fig. 5).
 //
 // A link without a writer is an external input (driven by the testbench /
 // stimuli interface each cycle); a link without readers is an external

@@ -42,29 +42,6 @@ TEST(LinkMemory, CombinationalWriteReportsChange) {
   EXPECT_EQ(mem.read(0).get_field(0, 8), 5u);
 }
 
-TEST(LinkMemory, HbrLifecycle) {
-  const SystemModel m = two_link_model();
-  LinkMemory mem(m);
-  EXPECT_FALSE(mem.has_been_read(0));
-  mem.mark_read(0);
-  EXPECT_TRUE(mem.has_been_read(0));
-  mem.clear_hbr(0);
-  EXPECT_FALSE(mem.has_been_read(0));
-  mem.mark_read(0);
-  mem.mark_read(1);
-  mem.reset_all_hbr();
-  EXPECT_FALSE(mem.has_been_read(0));
-  EXPECT_FALSE(mem.has_been_read(1));
-}
-
-TEST(LinkMemory, HbrOnlyOnCombinationalLinks) {
-  const SystemModel m = two_link_model();
-  LinkMemory mem(m);
-  EXPECT_THROW(mem.has_been_read(2), Error);
-  EXPECT_THROW(mem.mark_read(2), Error);
-  EXPECT_THROW(mem.clear_hbr(2), Error);
-}
-
 TEST(LinkMemory, RegisteredLinkIsDoubleBanked) {
   const SystemModel m = two_link_model();
   LinkMemory mem(m);
@@ -95,6 +72,8 @@ TEST(LinkMemory, WidthMismatchRejected) {
 }
 
 TEST(LinkMemory, TotalBitsCountsValuesAndHbr) {
+  // The memory keeps no HBR bits (the engine's unstable bitmap holds the
+  // same facts), but the FPGA it models provisions one per comb link.
   const SystemModel m = two_link_model();
   LinkMemory mem(m);
   // 2 comb links: (8+1) each; 2 registered links: 8*2 each.

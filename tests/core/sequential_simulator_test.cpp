@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/example_blocks.h"
@@ -13,6 +16,7 @@ namespace {
 
 using examples::CombAdderBlock;
 using examples::NotBlock;
+using examples::Or2Block;
 using examples::PipeBlock;
 using examples::RegAdderBlock;
 
@@ -332,6 +336,226 @@ TEST(DynamicSchedule, SettlingCombinationalLoopConverges) {
   SequentialSimulator sim(m, SchedulePolicy::kDynamic);
   const StepStats st = sim.step();
   EXPECT_LE(st.delta_cycles, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// §4.2 stability: a combinational link has one reader, so "its HBR bit is
+// clear" and "its reader is unstable" are the same fact. These pin the
+// pickup order the unstable bitmap produces on the three cases the HBR
+// bits decided.
+// ---------------------------------------------------------------------------
+
+/// b0 (+1) reads b1's output, b1 (+writer_addend) reads the external
+/// input: the sweep from cursor 0 evaluates the reader before its writer.
+struct ReaderFirstPair {
+  explicit ReaderFirstPair(std::uint64_t writer_addend) {
+    const BlockId b0 = m.add_block(std::make_shared<CombAdderBlock>(8, 1), "b0");
+    const BlockId b1 = m.add_block(
+        std::make_shared<CombAdderBlock>(8, writer_addend), "b1");
+    in = m.add_link("in", 8, LinkKind::kCombinational);
+    const LinkId mid = m.add_link("mid", 8, LinkKind::kCombinational);
+    out = m.add_link("out", 8, LinkKind::kCombinational);
+    m.bind_input(b1, 0, in);
+    m.bind_output(b1, 0, mid);
+    m.bind_input(b0, 0, mid);
+    m.bind_output(b0, 0, out);
+    m.finalize();
+  }
+  SystemModel m;
+  LinkId in = 0, out = 0;
+};
+
+/// The blocks one step() evaluates, in order.
+std::vector<BlockId> traced_step(SequentialSimulator& sim, StepStats* st) {
+  std::vector<BlockId> order;
+  sim.set_trace_hook(
+      [&](SystemCycle, DeltaCycle, BlockId b) { order.push_back(b); });
+  *st = sim.step();
+  sim.set_trace_hook(nullptr);
+  return order;
+}
+
+TEST(DynamicSchedule, ReaderEvaluatedBeforeItsWriterChangesIsPickedAgain) {
+  ReaderFirstPair pair(2);
+  SequentialSimulator sim(pair.m, SchedulePolicy::kDynamic);
+  sim.set_external_input(pair.in, val(8, 5));
+  StepStats st;
+  // b0 reads mid before b1 changes it (0 → 7): b0 is picked again.
+  EXPECT_EQ(traced_step(sim, &st), (std::vector<BlockId>{0, 1, 0}));
+  EXPECT_EQ(st.delta_cycles, 3u);
+  EXPECT_EQ(st.re_evaluations, 1u);
+  EXPECT_EQ(sim.link_value(pair.out).get_field(0, 8), 8u);
+}
+
+TEST(DynamicSchedule, SelfLoopWhoseOutputChangesPicksItselfAgain) {
+  // a: or2 with out0 looped back to in0; b reads a's out1. a's first
+  // evaluation changes its own input, so a is unstable again after b —
+  // the case the old "inputs all read" re-check existed for.
+  SystemModel m;
+  const BlockId a = m.add_block(std::make_shared<Or2Block>(8), "a");
+  const BlockId b = m.add_block(std::make_shared<CombAdderBlock>(8, 1), "b");
+  const LinkId loop = m.add_link("loop", 8, LinkKind::kCombinational);
+  const LinkId ext = m.add_link("ext", 8, LinkKind::kCombinational);
+  const LinkId ab = m.add_link("ab", 8, LinkKind::kCombinational);
+  const LinkId out = m.add_link("out", 8, LinkKind::kCombinational);
+  m.bind_output(a, 0, loop);
+  m.bind_input(a, 0, loop);
+  m.bind_input(a, 1, ext);
+  m.bind_output(a, 1, ab);
+  m.bind_input(b, 0, ab);
+  m.bind_output(b, 0, out);
+  m.finalize();
+  SequentialSimulator sim(m, SchedulePolicy::kDynamic);
+  sim.set_external_input(ext, val(8, 0x21));
+  StepStats st;
+  EXPECT_EQ(traced_step(sim, &st), (std::vector<BlockId>{a, b, a}));
+  EXPECT_EQ(st.re_evaluations, 1u);
+  EXPECT_EQ(sim.link_value(loop).get_field(0, 8), 0x21u);
+  EXPECT_EQ(sim.link_value(out).get_field(0, 8), 0x22u);
+  // Settled: the sweep resumes at b, and a rewrites its loop unchanged
+  // and picks nobody.
+  EXPECT_EQ(traced_step(sim, &st), (std::vector<BlockId>{b, a}));
+  EXPECT_EQ(st.link_changes, 0u);
+}
+
+TEST(DynamicSchedule, UnchangedWriteRePicksNobody) {
+  // b0 reads mid (power-on 0) before b1 writes it; b1 computes 0 + 0 and
+  // writes the value b0 already read, so nobody is picked again.
+  ReaderFirstPair pair(0);
+  SequentialSimulator sim(pair.m, SchedulePolicy::kDynamic);
+  StepStats st;
+  EXPECT_EQ(traced_step(sim, &st), (std::vector<BlockId>{0, 1}));
+  EXPECT_EQ(st.re_evaluations, 0u);
+  EXPECT_EQ(st.link_changes, 1u);  // b0's out: 0 → 1
+  EXPECT_EQ(traced_step(sim, &st), (std::vector<BlockId>{0, 1}));
+  EXPECT_EQ(st.re_evaluations, 0u);
+  EXPECT_EQ(st.link_changes, 0u);
+  EXPECT_EQ(sim.link_value(pair.out).get_field(0, 8), 1u);
+}
+
+/// Forwards everything to an inner block and logs (tag, width of the
+/// `out` span) for every step() call, so a test sees which evaluations
+/// were asked for the next state alone.
+class SpanLogBlock : public SimBlock {
+ public:
+  using Log = std::vector<std::pair<int, std::size_t>>;
+  SpanLogBlock(std::shared_ptr<const SimBlock> inner, int tag, Log* log)
+      : inner_(std::move(inner)), tag_(tag), log_(log) {}
+
+  std::size_t state_width() const override { return inner_->state_width(); }
+  std::size_t num_inputs() const override { return inner_->num_inputs(); }
+  std::size_t input_width(std::size_t p) const override {
+    return inner_->input_width(p);
+  }
+  std::size_t num_outputs() const override { return inner_->num_outputs(); }
+  std::size_t output_width(std::size_t p) const override {
+    return inner_->output_width(p);
+  }
+  BitVector reset_state() const override { return inner_->reset_state(); }
+  void evaluate(const BitVector& old_state, std::span<const BitVector> in,
+                BitVector& new_state,
+                std::span<BitVector> out) const override {
+    inner_->evaluate(old_state, in, new_state, out);
+  }
+  std::unique_ptr<BlockState> make_state() const override {
+    return inner_->make_state();
+  }
+  void step(const BlockState& old, std::span<const std::uint64_t> in,
+            BlockState& next, std::span<std::uint64_t> out) const override {
+    log_->emplace_back(tag_, out.size());
+    inner_->step(old, in, next, out);
+  }
+  void drive(const BlockState& old, std::span<const std::uint64_t> in,
+             std::span<std::uint64_t> out) const override {
+    inner_->drive(old, in, out);
+  }
+  std::string type_name() const override { return inner_->type_name(); }
+  bool output_depends_on_input(std::size_t out, std::size_t in) const override {
+    return inner_->output_depends_on_input(out, in);
+  }
+
+ private:
+  std::shared_ptr<const SimBlock> inner_;
+  int tag_;
+  Log* log_;
+};
+
+TEST(DynamicSchedule, ReEvaluationOfAStateOnlyBlockComputesTheNextStateAlone) {
+  // Blocks 0..2: a ring of PipeBlocks (every output G(state)); blocks
+  // 3..5: a ring of Or2Blocks (outputs follow the inputs), each fed by
+  // an external input. Every block tags its log entries with its id.
+  SpanLogBlock::Log log;
+  SystemModel m;
+  for (int i = 0; i < 3; ++i) {
+    m.add_block(std::make_shared<SpanLogBlock>(
+                    std::make_shared<PipeBlock>(16, 1, 10 * i), i, &log),
+                "p" + std::to_string(i));
+  }
+  for (int i = 0; i < 3; ++i) {
+    m.add_block(std::make_shared<SpanLogBlock>(std::make_shared<Or2Block>(16),
+                                               3 + i, &log),
+                "o" + std::to_string(i));
+  }
+  std::vector<LinkId> ext;
+  for (BlockId i = 0; i < 3; ++i) {
+    const LinkId pl = m.add_link("pl" + std::to_string(i), 16,
+                                 LinkKind::kCombinational);
+    m.bind_output(i, 0, pl);
+    m.bind_input((i + 1) % 3, 0, pl);
+    const LinkId ol = m.add_link("ol" + std::to_string(i), 16,
+                                 LinkKind::kCombinational);
+    m.bind_output(3 + i, 0, ol);
+    m.bind_input(3 + (i + 1) % 3, 0, ol);
+    ext.push_back(m.add_link("ext" + std::to_string(i), 16,
+                             LinkKind::kCombinational));
+    m.bind_input(3 + i, 1, ext.back());
+    m.bind_output(3 + i, 1,
+                  m.add_link("out" + std::to_string(i), 16,
+                             LinkKind::kCombinational));
+  }
+  m.finalize();
+
+  SequentialSimulator sim(m, SchedulePolicy::kDynamic);
+  std::size_t pipe_reevals = 0;
+  std::size_t or_reevals = 0;
+  std::vector<StepStats> stats;
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      sim.set_external_input(ext[i], val(16, 1u << ((cycle + 5 * i) % 16)));
+    }
+    log.clear();
+    stats.push_back(sim.step());
+    std::vector<char> seen(6, 0);
+    for (const auto& [tag, width] : log) {
+      const bool pipe = tag < 3;
+      if (!seen[tag]) {
+        // A first evaluation writes every output.
+        EXPECT_EQ(width, pipe ? 1u : 2u) << "cycle " << cycle;
+      } else if (pipe) {
+        // Its outputs are G(old state), already written: F alone.
+        EXPECT_EQ(width, 0u) << "cycle " << cycle;
+        ++pipe_reevals;
+      } else {
+        // Its outputs follow the inputs that changed: F and G.
+        EXPECT_EQ(width, 2u) << "cycle " << cycle;
+        ++or_reevals;
+      }
+      seen[tag] = 1;
+    }
+  }
+  EXPECT_GT(pipe_reevals, 0u);
+  EXPECT_GT(or_reevals, 0u);
+  // The schedule itself is untouched: these are the StepStats the sweep
+  // produced when every evaluation rewrote every output.
+  const std::vector<std::pair<DeltaCycle, std::size_t>> pinned = {
+      {10, 13}, {10, 13}, {10, 13}, {10, 13}, {10, 13}, {10, 9}};
+  ASSERT_EQ(stats.size(), pinned.size());
+  for (std::size_t c = 0; c < stats.size(); ++c) {
+    EXPECT_EQ(stats[c].delta_cycles, pinned[c].first) << "cycle " << c;
+    EXPECT_EQ(stats[c].link_changes, pinned[c].second) << "cycle " << c;
+    EXPECT_EQ(stats[c].re_evaluations, stats[c].delta_cycles - 6)
+        << "cycle " << c;
+  }
 }
 
 /// in → +1 → +2 → +3 → out over combinational links; stateless blocks,

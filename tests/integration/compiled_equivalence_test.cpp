@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -529,6 +530,61 @@ TEST(CompiledEquivalence, NonSettlingLoopFailsStructurallyUnderCompiled) {
   EXPECT_EQ(r1.oscillating_blocks, r2.oscillating_blocks);
   ASSERT_FALSE(r2.oscillating_blocks.empty());
   EXPECT_EQ(r2.oscillating_blocks[0], a);
+}
+
+TEST(CompiledEquivalence, SettleBudgetTripReportsTheSccsOwnLimit) {
+  // Six chained NOTs feed an XOR whose out0 loops back to in1: with the
+  // chain's 0 on in0 and tweak 1 the loop is a NOT self-loop, and it
+  // oscillates. Compiled evaluates the chain once, then runs the loop's
+  // one-block settle region out of its own budget, 16 × |SCC| = 16; the
+  // report names that budget, not the whole cycle's 16 × 7.
+  SystemModel model;
+  LinkId prev = model.add_link("ext", 1, LinkKind::kCombinational);
+  for (int i = 0; i < 6; ++i) {
+    const BlockId n = model.add_block(std::make_shared<NotBlock>(),
+                                      "n" + std::to_string(i));
+    const LinkId next = model.add_link("c" + std::to_string(i), 1,
+                                       LinkKind::kCombinational);
+    model.bind_input(n, 0, prev);
+    model.bind_output(n, 0, next);
+    prev = next;
+  }
+  const BlockId x = model.add_block(std::make_shared<Xor2Block>(1, 1), "x");
+  const LinkId loop = model.add_link("loop", 1, LinkKind::kCombinational);
+  model.bind_input(x, 0, prev);
+  model.bind_input(x, 1, loop);
+  model.bind_output(x, 0, loop);
+  model.bind_output(x, 1, model.add_link("out", 1, LinkKind::kCombinational));
+  model.finalize();
+
+  const auto trip = [](Engine& eng) {
+    try {
+      eng.step();
+    } catch (const ConvergenceError& e) {
+      return e.report();
+    }
+    ADD_FAILURE() << "oscillating loop did not trip";
+    return ConvergenceReport{};
+  };
+  SequentialSimulator cp(model, SchedulePolicy::kDynamic, 16, 1,
+                         SchedulerKind::kCompiled);
+  ASSERT_NE(cp.compiled_schedule(), nullptr);
+  ASSERT_EQ(cp.compiled_schedule()->sccs.size(), 1u);
+  const std::size_t scc_size = cp.compiled_schedule()->sccs[0].blocks.size();
+  EXPECT_EQ(scc_size, 1u);
+  const ConvergenceReport r = trip(cp);
+  EXPECT_EQ(r.limit, 16u * scc_size);
+  EXPECT_GT(r.delta_cycles, r.limit);
+  EXPECT_EQ(r.delta_cycles, 6u + 17u);
+  EXPECT_EQ(r.num_blocks, 7u);
+  EXPECT_EQ(r.oscillating_blocks, (std::vector<BlockId>{x}));
+  EXPECT_NE(r.summary().find("(limit 16)"), std::string::npos) << r.summary();
+
+  // The round-robin sweep has one budget for the whole cycle.
+  SequentialSimulator rr(model, SchedulePolicy::kDynamic, 16);
+  const ConvergenceReport rr_report = trip(rr);
+  EXPECT_EQ(rr_report.limit, 16u * 7u);
+  EXPECT_GT(rr_report.delta_cycles, rr_report.limit);
 }
 
 }  // namespace
